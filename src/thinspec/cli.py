@@ -17,7 +17,8 @@ from .asymptotics import compute_coefficients, format_coefficients
 from .errors import ConfigError, ThinspecError
 from .geometry import Circle, LayerConfig, curve_from_config
 from .report import richardson, run_sweep, sweep_svg, write_atomic
-from .transmission import first_te, rayleigh_identity_residual
+from .transmission import (_factor_stats, corridor, first_te, rayleigh_identity_residual,
+                           sigma_min_scan)
 
 _SCHEMA = "thinspec/1"
 _TASKS = ("coeffs", "direct", "sweep", "disk-oracle", "validate")
@@ -162,15 +163,15 @@ def _task_direct(cfg, outdir):
     for delta in cfg["deltas"]:
         for h in cfg["h_list"]:
             layer = LayerConfig(delta, cfg["g"], cfg["n"])
-            te = first_te(curve, layer, h, steps=cfg["steps"],
-                          upper_slack=cfg["upper_slack"])
-            root = min((r for r in te.scan.roots if not r.spurious),
-                       key=lambda r: r.lam)
+            te = first_te(curve, layer, h, upper_slack=cfg["upper_slack"])
+            sigma_at_root = _factor_stats(te.pencil.shifted(te.lam))[0]
             lines.append(",".join(f"{v:.17g}" for v in
                                   (delta, h, te.lam, te.lambda0, te.lambda_eroded,
-                                   root.sigma)))
+                                   sigma_at_root)))
+            lo, hi = corridor(te.lambda0, te.lambda_eroded, cfg["upper_slack"])
+            scan = sigma_min_scan(te.pencil, lo, hi, steps=cfg["steps"])
             write_atomic(os.path.join(outdir, f"scan_d{delta:g}_h{h:g}.csv"),
-                         te.scan.to_csv())
+                         scan.to_csv())
     write_atomic(os.path.join(outdir, "direct.csv"), "\n".join(lines) + "\n")
     return 0
 
@@ -178,7 +179,7 @@ def _task_direct(cfg, outdir):
 def _task_sweep(cfg, outdir, jobs):
     report = run_sweep(
         cfg["curve"], cfg["deltas"], cfg["g"], cfg["n"],
-        h_list=cfg.get("h_list"), solver=cfg["solver"], steps=cfg["steps"],
+        h_list=cfg.get("h_list"), solver=cfg["solver"],
         jobs=jobs, sandwich_factor=cfg["sandwich_factor"],
         upper_slack=cfg["upper_slack"],
     )
@@ -214,8 +215,7 @@ def _task_validate(cfg, outdir):
         per_h = []
         for h in cfg["h_list"]:
             layer = LayerConfig(delta, cfg["g"], cfg["n"])
-            te = first_te(curve, layer, h, steps=cfg["steps"],
-                          upper_slack=cfg["upper_slack"])
+            te = first_te(curve, layer, h, upper_slack=cfg["upper_slack"])
             per_h.append((h, te))
         (hc, tec), (hf, tef) = per_h[-2], per_h[-1]
         lam_fem, est = richardson(hc, tec.lam, hf, tef.lam)

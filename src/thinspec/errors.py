@@ -38,11 +38,7 @@ class NoRootInBracket(ThinspecError):
 
 
 class NoRootFound(ThinspecError):
-    """Pencil scan found no singular point; carries the scan record."""
-
-    def __init__(self, message, scan=None):
-        super().__init__(message)
-        self.scan = scan
+    """Pencil solve found no real eigenvalue in its search window."""
 
 
 class MissingLayer(ThinspecError):

@@ -225,8 +225,7 @@ def _fem_row_worker(payload):
     out = {"delta": payload["delta"], "per_h": []}
     for h in payload["h_list"]:
         layer = LayerConfig(payload["delta"], payload["g_value"], payload["n"])
-        te = first_te(curve, layer, h, steps=payload["steps"],
-                      upper_slack=payload["upper_slack"])
+        te = first_te(curve, layer, h, upper_slack=payload["upper_slack"])
         out["per_h"].append({
             "h": h,
             "lambda_direct": te.lam,
@@ -236,8 +235,7 @@ def _fem_row_worker(payload):
     return out
 
 
-def _sweep_fem(curve, deltas, g, n, h_list, steps, jobs, sandwich_factor,
-               upper_slack):
+def _sweep_fem(curve, deltas, g, n, h_list, jobs, sandwich_factor, upper_slack):
     if h_list is None or len(h_list) < 2:
         raise ConfigError("finite element sweep needs at least two mesh sizes")
     # expansion coefficients per mesh size, then Richardson in h
@@ -257,7 +255,6 @@ def _sweep_fem(curve, deltas, g, n, h_list, steps, jobs, sandwich_factor,
         "h_list": list(h_list),
         "g_value": g if not callable(g) else 1.0,
         "n": n,
-        "steps": steps,
         "upper_slack": upper_slack,
     } for delta in deltas]
     if callable(g):
@@ -308,8 +305,8 @@ def _sweep_fem(curve, deltas, g, n, h_list, steps, jobs, sandwich_factor,
     return rows, lam0, lam1, lam2
 
 
-def run_sweep(curve, deltas, g, n, h_list=None, solver="auto", steps=64,
-              jobs=1, sandwich_factor=3.0, upper_slack=5e-3):
+def run_sweep(curve, deltas, g, n, h_list=None, solver="auto", jobs=1,
+              sandwich_factor=3.0, upper_slack=5e-3):
     """Sweep coating thicknesses and fit the convergence orders.
 
     solver 'bessel' uses the semi-analytic disk determinant (circle geometry
@@ -323,7 +320,7 @@ def run_sweep(curve, deltas, g, n, h_list=None, solver="auto", steps=64,
         rows, lam0, lam1, lam2 = _sweep_disk(curve, deltas, g, n, sandwich_factor)
     elif solver == "fem":
         rows, lam0, lam1, lam2 = _sweep_fem(
-            curve, deltas, g, n, h_list, steps, jobs, sandwich_factor, upper_slack
+            curve, deltas, g, n, h_list, jobs, sandwich_factor, upper_slack
         )
     else:
         raise ConfigError(f"unknown solver {solver!r}", field="solver")

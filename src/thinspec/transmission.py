@@ -5,11 +5,11 @@ The interior field v lives on the whole domain, the coating field w on the
 coating with zero trace on the inner boundary; their traces on the outer
 boundary are identified, which cancels the matched Neumann data weakly.  The
 resulting symmetric indefinite pencil (A, B) is singular exactly at discrete
-transmission eigenvalues, located by scanning the smallest singular value of
-A - lambda*B over a real window and refining the dips (bisection on the
-determinant sign where it flips, golden-section on sigma_min otherwise).
-The computable Max-Min corridor lambda0 <= lambda <= lambda_eroded brackets
-the search and flags spurious discrete roots.
+transmission eigenvalues.  The computable Max-Min corridor
+lambda0 <= lambda <= lambda_eroded brackets the first one, which shift-invert
+Arnoldi on (A - sigma*B)^-1 B returns with its eigenvector from one LU at the
+corridor midpoint sigma.  The smallest singular value scan of A - lambda*B
+over a window (sigma_min_scan) is kept as an explicit diagnostic.
 """
 
 import math
@@ -17,10 +17,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import sparse
-from scipy.sparse.linalg import splu
+from scipy.sparse.csgraph import connected_components
+from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigs, splu
+from scipy.sparse.linalg import norm as spnorm
 
 from .asymptotics import compute_lambda0
-from .errors import MissingLayer, NoRootFound
+from .errors import ConvergenceFailure, MissingLayer, NoRootFound
 from .fem import FemField, assemble, dirichlet_eigs, h1_norm, mass_norm
 from .mesh import LAYER, core_submesh, generate_mesh
 
@@ -45,13 +47,14 @@ class CoupledPencil:
         return (self.A - lam * self.B).tocsc()
 
 
-def assemble_pencil(mesh, n):
-    """Build the coupled pencil on a coated mesh with index coefficient n."""
+def assemble_pencil(mesh, n, K=None, M=None):
+    """Build the coupled pencil on a coated mesh with index coefficient n,
+    reusing the full-domain stiffness K and mass M when the caller has them."""
     if not mesh.has_layer():
         raise MissingLayer("assemble_pencil: mesh has no coating region")
     nv = mesh.n_vertices
-    K_omega = assemble(mesh, "stiffness").tocsr()
-    M_omega = assemble(mesh, "mass").tocsr()
+    K_omega = (K if K is not None else assemble(mesh, "stiffness")).tocsr()
+    M_omega = (M if M is not None else assemble(mesh, "mass")).tocsr()
     K_layer = assemble(mesh, "stiffness", region="layer").tocsr()
     M_layer_n = assemble(mesh, "mass", region="layer", coefficient=n).tocsr()
 
@@ -88,19 +91,11 @@ def assemble_pencil(mesh, n):
 
 
 def _perm_parity(perm):
-    seen = np.zeros(len(perm), dtype=bool)
-    parity = 0
-    for start in range(len(perm)):
-        if seen[start]:
-            continue
-        length = 0
-        j = start
-        while not seen[j]:
-            seen[j] = True
-            j = perm[j]
-            length += 1
-        parity ^= (length - 1) & 1
-    return parity
+    """(n - number of cycles) mod 2; the cycles are the components of i -> perm[i]."""
+    n = len(perm)
+    graph = sparse.csr_matrix((np.ones(n), (np.arange(n), perm)), shape=(n, n))
+    cycles = connected_components(graph, directed=True, connection="weak")[0]
+    return (n - cycles) & 1
 
 
 def _factor_stats(C, power_its=30):
@@ -252,28 +247,36 @@ def sigma_min_scan(pencil, lam_lo, lam_hi, steps=64, width=None, power_its=30):
     return ScanRecord(grid=grid, sigma=sig, det_sign=det, roots=roots, threshold=threshold)
 
 
-def _null_vector(pencil, lam, its=3):
-    C = pencil.shifted(lam)
+def smallest_real_eig(pencil, lo, hi):
+    """Smallest real pencil eigenvalue in [lo, hi] with its eigenvector, or None
+    when the six nearest sigma = (lo + hi)/2 hold none.  One LU of A - sigma*B
+    drives shift-invert Arnoldi; an eigenvalue mu of (A - sigma*B)^-1 B is the
+    pencil eigenvalue sigma + 1/mu."""
+    sigma = 0.5 * (lo + hi)
+    lu = splu(pencil.shifted(sigma))
+    op = LinearOperator(lu.shape, matvec=lambda x: lu.solve(pencil.B @ x), dtype=float)
+    # fixed start vector, uneven to avoid accidental orthogonality
+    v0 = 1.0 + 0.5 * (np.arange(pencil.dim) % 7 == 0)
     try:
-        lu = splu(C)
-    except RuntimeError:
-        lu = splu(pencil.shifted(lam * (1.0 + 1e-11)))
-    x = np.ones(pencil.dim)
-    x[:: 7] += 0.5  # break accidental orthogonality deterministically
-    x /= np.linalg.norm(x)
-    for _ in range(its):
-        x = lu.solve(x)
-        nrm = np.linalg.norm(x)
-        if not np.isfinite(nrm) or nrm == 0.0:
-            break
-        x /= nrm
-    return x
+        mu, vecs = eigs(op, k=min(6, pencil.dim - 2), v0=v0, tol=1e-13)
+    except ArpackNoConvergence as exc:
+        raise ConvergenceFailure(f"shift-invert Arnoldi: {exc}") from exc
+    lam = sigma + 1.0 / mu
+    keep = np.flatnonzero((np.abs(lam.imag) <= 1e-8 * np.abs(lam))
+                          & (lam.real >= lo) & (lam.real <= hi))
+    if keep.size == 0:
+        return None
+    i = keep[np.argmin(lam.real[keep])]
+    x = vecs[:, i] / vecs[np.argmax(np.abs(vecs[:, i])), i]  # real phase
+    return float(lam[i].real), x.real
 
 
 @dataclass
 class FirstTE:
     """First transmission eigenvalue on a coated mesh with its eigenpair and
-    the bracketing quantities used to validate it."""
+    the bracketing quantities used to validate it.  residual is the backward
+    error ||(A - lam B)x||_1 / ((||A||_1 + lam ||B||_1) ||x||_1); fallback is
+    "widened-window" when the corridor held no eigenvalue, else None."""
 
     lam: float
     v: FemField
@@ -281,9 +284,15 @@ class FirstTE:
     lambda0: float
     v0: FemField
     lambda_eroded: float
-    scan: ScanRecord
+    residual: float
+    fallback: str = None
     mesh: object = field(repr=False, default=None)
     pencil: object = field(repr=False, default=None)
+
+
+def corridor(lambda0, lambda_eroded, upper_slack=5e-3):
+    """Search window [lambda0*(1-1e-6), lambda_eroded*(1+upper_slack)]."""
+    return lambda0 * (1.0 - 1e-6), lambda_eroded * (1.0 + upper_slack)
 
 
 def eroded_dirichlet(curve, layer, h, mesh=None):
@@ -305,37 +314,33 @@ def eroded_dirichlet(curve, layer, h, mesh=None):
     return float(lams[0])
 
 
-def first_te(curve, layer, h, steps=64, upper_slack=5e-3, mesh=None):
+def first_te(curve, layer, h, upper_slack=5e-3, mesh=None):
     """Locate the first transmission eigenvalue of the coated domain.
 
-    The scan window is the computable corridor [lambda0*(1-1e-6),
-    lambda_eroded*(1+slack)]; if no root is found there the window is widened
-    to (lambda0*(1-1e-6), 4*lambda0].  Roots outside the corridor are flagged
-    spurious and skipped; the smallest surviving root is returned with its
-    eigenpair (v normalized to unit mass norm and sign-aligned with the
-    Dirichlet ground mode).
+    The search window is the computable corridor (see `corridor`); if it
+    holds no real pencil eigenvalue the window is widened once to
+    (lambda0*(1-1e-6), 4*lambda0] and the result records the fallback.  The
+    smallest eigenvalue found is returned with its eigenpair (v normalized to
+    unit mass norm and sign-aligned with the Dirichlet ground mode).
     """
     if mesh is None:
         mesh = generate_mesh(curve, layer, h)
     base = compute_lambda0(curve, h, mesh=mesh)
     lam0 = base.lambda0
     lam_eroded = eroded_dirichlet(curve, layer, h, mesh=mesh)
-    pencil = assemble_pencil(mesh, layer.n)
+    pencil = assemble_pencil(mesh, layer.n, K=base.K, M=base.M)
 
-    lo = lam0 * (1.0 - 1e-6)
-    hi = lam_eroded * (1.0 + upper_slack)
-    scan = sigma_min_scan(pencil, lo, hi, steps=steps, width=1e-10 * lam0)
-    if not scan.roots:
-        scan = sigma_min_scan(pencil, lo, 4.0 * lam0, steps=max(steps, 128),
-                              width=1e-10 * lam0)
-    for root in scan.roots:
-        root.spurious = not (lo <= root.lam <= lam_eroded * (1.0 + upper_slack))
-    usable = [r for r in scan.roots if not r.spurious]
-    if not usable:
-        raise NoRootFound("no pencil root inside the Max-Min corridor", scan=scan)
-    lam_te = usable[0].lam
+    lo, hi = corridor(lam0, lam_eroded, upper_slack)
+    found, fallback = smallest_real_eig(pencil, lo, hi), None
+    if found is None:
+        found, fallback = smallest_real_eig(pencil, lo, 4.0 * lam0), "widened-window"
+    if found is None:
+        raise NoRootFound("no real pencil eigenvalue in the corridor or the widened window")
+    lam_te, x = found
+    A, B = pencil.A, pencil.B
+    residual = float(np.abs(A @ x - lam_te * (B @ x)).sum()
+                     / ((spnorm(A, 1) + lam_te * spnorm(B, 1)) * np.abs(x).sum()))
 
-    x = _null_vector(pencil, lam_te)
     nv = pencil.n_vertices
     v = x[:nv].copy()
     w = np.zeros(nv)
@@ -355,7 +360,8 @@ def first_te(curve, layer, h, steps=64, upper_slack=5e-3, mesh=None):
         lambda0=lam0,
         v0=base.v0,
         lambda_eroded=lam_eroded,
-        scan=scan,
+        residual=residual,
+        fallback=fallback,
         mesh=mesh,
         pencil=pencil,
     )

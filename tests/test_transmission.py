@@ -11,12 +11,15 @@ from thinspec.geometry import Circle, Ellipse, LayerConfig
 from thinspec.mesh import LAYER, generate_mesh
 from thinspec.transmission import (
     CoupledPencil,
+    _perm_parity,
     assemble_pencil,
+    corridor,
     eigenfunction_error_rate,
     eroded_dirichlet,
     first_te,
     rayleigh_identity_residual,
     sigma_min_scan,
+    smallest_real_eig,
 )
 
 LAM0 = 5.783185962946785
@@ -123,10 +126,92 @@ def test_first_te_eigenvector_contracts(disk_te):
     assert np.max(np.abs(disk_te.w.values[mesh.inner])) == 0.0
 
 
-def test_ellipse_first_te_sandwich():
-    te = first_te(Ellipse(1.3, 1.0), LayerConfig(0.02, 1.0, 0.48), 0.06)
+@pytest.fixture(scope="module")
+def ellipse_te():
+    return first_te(Ellipse(1.3, 1.0), LayerConfig(0.02, 1.0, 0.48), 0.06)
+
+
+def test_ellipse_first_te_sandwich(ellipse_te):
+    te = ellipse_te
     slack = 3e-3 * te.lambda0
     assert te.lambda0 - slack <= te.lam <= te.lambda_eroded + slack
+
+
+def _corridor_scan(te):
+    return sigma_min_scan(te.pencil, *corridor(te.lambda0, te.lambda_eroded))
+
+
+@pytest.fixture(scope="module")
+def disk_scan(disk_te):
+    return _corridor_scan(disk_te)
+
+
+def test_arnoldi_matches_corridor_scan_disk(disk_te, disk_scan):
+    assert disk_scan.roots
+    assert abs(disk_te.lam - disk_scan.roots[0].lam) / disk_scan.roots[0].lam <= 1e-9
+    assert disk_te.fallback is None
+
+
+def test_arnoldi_matches_corridor_scan_ellipse(ellipse_te):
+    scan = _corridor_scan(ellipse_te)
+    assert scan.roots
+    assert abs(ellipse_te.lam - scan.roots[0].lam) / scan.roots[0].lam <= 1e-9
+    assert ellipse_te.fallback is None
+
+
+@pytest.mark.parametrize("name", ["disk_te", "ellipse_te"])
+def test_first_te_backward_error(name, request):
+    te = request.getfixturevalue(name)
+    assert 0.0 <= te.residual <= 1e-10
+
+
+def test_first_te_deterministic(disk_te):
+    again = first_te(Circle(1.0), LayerConfig(0.01, 1.0, 0.48), 0.05)
+    assert again.lam == disk_te.lam
+
+
+def test_first_te_records_widened_window():
+    # a negative slack empties the corridor, so the eigenvalue must come
+    # from the widened window and say so
+    layer = LayerConfig(0.04, 1.0, 0.48)
+    plain = first_te(Circle(1.0), layer, 0.15)
+    widened = first_te(Circle(1.0), layer, 0.15, upper_slack=-0.5)
+    assert plain.fallback is None
+    assert widened.fallback == "widened-window"
+    assert abs(widened.lam - plain.lam) / plain.lam <= 1e-9
+
+
+def test_smallest_real_eig_window():
+    assert smallest_real_eig(_toy_pencil(), 1.0, 1.5) is None
+    lam, x = smallest_real_eig(_toy_pencil(), 1.0, 2.5)
+    assert abs(lam - 2.0) <= 1e-12
+    assert np.argmax(np.abs(x)) == 0
+
+
+def _perm_parity_loop(perm):
+    """Cycle-walking reference for the permutation parity."""
+    seen = np.zeros(len(perm), dtype=bool)
+    parity = 0
+    for start in range(len(perm)):
+        if seen[start]:
+            continue
+        length = 0
+        j = start
+        while not seen[j]:
+            seen[j] = True
+            j = perm[j]
+            length += 1
+        parity ^= (length - 1) & 1
+    return parity
+
+
+def test_perm_parity_matches_cycle_walk():
+    rng = np.random.default_rng(7)
+    for size in range(1, 501):
+        perm = rng.permutation(size)
+        assert _perm_parity(perm) == _perm_parity_loop(perm)
+    assert _perm_parity(np.arange(500)) == 0
+    assert _perm_parity(np.array([1, 0, 2])) == 1
 
 
 def test_first_te_trend_with_thickness():
@@ -197,12 +282,12 @@ def test_rayleigh_dirichlet_trial_is_upper_bound(disk_te):
     assert rhs >= disk_te.lam - 1e-9
 
 
-def test_scan_record_csv(disk_te):
-    text = disk_te.scan.to_csv()
+def test_scan_record_csv(disk_scan):
+    text = disk_scan.to_csv()
     lines = text.splitlines()
     assert lines[0] == "lambda,sigma_min"
     assert "root,sigma_min,method,spurious" in lines
-    assert len(lines) >= len(disk_te.scan.grid) + 2
+    assert len(lines) >= len(disk_scan.grid) + 2
 
 
 def test_eigenfunction_error_rate():
