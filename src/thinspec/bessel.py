@@ -3,16 +3,19 @@
 Everything here is built from two independent evaluation routes (ascending
 power series, and normalized backward / seeded forward recurrences) so the
 package carries no external special-function dependency and the two routes can
-cross-check each other.  On top of them sit the disk-specific pieces: Dirichlet
-eigenvalues of the disk, the 2x2 Cauchy-data matching determinant whose zeros
-are the transmission eigenvalues of a coated disk, the radial corrector field
-that feeds the second-order expansion coefficient, and the expansion
-coefficients themselves.
+cross-check each other.  The series routes also take numpy arrays, which is
+what the root searches scan with.  On top of them sit the disk-specific pieces:
+Dirichlet eigenvalues of the disk, the 2x2 Cauchy-data matching determinant
+whose zeros are the transmission eigenvalues of a coated disk (all angular
+modes sign-scanned in one array pass, brackets refined by Brent's method), the
+radial corrector field that feeds the second-order expansion coefficient, and
+the expansion coefficients themselves.
 """
 
 import math
 import warnings
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 from scipy import sparse
@@ -39,25 +42,44 @@ _MAX_ARGUMENT = 1.0e4
 # evaluation routes
 # ---------------------------------------------------------------------------
 
+def _is_array(x):
+    return isinstance(x, np.ndarray) and x.ndim > 0
+
+
+def _series_arg(x, name):
+    """A series argument as a float, or as a float array if x is an array."""
+    array = _is_array(x)
+    x = x.astype(float, copy=False) if array else float(x)
+    if ((x < 0).any() if array else x < 0):
+        raise DomainError(f"{name}: negative argument")
+    return x
+
+
+def _converged(term, total):
+    # the series stopping test, required of every element of an array
+    small = abs(term) <= 1e-18 * abs(total) + 1e-300
+    return small if isinstance(small, bool) else small.all()
+
+
 def bessel_j_series(m, x):
     """First-kind cylinder function of integer order by ascending series.
 
     Accurate route for x below ~12; exposed separately so zeros can be
-    confirmed by two independent evaluators.
+    confirmed by two independent evaluators.  x may be a scalar (float
+    result) or an array (elementwise result).
     """
-    if x < 0:
-        raise DomainError("bessel_j_series: negative argument")
-    if x == 0.0:
-        return 1.0 if m == 0 else 0.0
+    x = _series_arg(x, "bessel_j_series")
     half = 0.5 * x
-    term = half**m / math.factorial(m)
+    # (x/2)^m by plain products: numpy's power and the C pow round differently,
+    # and the series' cancellation would show that beyond 1e-14
+    term = 1.0 / math.factorial(m)
+    for _ in range(m):
+        term = term * half
     total = term
-    k = 0
-    while k < 400:
-        k += 1
-        term *= -(half * half) / (k * (m + k))
-        total += term
-        if abs(term) <= 1e-18 * abs(total) + 1e-300:
+    for k in range(1, 401):
+        term = term * (-(half * half) / (k * (m + k)))
+        total = total + term
+        if _converged(term, total):
             break
     return total
 
@@ -130,8 +152,10 @@ def _y01_asymptotic(x):
 
 
 def _y01_series(x):
+    """(Y_0(x), Y_1(x)) by ascending series for x > 0, scalar or array."""
+    x = _series_arg(x, "_y01_series")
     half = 0.5 * x
-    lnt = math.log(half) + EULER_GAMMA
+    lnt = np.log(half) + EULER_GAMMA
     j0 = bessel_j_series(0, x)
     j1 = bessel_j_series(1, x)
     # order zero
@@ -139,11 +163,11 @@ def _y01_series(x):
     term = 1.0
     harmonic = 0.0
     for k in range(1, 400):
-        term *= (half * half) / (k * k)
+        term = term * ((half * half) / (k * k))
         harmonic += 1.0 / k
         contrib = ((-1) ** (k + 1)) * harmonic * term
-        s0 += contrib
-        if abs(contrib) <= 1e-18 * abs(s0) + 1e-300:
+        s0 = s0 + contrib
+        if _converged(contrib, s0):
             break
     y0 = (2.0 / math.pi) * (lnt * j0 + s0)
     # order one
@@ -153,30 +177,30 @@ def _y01_series(x):
     hk1 = 1.0
     for k in range(0, 400):
         contrib = ((-1) ** k) * (hk + hk1) * term
-        s1 += contrib
-        if k > 2 and abs(contrib) <= 1e-18 * abs(s1) + 1e-300:
+        s1 = s1 + contrib
+        if k > 2 and _converged(contrib, s1):
             break
-        term *= (half * half) / ((k + 1) * (k + 2))
+        term = term * ((half * half) / ((k + 1) * (k + 2)))
         hk += 1.0 / (k + 1)
         hk1 += 1.0 / (k + 2)
     y1 = (2.0 / math.pi) * lnt * j1 - 2.0 / (math.pi * x) - (half / math.pi) * s1
-    return y0, y1
+    if _is_array(x):
+        return y0, y1
+    return float(y0), float(y1)
 
 
 def _j_values(mmax, x):
-    """J_0..J_mmax at one argument, choosing the route by magnitude of x."""
-    if x == 0.0:
-        vals = np.zeros(mmax + 1)
-        vals[0] = 1.0
-        return vals
-    if x < _SERIES_CUTOFF:
-        return np.array([bessel_j_series(m, x) for m in range(mmax + 1)])
-    return bessel_j_recurrence(0, x, mmax=mmax)
+    """J_0..J_mmax at one argument, choosing the route by magnitude of x; an
+    array below the series cutoff gives one row per order."""
+    if not _is_array(x) and x >= _SERIES_CUTOFF:
+        return bessel_j_recurrence(0, x, mmax=mmax)
+    return np.array([bessel_j_series(m, x) for m in range(mmax + 1)])
 
 
 def _y_values(mmax, x):
-    """Y_0..Y_mmax at one argument; forward recurrence is stable upward."""
-    if x < _SERIES_CUTOFF:
+    """Y_0..Y_mmax at one argument (or an array below the series cutoff);
+    forward recurrence is stable upward."""
+    if _is_array(x) or x < _SERIES_CUTOFF:
         y0, y1 = _y01_series(x)
     else:
         y0, y1 = _y01_asymptotic(x)
@@ -184,6 +208,15 @@ def _y_values(mmax, x):
     for m in range(2, mmax + 1):
         vals.append((2.0 * (m - 1) / x) * vals[-1] - vals[-2])
     return np.array(vals[: mmax + 1])
+
+
+def _with_slopes(table):
+    """Split a table T_0..T_{M+1} of cylinder functions into the values and
+    the derivatives of orders 0..M (T_0' = -T_1, T_m' = (T_{m-1} - T_{m+1})/2)."""
+    slopes = np.empty_like(table[:-1])
+    slopes[0] = -table[1]
+    slopes[1:] = 0.5 * (table[:-2] - table[2:])
+    return table[:-1], slopes
 
 
 def bessel_j(m, x):
@@ -195,14 +228,8 @@ def bessel_j(m, x):
         raise DomainError(f"bessel_j: order {m} outside [0, {_MAX_ORDER}]")
     if x < 0 or x > _MAX_ARGUMENT:
         raise DomainError(f"bessel_j: argument {x} outside [0, {_MAX_ARGUMENT}]")
-    vals = _j_values(m + 1, x)
-    if m == 0:
-        return vals[0], -vals[1]
-    if x == 0.0:
-        deriv = 0.5 if m == 1 else 0.0
-        return 0.0, deriv
-    jm1 = vals[m - 1]
-    return vals[m], 0.5 * (jm1 - vals[m + 1])
+    vals, slopes = _with_slopes(_j_values(m + 1, x))
+    return vals[m], slopes[m]
 
 
 def bessel_y(m, x):
@@ -218,10 +245,8 @@ def bessel_y(m, x):
             "bessel_y: argument below 1e-8, value near the logarithmic singularity",
             MagnitudeWarning,
         )
-    vals = _y_values(m + 1, x)
-    if m == 0:
-        return vals[0], -vals[1]
-    return vals[m], 0.5 * (vals[m - 1] - vals[m + 1])
+    vals, slopes = _with_slopes(_y_values(m + 1, x))
+    return vals[m], slopes[m]
 
 
 def wronskian_defect(m, x):
@@ -236,18 +261,35 @@ def wronskian_defect(m, x):
 # zeros and disk Dirichlet spectrum
 # ---------------------------------------------------------------------------
 
+def _sign_changes(f):
+    """Indices i of a sampled function where f[i] == 0 or f changes sign
+    on [i, i + 1]."""
+    return np.flatnonzero((f[:-1] == 0.0) | (f[:-1] * f[1:] < 0.0))
+
+
+def _root_in(f, xs, fs, i, xtol):
+    """Root of f in the scan interval [xs[i], xs[i + 1]] that _sign_changes
+    flagged, refined by Brent's method to width xtol."""
+    if fs[i] == 0.0:
+        return float(xs[i])
+    from scipy.optimize import brentq  # deferred: the import costs ~0.3 s
+    return brentq(f, xs[i], xs[i + 1], xtol=xtol)
+
+
 def bessel_j_zero(m, k, method="series"):
-    """k-th positive zero of J_m by bracketed bisection.
+    """k-th positive zero of J_m: 64-point sign scan around the McMahon
+    guess, refined by Brent's method to width 1e-14.
 
     method selects the evaluator ('series' or 'recurrence') so the same zero
-    can be produced by two independent routes.
+    can be produced by two independent routes; the series route scans in
+    one array call.
     """
     if k < 1:
         raise DomainError("bessel_j_zero: k_index must be >= 1")
     if method == "series":
-        f = lambda x: bessel_j_series(m, x)
+        f = partial(bessel_j_series, m)
     elif method == "recurrence":
-        f = lambda x: bessel_j_recurrence(m, x)
+        f = partial(bessel_j_recurrence, m)
     else:
         raise ValueError(f"unknown evaluator {method!r}")
     # McMahon first guess, then scan for a sign change around it
@@ -255,30 +297,12 @@ def bessel_j_zero(m, k, method="series"):
     guess = beta - (4.0 * m * m - 1.0) / (8.0 * beta)
     lo = max(guess - 1.2, 0.05 if m == 0 else 0.5 * guess)
     hi = guess + 1.2
-    n_scan = 64
-    xs = np.linspace(lo, hi, n_scan)
-    fs = [f(x) for x in xs]
-    bracket = None
-    for i in range(n_scan - 1):
-        if fs[i] == 0.0:
-            return xs[i]
-        if fs[i] * fs[i + 1] < 0:
-            bracket = (xs[i], xs[i + 1])
-            break
-    if bracket is None:
+    xs = np.linspace(lo, hi, 64)
+    fs = f(xs) if method == "series" else np.array([f(x) for x in xs])
+    hits = _sign_changes(fs)
+    if not hits.size:
         raise NoRootInBracket(f"no sign change of J_{m} near zero #{k}")
-    a, b = bracket
-    fa = f(a)
-    while b - a > 1e-14:
-        mid = 0.5 * (a + b)
-        fm = f(mid)
-        if fm == 0.0:
-            return mid
-        if fa * fm < 0:
-            b = mid
-        else:
-            a, fa = mid, fm
-    return 0.5 * (a + b)
+    return _root_in(f, xs, fs, hits[0], 1e-14)
 
 
 def disk_dirichlet_eigen(R, m, k_index):
@@ -336,32 +360,39 @@ def transmission_determinant(prob, k):
     return v_val * w_der - v_der * w_val
 
 
+def _det_scan(prob, ks, mode_max):
+    """transmission_determinant of modes 0..mode_max at every k of the array
+    ks, one row per mode.  The J and Y tables at k*sqrt(n)*R, k*sqrt(n)*(R - delta)
+    and k*R are built once for all modes by the series route, so every k*R must
+    lie below the series cutoff."""
+    ks = np.asarray(ks, dtype=float)
+    if ks.min() <= 0 or ks.max() * prob.R >= _SERIES_CUTOFF:
+        raise DomainError("_det_scan: need 0 < k and k*R below the series cutoff")
+    sn = math.sqrt(prob.n)
+    a = ks * sn * prob.R
+    b = ks * sn * (prob.R - prob.delta)
+    ja, jda = _with_slopes(_j_values(mode_max + 1, a))
+    ya, yda = _with_slopes(_y_values(mode_max + 1, a))
+    jb = _j_values(mode_max, b)
+    yb = _y_values(mode_max, b)
+    w_val = ja * yb - ya * jb
+    w_der = (ks * sn) * (jda * yb - yda * jb)
+    v_val, v_der = _with_slopes(_j_values(mode_max + 1, ks * prob.R))
+    return v_val * w_der - (v_der * ks) * w_val
+
+
+def _scan_grid(k_lo, k_hi, step):
+    """Sign-scan grid k_lo + i*step below k_hi, closed by k_hi itself."""
+    return np.append(np.arange(k_lo, k_hi, step), k_hi)
+
+
 def _mode_roots(prob, k_lo, k_hi, step, tol):
-    """All determinant roots of one mode in [k_lo, k_hi] by scan + bisection."""
-    roots = []
-    k = k_lo
-    f_prev = transmission_determinant(prob, k)
-    while k < k_hi:
-        k_next = min(k + step, k_hi)
-        f_next = transmission_determinant(prob, k_next)
-        if f_prev == 0.0:
-            roots.append(k)
-        elif f_prev * f_next < 0:
-            a, b = k, k_next
-            fa = f_prev
-            while b - a > tol:
-                mid = 0.5 * (a + b)
-                fm = transmission_determinant(prob, mid)
-                if fm == 0.0:
-                    a = b = mid
-                    break
-                if fa * fm < 0:
-                    b = mid
-                else:
-                    a, fa = mid, fm
-            roots.append(0.5 * (a + b))
-        k, f_prev = k_next, f_next
-    return roots
+    """All determinant roots of one mode in [k_lo, k_hi]: array sign scan of
+    step `step`, each bracket refined by Brent's method to width tol."""
+    ks = _scan_grid(k_lo, k_hi, step)
+    f = _det_scan(prob, ks, prob.m)[prob.m]
+    det = partial(transmission_determinant, prob)
+    return [_root_in(det, ks, f, i, tol) for i in _sign_changes(f)]
 
 
 def disk_first_te(prob, mode_max=6, step=None):
@@ -369,20 +400,26 @@ def disk_first_te(prob, mode_max=6, step=None):
 
     Scans angular modes 0..mode_max (the mode carried by `prob` does not
     restrict the search; which mode attains the first eigenvalue is not known
-    a priori) with a sign-change scan of step 0.01/R followed by bisection to
-    width 1e-12.
+    a priori) with one array sign scan of step 0.01/R over all modes.  Each
+    mode's first bracket is refined by Brent's method to width 1e-12, in
+    increasing order, until the next bracket starts above the best root.
     """
     j01 = bessel_j_zero(0, 1)
     k_hi = 3.0 * j01 / prob.R
     k_lo = 0.05 / prob.R
     if step is None:
         step = 0.01 / prob.R
+    ks = _scan_grid(k_lo, k_hi, step)
+    table = _det_scan(prob, ks, mode_max)
+    firsts = sorted((hits[0], m) for m, hits in enumerate(map(_sign_changes, table))
+                    if hits.size)
     best = None
-    for m in range(mode_max + 1):
-        prob_m = DiskProblem(prob.R, prob.delta, prob.n, m)
-        roots = _mode_roots(prob_m, k_lo, k_hi, step, 1e-12)
-        if roots and (best is None or roots[0] < best):
-            best = roots[0]
+    for i, m in firsts:
+        if best is not None and ks[i] >= best:
+            break
+        det = partial(transmission_determinant, DiskProblem(prob.R, prob.delta, prob.n, m))
+        root = _root_in(det, ks, table[m], i, 1e-12)
+        best = root if best is None else min(best, root)
     if best is None:
         raise NoRootInBracket("disk_first_te: no determinant sign change below 3*j01/R")
     return best**2
@@ -434,7 +471,7 @@ def disk_ground_state(R, nodes=4000):
     j1_at = bessel_j_series(1, j01)
     amp = 1.0 / (math.sqrt(math.pi) * abs(j1_at) * R)
     r = np.linspace(0.0, R, nodes + 1)
-    vals = amp * np.array([bessel_j_series(0, j01 * ri / R) for ri in r])
+    vals = amp * bessel_j_series(0, j01 * r / R)
     flux = j01 / (math.sqrt(math.pi) * R * R)
     return RadialField(r, vals), flux
 

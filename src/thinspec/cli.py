@@ -1,7 +1,8 @@
-"""Batch front door: `thinspec <task> --config <file> [--out <dir>] [--jobs N]`.
+"""Batch front door: `thinspec <task> --config <file> [--out <dir>] [--jobs N] [--scan]`.
 
 Tasks: coeffs (expansion coefficients per mesh size), direct (coupled-pencil
-eigenvalues per thickness and mesh size), sweep (thickness sweep with order
+eigenvalues per thickness and mesh size; with --scan also the diagnostic
+sigma_min scan of each corridor), sweep (thickness sweep with order
 fits, CSV + SVG), disk-oracle (semi-analytic disk coefficients), validate
 (disk cross-checks between the two solver legs).  Exit codes: 0 success,
 1 solver error, 2 validation failure, 3 configuration error.
@@ -157,7 +158,7 @@ def _task_coeffs(cfg, outdir):
     return 0
 
 
-def _task_direct(cfg, outdir):
+def _task_direct(cfg, outdir, scan=False):
     curve = cfg["curve"]
     lines = ["delta,h,lambda_direct,lambda0,lambda_dirichlet_eroded,sigma_at_root"]
     for delta in cfg["deltas"]:
@@ -168,10 +169,11 @@ def _task_direct(cfg, outdir):
             lines.append(",".join(f"{v:.17g}" for v in
                                   (delta, h, te.lam, te.lambda0, te.lambda_eroded,
                                    sigma_at_root)))
-            lo, hi = corridor(te.lambda0, te.lambda_eroded, cfg["upper_slack"])
-            scan = sigma_min_scan(te.pencil, lo, hi, steps=cfg["steps"])
-            write_atomic(os.path.join(outdir, f"scan_d{delta:g}_h{h:g}.csv"),
-                         scan.to_csv())
+            if scan:
+                lo, hi = corridor(te.lambda0, te.lambda_eroded, cfg["upper_slack"])
+                record = sigma_min_scan(te.pencil, lo, hi, steps=cfg["steps"])
+                write_atomic(os.path.join(outdir, f"scan_d{delta:g}_h{h:g}.csv"),
+                             record.to_csv())
     write_atomic(os.path.join(outdir, "direct.csv"), "\n".join(lines) + "\n")
     return 0
 
@@ -242,6 +244,8 @@ def main(argv=None):
     parser.add_argument("--config", required=True)
     parser.add_argument("--out", default=None, help="output directory")
     parser.add_argument("--jobs", type=int, default=1)
+    parser.add_argument("--scan", action="store_true",
+                        help="direct: also write each corridor's sigma_min scan CSV")
     args = parser.parse_args(argv)
 
     try:
@@ -260,7 +264,7 @@ def main(argv=None):
         if args.task == "coeffs":
             return _task_coeffs(cfg, outdir)
         if args.task == "direct":
-            return _task_direct(cfg, outdir)
+            return _task_direct(cfg, outdir, scan=args.scan)
         if args.task == "sweep":
             return _task_sweep(cfg, outdir, args.jobs)
         if args.task == "validate":

@@ -138,7 +138,6 @@ class PencilRoot:
     sigma: float
     method: str
     bisections: int
-    spurious: bool = False
 
 
 @dataclass
@@ -155,9 +154,9 @@ class ScanRecord:
         lines = ["lambda,sigma_min"]
         for lam, sig in zip(self.grid, self.sigma):
             lines.append(f"{lam:.17g},{sig:.17g}")
-        lines.append("root,sigma_min,method,spurious")
+        lines.append("root,sigma_min,method")
         for r in self.roots:
-            lines.append(f"{r.lam:.17g},{r.sigma:.17g},{r.method},{int(r.spurious)}")
+            lines.append(f"{r.lam:.17g},{r.sigma:.17g},{r.method}")
         return "\n".join(lines) + "\n"
 
 

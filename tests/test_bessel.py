@@ -48,6 +48,39 @@ def test_series_and_recurrence_evaluators_agree():
             assert abs(a - b) <= 1e-11 * max(1.0, abs(a))
 
 
+X_GRID = np.linspace(0.0, 11.9, 500)
+
+
+def test_j_series_array_matches_scalar():
+    for m in range(8):
+        vals = bessel.bessel_j_series(m, X_GRID)
+        for x, v in zip(X_GRID, vals):
+            ref = bessel.bessel_j_series(m, float(x))
+            assert isinstance(ref, float)
+            assert abs(v - ref) <= 1e-15 * max(1.0, abs(ref))
+    with pytest.raises(DomainError):
+        bessel.bessel_j_series(0, np.array([1.0, -1.0]))
+
+
+def test_y01_series_array_matches_scalar():
+    x = X_GRID[1:]
+    y0, y1 = bessel._y01_series(x)
+    for xi, a0, a1 in zip(x, y0, y1):
+        r0, r1 = bessel._y01_series(float(xi))
+        assert isinstance(r0, float) and isinstance(r1, float)
+        assert abs(a0 - r0) <= 1e-15 * max(1.0, abs(r0))
+        assert abs(a1 - r1) <= 1e-15 * max(1.0, abs(r1))
+
+
+def test_wronskian_array_tables():
+    x = X_GRID[1:]
+    jv, jd = bessel._with_slopes(bessel._j_values(7, x))
+    yv, yd = bessel._with_slopes(bessel._y_values(7, x))
+    exact = 2.0 / (math.pi * x)
+    defect = np.abs(jv * yd - jd * yv - exact) / exact
+    assert defect.max() <= 1e-10
+
+
 def test_y_domain_and_warning():
     with pytest.raises(DomainError):
         bessel.bessel_y(0, 0.0)
@@ -113,6 +146,58 @@ def test_determinant_vanishing_layer(goldens):
     roots = bessel._mode_roots(prob, 2.0, 3.0, 0.01, 1e-12)
     assert roots
     assert abs(roots[0] - goldens["j01"]) <= 1e-4
+
+
+def _mode_roots_reference(prob, k_lo, k_hi, step, tol):
+    """The scalar scan-and-bisection loop that _mode_roots replaced."""
+    roots = []
+    k = k_lo
+    f_prev = bessel.transmission_determinant(prob, k)
+    while k < k_hi:
+        k_next = min(k + step, k_hi)
+        f_next = bessel.transmission_determinant(prob, k_next)
+        if f_prev == 0.0:
+            roots.append(k)
+        elif f_prev * f_next < 0:
+            a, b = k, k_next
+            fa = f_prev
+            while b - a > tol:
+                mid = 0.5 * (a + b)
+                fm = bessel.transmission_determinant(prob, mid)
+                if fm == 0.0:
+                    a = b = mid
+                    break
+                if fa * fm < 0:
+                    b = mid
+                else:
+                    a, fa = mid, fm
+            roots.append(0.5 * (a + b))
+        k, f_prev = k_next, f_next
+    return roots
+
+
+# corners and centre of the benchmark's seed box, and one larger disk
+@pytest.mark.parametrize("R, n, delta", [
+    (1.0, n, delta) for n in (0.16, 0.48, 0.84) for delta in (0.0045, 0.01, 0.044)
+] + [(2.0, 0.48, 0.02)])
+def test_first_te_matches_scalar_scan(R, n, delta):
+    j01 = bessel.bessel_j_zero(0, 1)
+    roots = [k for m in range(7) for k in _mode_roots_reference(
+        bessel.DiskProblem(R, delta, n, m), 0.05 / R, 3.0 * j01 / R, 0.01 / R, 1e-12)]
+    # no determinant root of any mode lies below lambda0 = (j01/R)^2
+    assert not [k for k in roots if k < j01 / R]
+    lam = bessel.disk_first_te(bessel.DiskProblem(R, delta, n))
+    assert lam == pytest.approx(min(roots) ** 2, rel=1e-12)
+
+
+def test_det_scan_matches_scalar_determinant():
+    prob = bessel.DiskProblem(1.0, 0.02, 0.48)
+    ks = np.linspace(0.05, 7.2, 40)
+    table = bessel._det_scan(prob, ks, 6)
+    for m in range(7):
+        prob_m = bessel.DiskProblem(1.0, 0.02, 0.48, m)
+        ref = np.array([bessel.transmission_determinant(prob_m, float(k)) for k in ks])
+        assert np.max(np.abs(table[m] - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
 def test_determinant_nonmatching_cauchy_data():

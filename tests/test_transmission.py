@@ -286,7 +286,7 @@ def test_scan_record_csv(disk_scan):
     text = disk_scan.to_csv()
     lines = text.splitlines()
     assert lines[0] == "lambda,sigma_min"
-    assert "root,sigma_min,method,spurious" in lines
+    assert "root,sigma_min,method" in lines
     assert len(lines) >= len(disk_scan.grid) + 2
 
 
