@@ -35,7 +35,6 @@ from .geometry import (
 from .mesh import TriMesh, generate_mesh, load_mesh, save_mesh, square_mesh
 from .fem import (
     FemField,
-    SymmetricSparse,
     assemble,
     boundary_flux,
     dirichlet_eigs,

@@ -29,6 +29,7 @@ from .fem import (
     dirichlet_eigs,
     mass_norm,
     solve_constrained_source,
+    stiffness_lu,
 )
 from .mesh import generate_mesh
 
@@ -108,11 +109,17 @@ def compute_lambda0(curve, h, mesh=None, gap_tol=1e-6):
     gap_tol * lambda0 (the construction of the higher coefficients assumes a
     simple leading eigenvalue).
     """
+    return _ground_pair(curve, h, mesh, gap_tol)[0]
+
+
+def _ground_pair(curve, h, mesh, gap_tol):
+    """compute_lambda0's record and the stiffness factor its eigensolve used."""
     if mesh is None:
         mesh = generate_mesh(curve, None, h)
     K = assemble(mesh, "stiffness")
     M = assemble(mesh, "mass")
-    lams, vecs = dirichlet_eigs(K, M, mesh.outer, 2, mesh=mesh)
+    lu = stiffness_lu(K, mesh.outer)
+    lams, vecs = dirichlet_eigs(K, M, mesh.outer, 2, mesh=mesh, lu=lu)
     if lams[1] - lams[0] <= gap_tol * lams[0]:
         raise NearDegenerate(
             f"leading eigenvalue not simple: gap {lams[1] - lams[0]:.3e}"
@@ -120,7 +127,7 @@ def compute_lambda0(curve, h, mesh=None, gap_tol=1e-6):
     v0 = vecs[:, 0] / mass_norm(M, vecs[:, 0])
     v0_field = FemField(mesh, v0, constrained=mesh.outer)
     flux0 = boundary_flux(mesh, v0_field, lams[0], K=K, M=M)
-    return AsymptoticCoefficients(
+    coeffs = AsymptoticCoefficients(
         lambda0=float(lams[0]),
         v0=v0_field,
         flux0=flux0,
@@ -130,6 +137,7 @@ def compute_lambda0(curve, h, mesh=None, gap_tol=1e-6):
         K=K,
         M=M,
     )
+    return coeffs, lu
 
 
 def compute_lambda1(coeffs, layer):
@@ -145,13 +153,14 @@ def compute_lambda1(coeffs, layer):
     return lam1
 
 
-def compute_v1(coeffs, layer):
+def compute_v1(coeffs, layer, lu=None):
     """Corrector field of the expansion and its boundary trace.
 
     Solves (Laplacian + lambda0) v1 = -lambda1 v0 with essential data
     -g * dv0/dnu on the boundary, v1 orthogonal to v0.  lambda1 must already
     be the quadrature value: it is the solvability condition of this system,
-    and the returned multiplier records the residual defect.
+    and the returned multiplier records the residual defect.  `lu` is the
+    free stiffness factor of the eigensolve, if the caller kept it.
     """
     if coeffs.lambda1 is None:
         raise DomainError("compute_v1: lambda1 must be computed first")
@@ -160,7 +169,7 @@ def compute_v1(coeffs, layer):
     data = -np.asarray(g_b) * coeffs.flux0
     rhs = FemField(mesh, -coeffs.lambda1 * coeffs.v0.values)
     v1, mu = solve_constrained_source(
-        coeffs.K, coeffs.M, coeffs.lambda0, rhs, data, coeffs.v0, mesh.outer
+        coeffs.K, coeffs.M, coeffs.lambda0, rhs, data, coeffs.v0, mesh.outer, lu=lu
     )
     flux1 = boundary_flux(mesh, v1, coeffs.lambda0, rhs=rhs, K=coeffs.K, M=coeffs.M)
     coeffs.v1 = v1
@@ -189,11 +198,15 @@ def compute_lambda2(coeffs, layer, curve=None):
 
 
 def compute_coefficients(curve, layer, h, mesh=None):
-    """Full expansion pipeline for one (curve, layer, h) triple."""
-    coeffs = compute_lambda0(curve, h, mesh=mesh)
+    """Full expansion pipeline for one (curve, layer, h) triple.
+
+    One factor of the free stiffness block serves the eigensolve and the
+    corrector solve; it is dropped on return, not kept on the record.
+    """
+    coeffs, lu = _ground_pair(curve, h, mesh, gap_tol=1e-6)
     coeffs.geometry_hash = geometry_hash(curve, layer, h)
     compute_lambda1(coeffs, layer)
-    compute_v1(coeffs, layer)
+    compute_v1(coeffs, layer, lu=lu)
     compute_lambda2(coeffs, layer)
     return coeffs
 

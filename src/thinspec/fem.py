@@ -1,69 +1,24 @@
 """Piecewise-linear finite elements: assembly, eigensolves, constrained
 source solves, and variational boundary-flux recovery.
 
-Sparse matrices are held in a symmetric lower-triangle wrapper so assembled
-operators are symmetric by storage; factorizations go through SuperLU.  The
-generalized eigensolver is blocked inverse iteration with M-orthonormalized
-Rayleigh-Ritz extraction, which tolerates the near-degenerate pairs that
-disk-like domains produce.
+Assembled operators are CSR matrices built from the full element triplets.
+They are exactly symmetric: an off-diagonal entry sums the contributions of
+at most two triangles, and each local matrix is symmetric bit for bit.  Both
+solvers on the free vertices use one SuperLU factor of the free stiffness
+block (`stiffness_lu`), which a caller can build once and pass to both: the
+Dirichlet eigensolver is ARPACK shift-invert Lanczos at sigma = 0, and the
+constrained source solve is conjugate gradients on the M-orthogonal
+complement of the ground mode, preconditioned by that factor.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import sparse
-from scipy.sparse.linalg import splu
+from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, cg, eigsh, splu
 
 from .errors import ConvergenceFailure, SolveSingular
 from .mesh import CORE, LAYER
-
-
-class SymmetricSparse:
-    """Symmetric sparse operator stored as its lower triangle."""
-
-    def __init__(self, lower, shape):
-        self._lower = lower.tocsr()
-        self.shape = shape
-        self._full = None
-        self._factor = None
-
-    @classmethod
-    def from_full(cls, a):
-        a = a.tocsr()
-        return cls(sparse.tril(a), a.shape)
-
-    @property
-    def nnz(self):
-        return self._lower.nnz
-
-    def tocsr(self):
-        if self._full is None:
-            low = self._lower
-            diag = sparse.diags(low.diagonal())
-            self._full = (low + low.T - diag).tocsr()
-        return self._full
-
-    def toarray(self):
-        return self.tocsr().toarray()
-
-    def matvec(self, x):
-        return self.tocsr() @ x
-
-    __matmul__ = matvec
-
-    def factor(self):
-        """Cached SuperLU factorization of the full operator."""
-        if self._factor is None:
-            self._factor = splu(self.tocsr().tocsc())
-        return self._factor
-
-    def symmetry_defect(self):
-        a = self.tocsr()
-        return abs(a - a.T).max() if a.nnz else 0.0
-
-
-def _as_csr(a):
-    return a.tocsr() if isinstance(a, SymmetricSparse) else a.tocsr()
 
 
 @dataclass
@@ -105,7 +60,8 @@ _REGIONS = {None: None, "all": None, "core": CORE, "layer": LAYER}
 
 
 def assemble(mesh, kind, region=None, coefficient=None):
-    """Assemble the P1 stiffness or mass operator over a region of the mesh.
+    """Assemble the P1 stiffness or mass operator over a region of the mesh
+    as an exactly symmetric CSR matrix on all vertices.
 
     coefficient may be None (unity), a number, or a callable of (x, y)
     arrays.  The mass matrix uses the 3-point edge-midpoint rule, exact for
@@ -152,72 +108,69 @@ def assemble(mesh, kind, region=None, coefficient=None):
 
     rows = np.repeat(tris, 3, axis=1).ravel()
     cols = np.tile(tris, (1, 3)).ravel()
-    keep = rows >= cols  # build only the lower triangle
-    low = sparse.csr_matrix(
-        (local.ravel()[keep], (rows[keep], cols[keep])), shape=(nv, nv)
-    )
-    return SymmetricSparse(low, (nv, nv))
+    return sparse.csr_matrix((local.ravel(), (rows, cols)), shape=(nv, nv))
 
 
 def mass_norm(M, u):
-    return float(np.sqrt(u @ (_as_csr(M) @ u)))
+    return float(np.sqrt(u @ (M @ u)))
 
 
 def h1_norm(K, M, u):
-    return float(np.sqrt(u @ (_as_csr(K) @ u) + u @ (_as_csr(M) @ u)))
+    return float(np.sqrt(u @ (K @ u) + u @ (M @ u)))
 
 
-def dirichlet_eigs(K, M, boundary, count, mesh=None, tol=1e-10, maxit=500, seed=0):
-    """Smallest `count` eigenpairs of K u = lambda M u with zero essential
-    data on `boundary`.
+def _free(n, boundary):
+    return np.setdiff1d(np.arange(n), np.asarray(boundary, dtype=np.int64))
 
-    Blocked inverse iteration (factor K once) with M-orthonormalization and
-    Rayleigh-Ritz extraction; stops when every requested pair satisfies
-    ||K u - lambda M u|| <= tol * ||K u||.  Eigenvectors are returned on the
-    full vertex set (zeros on the boundary), M-orthonormal; the first one is
-    sign-normalized to be positive at the free vertex nearest the domain
-    centroid when a mesh is supplied.
+
+def stiffness_lu(K, boundary):
+    """SuperLU factor of the stiffness block on the vertices off `boundary`.
+
+    The block is symmetric positive definite, so the minimum-degree ordering
+    of its (symmetric) pattern fills in less than the default COLAMD.
     """
-    Kc = _as_csr(K)
-    Mc = _as_csr(M)
-    n = Kc.shape[0]
-    boundary = np.asarray(boundary, dtype=np.int64)
-    free = np.setdiff1d(np.arange(n), boundary)
-    Kf = Kc[np.ix_(free, free)].tocsc()
-    Mf = Mc[np.ix_(free, free)].tocsc()
+    free = _free(K.shape[0], boundary)
     try:
-        lu = splu(Kf)
+        return splu(K[np.ix_(free, free)].tocsc(), permc_spec="MMD_AT_PLUS_A")
     except RuntimeError as exc:
         raise SolveSingular(f"stiffness factorization failed: {exc}") from exc
 
-    rng = np.random.default_rng(seed)
-    nb = min(len(free), count + 3)
-    X = rng.standard_normal((len(free), nb))
-    lams = None
-    for _ in range(maxit):
-        X = lu.solve(Mf @ X)
-        G = X.T @ (Mf @ X)
-        try:
-            L = np.linalg.cholesky(G)
-        except np.linalg.LinAlgError as exc:
-            raise SolveSingular("iteration block became rank deficient") from exc
-        X = np.linalg.solve(L, X.T).T
-        H = X.T @ (Kf @ X)
-        lams, Q = np.linalg.eigh(0.5 * (H + H.T))
-        X = X @ Q
-        resid_ok = True
-        for i in range(count):
-            r = Kf @ X[:, i] - lams[i] * (Mf @ X[:, i])
-            if np.linalg.norm(r) > tol * np.linalg.norm(Kf @ X[:, i]):
-                resid_ok = False
-                break
-        if resid_ok:
-            break
-    else:
-        raise ConvergenceFailure(f"eigensolver: no convergence in {maxit} iterations")
+
+def dirichlet_eigs(K, M, boundary, count, mesh=None, tol=1e-10, maxit=500, seed=0, lu=None):
+    """Smallest `count` eigenpairs of K u = lambda M u with zero essential
+    data on `boundary`.
+
+    ARPACK shift-invert Lanczos at sigma = 0 on the free block, applying
+    K_ff^-1 through `lu` (built by `stiffness_lu` when not given), from a
+    start vector drawn from `seed` and with at most `maxit` restarts.  Every
+    returned pair must satisfy ||K u - lambda M u|| <= tol * ||K u||, else
+    ConvergenceFailure is raised.  Eigenvalues are ascending; eigenvectors
+    are returned on the full vertex set (zeros on the boundary),
+    M-orthonormal; the first one is sign-normalized to be positive at the
+    free vertex nearest the domain centroid when a mesh is supplied.
+    """
+    n = K.shape[0]
+    free = _free(n, boundary)
+    Kf = K[np.ix_(free, free)]
+    Mf = M[np.ix_(free, free)]
+    if lu is None:
+        lu = stiffness_lu(K, boundary)
+    start = np.random.default_rng(seed).standard_normal(len(free))
+    try:
+        lams, X = eigsh(Kf, k=count, M=Mf, sigma=0.0,
+                        OPinv=LinearOperator(Kf.shape, matvec=lu.solve, dtype=float),
+                        v0=start, tol=1e-13, maxiter=maxit)
+    except ArpackNoConvergence as exc:
+        raise ConvergenceFailure(f"eigensolver: no convergence in {maxit} restarts") from exc
+    order = np.argsort(lams)
+    lams, X = lams[order], X[:, order]
+    for i in range(count):
+        Ku = Kf @ X[:, i]
+        if np.linalg.norm(Ku - lams[i] * (Mf @ X[:, i])) > tol * np.linalg.norm(Ku):
+            raise ConvergenceFailure(f"eigensolver: pair {i} misses the residual tolerance {tol:g}")
 
     vecs = np.zeros((n, count))
-    vecs[free] = X[:, :count]
+    vecs[free] = X
     # deterministic sign for the ground mode
     if mesh is not None:
         cen = mesh.centroid()
@@ -227,55 +180,61 @@ def dirichlet_eigs(K, M, boundary, count, mesh=None, tol=1e-10, maxit=500, seed=
         anchor = free[np.argmax(np.abs(vecs[free, 0]))]
     if vecs[anchor, 0] < 0:
         vecs[:, 0] = -vecs[:, 0]
-    return lams[:count].copy(), vecs
+    return lams, vecs
 
 
-def solve_constrained_source(K, M, lam0, rhs, dirichlet_values, v0, outer):
+def solve_constrained_source(K, M, lam0, rhs, dirichlet_values, v0, outer, lu=None):
     """Solve (Laplacian + lam0) u = rhs with essential data on the outer
     boundary and u constrained M-orthogonal to v0.
 
-    rhs and v0 are FemField (or plain vertex arrays); dirichlet_values is one
-    value per outer vertex in the mesh's outer ordering.  The saddle system
+    rhs and v0 are FemField (or plain vertex arrays); v0 must be the
+    discrete ground mode for lam0; dirichlet_values is one value per outer
+    vertex in the mesh's outer ordering.  On the free vertices, with
+    A = K - lam0 M, q = M v0 and b = -(M rhs) - lifted data, this solves
 
-        [ K - lam0 M   M v0 ] [u ]   [ -(M rhs) - lifted data ]
-        [ (M v0)^T      0   ] [mu] = [ 0                      ]
+        A u + mu q = b,    q^T u = 0  (q^T over all vertices).
 
-    is solved on the free vertices; mu reports the solvability defect of the
-    data (zero in exact arithmetic when the compatibility condition holds).
-    Returns (FemField, mu).
+    Since A v0 = 0, mu = v0^T b / v0^T q, and the rest is conjugate
+    gradients on the complement {q^T x = 0}, where A is positive definite,
+    preconditioned by K_ff^-1 (`lu`, built by `stiffness_lu` when not
+    given).  mu reports the solvability defect of the data (zero in exact
+    arithmetic when the compatibility condition holds).  Returns
+    (FemField, mu).
     """
-    Kc = _as_csr(K)
-    Mc = _as_csr(M)
-    n = Kc.shape[0]
+    n = K.shape[0]
     rhs_vec = rhs.values if isinstance(rhs, FemField) else np.asarray(rhs, dtype=float)
     v0_vec = v0.values if isinstance(v0, FemField) else np.asarray(v0, dtype=float)
     outer = np.asarray(outer, dtype=np.int64)
-    free = np.setdiff1d(np.arange(n), outer)
+    data = np.asarray(dirichlet_values, dtype=float)
+    free = _free(n, outer)
 
-    A = (Kc - lam0 * Mc).tocsr()
-    q = Mc @ v0_vec
+    A = (K - lam0 * M).tocsr()
+    q = M @ v0_vec
+    b = -(M @ rhs_vec)[free] - A[np.ix_(free, outer)] @ data
+    vf, qf = v0_vec[free], q[free]
+    s = float(vf @ qf)
+    if not s > 0.0:
+        raise SolveSingular("constraint vector has no mass on the free vertices")
+    if lu is None:
+        lu = stiffness_lu(K, outer)
+
+    def project(x):  # onto {q^T x = 0} along v0
+        return x - vf * (qf @ x) / s
+
+    def project_t(r):  # its transpose: removes the q component
+        return r - qf * (vf @ r) / s
+
+    mu = float(vf @ b) / s
+    Aff = A[np.ix_(free, free)]
+    precond = LinearOperator(Aff.shape, matvec=lambda r: project(lu.solve(project_t(r))), dtype=float)
+    x, info = cg(Aff, project_t(b - mu * qf), M=precond, rtol=1e-14, atol=0.0, maxiter=100)
+    if info != 0:
+        raise SolveSingular(f"projected CG did not converge (info {info})")
     u = np.zeros(n)
-    u[outer] = dirichlet_values
-    b = -(Mc @ rhs_vec)[free] - (A[np.ix_(free, outer)] @ np.asarray(dirichlet_values, dtype=float))
-
-    nf = len(free)
-    Aff = A[np.ix_(free, free)].tocoo()
-    qf = q[free]
-    rows = np.concatenate([Aff.row, np.arange(nf), np.full(nf, nf)])
-    cols = np.concatenate([Aff.col, np.full(nf, nf), np.arange(nf)])
-    vals = np.concatenate([Aff.data, qf, qf])
-    big = sparse.csc_matrix((vals, (rows, cols)), shape=(nf + 1, nf + 1))
-    rhs_big = np.concatenate([b, [-float(q[outer] @ u[outer])]])
-    try:
-        lu = splu(big)
-        sol = lu.solve(rhs_big)
-    except RuntimeError as exc:
-        raise SolveSingular(f"augmented system singular: {exc}") from exc
-    if not np.all(np.isfinite(sol)):
-        raise SolveSingular("augmented solve produced non-finite values")
-
-    u[free] = sol[:nf]
-    mu = float(sol[nf])
+    u[outer] = data
+    u[free] = project(x) - vf * float(q[outer] @ data) / s
+    if not np.all(np.isfinite(u)):
+        raise SolveSingular("constrained solve produced non-finite values")
     mesh = rhs.mesh if isinstance(rhs, FemField) else (v0.mesh if isinstance(v0, FemField) else None)
     return FemField(mesh, u, constrained=outer), mu
 
@@ -309,8 +268,8 @@ def boundary_flux(mesh, fld, lam, rhs=None, K=None, M=None):
     the outward conormal, which is negated to match the inward-normal
     convention.  Returns one value per outer vertex (mesh outer ordering).
     """
-    Kc = _as_csr(K) if K is not None else _as_csr(assemble(mesh, "stiffness"))
-    Mc = _as_csr(M) if M is not None else _as_csr(assemble(mesh, "mass"))
+    Kc = K if K is not None else assemble(mesh, "stiffness")
+    Mc = M if M is not None else assemble(mesh, "mass")
     u = fld.values if isinstance(fld, FemField) else np.asarray(fld, dtype=float)
     r = Kc @ u - lam * (Mc @ u)
     if rhs is not None:

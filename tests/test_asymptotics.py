@@ -226,3 +226,34 @@ def test_ellipse_pipeline_runs():
     assert co.lambda1 > 0.0
     assert co.lambda2 > 0.0
     assert abs(co.multiplier) <= 1e-6 * co.lambda1
+
+
+def test_one_stiffness_factor_per_pipeline(monkeypatch):
+    """The eigensolve and the corrector solve share one factor of the free
+    stiffness block (no other factor is that large), and the returned record
+    keeps no factor alive."""
+    import gc
+    import weakref
+
+    import thinspec.fem as fem
+
+    class Factor:  # weak-referenceable stand-in for SuperLU
+        def __init__(self, lu):
+            self.shape, self.solve = lu.shape, lu.solve
+
+    shapes, refs = [], []
+    real_splu = fem.splu
+
+    def counting_splu(a, **kwargs):
+        factor = Factor(real_splu(a, **kwargs))
+        shapes.append(a.shape)
+        refs.append(weakref.ref(factor))
+        return factor
+
+    monkeypatch.setattr(fem, "splu", counting_splu)
+    mesh = generate_mesh(Circle(1.0), None, 0.1)
+    n_free = mesh.n_vertices - len(mesh.outer)
+    coeffs = compute_coefficients(Circle(1.0), LayerConfig(0.01, 1.0, 0.48), 0.1, mesh=mesh)
+    gc.collect()
+    assert [s for s in shapes if s[0] >= n_free] == [(n_free, n_free)]
+    assert coeffs.v1 is not None and all(ref() is None for ref in refs)

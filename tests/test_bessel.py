@@ -1,9 +1,13 @@
 import math
+import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
 import pytest
 
+import thinspec
 from thinspec import bessel
 from thinspec.errors import DomainError, MagnitudeWarning
 
@@ -129,6 +133,16 @@ def test_disk_dirichlet_eigen(goldens):
     assert bessel.disk_dirichlet_eigen(2.0, 0, 1) == pytest.approx(lam / 4.0, rel=1e-13)
     lam11 = bessel.disk_dirichlet_eigen(1.0, 1, 1)
     assert lam11 == pytest.approx(goldens["j11"] ** 2, rel=1e-13)
+
+
+def test_import_does_not_load_scipy_optimize():
+    """`brentq` is imported on first use, so importing the package stays
+    cheap."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(thinspec.__file__)))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    code = "import thinspec, sys; assert 'scipy.optimize' not in sys.modules"
+    subprocess.run([sys.executable, "-c", code], check=True, timeout=120,
+                   env=dict(os.environ, PYTHONPATH=path))
 
 
 def test_disk_problem_validation():

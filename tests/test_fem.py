@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
+from scipy import sparse
+from scipy.sparse.linalg import splu
 
 from thinspec.errors import SolveSingular
 from thinspec.fem import (
@@ -12,8 +15,9 @@ from thinspec.fem import (
     dirichlet_eigs,
     mass_norm,
     solve_constrained_source,
+    stiffness_lu,
 )
-from thinspec.geometry import Circle
+from thinspec.geometry import Circle, LayerConfig
 from thinspec.mesh import generate_mesh, square_mesh
 
 LAM0 = 5.783185962946785  # first Dirichlet eigenvalue of the unit disk
@@ -56,8 +60,17 @@ def test_symmetry_by_storage():
     mesh = generate_mesh(Circle(1.0), None, 0.1)
     K = assemble(mesh, "stiffness")
     M = assemble(mesh, "mass")
-    assert K.symmetry_defect() == 0.0
-    assert M.symmetry_defect() == 0.0
+    assert abs(K - K.T).max() == 0.0
+    assert abs(M - M.T).max() == 0.0
+
+
+def test_symmetry_with_coefficients_and_regions():
+    mesh = generate_mesh(Circle(1.0), LayerConfig(0.05, 1.0, 0.48), 0.1)
+    for region in (None, "layer"):
+        for coefficient in (None, 0.48, lambda x, y: 1.0 + x * x + 0.5 * y):
+            for kind in ("stiffness", "mass"):
+                A = assemble(mesh, kind, region=region, coefficient=coefficient)
+                assert abs(A - A.T).max() == 0.0
 
 
 def test_mass_positive_definite():
@@ -209,3 +222,68 @@ def test_singular_augmented_system_detected(disk_h02):
         # the check explicit
         if not np.all(np.isfinite(sol.values)) or np.max(np.abs(sol.values)) > 1e12:
             raise SolveSingular("non-finite or blown-up solution")
+
+
+@pytest.mark.parametrize("count", [1, 2, 3])
+def test_dirichlet_eigs_matches_dense(count):
+    mesh = square_mesh(12)
+    K = assemble(mesh, "stiffness")
+    M = assemble(mesh, "mass")
+    free = np.setdiff1d(np.arange(mesh.n_vertices), mesh.outer)
+    ref_lams, ref_vecs = scipy.linalg.eigh(
+        K[np.ix_(free, free)].toarray(), M[np.ix_(free, free)].toarray()
+    )
+    lams, vecs = dirichlet_eigs(K, M, mesh.outer, count, mesh=mesh)
+    assert np.max(np.abs(lams - ref_lams[:count]) / ref_lams[:count]) <= 1e-12
+    assert np.all(vecs[mesh.outer] == 0.0)
+    # the simple ground mode agrees up to the sign rule
+    ground = ref_vecs[:, 0] * np.sign(ref_vecs[:, 0] @ vecs[free, 0])
+    assert np.max(np.abs(vecs[free, 0] - ground)) <= 1e-10 * np.max(np.abs(ground))
+
+
+def _saddle_lu_reference(K, M, lam0, rhs, data, v0, outer):
+    """The bordered (n+1) x (n+1) LU solve the CG corrector replaced."""
+    n = K.shape[0]
+    free = np.setdiff1d(np.arange(n), outer)
+    A = (K - lam0 * M).tocsr()
+    q = M @ v0
+    b = -(M @ rhs)[free] - A[np.ix_(free, outer)] @ data
+    nf = len(free)
+    Aff = A[np.ix_(free, free)].tocoo()
+    qf = q[free]
+    rows = np.concatenate([Aff.row, np.arange(nf), np.full(nf, nf)])
+    cols = np.concatenate([Aff.col, np.full(nf, nf), np.arange(nf)])
+    vals = np.concatenate([Aff.data, qf, qf])
+    big = sparse.csc_matrix((vals, (rows, cols)), shape=(nf + 1, nf + 1))
+    sol = splu(big).solve(np.concatenate([b, [-float(q[outer] @ data)]]))
+    u = np.zeros(n)
+    u[outer] = data
+    u[free] = sol[:nf]
+    return u, float(sol[nf])
+
+
+def test_cg_corrector_matches_saddle_lu(disk_h02):
+    mesh, K, M, lams, v0 = disk_h02
+    flux0 = boundary_flux(mesh, FemField(mesh, v0), lams[0], K=K, M=M)
+    mg = boundary_mass_matrix(mesh)
+    lam1 = float(flux0 @ (mg @ flux0))
+    rhs = -lam1 * v0
+    sol, mu = solve_constrained_source(K, M, lams[0], FemField(mesh, rhs), -flux0,
+                                       FemField(mesh, v0), mesh.outer)
+    ref, ref_mu = _saddle_lu_reference(K, M, lams[0], rhs, -flux0, v0, mesh.outer)
+    assert np.max(np.abs(sol.values - ref)) <= 1e-12 * np.max(np.abs(ref))
+    assert abs(mu - ref_mu) <= 1e-12 * np.linalg.norm(rhs)
+
+
+def test_passing_the_factor_is_bit_identical(disk_h02):
+    mesh, K, M, lams, v0 = disk_h02
+    lu = stiffness_lu(K, mesh.outer)
+    own = dirichlet_eigs(K, M, mesh.outer, 2, mesh=mesh)
+    shared = dirichlet_eigs(K, M, mesh.outer, 2, mesh=mesh, lu=lu)
+    assert np.array_equal(own[0], shared[0]) and np.array_equal(own[1], shared[1])
+    flux0 = boundary_flux(mesh, FemField(mesh, v0), lams[0], K=K, M=M)
+    rhs = FemField(mesh, -2.0 * lams[0] * v0)
+    args = (K, M, lams[0], rhs, -flux0, FemField(mesh, v0), mesh.outer)
+    sol, mu = solve_constrained_source(*args)
+    sol_lu, mu_lu = solve_constrained_source(*args, lu=lu)
+    assert np.array_equal(sol.values, sol_lu.values) and mu == mu_lu
