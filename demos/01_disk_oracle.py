@@ -3,9 +3,9 @@
 The disk is the one geometry where everything is computable without a mesh:
 Dirichlet eigenvalues come from Bessel zeros, the first transmission
 eigenvalue of the coated disk from a 2x2 Cauchy-data matching determinant in
-each angular mode, and the expansion coefficients in closed form plus one
-radial ODE solve.  This script walks through all of it and checks the
-expansion against the directly computed eigenvalue.
+each angular mode, and the expansion coefficients and the corrector field in
+closed form.  This script walks through all of it and checks the expansion
+against the directly computed eigenvalue.
 """
 
 from thinspec import bessel
@@ -27,7 +27,7 @@ print("\n== expansion coefficients ==")
 coeffs = bessel.disk_asymptotic_coeffs(R)
 print(f"lambda0 = {coeffs.lambda0:.12f}")
 print(f"lambda1 = {coeffs.lambda1:.12f}  (equals 2*lambda0 on the disk)")
-print(f"lambda2 = {coeffs.lambda2:.12f}  (radial corrector; equals 3*lambda0)")
+print(f"lambda2 = {coeffs.lambda2:.12f}  (closed form; equals 3*lambda0)")
 print(f"boundary slope of ground mode: {coeffs.flux0:.12f} = j01/sqrt(pi)")
 
 print("\n== direct eigenvalue against the expansion ==")

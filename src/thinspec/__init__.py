@@ -17,7 +17,6 @@ from .bessel import (
     disk_asymptotic_coeffs,
     disk_dirichlet_eigen,
     disk_first_te,
-    radial_corrector,
     transmission_determinant,
 )
 from .errors import ThinspecError

@@ -7,26 +7,21 @@ cross-check each other.  The series routes also take numpy arrays, which is
 what the root searches scan with.  On top of them sit the disk-specific pieces:
 Dirichlet eigenvalues of the disk, the 2x2 Cauchy-data matching determinant
 whose zeros are the transmission eigenvalues of a coated disk (all angular
-modes sign-scanned in one array pass, brackets refined by Brent's method), the
-radial corrector field that feeds the second-order expansion coefficient, and
-the expansion coefficients themselves.
+modes sign-scanned in one array pass over J and Y tables of all orders,
+brackets refined by Brent's method), and the expansion coefficients
+lambda0 = (j01/R)^2, lambda1 = 2 lambda0/R, lambda2 = 3 lambda0/R^2 with their
+radial fields, all in closed form and independent of the refractive index.
 """
 
 import math
 import warnings
-from dataclasses import dataclass, field
-from functools import partial
+from dataclasses import dataclass
+from functools import cache, partial
+from typing import Callable
 
 import numpy as np
-from scipy import sparse
-from scipy.sparse.linalg import spsolve
 
-from .errors import (
-    DomainError,
-    MagnitudeWarning,
-    NoRootInBracket,
-    SolveSingular,
-)
+from .errors import DomainError, MagnitudeWarning, NoRootInBracket
 
 EULER_GAMMA = 0.5772156649015328606065120900824024
 
@@ -56,9 +51,15 @@ def _series_arg(x, name):
 
 
 def _converged(term, total):
-    # the series stopping test, required of every element of an array
-    small = abs(term) <= 1e-18 * abs(total) + 1e-300
-    return small if isinstance(small, bool) else small.all()
+    """The series stopping test, required of every element of an array.
+
+    An array fails it if its last element does; on an ascending scan grid
+    that element has the largest terms and is, as a rule, the last to pass,
+    so it is tried alone first."""
+    if not _is_array(term):
+        return abs(term) <= 1e-18 * abs(total) + 1e-300
+    return ((abs(term[-1:]) <= 1e-18 * abs(total[-1:]) + 1e-300).all()
+            and (abs(term) <= 1e-18 * abs(total) + 1e-300).all())
 
 
 def bessel_j_series(m, x):
@@ -151,13 +152,17 @@ def _y01_asymptotic(x):
     return out[0], out[1]
 
 
-def _y01_series(x):
-    """(Y_0(x), Y_1(x)) by ascending series for x > 0, scalar or array."""
+def _y01_series(x, jtab=None):
+    """(Y_0(x), Y_1(x)) by ascending series for x > 0, scalar or array.
+
+    jtab, if given, is a table whose rows 0 and 1 hold J_0(x) and J_1(x)."""
     x = _series_arg(x, "_y01_series")
     half = 0.5 * x
     lnt = np.log(half) + EULER_GAMMA
-    j0 = bessel_j_series(0, x)
-    j1 = bessel_j_series(1, x)
+    if jtab is None:
+        j0, j1 = bessel_j_series(0, x), bessel_j_series(1, x)
+    else:
+        j0, j1 = jtab[0], jtab[1]
     # order zero
     s0 = 0.0
     term = 1.0
@@ -189,19 +194,52 @@ def _y01_series(x):
     return float(y0), float(y1)
 
 
+def _j_table(mmax, x):
+    """Rows J_0..J_mmax of the array x by the ascending series, summed for all
+    orders in one term loop.  Each row takes the same products, in the same
+    order, and stops at the same term as bessel_j_series(m, x) (a row that
+    has passed the stopping test takes no further terms), so the table equals
+    the per-order series bit for bit."""
+    x = _series_arg(x, "_j_values")
+    half = 0.5 * x
+    term = np.empty((mmax + 1, x.size))
+    for m in range(mmax + 1):
+        row = 1.0 / math.factorial(m)
+        for _ in range(m):
+            row = row * half
+        term[m] = row
+    total = term.copy()
+    step = -(half * half)
+    orders = np.arange(mmax + 1)[:, None]
+    live = np.ones_like(orders, dtype=bool)  # rows still summing
+    for k in range(1, 401):
+        term *= step / (k * (orders + k))
+        np.add(total, term, out=total, where=live)
+        # as in _converged, the last column is tried first, for all rows at once
+        near = live & (abs(term[:, -1:]) <= 1e-18 * abs(total[:, -1:]) + 1e-300)
+        if near.any():
+            for m in np.flatnonzero(near):
+                live[m] = not _converged(term[m], total[m])
+            if not live.any():
+                break
+    return total
+
+
 def _j_values(mmax, x):
     """J_0..J_mmax at one argument, choosing the route by magnitude of x; an
     array below the series cutoff gives one row per order."""
-    if not _is_array(x) and x >= _SERIES_CUTOFF:
+    if _is_array(x):
+        return _j_table(mmax, x)
+    if x >= _SERIES_CUTOFF:
         return bessel_j_recurrence(0, x, mmax=mmax)
     return np.array([bessel_j_series(m, x) for m in range(mmax + 1)])
 
 
-def _y_values(mmax, x):
+def _y_values(mmax, x, jtab=None):
     """Y_0..Y_mmax at one argument (or an array below the series cutoff);
-    forward recurrence is stable upward."""
+    forward recurrence is stable upward.  jtab is passed on to _y01_series."""
     if _is_array(x) or x < _SERIES_CUTOFF:
-        y0, y1 = _y01_series(x)
+        y0, y1 = _y01_series(x, jtab)
     else:
         y0, y1 = _y01_asymptotic(x)
     vals = [y0, y1]
@@ -276,13 +314,15 @@ def _root_in(f, xs, fs, i, xtol):
     return brentq(f, xs[i], xs[i + 1], xtol=xtol)
 
 
+@cache
 def bessel_j_zero(m, k, method="series"):
     """k-th positive zero of J_m: 64-point sign scan around the McMahon
     guess, refined by Brent's method to width 1e-14.
 
     method selects the evaluator ('series' or 'recurrence') so the same zero
     can be produced by two independent routes; the series route scans in
-    one array call.
+    one array call.  A pure function of its arguments, so each zero is
+    computed once per process.
     """
     if k < 1:
         raise DomainError("bessel_j_zero: k_index must be >= 1")
@@ -364,17 +404,20 @@ def _det_scan(prob, ks, mode_max):
     """transmission_determinant of modes 0..mode_max at every k of the array
     ks, one row per mode.  The J and Y tables at k*sqrt(n)*R, k*sqrt(n)*(R - delta)
     and k*R are built once for all modes by the series route, so every k*R must
-    lie below the series cutoff."""
+    lie below the series cutoff.  Each J table holds orders 0..mode_max + 1, at
+    least two rows, and gives the Y series its J_0 and J_1."""
     ks = np.asarray(ks, dtype=float)
     if ks.min() <= 0 or ks.max() * prob.R >= _SERIES_CUTOFF:
         raise DomainError("_det_scan: need 0 < k and k*R below the series cutoff")
     sn = math.sqrt(prob.n)
     a = ks * sn * prob.R
     b = ks * sn * (prob.R - prob.delta)
-    ja, jda = _with_slopes(_j_values(mode_max + 1, a))
-    ya, yda = _with_slopes(_y_values(mode_max + 1, a))
-    jb = _j_values(mode_max, b)
-    yb = _y_values(mode_max, b)
+    ja_table = _j_values(mode_max + 1, a)
+    jb_table = _j_values(mode_max + 1, b)
+    ja, jda = _with_slopes(ja_table)
+    ya, yda = _with_slopes(_y_values(mode_max + 1, a, ja_table))
+    jb = jb_table[:-1]
+    yb = _y_values(mode_max, b, jb_table)
     w_val = ja * yb - ya * jb
     w_der = (ks * sn) * (jda * yb - yda * jb)
     v_val, v_der = _with_slopes(_j_values(mode_max + 1, ks * prob.R))
@@ -425,178 +468,34 @@ def disk_first_te(prob, mode_max=6, step=None):
     return best**2
 
 
+
+
 # ---------------------------------------------------------------------------
-# radial corrector and expansion coefficients
+# expansion coefficients in closed form
 # ---------------------------------------------------------------------------
 
-@dataclass
-class RadialField:
-    """Radially symmetric field sampled on a uniform grid of [0, R].
-
-    Evaluation interpolates the samples; the derivative table is built with
-    4th-order differences so interpolated slopes keep the grid accuracy.
-    """
-
-    grid: np.ndarray
-    values: np.ndarray
-    deriv: np.ndarray = field(default=None)
-
-    def __post_init__(self):
-        if self.deriv is None:
-            self.deriv = _derivative_table(self.grid, self.values)
-
-    def __call__(self, r):
-        return np.interp(np.abs(r), self.grid, self.values)
-
-    def derivative(self, r):
-        return np.interp(np.abs(r), self.grid, self.deriv)
+def _ground_mode(k, amp, r):
+    """amp * J_0(k|r|)."""
+    return amp * bessel_j_series(0, k * np.abs(r))
 
 
-def _derivative_table(r, v):
-    n = len(r) - 1
-    h = r[1] - r[0]
-    d = np.empty_like(v)
-    d[2:-2] = (v[:-4] - 8 * v[1:-3] + 8 * v[3:-1] - v[4:]) / (12 * h)
-    d[0] = (-25 * v[0] + 48 * v[1] - 36 * v[2] + 16 * v[3] - 3 * v[4]) / (12 * h)
-    d[1] = (-3 * v[0] - 10 * v[1] + 18 * v[2] - 6 * v[3] + v[4]) / (12 * h)
-    d[n - 1] = (3 * v[n] + 10 * v[n - 1] - 18 * v[n - 2] + 6 * v[n - 3] - v[n - 4]) / (-12 * h)
-    d[n] = (25 * v[n] - 48 * v[n - 1] + 36 * v[n - 2] - 16 * v[n - 3] + 3 * v[n - 4]) / (12 * h)
-    return d
-
-
-def disk_ground_state(R, nodes=4000):
-    """Normalized first Dirichlet eigenfunction of the disk as a RadialField,
-    with its inward-normal boundary derivative."""
-    j01 = bessel_j_zero(0, 1)
-    j1_at = bessel_j_series(1, j01)
-    amp = 1.0 / (math.sqrt(math.pi) * abs(j1_at) * R)
-    r = np.linspace(0.0, R, nodes + 1)
-    vals = amp * bessel_j_series(0, j01 * r / R)
-    flux = j01 / (math.sqrt(math.pi) * R * R)
-    return RadialField(r, vals), flux
-
-
-def radial_corrector(R, nodes=2000, boundary_value=None, source_coeff=None):
-    """Solve the radial corrector problem of the first-order expansion term.
-
-    The corrector u satisfies  u'' + u'/r + lam0*u = source_coeff * v0  on
-    (0, R), is even at the origin, takes `boundary_value` at r = R, and is
-    constrained to be orthogonal to v0 in the disk L2 inner product through a
-    rank-one augmentation (Lagrange multiplier).  Defaults reproduce the
-    second expansion step: boundary_value = -dv0/dnu(R), source_coeff = -lam1.
-
-    4th-order finite differences on `nodes` intervals (nodes >= 2000 for the
-    golden-value runs).  Returns (RadialField, flux, multiplier) where flux is
-    the inward-normal derivative of the corrector on the boundary.
-    """
-    if R <= 0:
-        raise DomainError("radial_corrector: radius must be positive")
-    N = int(nodes)
-    if N % 2:
-        N += 1  # Simpson weights need an even interval count
-    j01 = bessel_j_zero(0, 1)
-    lam0 = (j01 / R) ** 2
-    lam1 = 2.0 * lam0 / R
-    flux0 = j01 / (math.sqrt(math.pi) * R * R)
-    if boundary_value is None:
-        boundary_value = -flux0
-    if source_coeff is None:
-        source_coeff = -lam1
-
-    h = R / N
-    r = np.arange(N + 1) * h
-    v0_field, _ = disk_ground_state(R, nodes=N)
-    v0 = v0_field.values
-    rhs_f = source_coeff * v0
-
-    rows, cols, vals = [], [], []
-    b = np.zeros(N + 1)
-
-    def add(i, j, v):
-        rows.append(i)
-        cols.append(j)
-        vals.append(v)
-
-    inv12h2 = 1.0 / (12 * h * h)
-    inv12h = 1.0 / (12 * h)
-    for i in range(N):
-        if i == 0:
-            # r=0 limit of u'' + u'/r is 2 u''; even mirror closes the stencil
-            add(0, 0, 2 * (-30.0) * inv12h2 + lam0)
-            add(0, 1, 2 * 32.0 * inv12h2)
-            add(0, 2, 2 * (-2.0) * inv12h2)
-            b[0] = rhs_f[0]
-        elif i == 1:
-            ri = r[1]
-            add(1, 0, 16.0 * inv12h2 - 8.0 * inv12h / ri)
-            add(1, 1, -31.0 * inv12h2 + 1.0 * inv12h / ri + lam0)
-            add(1, 2, 16.0 * inv12h2 + 8.0 * inv12h / ri)
-            add(1, 3, -1.0 * inv12h2 - 1.0 * inv12h / ri)
-            b[1] = rhs_f[1]
-        elif i <= N - 2:
-            ri = r[i]
-            c2 = (-1.0, 16.0, -30.0, 16.0, -1.0)
-            c1 = (1.0, -8.0, 0.0, 8.0, -1.0)
-            b[i] += rhs_f[i]
-            for dj in range(5):
-                jj = i + dj - 2
-                coef = c2[dj] * inv12h2 + c1[dj] * inv12h / ri
-                if jj == i:
-                    coef += lam0
-                if jj == N:
-                    b[i] -= coef * boundary_value
-                else:
-                    add(i, jj, coef)
-        else:
-            # i = N-1: 4th-order stencils biased one node into the interior
-            ri = r[i]
-            c2 = {1: 11.0, 0: -20.0, -1: 6.0, -2: 4.0, -3: -1.0}
-            c1 = {1: 3.0, 0: 10.0, -1: -18.0, -2: 6.0, -3: -1.0}
-            b[i] += rhs_f[i]
-            for off in (-3, -2, -1, 0, 1):
-                jj = i + off
-                coef = c2[off] * inv12h2 + c1[off] * inv12h / ri
-                if off == 0:
-                    coef += lam0
-                if jj == N:
-                    b[i] -= coef * boundary_value
-                else:
-                    add(i, jj, coef)
-
-    # orthogonality row/column: 2*pi * int u v0 r dr = 0 (composite Simpson)
-    w = np.ones(N + 1)
-    w[1:-1:2] = 4.0
-    w[2:-1:2] = 2.0
-    w *= h / 3.0
-    q = 2.0 * math.pi * w * v0 * r
-    for j in range(N):
-        add(N, j, q[j])
-        add(j, N, q[j])
-    b[N] = -q[N] * boundary_value
-
-    A = sparse.csr_matrix(
-        sparse.coo_matrix((vals, (rows, cols)), shape=(N + 1, N + 1))
-    )
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", sparse.linalg.MatrixRankWarning)
-        try:
-            sol = spsolve(A.tocsc(), b)
-        except Exception as exc:  # singular factor or rank warning
-            raise SolveSingular(f"radial corrector system singular: {exc}") from exc
-    if not np.all(np.isfinite(sol)):
-        raise SolveSingular("radial corrector solve produced non-finite values")
-
-    u = np.concatenate([sol[:N], [boundary_value]])
-    mu = sol[N]
-    du_R = (25 * u[N] - 48 * u[N - 1] + 36 * u[N - 2] - 16 * u[N - 3] + 3 * u[N - 4]) / (12 * h)
-    flux = -du_R  # inward normal points toward the center
-    return RadialField(r, u), flux, mu
+def _corrector(k, amp, R, r):
+    """(amp/R) * (J_0(k|r|) - k|r| J_1(k|r|))."""
+    kr = k * np.abs(r)
+    return (amp / R) * (bessel_j_series(0, kr) - kr * bessel_j_series(1, kr))
 
 
 @dataclass(frozen=True)
 class DiskCoefficients:
-    """Expansion coefficients and radial fields for the coated unit-thickness
-    profile disk (g == 1)."""
+    """Expansion coefficients of the coated disk of radius R with unit
+    thickness profile (g == 1), and the two radial fields behind them.
+
+    With k = j01/R and A = 1/(sqrt(pi) R J_1(j01)), v0(r) = A J_0(kr) is the
+    L2-normalized ground mode and v1(r) = (A/R)(J_0(kr) - kr J_1(kr)) the
+    corrector: (Delta + lambda0) v1 = -lambda1 v0, v1(R) = -flux0, and v1 is
+    orthogonal to v0.  Both are callables of the radius r (scalar or array).
+    No value depends on the refractive index.
+    """
 
     radius: float
     lambda0: float
@@ -604,27 +503,32 @@ class DiskCoefficients:
     lambda2: float
     flux0: float
     flux1: float
-    v0: RadialField
-    v1: RadialField
+    v0: Callable
+    v1: Callable
 
 
-def disk_asymptotic_coeffs(R, n=None, nodes=2000):
-    """Expansion coefficients of the coated disk with unit thickness profile.
+def disk_asymptotic_coeffs(R, n=None):
+    """Expansion coefficients of the coated disk with unit thickness profile,
+    in closed form:
 
-    lambda0 = (j01/R)^2, lambda1 = 2*lambda0/R in closed form; lambda2 comes
-    from the numerically solved radial corrector.  The refractive index n is
-    accepted for interface symmetry but does not enter any of the three
-    coefficients.
+        lambda0 = (j01/R)^2,  lambda1 = 2 lambda0/R,  lambda2 = 3 lambda0/R^2,
+        flux0 = j01/(sqrt(pi) R^2),  flux1 = flux0/R.
+
+    lambda2 is 2 pi R (kappa flux0^2/2 + flux0 flux1) with curvature
+    kappa = 1/R, so lambda0 + delta lambda1 + delta^2 lambda2 is the
+    second-order Taylor expansion of the eroded disk's (j01/(R - delta))^2.
+    The refractive index n is accepted for interface symmetry; it enters none
+    of the coefficients.
     """
     del n  # the first three coefficients are index-independent
     if R <= 0:
         raise DomainError("disk_asymptotic_coeffs: radius must be positive")
     j01 = bessel_j_zero(0, 1)
     lam0 = (j01 / R) ** 2
-    lam1 = 2.0 * lam0 / R
-    v0, flux0 = disk_ground_state(R, nodes=max(nodes, 2000))
-    v1, flux1, _ = radial_corrector(R, nodes=nodes)
-    # curvature of the circle is +1/R under the convex-positive convention
-    kappa = 1.0 / R
-    lam2 = 2.0 * math.pi * R * (0.5 * kappa * flux0**2 + flux0 * flux1)
-    return DiskCoefficients(R, lam0, lam1, lam2, flux0, flux1, v0, v1)
+    flux0 = j01 / (math.sqrt(math.pi) * R * R)
+    k = j01 / R
+    amp = 1.0 / (math.sqrt(math.pi) * bessel_j_series(1, j01) * R)
+    v0 = partial(_ground_mode, k, amp)
+    v1 = partial(_corrector, k, amp, R)
+    return DiskCoefficients(R, lam0, 2.0 * lam0 / R, 3.0 * lam0 / R**2,
+                            flux0, flux0 / R, v0, v1)

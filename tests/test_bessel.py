@@ -66,6 +66,13 @@ def test_j_series_array_matches_scalar():
         bessel.bessel_j_series(0, np.array([1.0, -1.0]))
 
 
+def test_j_table_matches_per_order_series():
+    # one term loop for all orders gives the per-order series bit for bit
+    for M in (0, 1, 7):
+        ref = np.stack([bessel.bessel_j_series(m, X_GRID) for m in range(M + 1)])
+        assert np.array_equal(bessel._j_values(M, X_GRID), ref)
+
+
 def test_y01_series_array_matches_scalar():
     x = X_GRID[1:]
     y0, y1 = bessel._y01_series(x)
@@ -207,11 +214,14 @@ def test_first_te_matches_scalar_scan(R, n, delta):
 def test_det_scan_matches_scalar_determinant():
     prob = bessel.DiskProblem(1.0, 0.02, 0.48)
     ks = np.linspace(0.05, 7.2, 40)
-    table = bessel._det_scan(prob, ks, 6)
-    for m in range(7):
-        prob_m = bessel.DiskProblem(1.0, 0.02, 0.48, m)
-        ref = np.array([bessel.transmission_determinant(prob_m, float(k)) for k in ks])
-        assert np.max(np.abs(table[m] - ref)) <= 1e-13 * np.max(np.abs(ref))
+    # mode_max = 0 is the single-mode scan of _mode_roots
+    for mode_max in (6, 0):
+        table = bessel._det_scan(prob, ks, mode_max)
+        assert table.shape == (mode_max + 1, ks.size)
+        for m in range(mode_max + 1):
+            prob_m = bessel.DiskProblem(1.0, 0.02, 0.48, m)
+            ref = np.array([bessel.transmission_determinant(prob_m, float(k)) for k in ks])
+            assert np.max(np.abs(table[m] - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
 def test_determinant_nonmatching_cauchy_data():
@@ -265,52 +275,55 @@ def test_first_te_above_lambda0(goldens):
         assert lam >= lam0
 
 
-def test_radial_corrector_orthogonality():
-    field, flux, mu = bessel.radial_corrector(1.0, nodes=2000)
-    v0, _ = bessel.disk_ground_state(1.0, nodes=2000)
-    r = field.grid
-    w = np.ones(len(r))
+def test_radial_corrector_closed_form(disk_oracle):
+    """Independent check of the corrector field v1 of the unit disk, by
+    4th-order differences and Simpson's rule on a uniform grid of [0, 1]."""
+    co = disk_oracle
+    N = 400
+    r = np.linspace(0.0, 1.0, N + 1)
+    h = r[1]
+    u, v0 = co.v1(r), co.v0(r)
+    # u'' + u'/r + lambda0 u + lambda1 v0 = 0 on the interior nodes 2..N-2
+    d2 = (-u[:-4] + 16 * u[1:-3] - 30 * u[2:-2] + 16 * u[3:-1] - u[4:]) / (12 * h * h)
+    d1 = (u[:-4] - 8 * u[1:-3] + 8 * u[3:-1] - u[4:]) / (12 * h)
+    resid = d2 + d1 / r[2:-2] + co.lambda0 * u[2:-2] + co.lambda1 * v0[2:-2]
+    assert np.max(np.abs(resid)) <= 1e-8
+    # orthogonal to the ground mode: 2 pi int v1 v0 r dr = 0
+    w = np.ones(N + 1)
     w[1:-1:2] = 4.0
     w[2:-1:2] = 2.0
-    w *= (r[1] - r[0]) / 3.0
-    resid = 2.0 * math.pi * np.sum(w * field.values * v0.values * r)
-    assert abs(resid) <= 1e-10
-
-
-def test_radial_corrector_zero_data():
-    field, flux, _ = bessel.radial_corrector(1.0, nodes=2000,
-                                             boundary_value=0.0, source_coeff=0.0)
-    assert np.max(np.abs(field.values)) <= 1e-12
-    assert abs(flux) <= 1e-12
-
-
-def test_radial_corrector_self_convergence():
-    _, flux_a, _ = bessel.radial_corrector(1.0, nodes=2000)
-    _, flux_b, _ = bessel.radial_corrector(1.0, nodes=4000)
-    assert abs(flux_a - flux_b) <= 1e-8
-
-
-def test_radial_corrector_closed_form(goldens):
-    """Independent check: the corrector equals c0*(J0(jr) - j r J1(jr))."""
-    field, flux, _ = bessel.radial_corrector(1.0, nodes=2000)
-    j = goldens["j01"]
-    c0 = 1.0 / (math.sqrt(math.pi) * bessel.bessel_j(1, j)[0])
-    r = field.grid
-    exact = c0 * np.array(
-        [bessel.bessel_j(0, j * ri)[0] - j * ri * bessel.bessel_j(1, j * ri)[0]
-         for ri in r]
-    )
-    assert np.max(np.abs(field.values - exact)) <= 1e-8
-    assert abs(flux - j / math.sqrt(math.pi)) <= 1e-8
+    w *= h / 3.0
+    assert abs(2.0 * math.pi * np.sum(w * u * v0 * r)) <= 1e-10
+    # boundary value -flux0, and inward-normal slope flux1 = flux0/R
+    assert abs(co.v1(1.0) + co.flux0) <= 1e-14 * co.flux0
+    slope = (25 * u[N] - 48 * u[N - 1] + 36 * u[N - 2] - 16 * u[N - 3] + 3 * u[N - 4]) / (12 * h)
+    assert abs(-slope - co.flux1) <= 1e-8
 
 
 def test_disk_coefficients(goldens, disk_oracle):
     assert disk_oracle.lambda0 == pytest.approx(goldens["lambda0"], rel=1e-13)
     assert disk_oracle.lambda1 == pytest.approx(2.0 * disk_oracle.lambda0, rel=1e-13)
     assert disk_oracle.lambda1 == pytest.approx(11.56637192589357, rel=1e-12)
-    assert disk_oracle.lambda2 == pytest.approx(goldens["lambda2"], rel=1e-8)
+    assert disk_oracle.lambda2 == pytest.approx(goldens["lambda2"], rel=1e-13)
     assert disk_oracle.flux0 == pytest.approx(goldens["flux0"], rel=1e-12)
-    assert disk_oracle.flux1 == pytest.approx(goldens["flux1"], rel=1e-7)
+    assert disk_oracle.flux1 == pytest.approx(goldens["flux1"], rel=1e-13)
+
+
+def test_goldens_are_closed_forms(goldens):
+    """Each unit-disk golden is its closed form rounded to 15 digits."""
+    j01 = bessel.bessel_j_zero(0, 1)
+    closed = {
+        "j01": j01,
+        "j11": bessel.bessel_j_zero(1, 1),
+        "lambda0": j01**2,
+        "lambda1": 2.0 * j01**2,
+        "lambda2": 3.0 * j01**2,
+        "flux0": j01 / math.sqrt(math.pi),
+        "flux1": j01 / math.sqrt(math.pi),
+    }
+    assert set(goldens) == set(closed)
+    for key, value in closed.items():
+        assert goldens[key] == float(f"{value:.15g}"), key
 
 
 def test_disk_coefficients_index_independent(disk_oracle):
@@ -322,8 +335,10 @@ def test_disk_coefficients_index_independent(disk_oracle):
 
 def test_coefficient_scaling(disk_oracle):
     """Each coefficient carries length^-(j+2): doubling the radius divides
-    lambda_j by 2^(j+2)."""
+    lambda_j and flux_j by 2^(j+2)."""
     big = bessel.disk_asymptotic_coeffs(2.0)
-    assert big.lambda0 == pytest.approx(disk_oracle.lambda0 / 4.0, rel=1e-8)
-    assert big.lambda1 == pytest.approx(disk_oracle.lambda1 / 8.0, rel=1e-8)
-    assert big.lambda2 == pytest.approx(disk_oracle.lambda2 / 16.0, rel=1e-8)
+    assert big.lambda0 == pytest.approx(disk_oracle.lambda0 / 4.0, rel=1e-15)
+    assert big.lambda1 == pytest.approx(disk_oracle.lambda1 / 8.0, rel=1e-15)
+    assert big.lambda2 == pytest.approx(disk_oracle.lambda2 / 16.0, rel=1e-15)
+    assert big.flux0 == pytest.approx(disk_oracle.flux0 / 4.0, rel=1e-15)
+    assert big.flux1 == pytest.approx(disk_oracle.flux1 / 8.0, rel=1e-15)

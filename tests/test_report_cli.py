@@ -202,7 +202,8 @@ def test_cli_disk_oracle(tmp_path, goldens):
     vals = [float(v) for v in lines[1].split(",")]
     assert vals[0] == pytest.approx(goldens["lambda0"], rel=1e-12)
     assert vals[1] == pytest.approx(goldens["lambda1"], rel=1e-12)
-    assert vals[2] == pytest.approx(goldens["lambda2"], rel=1e-8)
+    assert vals[2] == pytest.approx(goldens["lambda2"], rel=1e-13)
+    assert vals[4] == pytest.approx(goldens["flux1"], rel=1e-13)
 
 
 def test_cli_coeffs_task(tmp_path):
