@@ -48,12 +48,10 @@ from .asymptotics import (
 )
 from .transmission import (
     CoupledPencil,
-    ScanRecord,
     assemble_pencil,
     eroded_dirichlet,
     first_te,
     rayleigh_identity_residual,
-    sigma_min_scan,
 )
 from .report import estimate_thickness, fit_order, run_sweep
 

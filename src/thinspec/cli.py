@@ -1,11 +1,11 @@
-"""Batch front door: `thinspec <task> --config <file> [--out <dir>] [--jobs N] [--scan]`.
+"""Batch front door: `thinspec <task> --config <file> [--out <dir>] [--jobs N]`.
 
 Tasks: coeffs (expansion coefficients per mesh size), direct (coupled-pencil
-eigenvalues per thickness and mesh size; with --scan also the diagnostic
-sigma_min scan of each corridor), sweep (thickness sweep with order
-fits, CSV + SVG), disk-oracle (semi-analytic disk coefficients), validate
-(disk cross-checks between the two solver legs).  Exit codes: 0 success,
-1 solver error, 2 validation failure, 3 configuration error.
+eigenvalues per thickness and mesh size, with the backward error of each
+eigenpair), sweep (thickness sweep with order fits, CSV + SVG), disk-oracle
+(semi-analytic disk coefficients), validate (disk cross-checks between the
+two solver legs).  Exit codes: 0 success, 1 solver error, 2 validation
+failure, 3 configuration error.
 """
 
 import argparse
@@ -18,17 +18,15 @@ from .asymptotics import compute_coefficients, format_coefficients
 from .errors import ConfigError, ThinspecError
 from .geometry import Circle, LayerConfig, curve_from_config
 from .report import richardson, run_sweep, sweep_svg, write_atomic
-from .transmission import (_factor_stats, corridor, first_te, rayleigh_identity_residual,
-                           sigma_min_scan)
+from .transmission import first_te, rayleigh_identity_residual
 
 _SCHEMA = "thinspec/1"
 _TASKS = ("coeffs", "direct", "sweep", "disk-oracle", "validate")
 
-_TOP_KEYS = {"schema", "task", "geometry", "layer", "mesh", "solver", "scan",
-             "output", "require", "tolerances"}
+_TOP_KEYS = {"schema", "task", "geometry", "layer", "mesh", "solver", "output",
+             "require", "tolerances"}
 _LAYER_KEYS = {"delta0", "g", "n"}
 _MESH_KEYS = {"h"}
-_SCAN_KEYS = {"steps"}
 _REQUIRE_KEYS = {"slope0_min", "slope1_min", "slope2_min"}
 _TOL_KEYS = {"sandwich_factor", "upper_slack"}
 
@@ -102,12 +100,6 @@ def load_config(path, task):
     elif task in ("coeffs", "direct", "validate"):
         _fail("missing mesh block", "mesh")
 
-    scan = raw.get("scan", {})
-    _check_keys(scan, _SCAN_KEYS, "scan")
-    cfg["steps"] = int(scan.get("steps", 64))
-    if cfg["steps"] < 64:
-        _fail("scan.steps must be at least 64", "scan.steps")
-
     cfg["solver"] = raw.get("solver", "auto")
     if cfg["solver"] not in ("auto", "bessel", "fem"):
         _fail("solver must be auto, bessel or fem", "solver")
@@ -158,22 +150,16 @@ def _task_coeffs(cfg, outdir):
     return 0
 
 
-def _task_direct(cfg, outdir, scan=False):
+def _task_direct(cfg, outdir):
     curve = cfg["curve"]
-    lines = ["delta,h,lambda_direct,lambda0,lambda_dirichlet_eroded,sigma_at_root"]
+    lines = ["delta,h,lambda_direct,lambda0,lambda_dirichlet_eroded,residual"]
     for delta in cfg["deltas"]:
         for h in cfg["h_list"]:
             layer = LayerConfig(delta, cfg["g"], cfg["n"])
             te = first_te(curve, layer, h, upper_slack=cfg["upper_slack"])
-            sigma_at_root = _factor_stats(te.pencil.shifted(te.lam))[0]
             lines.append(",".join(f"{v:.17g}" for v in
                                   (delta, h, te.lam, te.lambda0, te.lambda_eroded,
-                                   sigma_at_root)))
-            if scan:
-                lo, hi = corridor(te.lambda0, te.lambda_eroded, cfg["upper_slack"])
-                record = sigma_min_scan(te.pencil, lo, hi, steps=cfg["steps"])
-                write_atomic(os.path.join(outdir, f"scan_d{delta:g}_h{h:g}.csv"),
-                             record.to_csv())
+                                   te.residual)))
     write_atomic(os.path.join(outdir, "direct.csv"), "\n".join(lines) + "\n")
     return 0
 
@@ -244,8 +230,6 @@ def main(argv=None):
     parser.add_argument("--config", required=True)
     parser.add_argument("--out", default=None, help="output directory")
     parser.add_argument("--jobs", type=int, default=1)
-    parser.add_argument("--scan", action="store_true",
-                        help="direct: also write each corridor's sigma_min scan CSV")
     args = parser.parse_args(argv)
 
     try:
@@ -264,7 +248,7 @@ def main(argv=None):
         if args.task == "coeffs":
             return _task_coeffs(cfg, outdir)
         if args.task == "direct":
-            return _task_direct(cfg, outdir, scan=args.scan)
+            return _task_direct(cfg, outdir)
         if args.task == "sweep":
             return _task_sweep(cfg, outdir, args.jobs)
         if args.task == "validate":

@@ -45,10 +45,6 @@ class MissingLayer(ThinspecError):
     """Operation requires a mesh with a coating region."""
 
 
-class FactorizationFailure(ThinspecError):
-    """Sparse factorization failed (matrix exactly singular)."""
-
-
 class NearDegenerate(ThinspecError):
     """Leading Dirichlet eigenvalue is not numerically simple."""
 

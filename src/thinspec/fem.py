@@ -23,7 +23,7 @@ from .mesh import CORE, LAYER
 
 @dataclass
 class FemField:
-    """Vertex-valued P1 field; evaluation is linear on each triangle."""
+    """Vertex-valued P1 field, linear on each triangle."""
 
     mesh: object
     values: np.ndarray
@@ -31,29 +31,6 @@ class FemField:
 
     def copy(self):
         return FemField(self.mesh, self.values.copy(), self.constrained)
-
-    def interpolate(self, points):
-        """Evaluate at arbitrary points by barycentric location (slow path,
-        meant for demos and spot checks)."""
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        p = self.mesh.vertices
-        t = self.mesh.triangles
-        a, b, c = p[t[:, 0]], p[t[:, 1]], p[t[:, 2]]
-        det = (b[:, 0] - a[:, 0]) * (c[:, 1] - a[:, 1]) - (c[:, 0] - a[:, 0]) * (b[:, 1] - a[:, 1])
-        out = np.full(len(pts), np.nan)
-        for i, q in enumerate(pts):
-            w1 = ((b[:, 0] - q[0]) * (c[:, 1] - q[1]) - (c[:, 0] - q[0]) * (b[:, 1] - q[1])) / det
-            w2 = ((c[:, 0] - q[0]) * (a[:, 1] - q[1]) - (a[:, 0] - q[0]) * (c[:, 1] - q[1])) / det
-            w3 = 1.0 - w1 - w2
-            ok = (w1 >= -1e-12) & (w2 >= -1e-12) & (w3 >= -1e-12)
-            if np.any(ok):
-                k = np.argmax(ok)
-                out[i] = (
-                    w1[k] * self.values[t[k, 0]]
-                    + w2[k] * self.values[t[k, 1]]
-                    + w3[k] * self.values[t[k, 2]]
-                )
-        return out if len(out) > 1 else float(out[0])
 
 
 _REGIONS = {None: None, "all": None, "core": CORE, "layer": LAYER}

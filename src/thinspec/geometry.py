@@ -321,11 +321,6 @@ class LayerConfig:
             return np.asarray(self.g(np.asarray(s, dtype=float)), dtype=float)
         return np.full(np.shape(np.asarray(s, dtype=float)), float(self.g))[()]
 
-    def n_at(self, x, y):
-        if callable(self.n):
-            return np.asarray(self.n(x, y), dtype=float)
-        return np.full(np.shape(np.asarray(x, dtype=float)), float(self.n))[()]
-
     def thickness(self, s):
         return self.delta0 * self.g_at(s)
 

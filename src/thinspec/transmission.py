@@ -8,8 +8,7 @@ resulting symmetric indefinite pencil (A, B) is singular exactly at discrete
 transmission eigenvalues.  The computable Max-Min corridor
 lambda0 <= lambda <= lambda_eroded brackets the first one, which shift-invert
 Arnoldi on (A - sigma*B)^-1 B returns with its eigenvector from one LU at the
-corridor midpoint sigma.  The smallest singular value scan of A - lambda*B
-over a window (sigma_min_scan) is kept as an explicit diagnostic.
+corridor midpoint sigma.
 """
 
 import math
@@ -17,7 +16,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import sparse
-from scipy.sparse.csgraph import connected_components
 from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigs, splu
 from scipy.sparse.linalg import norm as spnorm
 
@@ -88,162 +86,6 @@ def assemble_pencil(mesh, n, K=None, M=None):
     A = (embed_v(K_omega) + embed_w(K_layer, -1.0)).tocsr()
     B = (embed_v(M_omega) + embed_w(M_layer_n, -1.0)).tocsr()
     return CoupledPencil(A=A, B=B, dim=dim, n_vertices=nv, wmap=wmap, mesh=mesh)
-
-
-def _perm_parity(perm):
-    """(n - number of cycles) mod 2; the cycles are the components of i -> perm[i]."""
-    n = len(perm)
-    graph = sparse.csr_matrix((np.ones(n), (np.arange(n), perm)), shape=(n, n))
-    cycles = connected_components(graph, directed=True, connection="weak")[0]
-    return (n - cycles) & 1
-
-
-def _factor_stats(C, power_its=30):
-    """(sigma_min, det_sign) of a sparse matrix via one LU factorization.
-
-    sigma_min comes from inverse power iteration on C^T C using the factor
-    for both solves; an exactly singular factorization reports (0.0, 0).
-    """
-    try:
-        lu = splu(C)
-    except RuntimeError:
-        return 0.0, 0
-    diag = lu.U.diagonal()
-    if np.any(diag == 0.0) or not np.all(np.isfinite(diag)):
-        return 0.0, 0
-    sign = -1 if (_perm_parity(lu.perm_r) ^ _perm_parity(lu.perm_c)) else 1
-    neg = int(np.sum(diag < 0))
-    if neg & 1:
-        sign = -sign
-    if power_its <= 0:
-        return math.nan, sign
-    x = np.ones(C.shape[0]) / math.sqrt(C.shape[0])
-    rho = 0.0
-    for _ in range(power_its):
-        y = lu.solve(x, trans="T")
-        y = lu.solve(y)
-        nrm = np.linalg.norm(y)
-        if not np.isfinite(nrm) or nrm == 0.0:
-            return 0.0, sign
-        x = y / nrm
-        rho = nrm
-    if rho == 0.0:
-        return 0.0, sign
-    return 1.0 / math.sqrt(rho), sign
-
-
-@dataclass
-class PencilRoot:
-    lam: float
-    sigma: float
-    method: str
-    bisections: int
-
-
-@dataclass
-class ScanRecord:
-    """Grid scan of sigma_min(A - lambda B) with refined roots."""
-
-    grid: np.ndarray
-    sigma: np.ndarray
-    det_sign: np.ndarray
-    roots: list
-    threshold: float
-
-    def to_csv(self):
-        lines = ["lambda,sigma_min"]
-        for lam, sig in zip(self.grid, self.sigma):
-            lines.append(f"{lam:.17g},{sig:.17g}")
-        lines.append("root,sigma_min,method")
-        for r in self.roots:
-            lines.append(f"{r.lam:.17g},{r.sigma:.17g},{r.method}")
-        return "\n".join(lines) + "\n"
-
-
-def sigma_min_scan(pencil, lam_lo, lam_hi, steps=64, width=None, power_its=30):
-    """Scan sigma_min over [lam_lo, lam_hi] and refine every dip.
-
-    Brackets where the determinant changes sign are bisected on the sign;
-    remaining strict local minima of sigma_min are refined by golden-section.
-    Refined points qualify as roots when their sigma_min falls below
-    1e-6 * median(grid sigma_min).
-    """
-    if steps < 64:
-        raise ValueError("sigma_min_scan: need at least 64 grid steps")
-    if not (0.0 < lam_lo < lam_hi):
-        raise ValueError("sigma_min_scan: need 0 < lam_lo < lam_hi")
-    if width is None:
-        width = 1e-10 * lam_hi
-    grid = np.linspace(lam_lo, lam_hi, steps)
-    sig = np.empty(steps)
-    det = np.zeros(steps, dtype=np.int64)
-    for i, lam in enumerate(grid):
-        sig[i], det[i] = _factor_stats(pencil.shifted(lam), power_its)
-    threshold = 1e-6 * float(np.median(sig))
-
-    def sigma_at(lam):
-        return _factor_stats(pencil.shifted(lam), power_its)[0]
-
-    def det_at(lam):
-        return _factor_stats(pencil.shifted(lam), power_its=0)[1]
-
-    roots = []
-    claimed = []
-
-    # determinant sign changes: guaranteed odd-multiplicity roots
-    for i in range(steps - 1):
-        if det[i] == 0:
-            roots.append(PencilRoot(float(grid[i]), 0.0, "singular-grid-point", 0))
-            claimed.append((grid[max(i - 1, 0)], grid[min(i + 1, steps - 1)]))
-            continue
-        if det[i + 1] != 0 and det[i] != det[i + 1]:
-            a, b = float(grid[i]), float(grid[i + 1])
-            sa = det[i]
-            count = 0
-            while b - a > width:
-                mid = 0.5 * (a + b)
-                sm = det_at(mid)
-                count += 1
-                if sm == 0:
-                    a = b = mid
-                    break
-                if sm == sa:
-                    a = mid
-                else:
-                    b = mid
-            lam_root = 0.5 * (a + b)
-            roots.append(PencilRoot(lam_root, sigma_at(lam_root), "det-bisection", count))
-            claimed.append((grid[i], grid[i + 1]))
-
-    # remaining strict interior minima of sigma_min: golden-section refinement
-    golden = 0.5 * (math.sqrt(5.0) - 1.0)
-    for i in range(1, steps - 1):
-        if not (sig[i] < sig[i - 1] and sig[i] < sig[i + 1]):
-            continue
-        if any(lo <= grid[i] <= hi for lo, hi in claimed):
-            continue
-        a, b = float(grid[i - 1]), float(grid[i + 1])
-        c = b - golden * (b - a)
-        d = a + golden * (b - a)
-        fc, fd = sigma_at(c), sigma_at(d)
-        count = 0
-        while b - a > width:
-            count += 1
-            if fc < fd:
-                b, d, fd = d, c, fc
-                c = b - golden * (b - a)
-                fc = sigma_at(c)
-            else:
-                a, c, fc = c, d, fd
-                d = a + golden * (b - a)
-                fd = sigma_at(d)
-        lam_root = 0.5 * (a + b)
-        sig_root = sigma_at(lam_root)
-        if sig_root < threshold:
-            roots.append(PencilRoot(lam_root, sig_root, "sigma-golden-section", count))
-
-    roots.sort(key=lambda r: r.lam)
-    return ScanRecord(grid=grid, sigma=sig, det_sign=det, roots=roots, threshold=threshold)
 
 
 def smallest_real_eig(pencil, lo, hi):
@@ -392,7 +234,7 @@ def rayleigh_identity_residual(lam, v, w, n, mesh, K=None, M=None):
     return abs(lam - rhs) / lam
 
 
-def eigenfunction_error_rate(curve, deltas, h, n, g=1.0, layer_cls=None):
+def eigenfunction_error_rate(curve, deltas, h, n, g=1.0):
     """H1 distance between the coated eigenfunction and the Dirichlet ground
     mode for each coating thickness, with the fitted log-log slope.
 

@@ -6,6 +6,8 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
+from scipy.special import jn_zeros, jv, jvp, yv, yvp
 
 import thinspec
 from thinspec import bessel
@@ -143,11 +145,12 @@ def test_disk_dirichlet_eigen(goldens):
 
 
 def test_import_does_not_load_scipy_optimize():
-    """`brentq` is imported on first use, so importing the package stays
-    cheap."""
+    """`brentq` is imported on first use and no graph routine is needed, so
+    importing the package stays cheap."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(thinspec.__file__)))
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
-    code = "import thinspec, sys; assert 'scipy.optimize' not in sys.modules"
+    code = ("import thinspec, sys; "
+            "assert not {'scipy.optimize', 'scipy.sparse.csgraph'} & set(sys.modules)")
     subprocess.run([sys.executable, "-c", code], check=True, timeout=120,
                    env=dict(os.environ, PYTHONPATH=path))
 
@@ -169,32 +172,24 @@ def test_determinant_vanishing_layer(goldens):
     assert abs(roots[0] - goldens["j01"]) <= 1e-4
 
 
-def _mode_roots_reference(prob, k_lo, k_hi, step, tol):
-    """The scalar scan-and-bisection loop that _mode_roots replaced."""
-    roots = []
-    k = k_lo
-    f_prev = bessel.transmission_determinant(prob, k)
-    while k < k_hi:
-        k_next = min(k + step, k_hi)
-        f_next = bessel.transmission_determinant(prob, k_next)
-        if f_prev == 0.0:
-            roots.append(k)
-        elif f_prev * f_next < 0:
-            a, b = k, k_next
-            fa = f_prev
-            while b - a > tol:
-                mid = 0.5 * (a + b)
-                fm = bessel.transmission_determinant(prob, mid)
-                if fm == 0.0:
-                    a = b = mid
-                    break
-                if fa * fm < 0:
-                    b = mid
-                else:
-                    a, fa = mid, fm
-            roots.append(0.5 * (a + b))
-        k, f_prev = k_next, f_next
-    return roots
+def _det_reference(k, m, R, delta, n):
+    """Cauchy-data matching determinant of mode m from scipy.special alone,
+    independent of the package's Bessel routes; works on arrays of k."""
+    kn = k * math.sqrt(n)
+    a, b = kn * R, kn * (R - delta)
+    w_val = jv(m, a) * yv(m, b) - yv(m, a) * jv(m, b)
+    w_der = kn * (jvp(m, a) * yv(m, b) - yvp(m, a) * jv(m, b))
+    return jv(m, k * R) * w_der - k * jvp(m, k * R) * w_val
+
+
+def _mode_roots_reference(m, R, delta, n, k_lo, k_hi, step):
+    """Every sign change of mode m's determinant on a uniform k grid, refined
+    by brentq."""
+    ks = np.append(np.arange(k_lo, k_hi, step), k_hi)
+    vals = _det_reference(ks, m, R, delta, n)
+    flips = np.flatnonzero(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0)
+    return [brentq(_det_reference, ks[i], ks[i + 1], args=(m, R, delta, n), xtol=1e-15)
+            for i in flips] + list(ks[vals == 0.0])
 
 
 # corners and centre of the benchmark's seed box, and one larger disk
@@ -202,9 +197,9 @@ def _mode_roots_reference(prob, k_lo, k_hi, step, tol):
     (1.0, n, delta) for n in (0.16, 0.48, 0.84) for delta in (0.0045, 0.01, 0.044)
 ] + [(2.0, 0.48, 0.02)])
 def test_first_te_matches_scalar_scan(R, n, delta):
-    j01 = bessel.bessel_j_zero(0, 1)
+    j01 = float(jn_zeros(0, 1)[0])
     roots = [k for m in range(7) for k in _mode_roots_reference(
-        bessel.DiskProblem(R, delta, n, m), 0.05 / R, 3.0 * j01 / R, 0.01 / R, 1e-12)]
+        m, R, delta, n, 0.05 / R, 3.0 * j01 / R, 0.01 / R)]
     # no determinant root of any mode lies below lambda0 = (j01/R)^2
     assert not [k for k in roots if k < j01 / R]
     lam = bessel.disk_first_te(bessel.DiskProblem(R, delta, n))

@@ -220,19 +220,18 @@ def test_cli_coeffs_task(tmp_path):
 def test_cli_direct_task(tmp_path):
     cfg = _write_config(tmp_path, mesh={"h": [0.07]},
                         layer={"delta0": [0.02], "n": 0.48})
-    assert main(["direct", "--config", cfg, "--out", str(tmp_path), "--scan"]) == 0
-    lines = (tmp_path / "direct.csv").read_text().splitlines()
-    assert lines[0].startswith("delta,h,lambda_direct")
-    assert len(lines) == 2
-    assert (tmp_path / "scan_d0.02_h0.07.csv").exists()
-
-
-def test_cli_direct_task_scan_is_opt_in(tmp_path):
-    cfg = _write_config(tmp_path, mesh={"h": [0.07]},
-                        layer={"delta0": [0.02], "n": 0.48})
     assert main(["direct", "--config", cfg, "--out", str(tmp_path)]) == 0
-    assert (tmp_path / "direct.csv").exists()
-    assert not list(tmp_path.glob("scan_*.csv"))
+    lines = (tmp_path / "direct.csv").read_text().splitlines()
+    assert lines[0] == "delta,h,lambda_direct,lambda0,lambda_dirichlet_eroded,residual"
+    assert len(lines) == 2
+    assert 0.0 <= float(lines[1].split(",")[-1]) <= 1e-10
+
+
+def test_cli_direct_rejects_scan_block(tmp_path):
+    cfg = _write_config(tmp_path, mesh={"h": [0.07]},
+                        layer={"delta0": [0.02], "n": 0.48}, scan={"steps": 64})
+    assert main(["direct", "--config", cfg, "--out", str(tmp_path)]) == 3
+    assert not (tmp_path / "direct.csv").exists()
 
 
 def test_cli_validate_task(tmp_path):
