@@ -21,10 +21,6 @@ class MeshFailure(ThinspecError):
     """Mesh generation produced a degenerate or inverted triangle."""
 
 
-class LayerUnderResolved(ThinspecError):
-    """Fewer than two element rows across the coating."""
-
-
 class ConvergenceFailure(ThinspecError):
     """Iterative eigensolver exhausted its iteration budget."""
 

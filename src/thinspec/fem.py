@@ -97,7 +97,9 @@ def h1_norm(K, M, u):
 
 
 def _free(n, boundary):
-    return np.setdiff1d(np.arange(n), np.asarray(boundary, dtype=np.int64))
+    free = np.ones(n, dtype=bool)
+    free[np.asarray(boundary, dtype=np.int64)] = False
+    return np.flatnonzero(free)
 
 
 def stiffness_lu(K, boundary):

@@ -202,6 +202,11 @@ class Ellipse(BoundaryCurve):
         self.b = float(b)
         super().__init__(2.0 * math.pi)
 
+    def reach(self, samples=0):
+        """eta0 = min(a, b)^2 / max(a, b), the radius of curvature at the ends
+        of the major axis."""
+        return min(self.a, self.b) ** 2 / max(self.a, self.b)
+
     def _xy(self, t):
         return np.stack([self.a * np.cos(t), self.b * np.sin(t)], axis=-1)
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import LayerUnderResolved, MeshFailure
+from .errors import MeshFailure
 
 CORE = 0
 LAYER = 1
@@ -77,31 +77,29 @@ def _hex_core(n_rings, boundary_points_of):
     """Hexagonal-ring triangulation of a star-shaped region.
 
     boundary_points_of(frac) returns boundary points at parameter fractions;
-    interior ring i carries 6i vertices at radial fraction i/N.
+    interior ring i carries 6i vertices at radial fraction i/N.  It is called
+    once per mesh, on the fractions j/(6i) of all rings at once.
     """
-    verts = [np.zeros(2)]
-    ring_start = [0, 1]
-    for i in range(1, n_rings + 1):
-        frac = np.arange(6 * i) / (6.0 * i)
-        pts = (i / n_rings) * boundary_points_of(frac)
-        verts.extend(pts)
-        ring_start.append(ring_start[-1] + 6 * i)
-    verts = np.array(verts)
-    tris = [(0, 1 + j, 1 + (j + 1) % 6) for j in range(6)]
-    for i in range(1, n_rings):
-        si, so = ring_start[i], ring_start[i + 1]
-        ni, no = 6 * i, 6 * (i + 1)
-        for sector in range(6):
-            for k in range(i + 1):
-                a = so + (sector * (i + 1) + k) % no
-                b = so + (sector * (i + 1) + k + 1) % no
-                c = si + (sector * i + k) % ni
-                tris.append((a, b, c))
-                if k < i:
-                    d = si + (sector * i + k + 1) % ni
-                    tris.append((b, d, c))
-    tris = np.array(tris, dtype=np.int64)
-    boundary = np.arange(ring_start[n_rings], ring_start[n_rings + 1])
+    ring = np.repeat(np.arange(1, n_rings + 1), 6 * np.arange(1, n_rings + 1))
+    start = 1 + 3 * ring * (ring - 1)  # index of the first vertex of each ring
+    j = np.arange(1, len(ring) + 1) - start
+    pts = (ring / n_rings)[:, None] * boundary_points_of(j / (6.0 * ring))
+    verts = np.concatenate([np.zeros((1, 2)), pts])
+    # rings i and i+1 are joined by one (a, b, c) per vertex m = sector*(i+1) + k
+    # of ring i+1, each followed by (b, d, c) unless k == i; a, b lie on ring
+    # i+1 and c, d on ring i
+    joined = ring > 1
+    i, m, so = ring[joined] - 1, j[joined], start[joined]
+    si, ni = 1 + 3 * i * (i - 1), 6 * i
+    sector, k = m // (i + 1), m % (i + 1)
+    a, b = so + m, so + (m + 1) % (ni + 6)
+    c = si + (sector * i + k) % ni
+    d = si + (sector * i + k + 1) % ni
+    pair = np.stack([np.stack([a, b, c], -1), np.stack([b, d, c], -1)], 1)
+    keep = np.stack([np.ones(len(k), dtype=bool), k < i], 1)
+    fan = np.stack([np.zeros(6, dtype=np.int64), 1 + np.arange(6), 1 + (np.arange(1, 7) % 6)], -1)
+    tris = np.concatenate([fan, pair[keep]])
+    boundary = np.arange(len(verts) - 6 * n_rings, len(verts))
     return verts, tris, boundary
 
 
@@ -110,8 +108,9 @@ def generate_mesh(curve, layer, h):
 
     With a coating, the interface ring lies exactly on the offset curve and
     the coating is filled with max(2, ceil(depth/h)) structured element rows.
-    Raises MeshFailure for degenerate triangles and LayerUnderResolved when
-    fewer than two rows fit the requested resolution.
+    The boundary is evaluated once for the whole hexagonal core, and once more
+    at the coating-row arclengths.  Raises MeshFailure for degenerate
+    triangles.
     """
     eta0 = curve.reach()
     if h >= min(0.2 * eta0, curve.s0 / 16.0):
@@ -151,45 +150,35 @@ def generate_mesh(curve, layer, h):
         depth = layer.thickness(s)
         return curve.position(s) + np.asarray(depth)[..., None] * curve.inward_normal(s)
 
-    verts, tris, interface = _hex_core(n_rings, bpoints)
-    verts = list(verts)
-    tris = [tuple(t) for t in tris]
-    region = [CORE] * len(tris)
+    core_verts, core_tris, interface = _hex_core(n_rings, bpoints)
 
     s_ring = np.arange(nb) * curve.s0 / nb
     depth = np.asarray(layer.thickness(s_ring))
     if float(depth.min()) <= 0.0:
         raise MeshFailure("coating must have positive depth everywhere to be meshed")
     rows = max(2, int(math.ceil(float(depth.max()) / h)))
-    if rows < 2:
-        raise LayerUnderResolved("fewer than two element rows across the coating")
 
+    # row k sits at the remaining depth fraction 1 - k/rows (0 on the outer boundary)
     base = curve.position(s_ring)
     nu = curve.inward_normal(s_ring)
-    ring_prev = list(interface)
-    for k in range(1, rows + 1):
-        frac_in = 1.0 - k / rows  # remaining depth fraction; 0 on the outer boundary
-        start = len(verts)
-        pts = base + (depth * frac_in)[:, None] * nu
-        verts.extend(pts)
-        ring_new = list(range(start, start + nb))
-        for j in range(nb):
-            a, b = ring_prev[j], ring_prev[(j + 1) % nb]
-            c, d = ring_new[j], ring_new[(j + 1) % nb]
-            tris.append((a, b, c))
-            region.append(LAYER)
-            tris.append((b, d, c))
-            region.append(LAYER)
-        ring_prev = ring_new
+    frac_in = 1.0 - np.arange(1, rows + 1) / rows
+    row_verts = base + (frac_in[:, None] * depth)[..., None] * nu
+    ring = len(core_verts) + np.arange(rows * nb).reshape(rows, nb)
+    prev = np.concatenate([interface[None], ring[:-1]])
+    nxt = np.roll(np.arange(nb), -1)
+    a, b, c, d = prev, prev[:, nxt], ring, ring[:, nxt]
+    layer_tris = np.stack([np.stack([a, b, c], -1), np.stack([b, d, c], -1)], 2)
 
-    verts = np.array(verts)
-    tris = _orient_ccw(verts, np.array(tris, dtype=np.int64))
+    verts = np.concatenate([core_verts, row_verts.reshape(-1, 2)])
+    tris = np.concatenate([core_tris, layer_tris.reshape(-1, 3)])
+    tris = _orient_ccw(verts, tris)
+    region = np.repeat(np.array([CORE, LAYER], dtype=np.int64), [len(core_tris), 2 * rows * nb])
     mesh = TriMesh(
         vertices=verts,
         triangles=tris,
-        region=np.array(region, dtype=np.int64),
-        outer=np.array(ring_prev, dtype=np.int64),
-        inner=np.asarray(interface, dtype=np.int64),
+        region=region,
+        outer=ring[-1],
+        inner=interface,
         outer_s=s_ring.copy(),
         inner_s=s_ring.copy(),
         curve=curve,

@@ -21,7 +21,7 @@ import numpy as np
 from . import bessel
 from .asymptotics import compute_coefficients, geometry_hash
 from .errors import BelowLambda0, ConfigError, InsufficientData
-from .geometry import Circle, LayerConfig, curve_from_config
+from .geometry import Circle, LayerConfig
 from .transmission import first_te
 
 _VERSION = "thinspec-0.1.0"
@@ -221,7 +221,7 @@ def _sweep_disk(curve, deltas, g, n, sandwich_factor):
 def _fem_row_worker(payload):
     """One (delta) row of a finite element sweep: direct eigenvalue and
     eroded Dirichlet value on every mesh size.  Top-level for pickling."""
-    curve = curve_from_config(payload["curve"])
+    curve = payload["curve"]
     out = {"delta": payload["delta"], "per_h": []}
     for h in payload["h_list"]:
         layer = LayerConfig(payload["delta"], payload["g_value"], payload["n"])
@@ -250,7 +250,7 @@ def _sweep_fem(curve, deltas, g, n, h_list, jobs, sandwich_factor, upper_slack):
     lam2, _ = richardson(h_coarse, c_coarse.lambda2, h_fine, c_fine.lambda2)
 
     payloads = [{
-        "curve": curve.describe(),
+        "curve": curve,
         "delta": delta,
         "h_list": list(h_list),
         "g_value": g if not callable(g) else 1.0,

@@ -118,6 +118,13 @@ def test_offset_too_deep():
         offset_curve(Ellipse(1.3, 1.0), LayerConfig(0.9, 1.0, 0.5))
 
 
+@pytest.mark.parametrize("a, b", [(1.3, 1.0), (1.0, 1.3), (2.0, 0.7)])
+def test_ellipse_reach_closed_form(a, b):
+    curve = Ellipse(a, b)
+    sampled = BoundaryCurve.reach(curve)
+    assert abs(curve.reach() - sampled) <= 1e-14 * sampled
+
+
 def test_offset_distance_to_parent():
     parent = Ellipse(1.3, 1.0)
     inner = offset_curve(parent, LayerConfig(0.05, 1.0, 0.5))

@@ -1,12 +1,15 @@
+import math
 from collections import Counter
 
 import numpy as np
 import pytest
 
 from thinspec.errors import MeshFailure
-from thinspec.geometry import Circle, Ellipse, LayerConfig
+from thinspec.geometry import Circle, Ellipse, FourierCurve, LayerConfig
 from thinspec.mesh import (
+    CORE,
     LAYER,
+    _orient_ccw,
     core_submesh,
     generate_mesh,
     load_mesh,
@@ -108,3 +111,121 @@ def test_save_load_round_trip(tmp_path):
     path2 = tmp_path / "disk2.mesh"
     save_mesh(loaded, path2)
     assert path.read_text() == path2.read_text()
+
+
+# ---------------------------------------------------------------------------
+# vectorized construction against the per-ring loop it replaced
+# ---------------------------------------------------------------------------
+
+def _loop_hex_core(n_rings, boundary_points_of):
+    """The core as one boundary evaluation and one triangle loop per ring."""
+    verts = [np.zeros(2)]
+    ring_start = [0, 1]
+    for i in range(1, n_rings + 1):
+        frac = np.arange(6 * i) / (6.0 * i)
+        pts = (i / n_rings) * boundary_points_of(frac)
+        verts.extend(pts)
+        ring_start.append(ring_start[-1] + 6 * i)
+    verts = np.array(verts)
+    tris = [(0, 1 + j, 1 + (j + 1) % 6) for j in range(6)]
+    for i in range(1, n_rings):
+        si, so = ring_start[i], ring_start[i + 1]
+        ni, no = 6 * i, 6 * (i + 1)
+        for sector in range(6):
+            for k in range(i + 1):
+                a = so + (sector * (i + 1) + k) % no
+                b = so + (sector * (i + 1) + k + 1) % no
+                c = si + (sector * i + k) % ni
+                tris.append((a, b, c))
+                if k < i:
+                    d = si + (sector * i + k + 1) % ni
+                    tris.append((b, d, c))
+    tris = np.array(tris, dtype=np.int64)
+    boundary = np.arange(ring_start[n_rings], ring_start[n_rings + 1])
+    return verts, tris, boundary
+
+
+def _loop_mesh(curve, layer, h):
+    """Vertices, triangles, region, outer and inner as the per-ring and
+    per-row loops built them."""
+    n_rings = max(2, int(round(curve.s0 / (6.0 * h))))
+    nb = 6 * n_rings
+    if layer is None:
+        verts, tris, boundary = _loop_hex_core(
+            n_rings, lambda frac: curve.position(frac * curve.s0))
+        return (verts, _orient_ccw(verts, tris), np.full(len(tris), CORE),
+                boundary, np.array([], dtype=np.int64))
+
+    def bpoints(frac):
+        s = frac * curve.s0
+        depth = layer.thickness(s)
+        return curve.position(s) + np.asarray(depth)[..., None] * curve.inward_normal(s)
+
+    verts, tris, interface = _loop_hex_core(n_rings, bpoints)
+    verts = list(verts)
+    tris = [tuple(t) for t in tris]
+    region = [CORE] * len(tris)
+    s_ring = np.arange(nb) * curve.s0 / nb
+    depth = np.asarray(layer.thickness(s_ring))
+    rows = max(2, int(math.ceil(float(depth.max()) / h)))
+    base = curve.position(s_ring)
+    nu = curve.inward_normal(s_ring)
+    ring_prev = list(interface)
+    for k in range(1, rows + 1):
+        frac_in = 1.0 - k / rows
+        start = len(verts)
+        verts.extend(base + (depth * frac_in)[:, None] * nu)
+        ring_new = list(range(start, start + nb))
+        for j in range(nb):
+            a, b = ring_prev[j], ring_prev[(j + 1) % nb]
+            c, d = ring_new[j], ring_new[(j + 1) % nb]
+            tris += [(a, b, c), (b, d, c)]
+            region += [LAYER, LAYER]
+        ring_prev = ring_new
+    verts = np.array(verts)
+    tris = _orient_ccw(verts, np.array(tris, dtype=np.int64))
+    return verts, tris, np.array(region), np.array(ring_prev), interface
+
+
+_CURVES = {
+    "circle": lambda: Circle(1.0),
+    "ellipse": lambda: Ellipse(1.3, 1.0),
+    "fourier": lambda: FourierCurve([0.0, 0.05, 0.0, 0.02]),
+}
+
+
+@pytest.mark.parametrize("h", [0.075, 0.04])
+@pytest.mark.parametrize("delta", [None, 0.04, 0.01, 0.1])
+@pytest.mark.parametrize("kind", sorted(_CURVES))
+def test_mesh_matches_loop_construction(kind, delta, h):
+    # delta = 0.1 at h = 0.04 gives three coating rows, whose depth fractions
+    # 2/3 and 1/3 (unlike 1/2 and 0) round, so the row arithmetic is pinned
+    curve = _CURVES[kind]()
+    layer = None if delta is None else LayerConfig(delta, 1.0, 0.5)
+    mesh = generate_mesh(curve, layer, h)
+    ref = _loop_mesh(curve, layer, h)
+    got = (mesh.vertices, mesh.triangles, mesh.region, mesh.outer, mesh.inner)
+    for name, a, b in zip(("vertices", "triangles", "region", "outer", "inner"), got, ref):
+        assert np.array_equal(a, b), name
+    assert mesh.triangles.dtype == np.int64 and mesh.region.dtype == np.int64
+
+
+def _t_of_s_calls(curve, layer, h):
+    calls = []
+    inverse = curve._t_of_s
+
+    def counted(s):
+        calls.append(s)
+        return inverse(s)
+
+    curve._t_of_s = counted
+    generate_mesh(curve, layer, h)
+    return len(calls)
+
+
+def test_one_boundary_evaluation_per_mesh():
+    for layer, most in ((None, 1), (LayerConfig(0.02, 1.0, 0.5), 4)):
+        # the core is one position call (plus one normal call with a
+        # coating); the coating rows add one position and one normal call
+        counts = [_t_of_s_calls(Ellipse(1.3, 1.0), layer, h) for h in (0.075, 0.02)]
+        assert counts[0] == counts[1] <= most

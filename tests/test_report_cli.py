@@ -8,7 +8,7 @@ import pytest
 from thinspec import bessel
 from thinspec.cli import main
 from thinspec.errors import BelowLambda0, ConfigError, InsufficientData
-from thinspec.geometry import Circle
+from thinspec.geometry import Circle, Ellipse
 from thinspec.report import (
     estimate_thickness,
     fit_order,
@@ -122,11 +122,13 @@ def test_bessel_sweep_rejects_ellipse():
 
 
 def test_fem_sweep_worker_pool_deterministic():
-    serial = run_sweep(Circle(1.0), [0.03, 0.02], 1.0, 0.48,
-                       h_list=[0.08, 0.06], solver="fem", jobs=1)
-    pooled = run_sweep(Circle(1.0), [0.03, 0.02], 1.0, 0.48,
-                       h_list=[0.08, 0.06], solver="fem", jobs=2)
-    assert serial.to_csv() == pooled.to_csv()
+    # the ellipse crosses the process boundary with its arclength tables
+    for curve in (Circle(1.0), Ellipse(1.3, 1.0)):
+        serial = run_sweep(curve, [0.03, 0.02], 1.0, 0.48,
+                           h_list=[0.08, 0.06], solver="fem", jobs=1)
+        pooled = run_sweep(curve, [0.03, 0.02], 1.0, 0.48,
+                           h_list=[0.08, 0.06], solver="fem", jobs=2)
+        assert serial.to_csv() == pooled.to_csv()
 
 
 # ---------------------------------------------------------------------------
