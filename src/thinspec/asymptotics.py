@@ -116,6 +116,15 @@ def _ground_pair(curve, h, mesh, gap_tol):
     """compute_lambda0's record and the stiffness factor its eigensolve used."""
     if mesh is None:
         mesh = generate_mesh(curve, None, h)
+    coeffs, lu = ground_eigenpair(mesh, gap_tol)
+    coeffs.flux0 = boundary_flux(mesh, coeffs.v0, coeffs.lambda0, K=coeffs.K, M=coeffs.M)
+    coeffs.geometry_hash = geometry_hash(curve, h=h) if curve is not None else "unkeyed"
+    return coeffs, lu
+
+
+def ground_eigenpair(mesh, gap_tol=1e-6):
+    """compute_lambda0's eigensolve alone: its record without flux0 and the
+    geometry hash, and the free stiffness factor."""
     K = assemble(mesh, "stiffness")
     M = assemble(mesh, "mass")
     lu = stiffness_lu(K, mesh.outer)
@@ -125,14 +134,10 @@ def _ground_pair(curve, h, mesh, gap_tol):
             f"leading eigenvalue not simple: gap {lams[1] - lams[0]:.3e}"
         )
     v0 = vecs[:, 0] / mass_norm(M, vecs[:, 0])
-    v0_field = FemField(mesh, v0, constrained=mesh.outer)
-    flux0 = boundary_flux(mesh, v0_field, lams[0], K=K, M=M)
     coeffs = AsymptoticCoefficients(
         lambda0=float(lams[0]),
-        v0=v0_field,
-        flux0=flux0,
+        v0=FemField(mesh, v0, constrained=mesh.outer),
         h=mesh.h,
-        geometry_hash=geometry_hash(curve, h=h) if curve is not None else "unkeyed",
         mesh=mesh,
         K=K,
         M=M,

@@ -7,10 +7,11 @@ cross-check each other.  The series routes also take numpy arrays, which is
 what the root searches scan with.  On top of them sit the disk-specific pieces:
 Dirichlet eigenvalues of the disk, the 2x2 Cauchy-data matching determinant
 whose zeros are the transmission eigenvalues of a coated disk (all angular
-modes sign-scanned in one array pass over J and Y tables of all orders,
-brackets refined by Brent's method), and the expansion coefficients
-lambda0 = (j01/R)^2, lambda1 = 2 lambda0/R, lambda2 = 3 lambda0/R^2 with their
-radial fields, all in closed form and independent of the refractive index.
+modes sign-scanned across the Max-Min corridor only, in one array pass over J
+and Y tables of all orders, brackets refined by Brent's method), and the
+expansion coefficients lambda0 = (j01/R)^2, lambda1 = 2 lambda0/R,
+lambda2 = 3 lambda0/R^2 with their radial fields, all in closed form and
+independent of the refractive index.
 """
 
 import math
@@ -257,16 +258,32 @@ def _with_slopes(table):
     return table[:-1], slopes
 
 
+def _j_checked(m, x):
+    """Table J_0..J_{m+1} at x, under bessel_j's range checks."""
+    if not (0 <= m <= _MAX_ORDER):
+        raise DomainError(f"bessel_j: order {m} outside [0, {_MAX_ORDER}]")
+    if x < 0 or x > _MAX_ARGUMENT:
+        raise DomainError(f"bessel_j: argument {x} outside [0, {_MAX_ARGUMENT}]")
+    return _j_values(m + 1, x)
+
+
+def _y_checked(m, x, jtab=None):
+    """Table Y_0..Y_{m+1} at x, under bessel_y's domain check and warning;
+    jtab is passed on to _y01_series."""
+    if x <= 0:
+        raise DomainError("bessel_y: argument must be positive")
+    if x < 1e-8:
+        warnings.warn("bessel_y: argument below 1e-8, value near the logarithmic "
+                      "singularity", MagnitudeWarning)
+    return _y_values(m + 1, x, jtab)
+
+
 def bessel_j(m, x):
     """Return (J_m(x), J_m'(x)).
 
     Valid for 0 <= m <= 20 and 0 <= x <= 1e4; raises DomainError outside.
     """
-    if not (0 <= m <= _MAX_ORDER):
-        raise DomainError(f"bessel_j: order {m} outside [0, {_MAX_ORDER}]")
-    if x < 0 or x > _MAX_ARGUMENT:
-        raise DomainError(f"bessel_j: argument {x} outside [0, {_MAX_ARGUMENT}]")
-    vals, slopes = _with_slopes(_j_values(m + 1, x))
+    vals, slopes = _with_slopes(_j_checked(m, x))
     return vals[m], slopes[m]
 
 
@@ -276,14 +293,7 @@ def bessel_y(m, x):
     A MagnitudeWarning is emitted below x = 1e-8 where the logarithmic
     singularity dominates; the returned value is still finite.
     """
-    if x <= 0:
-        raise DomainError("bessel_y: argument must be positive")
-    if x < 1e-8:
-        warnings.warn(
-            "bessel_y: argument below 1e-8, value near the logarithmic singularity",
-            MagnitudeWarning,
-        )
-    vals, slopes = _with_slopes(_y_values(m + 1, x))
+    vals, slopes = _with_slopes(_y_checked(m, x))
     return vals[m], slopes[m]
 
 
@@ -382,19 +392,20 @@ def transmission_determinant(prob, k):
     The interior field is J_m(k r) on the full disk; the coating field is the
     combination of J_m and Y_m at argument k*sqrt(n)*r vanishing on the inner
     boundary r = R - delta.  The determinant vanishes exactly at transmission
-    eigenvalues lambda = k^2 of mode m.
+    eigenvalues lambda = k^2 of mode m.  One J table per argument also gives
+    the Y series its J_0 and J_1.
     """
     a = k * math.sqrt(prob.n) * prob.R
     b = k * math.sqrt(prob.n) * (prob.R - prob.delta)
     if b <= 0:
         raise DomainError("transmission_determinant: k*sqrt(n)*(R-delta) must be positive")
     m = prob.m
-    ja, jda = bessel_j(m, a)
-    ya, yda = bessel_y(m, a)
-    jb, _ = bessel_j(m, b)
-    yb, _ = bessel_y(m, b)
-    w_val = ja * yb - ya * jb
-    w_der = (k * math.sqrt(prob.n)) * (jda * yb - yda * jb)
+    ja_table, jb_table = _j_checked(m, a), _j_checked(m, b)
+    ja, jda = _with_slopes(ja_table)
+    ya, yda = _with_slopes(_y_checked(m, a, ja_table))
+    jb, yb = jb_table[m], _y_checked(m, b, jb_table)[m]
+    w_val = ja[m] * yb - ya[m] * jb
+    w_der = (k * math.sqrt(prob.n)) * (jda[m] * yb - yda[m] * jb)
     v_val, v_der = bessel_j(m, k * prob.R)
     v_der *= k
     return v_val * w_der - v_der * w_val
@@ -424,35 +435,32 @@ def _det_scan(prob, ks, mode_max):
     return v_val * w_der - (v_der * ks) * w_val
 
 
-def _scan_grid(k_lo, k_hi, step):
-    """Sign-scan grid k_lo + i*step below k_hi, closed by k_hi itself."""
-    return np.append(np.arange(k_lo, k_hi, step), k_hi)
+def corridor(lambda0, lambda_eroded, upper_slack=5e-3):
+    """Max-Min search window [lambda0*(1-1e-6), lambda_eroded*(1+upper_slack)].
+
+    For 0 < n < 1 the first transmission eigenvalue lies between lambda0 of
+    the domain and lambda_eroded of the domain inside the coating, up to 4e-8
+    of the corridor's width below lambda_eroded as n nears 1; the upper slack
+    keeps it off the edge.  The disk and the FEM pencil solvers search it.
+    """
+    return lambda0 * (1.0 - 1e-6), lambda_eroded * (1.0 + upper_slack)
 
 
-def _mode_roots(prob, k_lo, k_hi, step, tol):
-    """All determinant roots of one mode in [k_lo, k_hi]: array sign scan of
-    step `step`, each bracket refined by Brent's method to width tol."""
-    ks = _scan_grid(k_lo, k_hi, step)
-    f = _det_scan(prob, ks, prob.m)[prob.m]
-    det = partial(transmission_determinant, prob)
-    return [_root_in(det, ks, f, i, tol) for i in _sign_changes(f)]
-
-
-def disk_first_te(prob, mode_max=6, step=None):
+def disk_first_te(prob, mode_max=6):
     """Smallest real transmission eigenvalue lambda = k^2 of the coated disk.
 
-    Scans angular modes 0..mode_max (the mode carried by `prob` does not
-    restrict the search; which mode attains the first eigenvalue is not known
-    a priori) with one array sign scan of step 0.01/R over all modes.  Each
-    mode's first bracket is refined by Brent's method to width 1e-12, in
-    increasing order, until the next bracket starts above the best root.
+    One array sign scan of angular modes 0..mode_max (the mode carried by
+    `prob` does not restrict the search) at 17 wavenumbers across the Max-Min
+    corridor (see `corridor`) of lambda0 = (j01/R)^2 and
+    lambda_eroded = (j01/(R - delta))^2.  Each mode's first bracket is refined
+    by Brent's method to width 1e-14, in increasing order, until the next
+    bracket starts above the best root.  Raises NoRootInBracket if no mode
+    changes sign in the corridor; for delta/R above about 0.8 the corridor
+    passes the series cutoff k*R = 12 and _det_scan raises DomainError.
     """
     j01 = bessel_j_zero(0, 1)
-    k_hi = 3.0 * j01 / prob.R
-    k_lo = 0.05 / prob.R
-    if step is None:
-        step = 0.01 / prob.R
-    ks = _scan_grid(k_lo, k_hi, step)
+    lo, hi = corridor((j01 / prob.R) ** 2, (j01 / (prob.R - prob.delta)) ** 2)
+    ks = np.linspace(math.sqrt(lo), math.sqrt(hi), 17)
     table = _det_scan(prob, ks, mode_max)
     firsts = sorted((hits[0], m) for m, hits in enumerate(map(_sign_changes, table))
                     if hits.size)
@@ -461,13 +469,12 @@ def disk_first_te(prob, mode_max=6, step=None):
         if best is not None and ks[i] >= best:
             break
         det = partial(transmission_determinant, DiskProblem(prob.R, prob.delta, prob.n, m))
-        root = _root_in(det, ks, table[m], i, 1e-12)
+        root = _root_in(det, ks, table[m], i, 1e-14)
         best = root if best is None else min(best, root)
     if best is None:
-        raise NoRootInBracket("disk_first_te: no determinant sign change below 3*j01/R")
+        raise NoRootInBracket(
+            f"disk_first_te: no determinant sign change in the corridor [{lo:.10g}, {hi:.10g}]")
     return best**2
-
-
 
 
 # ---------------------------------------------------------------------------

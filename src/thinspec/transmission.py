@@ -19,7 +19,8 @@ from scipy import sparse
 from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigs, splu
 from scipy.sparse.linalg import norm as spnorm
 
-from .asymptotics import compute_lambda0
+from .asymptotics import ground_eigenpair
+from .bessel import corridor
 from .errors import ConvergenceFailure, MissingLayer, NoRootFound
 from .fem import FemField, assemble, dirichlet_eigs, h1_norm, mass_norm
 from .mesh import LAYER, core_submesh, generate_mesh
@@ -131,11 +132,6 @@ class FirstTE:
     pencil: object = field(repr=False, default=None)
 
 
-def corridor(lambda0, lambda_eroded, upper_slack=5e-3):
-    """Search window [lambda0*(1-1e-6), lambda_eroded*(1+upper_slack)]."""
-    return lambda0 * (1.0 - 1e-6), lambda_eroded * (1.0 + upper_slack)
-
-
 def eroded_dirichlet(curve, layer, h, mesh=None):
     """First Dirichlet eigenvalue of the eroded domain (inside the coating).
 
@@ -145,7 +141,7 @@ def eroded_dirichlet(curve, layer, h, mesh=None):
     if layer is None:
         if mesh is None:
             mesh = generate_mesh(curve, None, h)
-        return compute_lambda0(curve, h, mesh=mesh).lambda0
+        return ground_eigenpair(mesh)[0].lambda0
     if mesh is None:
         mesh = generate_mesh(curve, layer, h)
     sub, _ = core_submesh(mesh)
@@ -166,7 +162,7 @@ def first_te(curve, layer, h, upper_slack=5e-3, mesh=None):
     """
     if mesh is None:
         mesh = generate_mesh(curve, layer, h)
-    base = compute_lambda0(curve, h, mesh=mesh)
+    base = ground_eigenpair(mesh)[0]  # free the stiffness factor before the pencil LU
     lam0 = base.lambda0
     lam_eroded = eroded_dirichlet(curve, layer, h, mesh=mesh)
     pencil = assemble_pencil(mesh, layer.n, K=base.K, M=base.M)

@@ -11,7 +11,7 @@ from scipy.special import jn_zeros, jv, jvp, yv, yvp
 
 import thinspec
 from thinspec import bessel
-from thinspec.errors import DomainError, MagnitudeWarning
+from thinspec.errors import DomainError, MagnitudeWarning, NoRootInBracket
 
 
 def test_j_at_zero():
@@ -166,10 +166,8 @@ def test_disk_problem_validation():
 
 def test_determinant_vanishing_layer(goldens):
     # as the coating vanishes the first root approaches the Dirichlet value
-    prob = bessel.DiskProblem(1.0, 1e-6, 0.48, m=0)
-    roots = bessel._mode_roots(prob, 2.0, 3.0, 0.01, 1e-12)
-    assert roots
-    assert abs(roots[0] - goldens["j01"]) <= 1e-4
+    lam = bessel.disk_first_te(bessel.DiskProblem(1.0, 1e-6, 0.48))
+    assert abs(math.sqrt(lam) - goldens["j01"]) <= 1e-4
 
 
 def _det_reference(k, m, R, delta, n):
@@ -192,24 +190,72 @@ def _mode_roots_reference(m, R, delta, n, k_lo, k_hi, step):
             for i in flips] + list(ks[vals == 0.0])
 
 
-# corners and centre of the benchmark's seed box, and one larger disk
+# corners and centre of the benchmark's seed box, one larger disk, and the
+# corridor's extremes: index near 0 and near 1, coatings of 0.2 R and 0.6 R
 @pytest.mark.parametrize("R, n, delta", [
     (1.0, n, delta) for n in (0.16, 0.48, 0.84) for delta in (0.0045, 0.01, 0.044)
-] + [(2.0, 0.48, 0.02)])
+] + [(2.0, 0.48, 0.02)] + [
+    (R, n, ratio * R) for R in (0.5, 2.0) for n in (0.02, 0.98) for ratio in (0.2, 0.6)])
 def test_first_te_matches_scalar_scan(R, n, delta):
     j01 = float(jn_zeros(0, 1)[0])
     roots = [k for m in range(7) for k in _mode_roots_reference(
         m, R, delta, n, 0.05 / R, 3.0 * j01 / R, 0.01 / R)]
-    # no determinant root of any mode lies below lambda0 = (j01/R)^2
+    # no determinant root of any mode lies below lambda0 = (j01/R)^2, and the
+    # first one lies in the corridor the solver scans
     assert not [k for k in roots if k < j01 / R]
+    lo, hi = bessel.corridor((j01 / R) ** 2, (j01 / (R - delta)) ** 2)
+    assert lo <= min(roots) ** 2 <= hi
     lam = bessel.disk_first_te(bessel.DiskProblem(R, delta, n))
-    assert lam == pytest.approx(min(roots) ** 2, rel=1e-12)
+    assert lam == pytest.approx(min(roots) ** 2, rel=1e-14, abs=0)
+
+
+def test_first_te_scans_only_the_corridor(monkeypatch):
+    scanned = []
+    det_scan = bessel._det_scan
+
+    def recording(prob, ks, mode_max):
+        scanned.append((prob, np.array(ks)))
+        return det_scan(prob, ks, mode_max)
+
+    monkeypatch.setattr(bessel, "_det_scan", recording)
+    j01 = bessel.bessel_j_zero(0, 1)
+    for n in (0.2, 0.48, 0.8):
+        for delta in (0.04, 0.02, 0.01, 0.005):
+            bessel.disk_first_te(bessel.DiskProblem(1.0, delta, n))
+    assert len(scanned) == 12
+    for prob, ks in scanned:
+        lo, hi = bessel.corridor(j01**2, (j01 / (1.0 - prob.delta)) ** 2)
+        assert math.sqrt(lo) <= ks.min() and ks.max() <= math.sqrt(hi)
+
+
+def test_first_te_without_sign_change_raises(monkeypatch):
+    monkeypatch.setattr(bessel, "_det_scan",
+                        lambda prob, ks, mode_max: np.ones((mode_max + 1, len(ks))))
+    with pytest.raises(NoRootInBracket, match="corridor"):
+        bessel.disk_first_te(bessel.DiskProblem(1.0, 0.01, 0.48))
+
+
+def test_determinant_evaluates_each_series_once(monkeypatch):
+    calls = []
+    series = bessel.bessel_j_series
+
+    def recording(m, x):
+        calls.append((m, float(x)))
+        return series(m, x)
+
+    monkeypatch.setattr(bessel, "bessel_j_series", recording)
+    for m in (0, 1, 4):
+        for k in (0.5, 2.4, 5.0, 11.0):
+            calls.clear()
+            bessel.transmission_determinant(bessel.DiskProblem(1.0, 0.02, 0.48, m), k)
+            assert calls
+            assert len(calls) == len(set(calls)), (m, k)
 
 
 def test_det_scan_matches_scalar_determinant():
     prob = bessel.DiskProblem(1.0, 0.02, 0.48)
     ks = np.linspace(0.05, 7.2, 40)
-    # mode_max = 0 is the single-mode scan of _mode_roots
+    # mode_max = 0 is a single-mode scan
     for mode_max in (6, 0):
         table = bessel._det_scan(prob, ks, mode_max)
         assert table.shape == (mode_max + 1, ks.size)
