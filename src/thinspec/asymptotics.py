@@ -26,6 +26,7 @@ from .fem import (
     FemField,
     assemble,
     boundary_flux,
+    boundary_mass_lu,
     dirichlet_eigs,
     mass_norm,
     solve_constrained_source,
@@ -113,13 +114,15 @@ def compute_lambda0(curve, h, mesh=None, gap_tol=1e-6):
 
 
 def _ground_pair(curve, h, mesh, gap_tol):
-    """compute_lambda0's record and the stiffness factor its eigensolve used."""
+    """compute_lambda0's record and the factors its eigensolve and flux0 used."""
     if mesh is None:
         mesh = generate_mesh(curve, None, h)
     coeffs, lu = ground_eigenpair(mesh, gap_tol)
-    coeffs.flux0 = boundary_flux(mesh, coeffs.v0, coeffs.lambda0, K=coeffs.K, M=coeffs.M)
+    boundary_lu = boundary_mass_lu(mesh)
+    coeffs.flux0 = boundary_flux(mesh, coeffs.v0, coeffs.lambda0, K=coeffs.K, M=coeffs.M,
+                                 lu=boundary_lu)
     coeffs.geometry_hash = geometry_hash(curve, h=h) if curve is not None else "unkeyed"
-    return coeffs, lu
+    return coeffs, lu, boundary_lu
 
 
 def ground_eigenpair(mesh, gap_tol=1e-6):
@@ -128,7 +131,7 @@ def ground_eigenpair(mesh, gap_tol=1e-6):
     K = assemble(mesh, "stiffness")
     M = assemble(mesh, "mass")
     lu = stiffness_lu(K, mesh.outer)
-    lams, vecs = dirichlet_eigs(K, M, mesh.outer, 2, mesh=mesh, lu=lu)
+    lams, vecs = dirichlet_eigs(K, M, mesh.outer, 2, lu=lu)
     if lams[1] - lams[0] <= gap_tol * lams[0]:
         raise NearDegenerate(
             f"leading eigenvalue not simple: gap {lams[1] - lams[0]:.3e}"
@@ -158,14 +161,14 @@ def compute_lambda1(coeffs, layer):
     return lam1
 
 
-def compute_v1(coeffs, layer, lu=None):
+def compute_v1(coeffs, layer, lu=None, boundary_lu=None):
     """Corrector field of the expansion and its boundary trace.
 
     Solves (Laplacian + lambda0) v1 = -lambda1 v0 with essential data
     -g * dv0/dnu on the boundary, v1 orthogonal to v0.  lambda1 must already
     be the quadrature value: it is the solvability condition of this system,
-    and the returned multiplier records the residual defect.  `lu` is the
-    free stiffness factor of the eigensolve, if the caller kept it.
+    and the returned multiplier records the residual defect.  `lu` and
+    `boundary_lu` are the factors of the eigensolve and flux0, if kept.
     """
     if coeffs.lambda1 is None:
         raise DomainError("compute_v1: lambda1 must be computed first")
@@ -176,7 +179,8 @@ def compute_v1(coeffs, layer, lu=None):
     v1, mu = solve_constrained_source(
         coeffs.K, coeffs.M, coeffs.lambda0, rhs, data, coeffs.v0, mesh.outer, lu=lu
     )
-    flux1 = boundary_flux(mesh, v1, coeffs.lambda0, rhs=rhs, K=coeffs.K, M=coeffs.M)
+    flux1 = boundary_flux(mesh, v1, coeffs.lambda0, rhs=rhs, K=coeffs.K, M=coeffs.M,
+                          lu=boundary_lu)
     coeffs.v1 = v1
     coeffs.flux1 = flux1
     coeffs.multiplier = mu
@@ -205,13 +209,13 @@ def compute_lambda2(coeffs, layer, curve=None):
 def compute_coefficients(curve, layer, h, mesh=None):
     """Full expansion pipeline for one (curve, layer, h) triple.
 
-    One factor of the free stiffness block serves the eigensolve and the
-    corrector solve; it is dropped on return, not kept on the record.
+    One free stiffness factor serves the eigensolve and the corrector solve,
+    one boundary mass factor both fluxes; neither is kept on the record.
     """
-    coeffs, lu = _ground_pair(curve, h, mesh, gap_tol=1e-6)
+    coeffs, lu, boundary_lu = _ground_pair(curve, h, mesh, gap_tol=1e-6)
     coeffs.geometry_hash = geometry_hash(curve, layer, h)
     compute_lambda1(coeffs, layer)
-    compute_v1(coeffs, layer, lu=lu)
+    compute_v1(coeffs, layer, lu=lu, boundary_lu=boundary_lu)
     compute_lambda2(coeffs, layer)
     return coeffs
 

@@ -7,11 +7,11 @@ cross-check each other.  The series routes also take numpy arrays, which is
 what the root searches scan with.  On top of them sit the disk-specific pieces:
 Dirichlet eigenvalues of the disk, the 2x2 Cauchy-data matching determinant
 whose zeros are the transmission eigenvalues of a coated disk (all angular
-modes sign-scanned across the Max-Min corridor only, in one array pass over J
-and Y tables of all orders, brackets refined by Brent's method), and the
-expansion coefficients lambda0 = (j01/R)^2, lambda1 = 2 lambda0/R,
-lambda2 = 3 lambda0/R^2 with their radial fields, all in closed form and
-independent of the refractive index.
+modes sign-scanned across the Max-Min corridor only, in one series pass over
+the three Bessel arguments, brackets refined by Brent's method from the scanned
+end values), and the expansion coefficients lambda0 = (j01/R)^2,
+lambda1 = 2 lambda0/R, lambda2 = 3 lambda0/R^2 with their radial fields, all in
+closed form and independent of the refractive index.
 """
 
 import math
@@ -317,11 +317,13 @@ def _sign_changes(f):
 
 def _root_in(f, xs, fs, i, xtol):
     """Root of f in the scan interval [xs[i], xs[i + 1]] that _sign_changes
-    flagged, refined by Brent's method to width xtol."""
+    flagged, refined by Brent's method to width xtol.  Brent's opening values
+    at the two bracket ends are read from the scan values fs, not recomputed."""
     if fs[i] == 0.0:
         return float(xs[i])
     from scipy.optimize import brentq  # deferred: the import costs ~0.3 s
-    return brentq(f, xs[i], xs[i + 1], xtol=xtol)
+    ends = {xs[i]: fs[i], xs[i + 1]: fs[i + 1]}
+    return brentq(lambda x: ends[x] if x in ends else f(x), xs[i], xs[i + 1], xtol=xtol)
 
 
 @cache
@@ -413,25 +415,25 @@ def transmission_determinant(prob, k):
 
 def _det_scan(prob, ks, mode_max):
     """transmission_determinant of modes 0..mode_max at every k of the array
-    ks, one row per mode.  The J and Y tables at k*sqrt(n)*R, k*sqrt(n)*(R - delta)
-    and k*R are built once for all modes by the series route, so every k*R must
-    lie below the series cutoff.  Each J table holds orders 0..mode_max + 1, at
-    least two rows, and gives the Y series its J_0 and J_1."""
+    ks, one row per mode, from one series pass: one J table of orders
+    0..mode_max + 1 over k*sqrt(n)*R, k*sqrt(n)*(R - delta) and k*R laid end to
+    end (so every k*R must lie below the series cutoff), and one Y table over
+    the first two blocks that takes its J_0 and J_1 from the J table."""
     ks = np.asarray(ks, dtype=float)
     if ks.min() <= 0 or ks.max() * prob.R >= _SERIES_CUTOFF:
         raise DomainError("_det_scan: need 0 < k and k*R below the series cutoff")
     sn = math.sqrt(prob.n)
-    a = ks * sn * prob.R
-    b = ks * sn * (prob.R - prob.delta)
-    ja_table = _j_values(mode_max + 1, a)
-    jb_table = _j_values(mode_max + 1, b)
+    args = np.concatenate([ks * sn * prob.R, ks * sn * (prob.R - prob.delta), ks * prob.R])
+    jtab = _j_values(mode_max + 1, args)
+    coated = slice(0, 2 * ks.size)
+    ja_table, jb_table, jc_table = np.split(jtab, 3, axis=1)
+    ya_table, yb_table = np.split(_y_values(mode_max + 1, args[coated], jtab[:, coated]), 2, axis=1)
     ja, jda = _with_slopes(ja_table)
-    ya, yda = _with_slopes(_y_values(mode_max + 1, a, ja_table))
-    jb = jb_table[:-1]
-    yb = _y_values(mode_max, b, jb_table)
+    ya, yda = _with_slopes(ya_table)
+    jb, yb = jb_table[:-1], yb_table[:-1]
     w_val = ja * yb - ya * jb
     w_der = (ks * sn) * (jda * yb - yda * jb)
-    v_val, v_der = _with_slopes(_j_values(mode_max + 1, ks * prob.R))
+    v_val, v_der = _with_slopes(jc_table)
     return v_val * w_der - (v_der * ks) * w_val
 
 
@@ -449,11 +451,12 @@ def corridor(lambda0, lambda_eroded, upper_slack=5e-3):
 def disk_first_te(prob, mode_max=6):
     """Smallest real transmission eigenvalue lambda = k^2 of the coated disk.
 
-    One array sign scan of angular modes 0..mode_max (the mode carried by
-    `prob` does not restrict the search) at 17 wavenumbers across the Max-Min
-    corridor (see `corridor`) of lambda0 = (j01/R)^2 and
-    lambda_eroded = (j01/(R - delta))^2.  Each mode's first bracket is refined
-    by Brent's method to width 1e-14, in increasing order, until the next
+    One array sign scan (`_det_scan`, one series pass) of angular modes
+    0..mode_max (the mode carried by `prob` does not restrict the search) at
+    17 wavenumbers across the Max-Min corridor (see `corridor`) of
+    lambda0 = (j01/R)^2 and lambda_eroded = (j01/(R - delta))^2.  Each mode's
+    first bracket is refined by Brent's method to width 1e-14 from the scanned
+    values at its ends (`_root_in`), in increasing order, until the next
     bracket starts above the best root.  Raises NoRootInBracket if no mode
     changes sign in the corridor; for delta/R above about 0.8 the corridor
     passes the series cutoff k*R = 12 and _det_scan raises DomainError.

@@ -115,7 +115,7 @@ def stiffness_lu(K, boundary):
         raise SolveSingular(f"stiffness factorization failed: {exc}") from exc
 
 
-def dirichlet_eigs(K, M, boundary, count, mesh=None, tol=1e-10, maxit=500, seed=0, lu=None):
+def dirichlet_eigs(K, M, boundary, count, tol=1e-10, maxit=500, seed=0, lu=None):
     """Smallest `count` eigenpairs of K u = lambda M u with zero essential
     data on `boundary`.
 
@@ -125,8 +125,8 @@ def dirichlet_eigs(K, M, boundary, count, mesh=None, tol=1e-10, maxit=500, seed=
     returned pair must satisfy ||K u - lambda M u|| <= tol * ||K u||, else
     ConvergenceFailure is raised.  Eigenvalues are ascending; eigenvectors
     are returned on the full vertex set (zeros on the boundary),
-    M-orthonormal; the first one is sign-normalized to be positive at the
-    free vertex nearest the domain centroid when a mesh is supplied.
+    M-orthonormal; the first one is sign-normalized to be positive at its
+    free vertex of largest magnitude, so a one-signed ground mode is >= 0.
     """
     n = K.shape[0]
     free = _free(n, boundary)
@@ -151,12 +151,7 @@ def dirichlet_eigs(K, M, boundary, count, mesh=None, tol=1e-10, maxit=500, seed=
     vecs = np.zeros((n, count))
     vecs[free] = X
     # deterministic sign for the ground mode
-    if mesh is not None:
-        cen = mesh.centroid()
-        d2 = ((mesh.vertices[free] - cen) ** 2).sum(axis=1)
-        anchor = free[np.argmin(d2)]
-    else:
-        anchor = free[np.argmax(np.abs(vecs[free, 0]))]
+    anchor = free[np.argmax(np.abs(vecs[free, 0]))]
     if vecs[anchor, 0] < 0:
         vecs[:, 0] = -vecs[:, 0]
     return lams, vecs
@@ -238,14 +233,20 @@ def boundary_mass_matrix(mesh):
     return mat.tocsc()
 
 
-def boundary_flux(mesh, fld, lam, rhs=None, K=None, M=None):
+def boundary_mass_lu(mesh):
+    """SuperLU factor of `boundary_mass_matrix`, for `boundary_flux` to share."""
+    return splu(boundary_mass_matrix(mesh))
+
+
+def boundary_flux(mesh, fld, lam, rhs=None, K=None, M=None, lu=None):
     """Inward-normal derivative of a field on the outer boundary by
     variational recovery.
 
     The field is assumed to satisfy (Laplacian + lam) u = rhs weakly on the
     free vertices; testing the residual with boundary hat functions isolates
     the outward conormal, which is negated to match the inward-normal
-    convention.  Returns one value per outer vertex (mesh outer ordering).
+    convention.  `lu` is the mesh's `boundary_mass_lu`, built when not
+    given.  Returns one value per outer vertex (mesh outer ordering).
     """
     Kc = K if K is not None else assemble(mesh, "stiffness")
     Mc = M if M is not None else assemble(mesh, "mass")
@@ -254,6 +255,5 @@ def boundary_flux(mesh, fld, lam, rhs=None, K=None, M=None):
     if rhs is not None:
         rvec = rhs.values if isinstance(rhs, FemField) else np.asarray(rhs, dtype=float)
         r = r + Mc @ rvec
-    mg = boundary_mass_matrix(mesh)
-    lu = splu(mg)
+    lu = lu if lu is not None else boundary_mass_lu(mesh)
     return -lu.solve(r[mesh.outer])

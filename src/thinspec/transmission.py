@@ -23,7 +23,7 @@ from .asymptotics import ground_eigenpair
 from .bessel import corridor
 from .errors import ConvergenceFailure, MissingLayer, NoRootFound
 from .fem import FemField, assemble, dirichlet_eigs, h1_norm, mass_norm
-from .mesh import LAYER, core_submesh, generate_mesh
+from .mesh import LAYER, generate_mesh
 
 
 @dataclass
@@ -58,19 +58,13 @@ def assemble_pencil(mesh, n, K=None, M=None):
     M_layer_n = assemble(mesh, "mass", region="layer", coefficient=n).tocsr()
 
     layer_vertices = np.unique(mesh.triangles[mesh.region == LAYER])
-    inner = set(mesh.inner.tolist())
-    outer = set(mesh.outer.tolist())
+    layer_vertices = layer_vertices[~np.isin(layer_vertices, mesh.inner)]  # w = 0 there
+    on_outer = np.isin(layer_vertices, mesh.outer)
+    own = layer_vertices[~on_outer]
+    dim = nv + own.size
     wmap = -np.ones(nv, dtype=np.int64)
-    nxt = nv
-    for vtx in layer_vertices:
-        if vtx in inner:
-            continue  # w vanishes on the inner boundary
-        if vtx in outer:
-            wmap[vtx] = vtx  # trace identification with v
-        else:
-            wmap[vtx] = nxt
-            nxt += 1
-    dim = nxt
+    wmap[layer_vertices[on_outer]] = layer_vertices[on_outer]  # trace identification with v
+    wmap[own] = np.arange(nv, dim)
 
     def embed_v(mat):
         coo = mat.tocoo()
@@ -132,22 +126,21 @@ class FirstTE:
     pencil: object = field(repr=False, default=None)
 
 
-def eroded_dirichlet(curve, layer, h, mesh=None):
+def eroded_dirichlet(curve, layer, h, mesh=None, K=None, M=None):
     """First Dirichlet eigenvalue of the eroded domain (inside the coating).
 
-    With no coating this is the plain leading Dirichlet eigenvalue of the
-    full domain.
+    Solved on the block of the full-domain K and M (assembled when not given)
+    on the vertices no coating triangle touches, which is the free block of
+    `core_submesh`.  With no coating, the full domain's leading eigenvalue.
     """
-    if layer is None:
-        if mesh is None:
-            mesh = generate_mesh(curve, None, h)
-        return ground_eigenpair(mesh)[0].lambda0
     if mesh is None:
         mesh = generate_mesh(curve, layer, h)
-    sub, _ = core_submesh(mesh)
-    K = assemble(sub, "stiffness")
-    M = assemble(sub, "mass")
-    lams, _ = dirichlet_eigs(K, M, sub.outer, 1, mesh=sub)
+    if layer is None:
+        return ground_eigenpair(mesh)[0].lambda0
+    K = K if K is not None else assemble(mesh, "stiffness")
+    M = M if M is not None else assemble(mesh, "mass")
+    coated = np.unique(mesh.triangles[mesh.region == LAYER])
+    lams, _ = dirichlet_eigs(K, M, coated, 1)
     return float(lams[0])
 
 
@@ -164,7 +157,7 @@ def first_te(curve, layer, h, upper_slack=5e-3, mesh=None):
         mesh = generate_mesh(curve, layer, h)
     base = ground_eigenpair(mesh)[0]  # free the stiffness factor before the pencil LU
     lam0 = base.lambda0
-    lam_eroded = eroded_dirichlet(curve, layer, h, mesh=mesh)
+    lam_eroded = eroded_dirichlet(curve, layer, h, mesh=mesh, K=base.K, M=base.M)
     pencil = assemble_pencil(mesh, layer.n, K=base.K, M=base.M)
 
     lo, hi = corridor(lam0, lam_eroded, upper_slack)

@@ -257,3 +257,22 @@ def test_one_stiffness_factor_per_pipeline(monkeypatch):
     gc.collect()
     assert [s for s in shapes if s[0] >= n_free] == [(n_free, n_free)]
     assert coeffs.v1 is not None and all(ref() is None for ref in refs)
+
+
+def test_one_boundary_mass_factor_per_pipeline(monkeypatch):
+    """flux0 and flux1 share one factor of the boundary mass matrix."""
+    import thinspec.fem as fem
+
+    shapes = []
+    real_splu = fem.splu
+
+    def recording_splu(a, **kwargs):
+        shapes.append(a.shape)
+        return real_splu(a, **kwargs)
+
+    monkeypatch.setattr(fem, "splu", recording_splu)
+    mesh = generate_mesh(Circle(1.0), None, 0.1)
+    nb = len(mesh.outer)
+    coeffs = compute_coefficients(Circle(1.0), LayerConfig(0.01, 1.0, 0.48), 0.1, mesh=mesh)
+    assert coeffs.flux1 is not None
+    assert shapes.count((nb, nb)) == 1

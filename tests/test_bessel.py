@@ -1,8 +1,10 @@
+import itertools
 import math
 import os
 import subprocess
 import sys
 import warnings
+from functools import partial
 
 import numpy as np
 import pytest
@@ -263,6 +265,78 @@ def test_det_scan_matches_scalar_determinant():
             prob_m = bessel.DiskProblem(1.0, 0.02, 0.48, m)
             ref = np.array([bessel.transmission_determinant(prob_m, float(k)) for k in ks])
             assert np.max(np.abs(table[m] - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+def _det_scan_three_tables(prob, ks, mode_max):
+    """_det_scan built as before its single pass: one J table per argument
+    and one Y table for each of the two coating arguments."""
+    sn = math.sqrt(prob.n)
+    a, b = ks * sn * prob.R, ks * sn * (prob.R - prob.delta)
+    ja_table = bessel._j_values(mode_max + 1, a)
+    jb_table = bessel._j_values(mode_max + 1, b)
+    ja, jda = bessel._with_slopes(ja_table)
+    ya, yda = bessel._with_slopes(bessel._y_values(mode_max + 1, a, ja_table))
+    jb, yb = jb_table[:-1], bessel._y_values(mode_max, b, jb_table)
+    w_val = ja * yb - ya * jb
+    w_der = (ks * sn) * (jda * yb - yda * jb)
+    v_val, v_der = bessel._with_slopes(bessel._j_values(mode_max + 1, ks * prob.R))
+    return v_val * w_der - (v_der * ks) * w_val
+
+
+# R x n x delta/R: radii, indices near 0 and 1, thin to thick coatings
+CORRIDOR_GRID = list(itertools.product((0.5, 1.0, 2.0), (0.02, 0.2, 0.48, 0.8, 0.98),
+                                       (0.001, 0.005, 0.02, 0.04, 0.2, 0.6)))
+
+
+def test_det_scan_equals_three_table_construction():
+    j01 = bessel.bessel_j_zero(0, 1)
+    for R, n, ratio in CORRIDOR_GRID:
+        prob = bessel.DiskProblem(R, ratio * R, n)
+        lo, hi = bessel.corridor((j01 / R) ** 2, (j01 / (R - prob.delta)) ** 2)
+        ks = np.linspace(math.sqrt(lo), math.sqrt(hi), 17)
+        assert np.array_equal(bessel._det_scan(prob, ks, 6),
+                              _det_scan_three_tables(prob, ks, 6)), (R, n, ratio)
+    ks = np.linspace(0.05, 7.2, 40)
+    for mode_max in (6, 0):
+        prob = bessel.DiskProblem(1.0, 0.02, 0.48)
+        assert np.array_equal(bessel._det_scan(prob, ks, mode_max),
+                              _det_scan_three_tables(prob, ks, mode_max))
+
+
+def test_root_in_reads_bracket_ends_from_the_scan():
+    f = partial(bessel.bessel_j_series, 0)
+    xs = np.linspace(2.0, 3.0, 5)
+    fs = f(xs)
+    i = bessel._sign_changes(fs)[0]
+    calls = []
+
+    def recording(x):
+        calls.append(x)
+        return f(x)
+
+    root = bessel._root_in(recording, xs, fs, i, 1e-14)
+    assert calls
+    assert xs[i] not in calls and xs[i + 1] not in calls
+    assert root == brentq(f, xs[i], xs[i + 1], xtol=1e-14)
+    calls.clear()
+    assert bessel._root_in(recording, xs, np.zeros(5), 1, 1e-14) == xs[1]
+    assert not calls
+
+
+def test_first_te_determinant_calls_on_bench_grid(monkeypatch):
+    calls = []
+    det = bessel.transmission_determinant
+
+    def counting(prob, k):
+        calls.append(k)
+        return det(prob, k)
+
+    monkeypatch.setattr(bessel, "transmission_determinant", counting)
+    for n in (0.2, 0.48, 0.8):
+        for delta in (0.04, 0.02, 0.01, 0.005):
+            bessel.disk_first_te(bessel.DiskProblem(1.0, delta, n))
+    # 12 solves; re-evaluating both bracket ends would make it 68
+    assert len(calls) == 44
 
 
 def test_determinant_nonmatching_cauchy_data():

@@ -29,7 +29,7 @@ def disk_h02():
     mesh = generate_mesh(Circle(1.0), None, 0.02)
     K = assemble(mesh, "stiffness")
     M = assemble(mesh, "mass")
-    lams, vecs = dirichlet_eigs(K, M, mesh.outer, 2, mesh=mesh)
+    lams, vecs = dirichlet_eigs(K, M, mesh.outer, 2)
     v0 = vecs[:, 0] / mass_norm(M, vecs[:, 0])
     return mesh, K, M, lams, v0
 
@@ -83,7 +83,7 @@ def test_square_eigenvalue():
     mesh = square_mesh(50)  # h = 0.02
     K = assemble(mesh, "stiffness")
     M = assemble(mesh, "mass")
-    lams, _ = dirichlet_eigs(K, M, mesh.outer, 1, mesh=mesh)
+    lams, _ = dirichlet_eigs(K, M, mesh.outer, 1)
     exact = 2.0 * math.pi**2
     assert abs(lams[0] - exact) / exact <= 0.005
     assert lams[0] >= exact  # conforming elements approximate from above
@@ -101,7 +101,7 @@ def test_eigen_convergence_order():
         mesh = generate_mesh(Circle(1.0), None, h)
         K = assemble(mesh, "stiffness")
         M = assemble(mesh, "mass")
-        lams, _ = dirichlet_eigs(K, M, mesh.outer, 1, mesh=mesh)
+        lams, _ = dirichlet_eigs(K, M, mesh.outer, 1)
         assert lams[0] >= LAM0
         errs.append(lams[0] - LAM0)
     order = math.log(errs[0] / errs[1], 2.0), math.log(errs[1] / errs[2], 2.0)
@@ -110,7 +110,7 @@ def test_eigen_convergence_order():
 
 def test_eigenvectors_m_orthonormal(disk_h02):
     mesh, K, M, lams, _ = disk_h02
-    lams2, vecs = dirichlet_eigs(K, M, mesh.outer, 2, mesh=mesh)
+    lams2, vecs = dirichlet_eigs(K, M, mesh.outer, 2)
     G = vecs.T @ (M.tocsr() @ vecs)
     assert np.max(np.abs(G - np.eye(2))) <= 1e-8
     free = np.setdiff1d(np.arange(mesh.n_vertices), mesh.outer)
@@ -126,7 +126,7 @@ def test_iteration_budget_enforced():
     K = assemble(mesh, "stiffness")
     M = assemble(mesh, "mass")
     with pytest.raises(ConvergenceFailure):
-        dirichlet_eigs(K, M, mesh.outer, 2, mesh=mesh, maxit=1, tol=1e-14)
+        dirichlet_eigs(K, M, mesh.outer, 2, maxit=1, tol=1e-14)
 
 
 def test_ground_mode_sign_rule(disk_h02):
@@ -156,7 +156,7 @@ def test_flux_superconvergence():
         mesh = generate_mesh(Circle(1.0), None, h)
         K = assemble(mesh, "stiffness")
         M = assemble(mesh, "mass")
-        lams, vecs = dirichlet_eigs(K, M, mesh.outer, 1, mesh=mesh)
+        lams, vecs = dirichlet_eigs(K, M, mesh.outer, 1)
         v0 = vecs[:, 0] / mass_norm(M, vecs[:, 0])
         flux = boundary_flux(mesh, FemField(mesh, v0), lams[0], K=K, M=M)
         errs.append(abs(flux.mean() - FLUX0))
@@ -233,7 +233,7 @@ def test_dirichlet_eigs_matches_dense(count):
     ref_lams, ref_vecs = scipy.linalg.eigh(
         K[np.ix_(free, free)].toarray(), M[np.ix_(free, free)].toarray()
     )
-    lams, vecs = dirichlet_eigs(K, M, mesh.outer, count, mesh=mesh)
+    lams, vecs = dirichlet_eigs(K, M, mesh.outer, count)
     assert np.max(np.abs(lams - ref_lams[:count]) / ref_lams[:count]) <= 1e-12
     assert np.all(vecs[mesh.outer] == 0.0)
     # the simple ground mode agrees up to the sign rule
@@ -278,8 +278,8 @@ def test_cg_corrector_matches_saddle_lu(disk_h02):
 def test_passing_the_factor_is_bit_identical(disk_h02):
     mesh, K, M, lams, v0 = disk_h02
     lu = stiffness_lu(K, mesh.outer)
-    own = dirichlet_eigs(K, M, mesh.outer, 2, mesh=mesh)
-    shared = dirichlet_eigs(K, M, mesh.outer, 2, mesh=mesh, lu=lu)
+    own = dirichlet_eigs(K, M, mesh.outer, 2)
+    shared = dirichlet_eigs(K, M, mesh.outer, 2, lu=lu)
     assert np.array_equal(own[0], shared[0]) and np.array_equal(own[1], shared[1])
     flux0 = boundary_flux(mesh, FemField(mesh, v0), lams[0], K=K, M=M)
     rhs = FemField(mesh, -2.0 * lams[0] * v0)

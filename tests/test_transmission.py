@@ -7,9 +7,10 @@ import scipy.sparse as sp
 
 from thinspec import bessel
 from thinspec.errors import MissingLayer
-from thinspec.fem import assemble, h1_norm
+from thinspec.asymptotics import ground_eigenpair
+from thinspec.fem import assemble, dirichlet_eigs, h1_norm
 from thinspec.geometry import Circle, Ellipse, LayerConfig
-from thinspec.mesh import LAYER, generate_mesh
+from thinspec.mesh import LAYER, core_submesh, generate_mesh
 from thinspec.transmission import (
     CoupledPencil,
     assemble_pencil,
@@ -193,6 +194,52 @@ def test_eroded_dirichlet_no_coating():
     assert abs(lam - LAM0) / LAM0 <= 0.005
 
 
+@pytest.mark.parametrize("curve", [Circle(1.0), Ellipse(1.3, 1.0)])
+def test_eroded_dirichlet_is_the_core_submesh_eigenvalue(curve):
+    layer = LayerConfig(0.04, 1.0, 0.48)
+    mesh = generate_mesh(curve, layer, 0.1)
+    sub, _ = core_submesh(mesh)
+    lams, _ = dirichlet_eigs(assemble(sub, "stiffness"), assemble(sub, "mass"), sub.outer, 1)
+    K, M = assemble(mesh, "stiffness"), assemble(mesh, "mass")
+    assert eroded_dirichlet(curve, layer, 0.1, mesh=mesh) == float(lams[0])
+    assert eroded_dirichlet(curve, layer, 0.1, mesh=mesh, K=K, M=M) == float(lams[0])
+
+
+def _wmap_by_loop(mesh):
+    """The pencil's w numbering built vertex by vertex: none on the inner
+    boundary, the v unknown on the outer one, new unknowns elsewhere."""
+    inner, outer = set(mesh.inner.tolist()), set(mesh.outer.tolist())
+    wmap = -np.ones(mesh.n_vertices, dtype=np.int64)
+    nxt = mesh.n_vertices
+    for vtx in np.unique(mesh.triangles[mesh.region == LAYER]):
+        if vtx in inner:
+            continue
+        if vtx in outer:
+            wmap[vtx] = vtx
+        else:
+            wmap[vtx] = nxt
+            nxt += 1
+    return wmap, nxt
+
+
+@pytest.mark.parametrize("curve", [Circle(1.0), Ellipse(1.3, 1.0)])
+def test_pencil_wmap_matches_vertex_loop(curve):
+    mesh = generate_mesh(curve, LayerConfig(0.04, 1.0, 0.48), 0.1)
+    pencil = assemble_pencil(mesh, 0.48)
+    wmap, dim = _wmap_by_loop(mesh)
+    assert np.array_equal(pencil.wmap, wmap)
+    assert pencil.dim == dim
+
+
+@pytest.mark.parametrize("curve", [Circle(1.0), Ellipse(1.3, 1.0)])
+@pytest.mark.parametrize("layer", [None, LayerConfig(0.04, 1.0, 0.48)])
+def test_ground_mode_nonnegative_on_free_vertices(curve, layer):
+    mesh = generate_mesh(curve, layer, 0.1)
+    v0 = ground_eigenpair(mesh)[0].v0.values
+    free = np.setdiff1d(np.arange(mesh.n_vertices), mesh.outer)
+    assert v0[free].min() >= 0.0
+
+
 def test_eroded_dirichlet_monotone():
     vals = [eroded_dirichlet(Circle(1.0), LayerConfig(d, 1.0, 0.48), 0.06)
             for d in (0.01, 0.02, 0.04)]
@@ -228,7 +275,7 @@ def test_rayleigh_dirichlet_trial_is_upper_bound(disk_te):
     sub, remap = core_submesh(mesh)
     K = assemble(sub, "stiffness")
     M = assemble(sub, "mass")
-    lams, vecs = dirichlet_eigs(K, M, sub.outer, 1, mesh=sub)
+    lams, vecs = dirichlet_eigs(K, M, sub.outer, 1)
     v_ext = np.zeros(mesh.n_vertices)
     keep = remap >= 0
     v_ext[keep] = vecs[remap[keep], 0]
