@@ -37,6 +37,7 @@ from .fem import (
     assemble,
     boundary_flux,
     dirichlet_eigs,
+    ground_state,
     solve_constrained_source,
 )
 from .asymptotics import (

@@ -3,7 +3,7 @@ smooth domains.
 
 The expansion lambda(delta) ~ lambda0 + delta*lambda1 + delta^2*lambda2 is
 assembled from finite element building blocks: lambda0 and its eigenfunction
-from a Dirichlet eigensolve, lambda1 as the boundary quadrature of
+from `fem.ground_state`, lambda1 as the boundary quadrature of
 g * (dv0/dnu)^2, the corrector field v1 from a constrained source solve whose
 solvability condition is exactly the lambda1 quadrature, and lambda2 as
 
@@ -21,17 +21,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, NearDegenerate
-from .fem import (
-    FemField,
-    assemble,
-    boundary_flux,
-    boundary_mass_lu,
-    dirichlet_eigs,
-    mass_norm,
-    solve_constrained_source,
-    stiffness_lu,
-)
+from .errors import DomainError
+from .fem import FemField, boundary_flux, boundary_mass_lu, ground_state, solve_constrained_source
 from .mesh import generate_mesh
 
 _GAUSS3_NODES = np.array([-math.sqrt(0.6), 0.0, math.sqrt(0.6)])
@@ -82,7 +73,7 @@ def boundary_quadrature(mesh, integrand):
 class AsymptoticCoefficients:
     """Expansion coefficients with the fields and traces that produced them.
 
-    Built incrementally: compute_lambda0 fills the leading eigenpair, then
+    compute_coefficients fills the leading eigenpair and flux0, then
     compute_lambda1 / compute_v1 / compute_lambda2 complete the record.
     """
 
@@ -99,53 +90,6 @@ class AsymptoticCoefficients:
     mesh: object = field(default=None, repr=False)
     K: object = field(default=None, repr=False)
     M: object = field(default=None, repr=False)
-
-
-def compute_lambda0(curve, h, mesh=None, gap_tol=1e-6):
-    """Leading Dirichlet eigenpair on the domain bounded by `curve`.
-
-    Returns an AsymptoticCoefficients seeded with lambda0, the normalized
-    sign-fixed eigenfunction, and its inward-normal boundary trace.  Raises
-    NearDegenerate when the gap to the second eigenvalue is below
-    gap_tol * lambda0 (the construction of the higher coefficients assumes a
-    simple leading eigenvalue).
-    """
-    return _ground_pair(curve, h, mesh, gap_tol)[0]
-
-
-def _ground_pair(curve, h, mesh, gap_tol):
-    """compute_lambda0's record and the factors its eigensolve and flux0 used."""
-    if mesh is None:
-        mesh = generate_mesh(curve, None, h)
-    coeffs, lu = ground_eigenpair(mesh, gap_tol)
-    boundary_lu = boundary_mass_lu(mesh)
-    coeffs.flux0 = boundary_flux(mesh, coeffs.v0, coeffs.lambda0, K=coeffs.K, M=coeffs.M,
-                                 lu=boundary_lu)
-    coeffs.geometry_hash = geometry_hash(curve, h=h) if curve is not None else "unkeyed"
-    return coeffs, lu, boundary_lu
-
-
-def ground_eigenpair(mesh, gap_tol=1e-6):
-    """compute_lambda0's eigensolve alone: its record without flux0 and the
-    geometry hash, and the free stiffness factor."""
-    K = assemble(mesh, "stiffness")
-    M = assemble(mesh, "mass")
-    lu = stiffness_lu(K, mesh.outer)
-    lams, vecs = dirichlet_eigs(K, M, mesh.outer, 2, lu=lu)
-    if lams[1] - lams[0] <= gap_tol * lams[0]:
-        raise NearDegenerate(
-            f"leading eigenvalue not simple: gap {lams[1] - lams[0]:.3e}"
-        )
-    v0 = vecs[:, 0] / mass_norm(M, vecs[:, 0])
-    coeffs = AsymptoticCoefficients(
-        lambda0=float(lams[0]),
-        v0=FemField(mesh, v0, constrained=mesh.outer),
-        h=mesh.h,
-        mesh=mesh,
-        K=K,
-        M=M,
-    )
-    return coeffs, lu
 
 
 def compute_lambda1(coeffs, layer):
@@ -179,7 +123,7 @@ def compute_v1(coeffs, layer, lu=None, boundary_lu=None):
     v1, mu = solve_constrained_source(
         coeffs.K, coeffs.M, coeffs.lambda0, rhs, data, coeffs.v0, mesh.outer, lu=lu
     )
-    flux1 = boundary_flux(mesh, v1, coeffs.lambda0, rhs=rhs, K=coeffs.K, M=coeffs.M,
+    flux1 = boundary_flux(mesh, v1, coeffs.lambda0, coeffs.K, coeffs.M, rhs=rhs,
                           lu=boundary_lu)
     coeffs.v1 = v1
     coeffs.flux1 = flux1
@@ -187,12 +131,12 @@ def compute_v1(coeffs, layer, lu=None, boundary_lu=None):
     return v1, flux1
 
 
-def compute_lambda2(coeffs, layer, curve=None):
+def compute_lambda2(coeffs, layer):
     """Second-order coefficient from the recovered traces and curvature."""
     if coeffs.flux1 is None:
         raise DomainError("compute_lambda2: corrector trace missing")
     mesh = coeffs.mesh
-    curve = curve if curve is not None else mesh.curve
+    curve = mesh.curve
     f0 = periodic_interp(mesh.outer_s, coeffs.flux0, curve.s0)
     f1 = periodic_interp(mesh.outer_s, coeffs.flux1, curve.s0)
 
@@ -206,14 +150,19 @@ def compute_lambda2(coeffs, layer, curve=None):
     return lam2
 
 
-def compute_coefficients(curve, layer, h, mesh=None):
-    """Full expansion pipeline for one (curve, layer, h) triple.
+def compute_coefficients(curve, layer, h):
+    """Full expansion pipeline for one (curve, layer, h) triple, on the
+    uncoated mesh of the domain.
 
     One free stiffness factor serves the eigensolve and the corrector solve,
     one boundary mass factor both fluxes; neither is kept on the record.
     """
-    coeffs, lu, boundary_lu = _ground_pair(curve, h, mesh, gap_tol=1e-6)
-    coeffs.geometry_hash = geometry_hash(curve, layer, h)
+    mesh = generate_mesh(curve, None, h)
+    lam0, v0, K, M, lu = ground_state(mesh)
+    boundary_lu = boundary_mass_lu(mesh)
+    coeffs = AsymptoticCoefficients(
+        lambda0=lam0, v0=v0, flux0=boundary_flux(mesh, v0, lam0, K, M, lu=boundary_lu),
+        h=mesh.h, geometry_hash=geometry_hash(curve, layer, h), mesh=mesh, K=K, M=M)
     compute_lambda1(coeffs, layer)
     compute_v1(coeffs, layer, lu=lu, boundary_lu=boundary_lu)
     compute_lambda2(coeffs, layer)
@@ -277,9 +226,9 @@ class LayerProfile:
         return self.curve.curvature(s) * self.flux0_of(s) * np.asarray(xi, dtype=float) + self.flux1_of(s)
 
 
-def layer_profiles(coeffs, layer, curve=None):
+def layer_profiles(coeffs, layer):
     mesh = coeffs.mesh
-    curve = curve if curve is not None else mesh.curve
+    curve = mesh.curve
     if coeffs.flux1 is None:
         raise DomainError("layer_profiles: corrector trace missing")
     f0 = periodic_interp(mesh.outer_s, coeffs.flux0, curve.s0)

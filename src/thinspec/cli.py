@@ -16,7 +16,7 @@ import sys
 from . import bessel
 from .asymptotics import compute_coefficients, format_coefficients
 from .errors import ConfigError, ThinspecError
-from .geometry import Circle, LayerConfig, curve_from_config
+from .geometry import Circle, LayerConfig, config_number, curve_from_config
 from .report import richardson, run_sweep, sweep_svg, write_atomic
 from .transmission import first_te, rayleigh_identity_residual
 
@@ -62,6 +62,8 @@ def load_config(path, task):
     curve = curve_from_config(raw["geometry"])
 
     cfg = {"curve": curve, "task": task, "output": raw.get("output", ".")}
+    if not isinstance(cfg["output"], str):
+        _fail("output must be a directory path", "output")
 
     layer_block = raw.get("layer")
     if task in ("sweep", "direct", "validate"):
@@ -72,7 +74,7 @@ def load_config(path, task):
         deltas = layer_block.get("delta0")
         if not isinstance(deltas, list) or not deltas:
             _fail("layer.delta0 must be a non-empty list", "layer.delta0")
-        if any(d <= 0 for d in deltas):
+        if any(config_number(d, "layer.delta0") <= 0 for d in deltas):
             _fail("layer.delta0 values must be positive", "layer.delta0")
         if any(b >= a for a, b in zip(deltas, deltas[1:])):
             _fail("layer.delta0 values must be strictly decreasing", "layer.delta0")
@@ -80,7 +82,7 @@ def load_config(path, task):
         _check_keys(g_spec, {"kind", "value"}, "layer.g")
         if g_spec.get("kind") != "const":
             _fail("only constant thickness profiles are expressible in config", "layer.g")
-        g_value = float(g_spec.get("value", 1.0))
+        g_value = config_number(g_spec.get("value", 1.0), "layer.g.value")
         if g_value <= 0:
             _fail("layer.g value must be positive", "layer.g")
         n = layer_block.get("n")
@@ -92,7 +94,7 @@ def load_config(path, task):
     if mesh_block is not None:
         _check_keys(mesh_block, _MESH_KEYS, "mesh")
         hs = mesh_block.get("h")
-        if not isinstance(hs, list) or not hs or any(h <= 0 for h in hs):
+        if not isinstance(hs, list) or not hs or any(config_number(h, "mesh.h") <= 0 for h in hs):
             _fail("mesh.h must be a non-empty list of positive sizes", "mesh.h")
         if any(b >= a for a, b in zip(hs, hs[1:])):
             _fail("mesh.h values must be strictly decreasing", "mesh.h")
@@ -106,12 +108,13 @@ def load_config(path, task):
 
     require = raw.get("require", {})
     _check_keys(require, _REQUIRE_KEYS, "require")
-    cfg["require"] = {k: float(v) for k, v in require.items()}
+    cfg["require"] = {k: config_number(v, f"require.{k}") for k, v in require.items()}
 
     tol = raw.get("tolerances", {})
     _check_keys(tol, _TOL_KEYS, "tolerances")
-    cfg["sandwich_factor"] = float(tol.get("sandwich_factor", 3.0))
-    cfg["upper_slack"] = float(tol.get("upper_slack", 5e-3))
+    cfg["sandwich_factor"] = config_number(tol.get("sandwich_factor", 3.0),
+                                           "tolerances.sandwich_factor")
+    cfg["upper_slack"] = config_number(tol.get("upper_slack", 5e-3), "tolerances.upper_slack")
     return cfg
 
 

@@ -1,5 +1,6 @@
-"""Piecewise-linear finite elements: assembly, eigensolves, constrained
-source solves, and variational boundary-flux recovery.
+"""Piecewise-linear finite elements: assembly, eigensolves, the Dirichlet
+ground state, constrained source solves, and variational boundary-flux
+recovery.
 
 Assembled operators are CSR matrices built from the full element triplets.
 They are exactly symmetric: an off-diagonal entry sums the contributions of
@@ -9,15 +10,17 @@ block (`stiffness_lu`), which a caller can build once and pass to both: the
 Dirichlet eigensolver is ARPACK shift-invert Lanczos at sigma = 0, and the
 constrained source solve is conjugate gradients on the M-orthogonal
 complement of the ground mode, preconditioned by that factor.
+`ground_state` makes that factor together with lambda0 and v0 of the whole
+domain, the quantities both the expansion and the direct solve start from.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
 from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, cg, eigsh, splu
 
-from .errors import ConvergenceFailure, SolveSingular
+from .errors import ConvergenceFailure, NearDegenerate, SolveSingular
 from .mesh import CORE, LAYER
 
 
@@ -27,10 +30,9 @@ class FemField:
 
     mesh: object
     values: np.ndarray
-    constrained: np.ndarray = field(default=None)
 
     def copy(self):
-        return FemField(self.mesh, self.values.copy(), self.constrained)
+        return FemField(self.mesh, self.values.copy())
 
 
 _REGIONS = {None: None, "all": None, "core": CORE, "layer": LAYER}
@@ -115,13 +117,13 @@ def stiffness_lu(K, boundary):
         raise SolveSingular(f"stiffness factorization failed: {exc}") from exc
 
 
-def dirichlet_eigs(K, M, boundary, count, tol=1e-10, maxit=500, seed=0, lu=None):
+def dirichlet_eigs(K, M, boundary, count, tol=1e-10, maxit=500, lu=None):
     """Smallest `count` eigenpairs of K u = lambda M u with zero essential
     data on `boundary`.
 
     ARPACK shift-invert Lanczos at sigma = 0 on the free block, applying
     K_ff^-1 through `lu` (built by `stiffness_lu` when not given), from a
-    start vector drawn from `seed` and with at most `maxit` restarts.  Every
+    fixed random start vector and with at most `maxit` restarts.  Every
     returned pair must satisfy ||K u - lambda M u|| <= tol * ||K u||, else
     ConvergenceFailure is raised.  Eigenvalues are ascending; eigenvectors
     are returned on the full vertex set (zeros on the boundary),
@@ -134,7 +136,7 @@ def dirichlet_eigs(K, M, boundary, count, tol=1e-10, maxit=500, seed=0, lu=None)
     Mf = M[np.ix_(free, free)]
     if lu is None:
         lu = stiffness_lu(K, boundary)
-    start = np.random.default_rng(seed).standard_normal(len(free))
+    start = np.random.default_rng(0).standard_normal(len(free))
     try:
         lams, X = eigsh(Kf, k=count, M=Mf, sigma=0.0,
                         OPinv=LinearOperator(Kf.shape, matvec=lu.solve, dtype=float),
@@ -155,6 +157,25 @@ def dirichlet_eigs(K, M, boundary, count, tol=1e-10, maxit=500, seed=0, lu=None)
     if vecs[anchor, 0] < 0:
         vecs[:, 0] = -vecs[:, 0]
     return lams, vecs
+
+
+def ground_state(mesh, gap_tol=1e-6):
+    """Leading Dirichlet eigenpair of the whole domain.
+
+    Returns (lambda0, v0, K, M, lu): the eigenvalue, its eigenfunction as a
+    FemField with unit mass norm and `dirichlet_eigs`'s sign, the full-domain
+    stiffness and mass, and the free stiffness factor the eigensolve used.
+    Raises NearDegenerate when the gap to the second eigenvalue is at most
+    gap_tol * lambda0: the expansion assumes a simple leading eigenvalue.
+    """
+    K = assemble(mesh, "stiffness")
+    M = assemble(mesh, "mass")
+    lu = stiffness_lu(K, mesh.outer)
+    lams, vecs = dirichlet_eigs(K, M, mesh.outer, 2, lu=lu)
+    if lams[1] - lams[0] <= gap_tol * lams[0]:
+        raise NearDegenerate(f"leading eigenvalue not simple: gap {lams[1] - lams[0]:.3e}")
+    v0 = vecs[:, 0] / mass_norm(M, vecs[:, 0])
+    return float(lams[0]), FemField(mesh, v0), K, M, lu
 
 
 def solve_constrained_source(K, M, lam0, rhs, dirichlet_values, v0, outer, lu=None):
@@ -210,7 +231,7 @@ def solve_constrained_source(K, M, lam0, rhs, dirichlet_values, v0, outer, lu=No
     if not np.all(np.isfinite(u)):
         raise SolveSingular("constrained solve produced non-finite values")
     mesh = rhs.mesh if isinstance(rhs, FemField) else (v0.mesh if isinstance(v0, FemField) else None)
-    return FemField(mesh, u, constrained=outer), mu
+    return FemField(mesh, u), mu
 
 
 def boundary_mass_matrix(mesh):
@@ -238,22 +259,21 @@ def boundary_mass_lu(mesh):
     return splu(boundary_mass_matrix(mesh))
 
 
-def boundary_flux(mesh, fld, lam, rhs=None, K=None, M=None, lu=None):
+def boundary_flux(mesh, fld, lam, K, M, rhs=None, lu=None):
     """Inward-normal derivative of a field on the outer boundary by
     variational recovery.
 
     The field is assumed to satisfy (Laplacian + lam) u = rhs weakly on the
     free vertices; testing the residual with boundary hat functions isolates
     the outward conormal, which is negated to match the inward-normal
-    convention.  `lu` is the mesh's `boundary_mass_lu`, built when not
-    given.  Returns one value per outer vertex (mesh outer ordering).
+    convention.  K and M are the mesh's full-domain stiffness and mass;
+    `lu` is its `boundary_mass_lu`, built when not given.  Returns one value
+    per outer vertex (mesh outer ordering).
     """
-    Kc = K if K is not None else assemble(mesh, "stiffness")
-    Mc = M if M is not None else assemble(mesh, "mass")
     u = fld.values if isinstance(fld, FemField) else np.asarray(fld, dtype=float)
-    r = Kc @ u - lam * (Mc @ u)
+    r = K @ u - lam * (M @ u)
     if rhs is not None:
         rvec = rhs.values if isinstance(rhs, FemField) else np.asarray(rhs, dtype=float)
-        r = r + Mc @ rvec
+        r = r + M @ rvec
     lu = lu if lu is not None else boundary_mass_lu(mesh)
     return -lu.solve(r[mesh.outer])

@@ -491,17 +491,34 @@ def tube_map(curve):
     return TubeMap(curve)
 
 
+def config_number(value, where):
+    """A run-config value as a float; ConfigError naming `where` unless it
+    is a finite JSON number."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+        raise ConfigError(f"{where} must be a finite number, got {value!r}", field=where)
+    return float(value)
+
+
 def curve_from_config(block):
     """Build a curve from its run-config block."""
     if not isinstance(block, dict) or "kind" not in block:
         raise ConfigError("geometry block must be a dict with a 'kind' field", field="geometry")
     kind = block["kind"]
+
+    def num(key):
+        return config_number(block[key], f"geometry.{key}")
+
+    def modes():
+        if not isinstance(block["modes"], list):
+            raise ConfigError("geometry.modes must be a list of numbers", field="geometry.modes")
+        return [config_number(c, "geometry.modes") for c in block["modes"]]
+
     known = {
-        "circle": ({"kind", "radius"}, lambda: Circle(block["radius"])),
-        "ellipse": ({"kind", "a", "b"}, lambda: Ellipse(block["a"], block["b"])),
-        "fourier": ({"kind", "modes"}, lambda: FourierCurve(block["modes"])),
+        "circle": ({"kind", "radius"}, lambda: Circle(num("radius"))),
+        "ellipse": ({"kind", "a", "b"}, lambda: Ellipse(num("a"), num("b"))),
+        "fourier": ({"kind", "modes"}, lambda: FourierCurve(modes())),
     }
-    if kind not in known:
+    if not isinstance(kind, str) or kind not in known:
         raise ConfigError(f"unknown geometry kind {kind!r}", field="geometry.kind")
     allowed, build = known[kind]
     extra = set(block) - allowed

@@ -15,6 +15,7 @@ import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -105,8 +106,8 @@ def estimate_thickness(lam_measured, coeffs):
 def richardson(h_coarse, v_coarse, h_fine, v_fine, order=2):
     """Eliminate the leading O(h^order) error from two mesh levels.
 
-    Returns (extrapolated value, error estimate of the extrapolated value,
-    taken as its distance to the fine-level value)."""
+    Returns (extrapolated value, error estimate of the fine-level value,
+    taken as its distance to the extrapolated value)."""
     ratio = (h_coarse / h_fine) ** order
     extrap = v_fine + (v_fine - v_coarse) / (ratio - 1.0)
     return extrap, abs(extrap - v_fine)
@@ -218,20 +219,13 @@ def _sweep_disk(curve, deltas, g, n, sandwich_factor):
     return rows, coeffs.lambda0, coeffs.lambda1, coeffs.lambda2
 
 
-def _fem_row_worker(payload):
-    """One (delta) row of a finite element sweep: direct eigenvalue and
-    eroded Dirichlet value on every mesh size.  Top-level for pickling."""
-    curve = payload["curve"]
-    out = {"delta": payload["delta"], "per_h": []}
-    for h in payload["h_list"]:
-        layer = LayerConfig(payload["delta"], payload["g_value"], payload["n"])
-        te = first_te(curve, layer, h, upper_slack=payload["upper_slack"])
-        out["per_h"].append({
-            "h": h,
-            "lambda_direct": te.lam,
-            "lambda_eroded": te.lambda_eroded,
-            "lambda0": te.lambda0,
-        })
+def _fem_row(curve, h_list, upper_slack, layer):
+    """One coating's row of a finite element sweep: (direct eigenvalue,
+    eroded Dirichlet value) on every mesh size.  Top-level for pickling."""
+    out = []
+    for h in h_list:
+        te = first_te(curve, layer, h, upper_slack=upper_slack)
+        out.append((te.lam, te.lambda_eroded))
     return out
 
 
@@ -249,32 +243,20 @@ def _sweep_fem(curve, deltas, g, n, h_list, jobs, sandwich_factor, upper_slack):
     lam1, _ = richardson(h_coarse, c_coarse.lambda1, h_fine, c_fine.lambda1)
     lam2, _ = richardson(h_coarse, c_coarse.lambda2, h_fine, c_fine.lambda2)
 
-    payloads = [{
-        "curve": curve,
-        "delta": delta,
-        "h_list": list(h_list),
-        "g_value": g if not callable(g) else 1.0,
-        "n": n,
-        "upper_slack": upper_slack,
-    } for delta in deltas]
+    row = partial(_fem_row, curve, h_list, upper_slack)
+    layers = [LayerConfig(delta, g, n) for delta in deltas]
     if callable(g):
-        # callables cannot cross process boundaries; run rows in-process
-        jobs = 1
-        for p in payloads:
-            p["g_value"] = g
+        jobs = 1  # callables cannot cross process boundaries
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_fem_row_worker, payloads))
+            results = list(pool.map(row, layers))
     else:
-        results = [_fem_row_worker(p) for p in payloads]
+        results = [row(layer) for layer in layers]
 
     rows = []
-    for res in results:
-        per_h = res["per_h"]
-        delta = res["delta"]
-        lam_c, lam_f = per_h[-2]["lambda_direct"], per_h[-1]["lambda_direct"]
+    for delta, per_h in zip(deltas, results):
+        (lam_c, ero_c), (lam_f, ero_f) = per_h[-2], per_h[-1]
         lam_direct, est_direct = richardson(h_coarse, lam_c, h_fine, lam_f)
-        ero_c, ero_f = per_h[-2]["lambda_eroded"], per_h[-1]["lambda_eroded"]
         lam_eroded, est_eroded = richardson(h_coarse, ero_c, h_fine, ero_f)
         pred0, pred1 = lam0, lam0 + delta * lam1
         pred2 = pred1 + delta * delta * lam2
@@ -347,12 +329,13 @@ def write_atomic(path, text):
     os.replace(tmp, path)
 
 
-def svg_loglog(series, path=None, width=640, height=480, title=""):
-    """Minimal hand-emitted log-log chart.
+def svg_loglog(series, path=None, title=""):
+    """Minimal hand-emitted 640 x 480 log-log chart.
 
     series: list of (label, deltas, errors, fit or None).  Returns the SVG
     text; writes it when a path is given.
     """
+    width, height = 640, 480
     pts_all = [(d, e) for _, ds, es, _ in series for d, e in zip(ds, es) if e > 0]
     if not pts_all:
         raise InsufficientData("svg_loglog: nothing to plot")

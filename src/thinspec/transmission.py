@@ -8,7 +8,9 @@ resulting symmetric indefinite pencil (A, B) is singular exactly at discrete
 transmission eigenvalues.  The computable Max-Min corridor
 lambda0 <= lambda <= lambda_eroded brackets the first one, which shift-invert
 Arnoldi on (A - sigma*B)^-1 B returns with its eigenvector from one LU at the
-corridor midpoint sigma.
+corridor midpoint sigma.  Both corridor ends are Dirichlet eigenvalues on
+the one coated mesh: lambda0 from `fem.ground_state` and lambda_eroded from
+the block of the same K and M off the coating.
 """
 
 import math
@@ -19,10 +21,9 @@ from scipy import sparse
 from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigs, splu
 from scipy.sparse.linalg import norm as spnorm
 
-from .asymptotics import ground_eigenpair
 from .bessel import corridor
 from .errors import ConvergenceFailure, MissingLayer, NoRootFound
-from .fem import FemField, assemble, dirichlet_eigs, h1_norm, mass_norm
+from .fem import FemField, assemble, dirichlet_eigs, ground_state, h1_norm, mass_norm
 from .mesh import LAYER, generate_mesh
 
 
@@ -40,20 +41,17 @@ class CoupledPencil:
     dim: int
     n_vertices: int
     wmap: np.ndarray
-    mesh: object = field(repr=False, default=None)
 
     def shifted(self, lam):
         return (self.A - lam * self.B).tocsc()
 
 
-def assemble_pencil(mesh, n, K=None, M=None):
-    """Build the coupled pencil on a coated mesh with index coefficient n,
-    reusing the full-domain stiffness K and mass M when the caller has them."""
+def assemble_pencil(mesh, n, K, M):
+    """Build the coupled pencil on a coated mesh with index coefficient n
+    from the full-domain stiffness K and mass M."""
     if not mesh.has_layer():
         raise MissingLayer("assemble_pencil: mesh has no coating region")
     nv = mesh.n_vertices
-    K_omega = (K if K is not None else assemble(mesh, "stiffness")).tocsr()
-    M_omega = (M if M is not None else assemble(mesh, "mass")).tocsr()
     K_layer = assemble(mesh, "stiffness", region="layer").tocsr()
     M_layer_n = assemble(mesh, "mass", region="layer", coefficient=n).tocsr()
 
@@ -78,9 +76,9 @@ def assemble_pencil(mesh, n, K=None, M=None):
             shape=(dim, dim),
         )
 
-    A = (embed_v(K_omega) + embed_w(K_layer, -1.0)).tocsr()
-    B = (embed_v(M_omega) + embed_w(M_layer_n, -1.0)).tocsr()
-    return CoupledPencil(A=A, B=B, dim=dim, n_vertices=nv, wmap=wmap, mesh=mesh)
+    A = (embed_v(K) + embed_w(K_layer, -1.0)).tocsr()
+    B = (embed_v(M) + embed_w(M_layer_n, -1.0)).tocsr()
+    return CoupledPencil(A=A, B=B, dim=dim, n_vertices=nv, wmap=wmap)
 
 
 def smallest_real_eig(pencil, lo, hi):
@@ -126,25 +124,19 @@ class FirstTE:
     pencil: object = field(repr=False, default=None)
 
 
-def eroded_dirichlet(curve, layer, h, mesh=None, K=None, M=None):
+def eroded_dirichlet(mesh, K, M):
     """First Dirichlet eigenvalue of the eroded domain (inside the coating).
 
-    Solved on the block of the full-domain K and M (assembled when not given)
-    on the vertices no coating triangle touches, which is the free block of
-    `core_submesh`.  With no coating, the full domain's leading eigenvalue.
+    Solved on the block of the coated mesh's full-domain K and M on the
+    vertices no coating triangle touches, which is the free block of
+    `core_submesh`.
     """
-    if mesh is None:
-        mesh = generate_mesh(curve, layer, h)
-    if layer is None:
-        return ground_eigenpair(mesh)[0].lambda0
-    K = K if K is not None else assemble(mesh, "stiffness")
-    M = M if M is not None else assemble(mesh, "mass")
     coated = np.unique(mesh.triangles[mesh.region == LAYER])
     lams, _ = dirichlet_eigs(K, M, coated, 1)
     return float(lams[0])
 
 
-def first_te(curve, layer, h, upper_slack=5e-3, mesh=None):
+def first_te(curve, layer, h, upper_slack=5e-3):
     """Locate the first transmission eigenvalue of the coated domain.
 
     The search window is the computable corridor (see `corridor`); if it
@@ -153,12 +145,10 @@ def first_te(curve, layer, h, upper_slack=5e-3, mesh=None):
     smallest eigenvalue found is returned with its eigenpair (v normalized to
     unit mass norm and sign-aligned with the Dirichlet ground mode).
     """
-    if mesh is None:
-        mesh = generate_mesh(curve, layer, h)
-    base = ground_eigenpair(mesh)[0]  # free the stiffness factor before the pencil LU
-    lam0 = base.lambda0
-    lam_eroded = eroded_dirichlet(curve, layer, h, mesh=mesh, K=base.K, M=base.M)
-    pencil = assemble_pencil(mesh, layer.n, K=base.K, M=base.M)
+    mesh = generate_mesh(curve, layer, h)
+    lam0, v0, K, M = ground_state(mesh)[:4]  # the stiffness factor dies before the pencil LU
+    lam_eroded = eroded_dirichlet(mesh, K, M)
+    pencil = assemble_pencil(mesh, layer.n, K, M)
 
     lo, hi = corridor(lam0, lam_eroded, upper_slack)
     found, fallback = smallest_real_eig(pencil, lo, hi), None
@@ -177,10 +167,10 @@ def first_te(curve, layer, h, upper_slack=5e-3, mesh=None):
     interior_w = pencil.wmap >= nv
     w[interior_w] = x[pencil.wmap[interior_w]]
     w[mesh.outer] = v[mesh.outer]
-    scale = mass_norm(base.M, v)
+    scale = mass_norm(M, v)
     v /= scale
     w /= scale
-    if float(v @ (base.M.tocsr() @ base.v0.values)) < 0:
+    if float(v @ (M @ v0.values)) < 0:
         v = -v
         w = -w
     return FirstTE(
@@ -188,7 +178,7 @@ def first_te(curve, layer, h, upper_slack=5e-3, mesh=None):
         v=FemField(mesh, v),
         w=FemField(mesh, w),
         lambda0=lam0,
-        v0=base.v0,
+        v0=v0,
         lambda_eroded=lam_eroded,
         residual=residual,
         fallback=fallback,
@@ -197,7 +187,7 @@ def first_te(curve, layer, h, upper_slack=5e-3, mesh=None):
     )
 
 
-def rayleigh_identity_residual(lam, v, w, n, mesh, K=None, M=None):
+def rayleigh_identity_residual(lam, v, w, n, mesh):
     """Relative defect of the energy identity satisfied by an eigenpair.
 
     With u = w - v (w extended by zero outside the coating) normalized to
@@ -209,17 +199,17 @@ def rayleigh_identity_residual(lam, v, w, n, mesh, K=None, M=None):
     evaluated after normalizing u, so it is invariant under scaling of the
     eigenpair.
     """
-    Kc = K.tocsr() if K is not None else assemble(mesh, "stiffness").tocsr()
-    Mc = M.tocsr() if M is not None else assemble(mesh, "mass").tocsr()
+    K = assemble(mesh, "stiffness")
+    M = assemble(mesh, "mass")
     v_vals = v.values if isinstance(v, FemField) else np.asarray(v, dtype=float)
     w_vals = w.values if isinstance(w, FemField) else np.asarray(w, dtype=float)
     one_minus_n = (lambda x, y: 1.0 - n(x, y)) if callable(n) else 1.0 - float(n)
     M_1mn = assemble(mesh, "mass", region="layer", coefficient=one_minus_n).tocsr()
     u = w_vals - v_vals
-    scale = math.sqrt(float(u @ (Mc @ u)))
+    scale = math.sqrt(float(u @ (M @ u)))
     u = u / scale
     w_scaled = w_vals / scale
-    rhs = lam * float(w_scaled @ (M_1mn @ w_scaled)) + float(u @ (Kc @ u))
+    rhs = lam * float(w_scaled @ (M_1mn @ w_scaled)) + float(u @ (K @ u))
     return abs(lam - rhs) / lam
 
 

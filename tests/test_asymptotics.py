@@ -6,7 +6,6 @@ import pytest
 from thinspec.asymptotics import (
     AsymptoticCoefficients,
     compute_coefficients,
-    compute_lambda0,
     compute_lambda1,
     compute_lambda2,
     evaluate_expansion,
@@ -15,7 +14,7 @@ from thinspec.asymptotics import (
     parse_coefficients,
 )
 from thinspec.errors import DomainError, NearDegenerate
-from thinspec.fem import mass_norm
+from thinspec.fem import ground_state, mass_norm
 from thinspec.geometry import Circle, Ellipse, LayerConfig
 from thinspec.mesh import TriMesh, generate_mesh, square_mesh
 
@@ -28,14 +27,14 @@ def test_lambda0_disk(disk_coeffs_h02):
 
 
 def test_lambda0_square():
-    coeffs = compute_lambda0(None, None, mesh=square_mesh(50))
+    lam0 = ground_state(square_mesh(50))[0]
     exact = 2.0 * math.pi**2
-    assert abs(coeffs.lambda0 - exact) / exact <= 0.005
+    assert abs(lam0 - exact) / exact <= 0.005
 
 
 def test_lambda0_scaling():
     mesh = generate_mesh(Circle(1.0), None, 0.06)
-    small = compute_lambda0(None, None, mesh=mesh)
+    small = ground_state(mesh)[0]
     scaled = TriMesh(
         vertices=2.0 * mesh.vertices,
         triangles=mesh.triangles.copy(),
@@ -45,14 +44,14 @@ def test_lambda0_scaling():
         outer_s=None,
         curve=None,
     )
-    big = compute_lambda0(None, None, mesh=scaled)
-    assert abs(big.lambda0 - small.lambda0 / 4.0) / small.lambda0 <= 1e-6
+    big = ground_state(scaled)[0]
+    assert abs(big - small / 4.0) / small <= 1e-6
 
 
 def test_lambda0_degenerate_guard(disk_coeffs_h02):
     coeffs, _ = disk_coeffs_h02
     with pytest.raises(NearDegenerate):
-        compute_lambda0(None, None, mesh=coeffs.mesh, gap_tol=10.0)
+        ground_state(coeffs.mesh, gap_tol=10.0)
 
 
 def test_normalization_and_orthogonality(disk_coeffs_h02):
@@ -253,7 +252,7 @@ def test_one_stiffness_factor_per_pipeline(monkeypatch):
     monkeypatch.setattr(fem, "splu", counting_splu)
     mesh = generate_mesh(Circle(1.0), None, 0.1)
     n_free = mesh.n_vertices - len(mesh.outer)
-    coeffs = compute_coefficients(Circle(1.0), LayerConfig(0.01, 1.0, 0.48), 0.1, mesh=mesh)
+    coeffs = compute_coefficients(Circle(1.0), LayerConfig(0.01, 1.0, 0.48), 0.1)
     gc.collect()
     assert [s for s in shapes if s[0] >= n_free] == [(n_free, n_free)]
     assert coeffs.v1 is not None and all(ref() is None for ref in refs)
@@ -273,6 +272,6 @@ def test_one_boundary_mass_factor_per_pipeline(monkeypatch):
     monkeypatch.setattr(fem, "splu", recording_splu)
     mesh = generate_mesh(Circle(1.0), None, 0.1)
     nb = len(mesh.outer)
-    coeffs = compute_coefficients(Circle(1.0), LayerConfig(0.01, 1.0, 0.48), 0.1, mesh=mesh)
+    coeffs = compute_coefficients(Circle(1.0), LayerConfig(0.01, 1.0, 0.48), 0.1)
     assert coeffs.flux1 is not None
     assert shapes.count((nb, nb)) == 1

@@ -146,7 +146,8 @@ def test_flux_recovery_disk(disk_h02):
 
 def test_flux_of_constant_field():
     mesh = generate_mesh(Circle(1.0), None, 0.1)
-    flux = boundary_flux(mesh, FemField(mesh, np.ones(mesh.n_vertices)), 0.0)
+    flux = boundary_flux(mesh, FemField(mesh, np.ones(mesh.n_vertices)), 0.0,
+                         assemble(mesh, "stiffness"), assemble(mesh, "mass"))
     assert np.max(np.abs(flux)) <= 1e-10
 
 

@@ -191,6 +191,28 @@ def test_cli_increasing_deltas(tmp_path):
     assert main(["sweep", "--config", cfg, "--out", str(tmp_path)]) == 3
 
 
+_LAYER = {"delta0": [0.02, 0.01], "n": 0.48}
+
+
+@pytest.mark.parametrize("field, overrides", [
+    ("layer.delta0", {"layer": {"delta0": ["0.02", 0.01], "n": 0.48}}),
+    ("mesh.h", {"mesh": {"h": [None]}}),
+    ("layer.g.value", {"layer": dict(_LAYER, g={"kind": "const", "value": "a"})}),
+    ("require.slope1_min", {"require": {"slope1_min": "x"}}),
+    ("tolerances.sandwich_factor", {"tolerances": {"sandwich_factor": "x"}}),
+    ("tolerances.upper_slack", {"tolerances": {"upper_slack": None}}),
+    ("geometry.radius", {"geometry": {"kind": "circle", "radius": "1"}}),
+    ("geometry.a", {"geometry": {"kind": "ellipse", "a": "1.3", "b": 1.0}}),
+    ("geometry.modes", {"geometry": {"kind": "fourier", "modes": 0.1}}),
+    ("geometry.kind", {"geometry": {"kind": ["circle"], "radius": 1.0}}),
+    ("output", {"output": 5}),
+])
+def test_cli_malformed_value_is_config_error(tmp_path, capsys, field, overrides):
+    cfg = _write_config(tmp_path, **overrides)
+    assert main(["sweep", "--config", cfg, "--out", str(tmp_path)]) == 3
+    assert f"[{field}]" in capsys.readouterr().err
+
+
 def test_cli_task_mismatch(tmp_path):
     cfg = _write_config(tmp_path, task="coeffs")
     assert main(["sweep", "--config", cfg, "--out", str(tmp_path)]) == 3
