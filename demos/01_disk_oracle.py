@@ -32,8 +32,8 @@ print(f"boundary slope of ground mode: {coeffs.flux0:.12f} = j01/sqrt(pi)")
 
 print("\n== direct eigenvalue against the expansion ==")
 print(f"{'delta':>8} {'lambda_direct':>16} {'order-2 prediction':>20} {'remainder/delta^3':>18}")
-for delta in (0.04, 0.02, 0.01, 0.005):
-    lam = bessel.disk_first_te(bessel.DiskProblem(R, delta, n))
+deltas = (0.04, 0.02, 0.01, 0.005)
+for delta, lam in zip(deltas, bessel.disk_first_tes(R, deltas, n)):
     pred = coeffs.lambda0 + delta * coeffs.lambda1 + delta**2 * coeffs.lambda2
     print(f"{delta:8.3f} {lam:16.10f} {pred:20.10f} {abs(lam - pred) / delta**3:18.3f}")
 

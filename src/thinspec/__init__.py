@@ -17,6 +17,7 @@ from .bessel import (
     disk_asymptotic_coeffs,
     disk_dirichlet_eigen,
     disk_first_te,
+    disk_first_tes,
     transmission_determinant,
 )
 from .errors import ThinspecError

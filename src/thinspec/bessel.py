@@ -8,10 +8,11 @@ what the root searches scan with.  On top of them sit the disk-specific pieces:
 Dirichlet eigenvalues of the disk, the 2x2 Cauchy-data matching determinant
 whose zeros are the transmission eigenvalues of a coated disk (all angular
 modes sign-scanned across the Max-Min corridor only, in one series pass over
-the three Bessel arguments, brackets refined by Brent's method from the scanned
-end values), and the expansion coefficients lambda0 = (j01/R)^2,
-lambda1 = 2 lambda0/R, lambda2 = 3 lambda0/R^2 with their radial fields, all in
-closed form and independent of the refractive index.
+the three Bessel arguments and over every thickness of a sweep, brackets
+refined by Brent's method from the scanned end values), and the expansion
+coefficients lambda0 = (j01/R)^2, lambda1 = 2 lambda0/R,
+lambda2 = 3 lambda0/R^2 with their radial fields, all in closed form and
+independent of the refractive index.
 """
 
 import math
@@ -327,34 +328,41 @@ def _root_in(f, xs, fs, i, xtol):
 
 
 @cache
-def bessel_j_zero(m, k, method="series"):
-    """k-th positive zero of J_m: 64-point sign scan around the McMahon
-    guess, refined by Brent's method to width 1e-14.
+def bessel_j_zero(m, k, method=None):
+    """k-th positive zero of J_m: the k-th sign change of a scan at steps of
+    about 0.05 from max(m, 0.05) to (k + m/2) pi, refined by Brent's method
+    to width 1e-14.
 
-    method selects the evaluator ('series' or 'recurrence') so the same zero
-    can be produced by two independent routes; the series route scans in
-    one array call.  A pure function of its arguments, so each zero is
+    The window holds the zero: J_m has no zero in (0, m], j_{m,k} lies below
+    (k + m/2 - 1/4) pi for m >= 1 and below (k - 1/8) pi for m = 0, and
+    consecutive zeros are more than 3 apart, so no step holds two of them.
+    method selects the evaluator so the same zero can be produced by two
+    independent routes: 'series' scans in one array call but only below the
+    series cutoff (DomainError if the zero is not found there),
+    'recurrence' works everywhere, and None takes the route by magnitude as
+    _j_values does.  A pure function of its arguments, so each zero is
     computed once per process.
     """
     if k < 1:
         raise DomainError("bessel_j_zero: k_index must be >= 1")
-    if method == "series":
-        f = partial(bessel_j_series, m)
-    elif method == "recurrence":
-        f = partial(bessel_j_recurrence, m)
-    else:
+    routes = {None: lambda x: _j_values(m, x)[m], "series": partial(bessel_j_series, m),
+              "recurrence": partial(bessel_j_recurrence, m)}
+    if method not in routes:
         raise ValueError(f"unknown evaluator {method!r}")
-    # McMahon first guess, then scan for a sign change around it
-    beta = (k + 0.5 * m - 0.25) * math.pi
-    guess = beta - (4.0 * m * m - 1.0) / (8.0 * beta)
-    lo = max(guess - 1.2, 0.05 if m == 0 else 0.5 * guess)
-    hi = guess + 1.2
-    xs = np.linspace(lo, hi, 64)
-    fs = f(xs) if method == "series" else np.array([f(x) for x in xs])
+    lo, hi = max(m, 0.05), (k + 0.5 * m) * math.pi
+    xs = np.linspace(lo, hi, math.ceil((hi - lo) / 0.05) + 1)
+    # the series serves the scan below the cutoff in one call, the recurrence the rest
+    cut = 0 if method == "recurrence" else int(np.searchsorted(xs, _SERIES_CUTOFF))
+    if method == "series":
+        xs = xs[:cut]
+    fs = np.concatenate([bessel_j_series(m, xs[:cut]),
+                         [bessel_j_recurrence(m, x) for x in xs[cut:]]])
     hits = _sign_changes(fs)
-    if not hits.size:
-        raise NoRootInBracket(f"no sign change of J_{m} near zero #{k}")
-    return _root_in(f, xs, fs, hits[0], 1e-14)
+    if hits.size < k:
+        if method == "series":
+            raise DomainError(f"bessel_j_zero: zero #{k} of J_{m} lies past the series cutoff")
+        raise NoRootInBracket(f"no sign change of J_{m} for zero #{k}")
+    return _root_in(routes[method], xs, fs, hits[k - 1], 1e-14)
 
 
 def disk_dirichlet_eigen(R, m, k_index):
@@ -413,17 +421,21 @@ def transmission_determinant(prob, k):
     return v_val * w_der - v_der * w_val
 
 
-def _det_scan(prob, ks, mode_max):
-    """transmission_determinant of modes 0..mode_max at every k of the array
-    ks, one row per mode, from one series pass: one J table of orders
-    0..mode_max + 1 over k*sqrt(n)*R, k*sqrt(n)*(R - delta) and k*R laid end to
-    end (so every k*R must lie below the series cutoff), and one Y table over
-    the first two blocks that takes its J_0 and J_1 from the J table."""
+def _det_scan(R, deltas, n, ks, mode_max):
+    """transmission_determinant of modes 0..mode_max at every k of the
+    (len(deltas), K) array ks, whose row i belongs to thickness deltas[i],
+    as a (mode_max + 1, len(deltas), K) array from one series pass: one J
+    table of orders 0..mode_max + 1 over k*sqrt(n)*R, k*sqrt(n)*(R - delta)
+    and k*R laid end to end for all rows (so every k*R must lie below the
+    series cutoff), and one Y table over the first two blocks that takes its
+    J_0 and J_1 from the J table."""
     ks = np.asarray(ks, dtype=float)
-    if ks.min() <= 0 or ks.max() * prob.R >= _SERIES_CUTOFF:
+    if ks.min() <= 0 or ks.max() * R >= _SERIES_CUTOFF:
         raise DomainError("_det_scan: need 0 < k and k*R below the series cutoff")
-    sn = math.sqrt(prob.n)
-    args = np.concatenate([ks * sn * prob.R, ks * sn * (prob.R - prob.delta), ks * prob.R])
+    sn = math.sqrt(n)
+    inner = R - np.asarray(deltas, dtype=float)[:, None]
+    args = np.concatenate([ks * sn * R, ks * sn * inner, ks * R]).ravel()
+    shape, ks = ks.shape, ks.ravel()
     jtab = _j_values(mode_max + 1, args)
     coated = slice(0, 2 * ks.size)
     ja_table, jb_table, jc_table = np.split(jtab, 3, axis=1)
@@ -434,7 +446,7 @@ def _det_scan(prob, ks, mode_max):
     w_val = ja * yb - ya * jb
     w_der = (ks * sn) * (jda * yb - yda * jb)
     v_val, v_der = _with_slopes(jc_table)
-    return v_val * w_der - (v_der * ks) * w_val
+    return (v_val * w_der - (v_der * ks) * w_val).reshape(mode_max + 1, *shape)
 
 
 def corridor(lambda0, lambda_eroded, upper_slack=5e-3):
@@ -448,36 +460,48 @@ def corridor(lambda0, lambda_eroded, upper_slack=5e-3):
     return lambda0 * (1.0 - 1e-6), lambda_eroded * (1.0 + upper_slack)
 
 
-def disk_first_te(prob, mode_max=6):
-    """Smallest real transmission eigenvalue lambda = k^2 of the coated disk.
+def disk_first_tes(R, deltas, n, mode_max=6):
+    """Smallest real transmission eigenvalue lambda = k^2 of the disk of
+    radius R coated with index n, for every thickness of deltas.
 
-    One array sign scan (`_det_scan`, one series pass) of angular modes
-    0..mode_max (the mode carried by `prob` does not restrict the search) at
-    17 wavenumbers across the Max-Min corridor (see `corridor`) of
-    lambda0 = (j01/R)^2 and lambda_eroded = (j01/(R - delta))^2.  Each mode's
-    first bracket is refined by Brent's method to width 1e-14 from the scanned
-    values at its ends (`_root_in`), in increasing order, until the next
-    bracket starts above the best root.  Raises NoRootInBracket if no mode
-    changes sign in the corridor; for delta/R above about 0.8 the corridor
-    passes the series cutoff k*R = 12 and _det_scan raises DomainError.
+    One array sign scan (`_det_scan`, one series pass for all thicknesses)
+    of angular modes 0..mode_max at 17 wavenumbers across each thickness's
+    Max-Min corridor (see `corridor`) of lambda0 = (j01/R)^2 and
+    lambda_eroded = (j01/(R - delta))^2.  Each mode's first bracket is
+    refined by Brent's method to width 1e-14 from the scanned values at its
+    ends (`_root_in`), in increasing order, until the next bracket starts
+    above the best root.  Raises NoRootInBracket if no mode changes sign in
+    a corridor; for delta/R above about 0.8 the corridor passes the series
+    cutoff k*R = 12 and _det_scan raises DomainError.
     """
+    probs = [DiskProblem(R, delta, n) for delta in deltas]
+    if not probs:
+        return []
     j01 = bessel_j_zero(0, 1)
-    lo, hi = corridor((j01 / prob.R) ** 2, (j01 / (prob.R - prob.delta)) ** 2)
-    ks = np.linspace(math.sqrt(lo), math.sqrt(hi), 17)
-    table = _det_scan(prob, ks, mode_max)
-    firsts = sorted((hits[0], m) for m, hits in enumerate(map(_sign_changes, table))
-                    if hits.size)
-    best = None
-    for i, m in firsts:
-        if best is not None and ks[i] >= best:
-            break
-        det = partial(transmission_determinant, DiskProblem(prob.R, prob.delta, prob.n, m))
-        root = _root_in(det, ks, table[m], i, 1e-14)
-        best = root if best is None else min(best, root)
-    if best is None:
-        raise NoRootInBracket(
-            f"disk_first_te: no determinant sign change in the corridor [{lo:.10g}, {hi:.10g}]")
-    return best**2
+    windows = [corridor((j01 / R) ** 2, (j01 / (R - p.delta)) ** 2) for p in probs]
+    ks = np.array([np.linspace(math.sqrt(lo), math.sqrt(hi), 17) for lo, hi in windows])
+    tables = _det_scan(R, [p.delta for p in probs], n, ks, mode_max)
+    lams = []
+    for prob, row, table, (lo, hi) in zip(probs, ks, tables.swapaxes(0, 1), windows):
+        firsts = sorted((hits[0], m) for m, hits in enumerate(map(_sign_changes, table))
+                        if hits.size)
+        best = None
+        for i, m in firsts:
+            if best is not None and row[i] >= best:
+                break
+            det = partial(transmission_determinant, DiskProblem(R, prob.delta, n, m))
+            root = _root_in(det, row, table[m], i, 1e-14)
+            best = root if best is None else min(best, root)
+        if best is None:
+            raise NoRootInBracket(f"disk_first_tes: no determinant sign change in the "
+                                  f"corridor [{lo:.10g}, {hi:.10g}] of delta = {prob.delta!r}")
+        lams.append(best**2)
+    return lams
+
+
+def disk_first_te(prob, mode_max=6):
+    """`disk_first_tes` at prob's one thickness; its mode m does not restrict the search."""
+    return disk_first_tes(prob.R, [prob.delta], prob.n, mode_max)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -197,8 +197,7 @@ def _sweep_disk(curve, deltas, g, n, sandwich_factor):
     coeffs = bessel.disk_asymptotic_coeffs(R)
     j01 = bessel.bessel_j_zero(0, 1)
     rows = []
-    for delta in deltas:
-        lam = bessel.disk_first_te(bessel.DiskProblem(R, delta, n))
+    for delta, lam in zip(deltas, bessel.disk_first_tes(R, deltas, n)):
         lam_eroded = (j01 / (R - delta)) ** 2
         pred0 = coeffs.lambda0
         pred1 = coeffs.lambda0 + delta * coeffs.lambda1

@@ -46,6 +46,24 @@ def test_zero_methods_agree(goldens):
         assert abs(z_series - goldens[key]) <= 1e-12
 
 
+@pytest.mark.parametrize("m, k", itertools.product(range(21), range(1, 6)))
+def test_zeros_match_scipy(m, k):
+    # past the first few zeros the scan window must not miss the zero, and
+    # arguments past the series cutoff must not be summed by the series
+    ref = jn_zeros(m, k)[-1]
+    assert bessel.bessel_j_zero(m, k) == pytest.approx(ref, rel=1e-13, abs=0)
+    assert bessel.bessel_j_zero(m, k, "recurrence") == pytest.approx(ref, rel=1e-13, abs=0)
+
+
+def test_zero_series_route_stops_at_cutoff():
+    assert bessel.bessel_j_zero(2, 3, "series") == pytest.approx(jn_zeros(2, 3)[-1], rel=1e-13)
+    for m, k in ((0, 5), (12, 5), (15, 1)):
+        with pytest.raises(DomainError, match="cutoff"):
+            bessel.bessel_j_zero(m, k, "series")
+    with pytest.raises(ValueError):
+        bessel.bessel_j_zero(0, 1, "asymptotic")
+
+
 def test_series_and_recurrence_evaluators_agree():
     # two independent routes, compared where the ascending series is still
     # well conditioned (cancellation disqualifies it beyond the cutoff)
@@ -215,9 +233,9 @@ def test_first_te_scans_only_the_corridor(monkeypatch):
     scanned = []
     det_scan = bessel._det_scan
 
-    def recording(prob, ks, mode_max):
-        scanned.append((prob, np.array(ks)))
-        return det_scan(prob, ks, mode_max)
+    def recording(R, deltas, n, ks, mode_max):
+        scanned.append((list(deltas), np.array(ks)))
+        return det_scan(R, deltas, n, ks, mode_max)
 
     monkeypatch.setattr(bessel, "_det_scan", recording)
     j01 = bessel.bessel_j_zero(0, 1)
@@ -225,16 +243,18 @@ def test_first_te_scans_only_the_corridor(monkeypatch):
         for delta in (0.04, 0.02, 0.01, 0.005):
             bessel.disk_first_te(bessel.DiskProblem(1.0, delta, n))
     assert len(scanned) == 12
-    for prob, ks in scanned:
-        lo, hi = bessel.corridor(j01**2, (j01 / (1.0 - prob.delta)) ** 2)
+    for (delta,), ks in scanned:
+        lo, hi = bessel.corridor(j01**2, (j01 / (1.0 - delta)) ** 2)
         assert math.sqrt(lo) <= ks.min() and ks.max() <= math.sqrt(hi)
 
 
 def test_first_te_without_sign_change_raises(monkeypatch):
     monkeypatch.setattr(bessel, "_det_scan",
-                        lambda prob, ks, mode_max: np.ones((mode_max + 1, len(ks))))
+                        lambda R, deltas, n, ks, mode_max: np.ones((mode_max + 1, *ks.shape)))
     with pytest.raises(NoRootInBracket, match="corridor"):
         bessel.disk_first_te(bessel.DiskProblem(1.0, 0.01, 0.48))
+    with pytest.raises(NoRootInBracket, match="corridor .* of delta = 0.02"):
+        bessel.disk_first_tes(1.0, [0.02, 0.01], 0.48)
 
 
 def test_determinant_evaluates_each_series_once(monkeypatch):
@@ -255,16 +275,18 @@ def test_determinant_evaluates_each_series_once(monkeypatch):
 
 
 def test_det_scan_matches_scalar_determinant():
-    prob = bessel.DiskProblem(1.0, 0.02, 0.48)
-    ks = np.linspace(0.05, 7.2, 40)
+    deltas = [0.02, 0.3]
+    ks = np.array([np.linspace(0.05, 7.2, 40), np.linspace(0.1, 9.0, 40)])
     # mode_max = 0 is a single-mode scan
     for mode_max in (6, 0):
-        table = bessel._det_scan(prob, ks, mode_max)
-        assert table.shape == (mode_max + 1, ks.size)
+        table = bessel._det_scan(1.0, deltas, 0.48, ks, mode_max)
+        assert table.shape == (mode_max + 1, len(deltas), ks.shape[1])
         for m in range(mode_max + 1):
-            prob_m = bessel.DiskProblem(1.0, 0.02, 0.48, m)
-            ref = np.array([bessel.transmission_determinant(prob_m, float(k)) for k in ks])
-            assert np.max(np.abs(table[m] - ref)) <= 1e-13 * np.max(np.abs(ref))
+            for d, delta in enumerate(deltas):
+                prob_m = bessel.DiskProblem(1.0, delta, 0.48, m)
+                ref = np.array([bessel.transmission_determinant(prob_m, float(k))
+                                for k in ks[d]])
+                assert np.max(np.abs(table[m, d] - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
 def _det_scan_three_tables(prob, ks, mode_max):
@@ -288,19 +310,45 @@ CORRIDOR_GRID = list(itertools.product((0.5, 1.0, 2.0), (0.02, 0.2, 0.48, 0.8, 0
                                        (0.001, 0.005, 0.02, 0.04, 0.2, 0.6)))
 
 
-def test_det_scan_equals_three_table_construction():
+def _corridor_ks(R, delta):
     j01 = bessel.bessel_j_zero(0, 1)
-    for R, n, ratio in CORRIDOR_GRID:
-        prob = bessel.DiskProblem(R, ratio * R, n)
-        lo, hi = bessel.corridor((j01 / R) ** 2, (j01 / (R - prob.delta)) ** 2)
-        ks = np.linspace(math.sqrt(lo), math.sqrt(hi), 17)
-        assert np.array_equal(bessel._det_scan(prob, ks, 6),
-                              _det_scan_three_tables(prob, ks, 6)), (R, n, ratio)
+    lo, hi = bessel.corridor((j01 / R) ** 2, (j01 / (R - delta)) ** 2)
+    return np.linspace(math.sqrt(lo), math.sqrt(hi), 17)
+
+
+def test_det_scan_equals_three_table_construction():
+    # one scan per (R, n) over all its thicknesses, each row against the
+    # per-thickness construction
+    for (R, n), cases in itertools.groupby(CORRIDOR_GRID, key=lambda c: c[:2]):
+        deltas = [ratio * R for _, _, ratio in cases]
+        ks = np.array([_corridor_ks(R, delta) for delta in deltas])
+        table = bessel._det_scan(R, deltas, n, ks, 6)
+        for d, delta in enumerate(deltas):
+            prob = bessel.DiskProblem(R, delta, n)
+            assert np.array_equal(table[:, d], _det_scan_three_tables(prob, ks[d], 6)), \
+                (R, n, delta)
     ks = np.linspace(0.05, 7.2, 40)
     for mode_max in (6, 0):
         prob = bessel.DiskProblem(1.0, 0.02, 0.48)
-        assert np.array_equal(bessel._det_scan(prob, ks, mode_max),
+        assert np.array_equal(bessel._det_scan(1.0, [0.02], 0.48, ks[None], mode_max)[:, 0],
                               _det_scan_three_tables(prob, ks, mode_max))
+
+
+def test_first_tes_equal_per_thickness_solves():
+    for (R, n), cases in itertools.groupby(CORRIDOR_GRID, key=lambda c: c[:2]):
+        deltas = [ratio * R for _, _, ratio in cases]
+        lams = bessel.disk_first_tes(R, deltas, n)
+        singles = [bessel.disk_first_te(bessel.DiskProblem(R, delta, n)) for delta in deltas]
+        assert [lam.hex() for lam in lams] == [lam.hex() for lam in singles], (R, n)
+
+
+def test_first_tes_of_no_thickness():
+    assert bessel.disk_first_tes(1.0, [], 0.48) == []
+    # a bad thickness or index raises as a single solve does
+    with pytest.raises(DomainError):
+        bessel.disk_first_tes(1.0, [0.01, 1.5], 0.48)
+    with pytest.raises(DomainError):
+        bessel.disk_first_tes(1.0, [0.01], 1.2)
 
 
 def test_root_in_reads_bracket_ends_from_the_scan():

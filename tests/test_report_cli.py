@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from thinspec import bessel
-from thinspec.cli import main
+from thinspec.cli import _IDENTITY_TOL, main
 from thinspec.errors import BelowLambda0, ConfigError, InsufficientData
 from thinspec.geometry import Circle, Ellipse
 from thinspec.report import (
@@ -16,6 +16,7 @@ from thinspec.report import (
     run_sweep,
     sweep_svg,
 )
+from thinspec.transmission import rayleigh_identity_residual
 
 
 # ---------------------------------------------------------------------------
@@ -98,6 +99,28 @@ def test_sweep_csv_layout(disk_sweep_report):
     data = [ln for ln in lines if not ln.startswith("#")][1:]
     assert len(data) == 4
     assert all(ln.endswith(",1,1") for ln in data)
+
+
+def test_disk_sweep_scans_once(monkeypatch):
+    scans = []
+    det_scan = bessel._det_scan
+
+    def recording(R, deltas, n, ks, mode_max):
+        scans.append(list(deltas))
+        return det_scan(R, deltas, n, ks, mode_max)
+
+    monkeypatch.setattr(bessel, "_det_scan", recording)
+    deltas = [0.04, 0.02, 0.01, 0.005]
+    rep = run_sweep(Circle(1.0), deltas, 1.0, 0.48, solver="bessel")
+    assert scans == [deltas]
+    j01 = bessel.bessel_j_zero(0, 1)
+    for row in rep.rows:
+        lo, hi = bessel.corridor(j01**2, (j01 / (1.0 - row.delta)) ** 2)
+        assert lo <= row.lambda_direct <= hi
+
+
+def test_disk_sweep_of_no_thickness():
+    assert run_sweep(Circle(1.0), [], 1.0, 0.48, solver="bessel").rows == []
 
 
 def test_sweep_determinism():
@@ -265,3 +288,12 @@ def test_cli_validate_task(tmp_path):
     lines = (tmp_path / "validate.csv").read_text().splitlines()
     assert lines[0] == "check,delta,value,ok"
     assert all(ln.endswith(",1") for ln in lines[1:])
+
+
+def test_validate_identity_bound_can_fail(disk_te):
+    # the identity holds to rounding for the computed pair, and a relative
+    # eigenvalue error of 1e-6 breaks it by far more than validate allows
+    assert rayleigh_identity_residual(disk_te.lam, disk_te.v, disk_te.w, 0.48,
+                                      disk_te.mesh) <= _IDENTITY_TOL
+    assert rayleigh_identity_residual(disk_te.lam * (1 + 1e-6), disk_te.v, disk_te.w, 0.48,
+                                      disk_te.mesh) > _IDENTITY_TOL
