@@ -1,4 +1,4 @@
-"""Curves, coatings, tube coordinates, and conforming meshes.
+"""Curves, coatings, and conforming meshes.
 
 Boundary curves are arclength-parameterized and normalized so convex domains
 have positive curvature; coatings are described by a base thickness and a
@@ -9,8 +9,8 @@ core triangulation.
 
 import numpy as np
 
-from thinspec.geometry import Circle, Ellipse, FourierCurve, LayerConfig, offset_curve, tube_map
-from thinspec.mesh import generate_mesh, save_mesh
+from thinspec.geometry import Circle, Ellipse, FourierCurve, LayerConfig
+from thinspec.mesh import generate_mesh
 
 print("== curvature along an ellipse ==")
 ell = Ellipse(1.3, 1.0)
@@ -19,22 +19,8 @@ for s in np.linspace(0.0, ell.s0, 5, endpoint=False):
     print(f"s = {s:6.3f}: point ({x:+.3f}, {y:+.3f}), curvature {float(ell.curvature(s)):.4f}")
 print(f"perimeter {ell.s0:.6f}, curvature reach eta0 = {ell.reach():.6f}")
 
-print("\n== coatings and offsets ==")
-layer = LayerConfig(0.05, 1.0, 0.48)
-inner = offset_curve(ell, layer)
-print(f"offset curve kind: {inner.kind}, perimeter {inner.s0:.6f}")
-circle_inner = offset_curve(Circle(1.0), layer)
-print(f"circle offsets stay circles: radius {circle_inner.radius}")
-
 wavy = FourierCurve([0.08, 0.0, 0.03])
 print(f"perturbed circle perimeter {wavy.s0:.6f}, reach {wavy.reach():.4f}")
-
-print("\n== tube coordinates ==")
-tm = tube_map(ell)
-point = tm.forward(2.0, 0.3)
-s_back, eta_back = tm.inverse(point)
-print(f"forward(2.0, 0.3) -> {point}, inverse -> ({s_back:.12f}, {eta_back:.12f})")
-print(f"metric factor at (2.0, 0.3): {float(tm.jacobian(2.0, 0.3)):.6f}")
 
 print("\n== meshing a coated disk ==")
 mesh = generate_mesh(Circle(1.0), LayerConfig(0.05, 1.0, 0.48), 0.1)
@@ -42,5 +28,3 @@ print(f"{mesh.n_vertices} vertices, {len(mesh.triangles)} triangles, h = {mesh.h
 print(f"core triangles: {int((mesh.region == 0).sum())}, coating: {int((mesh.region == 1).sum())}")
 radii = np.linalg.norm(mesh.vertices[mesh.inner], axis=1)
 print(f"interface ring radius: {radii.min():.12f} .. {radii.max():.12f}")
-save_mesh(mesh, "coated_disk.mesh")
-print("wrote coated_disk.mesh (plain-text `v/t/b` records)")

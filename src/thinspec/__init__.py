@@ -27,12 +27,9 @@ from .geometry import (
     Ellipse,
     FourierCurve,
     LayerConfig,
-    TubeMap,
     curve_from_config,
-    offset_curve,
-    tube_map,
 )
-from .mesh import TriMesh, generate_mesh, load_mesh, save_mesh, square_mesh
+from .mesh import TriMesh, generate_mesh
 from .fem import (
     FemField,
     assemble,

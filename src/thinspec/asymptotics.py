@@ -249,13 +249,3 @@ def format_coefficients(coeffs):
         lines.append(f"lambda2 {coeffs.lambda2:.15g}")
     return "\n".join(lines) + "\n"
 
-
-def parse_coefficients(text):
-    out = {}
-    for raw in text.splitlines():
-        parts = raw.split()
-        if len(parts) != 2:
-            continue
-        key, val = parts
-        out[key] = val if key == "geometry" else float(val)
-    return out

@@ -33,6 +33,8 @@ EULER_GAMMA = 0.5772156649015328606065120900824024
 _SERIES_CUTOFF = 12.0
 _MAX_ORDER = 20
 _MAX_ARGUMENT = 1.0e4
+# angular modes 0.._MODE_MAX are scanned for the first transmission eigenvalue
+_MODE_MAX = 6
 
 
 # ---------------------------------------------------------------------------
@@ -460,12 +462,12 @@ def corridor(lambda0, lambda_eroded, upper_slack=5e-3):
     return lambda0 * (1.0 - 1e-6), lambda_eroded * (1.0 + upper_slack)
 
 
-def disk_first_tes(R, deltas, n, mode_max=6):
+def disk_first_tes(R, deltas, n):
     """Smallest real transmission eigenvalue lambda = k^2 of the disk of
     radius R coated with index n, for every thickness of deltas.
 
     One array sign scan (`_det_scan`, one series pass for all thicknesses)
-    of angular modes 0..mode_max at 17 wavenumbers across each thickness's
+    of angular modes 0.._MODE_MAX at 17 wavenumbers across each thickness's
     Max-Min corridor (see `corridor`) of lambda0 = (j01/R)^2 and
     lambda_eroded = (j01/(R - delta))^2.  Each mode's first bracket is
     refined by Brent's method to width 1e-14 from the scanned values at its
@@ -480,7 +482,7 @@ def disk_first_tes(R, deltas, n, mode_max=6):
     j01 = bessel_j_zero(0, 1)
     windows = [corridor((j01 / R) ** 2, (j01 / (R - p.delta)) ** 2) for p in probs]
     ks = np.array([np.linspace(math.sqrt(lo), math.sqrt(hi), 17) for lo, hi in windows])
-    tables = _det_scan(R, [p.delta for p in probs], n, ks, mode_max)
+    tables = _det_scan(R, [p.delta for p in probs], n, ks, _MODE_MAX)
     lams = []
     for prob, row, table, (lo, hi) in zip(probs, ks, tables.swapaxes(0, 1), windows):
         firsts = sorted((hits[0], m) for m, hits in enumerate(map(_sign_changes, table))
@@ -499,9 +501,9 @@ def disk_first_tes(R, deltas, n, mode_max=6):
     return lams
 
 
-def disk_first_te(prob, mode_max=6):
+def disk_first_te(prob):
     """`disk_first_tes` at prob's one thickness; its mode m does not restrict the search."""
-    return disk_first_tes(prob.R, [prob.delta], prob.n, mode_max)[0]
+    return disk_first_tes(prob.R, [prob.delta], prob.n)[0]
 
 
 # ---------------------------------------------------------------------------

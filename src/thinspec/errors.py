@@ -13,10 +13,6 @@ class OffsetTooDeep(ThinspecError):
     """Coating thickness reaches or exceeds the curvature reach of the curve."""
 
 
-class InversionFailed(ThinspecError):
-    """Newton projection into tube coordinates did not converge."""
-
-
 class MeshFailure(ThinspecError):
     """Mesh generation produced a degenerate or inverted triangle."""
 

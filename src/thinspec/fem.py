@@ -21,7 +21,7 @@ from scipy import sparse
 from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, cg, eigsh, splu
 
 from .errors import ConvergenceFailure, NearDegenerate, SolveSingular
-from .mesh import CORE, LAYER
+from .mesh import LAYER
 
 
 @dataclass
@@ -35,22 +35,21 @@ class FemField:
         return FemField(self.mesh, self.values.copy())
 
 
-_REGIONS = {None: None, "all": None, "core": CORE, "layer": LAYER}
-
-
 def assemble(mesh, kind, region=None, coefficient=None):
-    """Assemble the P1 stiffness or mass operator over a region of the mesh
-    as an exactly symmetric CSR matrix on all vertices.
+    """Assemble the P1 stiffness or mass operator over the whole mesh
+    (region None) or its coating (region "layer") as an exactly symmetric
+    CSR matrix on all vertices.
 
     coefficient may be None (unity), a number, or a callable of (x, y)
     arrays.  The mass matrix uses the 3-point edge-midpoint rule, exact for
     quadratic integrands.
     """
-    reg = _REGIONS[region] if not isinstance(region, int) else region
-    if reg is None:
+    if region is None:
         tris = mesh.triangles
+    elif region == "layer":
+        tris = mesh.triangles[mesh.region == LAYER]
     else:
-        tris = mesh.triangles[mesh.region == reg]
+        raise ValueError(f"unknown region {region!r}")
     p = mesh.vertices
     nv = mesh.n_vertices
     x = p[tris, 0]
@@ -236,15 +235,10 @@ def solve_constrained_source(K, M, lam0, rhs, dirichlet_values, v0, outer, lu=No
 
 def boundary_mass_matrix(mesh):
     """Periodic 1D mass matrix of the outer-boundary hat functions in exact
-    arclength (falls back to polygonal edge lengths without curve data)."""
+    arclength."""
     nb = len(mesh.outer)
-    if mesh.outer_s is not None and mesh.curve is not None:
-        s = np.asarray(mesh.outer_s, dtype=float)
-        total = mesh.curve.s0
-        ell = np.diff(np.concatenate([s, [s[0] + total]]))
-    else:
-        pts = mesh.vertices[mesh.outer]
-        ell = np.linalg.norm(np.roll(pts, -1, axis=0) - pts, axis=1)
+    s = np.asarray(mesh.outer_s, dtype=float)
+    ell = np.diff(np.concatenate([s, [s[0] + mesh.curve.s0]]))
     ahead = ell / 6.0
     diag = (ell + np.roll(ell, 1)) / 3.0
     mat = sparse.diags(

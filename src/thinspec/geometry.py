@@ -1,4 +1,4 @@
-"""Smooth closed boundary curves, coating descriptions, and tube coordinates.
+"""Smooth closed boundary curves and coating descriptions.
 
 Curves are arclength-parameterized at construction (adaptive composite
 Gauss quadrature of the parametric speed) and orientation-normalized to run
@@ -8,9 +8,9 @@ unit tangent tau this fixes the frame convention used around the package:
 
     d tau / ds = +kappa(s) * nu(s),      d nu / ds = -kappa(s) * tau(s).
 
-The tube map carries (s, eta) to x(s) + eta*nu(s); offsets of the boundary by
-a coating thickness delta0*g(s) stay inside the curvature reach
-eta0 = inf_s 1/|kappa(s)| or are rejected.
+A coating of thickness delta0*g(s) lies between the boundary and its inner
+offset x(s) + delta0*g(s)*nu(s), which must stay inside the curvature reach
+eta0 = inf_s 1/|kappa(s)|; `LayerConfig.validate_against` rejects it otherwise.
 """
 
 import math
@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DomainError, InversionFailed, OffsetTooDeep
+from .errors import ConfigError, DomainError, OffsetTooDeep
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(8)
 
@@ -45,12 +45,12 @@ class BoundaryCurve:
 
     kind = "generic"
 
-    def __init__(self, t_period, panels=2048):
+    def __init__(self, t_period):
         self._T = float(t_period)
         self._flip = False
         if self._signed_area() < 0.0:
             self._flip = True
-        tg = np.linspace(0.0, self._T, panels + 1)
+        tg = np.linspace(0.0, self._T, 2049)  # 2048 arclength panels
         seg = _panel_quad(self._speed, tg[:-1], tg[1:])
         self._t_nodes = tg
         self._s_nodes = np.concatenate([[0.0], np.cumsum(seg)])
@@ -131,7 +131,7 @@ class BoundaryCurve:
         return num / speed2**1.5
 
     def curvature_derivative(self, s):
-        """d kappa / ds, used when building offsets of this curve."""
+        """d kappa / ds from the third derivative of the generator."""
         t = self._t_of_s(s)
         d1 = self._g_d1(t)
         d2 = self._g_d2(t)
@@ -143,9 +143,9 @@ class BoundaryCurve:
         dkap_dt = (dnum - 3.0 * num * ddot / sp2) / sp2**1.5
         return dkap_dt / np.sqrt(sp2)
 
-    def reach(self, samples=4096):
-        """eta0 = inf_s 1/|kappa(s)| over a dense arclength sample."""
-        s = np.linspace(0.0, self.s0, samples, endpoint=False)
+    def reach(self):
+        """eta0 = inf_s 1/|kappa(s)| over 4096 equally spaced arclengths."""
+        s = np.linspace(0.0, self.s0, 4096, endpoint=False)
         kmax = np.max(np.abs(self.curvature(s)))
         return math.inf if kmax == 0.0 else 1.0 / kmax
 
@@ -183,7 +183,7 @@ class Circle(BoundaryCurve):
     def curvature_derivative(self, s):
         return np.zeros(np.shape(np.asarray(s, dtype=float)))[()]
 
-    def reach(self, samples=0):
+    def reach(self):
         return self.radius
 
     def describe(self):
@@ -202,7 +202,7 @@ class Ellipse(BoundaryCurve):
         self.b = float(b)
         super().__init__(2.0 * math.pi)
 
-    def reach(self, samples=0):
+    def reach(self):
         """eta0 = min(a, b)^2 / max(a, b), the radius of curvature at the ends
         of the major axis."""
         return min(self.a, self.b) ** 2 / max(self.a, self.b)
@@ -312,8 +312,8 @@ class LayerConfig:
             raise DomainError("LayerConfig: index must satisfy 0 < n < 1")
         self.n_lower = float(lo)
         self.n_upper = float(hi)
-        # g == 0 is admitted as the degenerate no-coating limit; geometric
-        # operations that need actual depth (offsets, meshes) reject it there
+        # g == 0 is admitted as the degenerate no-coating limit; meshing,
+        # which needs actual depth, rejects it there
         if not callable(self.g) and float(self.g) < 0.0:
             raise DomainError("LayerConfig: thickness profile must be non-negative")
 
@@ -329,8 +329,8 @@ class LayerConfig:
     def thickness(self, s):
         return self.delta0 * self.g_at(s)
 
-    def max_thickness(self, curve, samples=2048):
-        s = np.linspace(0.0, curve.s0, samples, endpoint=False)
+    def max_thickness(self, curve):
+        s = np.linspace(0.0, curve.s0, 2048, endpoint=False)
         g = self.g_at(s)
         if np.min(g) < 0.0:
             raise DomainError("LayerConfig: thickness profile must stay non-negative")
@@ -350,146 +350,9 @@ class LayerConfig:
         return {"delta0": self.delta0, "g": g, "n": n}
 
 
-class OffsetCurve(BoundaryCurve):
-    """Inner coating boundary x(s) + delta0*g(s)*nu(s), parameterized by the
-    parent curve's arclength."""
-
-    kind = "offset"
-
-    def __init__(self, parent, layer):
-        layer.validate_against(parent)
-        self.parent = parent
-        self.layer = layer
-        super().__init__(parent.s0)
-
-    def _depth(self, t, order):
-        if self.layer.g_is_constant:
-            if order == 0:
-                return np.full(np.shape(t), self.layer.delta0 * float(self.layer.g))
-            return np.zeros(np.shape(t))
-        if order == 0:
-            return self.layer.delta0 * self.layer.g_at(t)
-        h = 1e-5 * self.parent.s0
-        if order == 1:
-            return (self._depth(t + h, 0) - self._depth(t - h, 0)) / (2 * h)
-        return (self._depth(t + h, 0) - 2 * self._depth(t, 0) + self._depth(t - h, 0)) / h**2
-
-    def _xy(self, t):
-        t = np.asarray(t, dtype=float)
-        p = self.parent.position(t)
-        nu = self.parent.inward_normal(t)
-        return p + self._depth(t, 0)[..., None] * nu
-
-    def _d1(self, t):
-        t = np.asarray(t, dtype=float)
-        tau = self.parent.tangent(t)
-        nu = self.parent.inward_normal(t)
-        kap = self.parent.curvature(t)
-        d, d1 = self._depth(t, 0), self._depth(t, 1)
-        return (1.0 - d * kap)[..., None] * tau + d1[..., None] * nu
-
-    def _d2(self, t):
-        t = np.asarray(t, dtype=float)
-        tau = self.parent.tangent(t)
-        nu = self.parent.inward_normal(t)
-        kap = self.parent.curvature(t)
-        kap1 = self.parent.curvature_derivative(t)
-        d, d1, d2 = (self._depth(t, k) for k in (0, 1, 2))
-        ct = -(2.0 * d1 * kap + d * kap1)
-        cn = kap - d * kap * kap + d2
-        return ct[..., None] * tau + cn[..., None] * nu
-
-    def _d3(self, t):
-        raise NotImplementedError("offsets of offset curves are not supported")
-
-    def describe(self):
-        return {
-            "kind": "offset",
-            "parent": self.parent.describe(),
-            "layer": self.layer.describe(),
-        }
-
-
 # ---------------------------------------------------------------------------
-# tube coordinates
+# run-config parsing
 # ---------------------------------------------------------------------------
-
-class TubeMap:
-    """Diffeomorphism (s, eta) -> x(s) + eta*nu(s) within the curvature reach,
-    with the metric factor J(s, eta) = 1 + eta*kappa(s)."""
-
-    def __init__(self, curve):
-        self.curve = curve
-        self.eta0 = curve.reach()
-        # dense sample for nearest-point seeding of the inverse
-        n = 512
-        self._seed_s = np.linspace(0.0, curve.s0, n, endpoint=False)
-        self._seed_xy = curve.position(self._seed_s)
-
-    def forward(self, s, eta):
-        p = self.curve.position(s)
-        nu = self.curve.inward_normal(s)
-        return p + np.asarray(eta, dtype=float)[..., None] * nu
-
-    def jacobian(self, s, eta):
-        return 1.0 + np.asarray(eta, dtype=float) * self.curve.curvature(s)
-
-    def inverse(self, point, maxit=50):
-        """Project a plane point to tube coordinates (s, eta) by Newton.
-
-        Raises InversionFailed when the projection does not converge within
-        maxit iterations or lands outside the curvature reach; both signal a
-        point outside the tube neighborhood where the map is a bijection.
-        """
-        point = np.asarray(point, dtype=float)
-        d2 = ((self._seed_xy - point) ** 2).sum(axis=1)
-        s = float(self._seed_s[np.argmin(d2)])
-        for _ in range(maxit):
-            p = self.curve.position(s)
-            tau = self.curve.tangent(s)
-            nu = self.curve.inward_normal(s)
-            kap = float(self.curve.curvature(s))
-            dx = point - p
-            f = float(dx @ tau)
-            eta = float(dx @ nu)
-            fp = -(1.0 - kap * eta)
-            if fp == 0.0:
-                break
-            step = f / fp
-            s = (s - step) % self.curve.s0
-            if abs(f) < 1e-13 * max(1.0, self.curve.s0) and abs(step) < 1e-12:
-                if abs(eta) >= self.eta0:
-                    raise InversionFailed(
-                        f"projected depth {eta:.3g} outside the reach {self.eta0:.3g}"
-                    )
-                return s, eta
-        raise InversionFailed("tube projection did not converge (point outside tube?)")
-
-
-# ---------------------------------------------------------------------------
-# module-level operations
-# ---------------------------------------------------------------------------
-
-def curvature(curve, s):
-    """Signed curvature at arclength s (positive on convex boundaries)."""
-    return curve.curvature(s)
-
-
-def offset_curve(curve, layer):
-    """Inner coating boundary as a BoundaryCurve.
-
-    A constant-thickness offset of a circle stays an exact circle; everything
-    else becomes an OffsetCurve over the parent parameterization.
-    """
-    layer.validate_against(curve)
-    if isinstance(curve, Circle) and layer.g_is_constant:
-        return Circle(curve.radius - layer.delta0 * float(layer.g))
-    return OffsetCurve(curve, layer)
-
-
-def tube_map(curve):
-    return TubeMap(curve)
-
 
 def config_number(value, where):
     """A run-config value as a float; ConfigError naming `where` unless it

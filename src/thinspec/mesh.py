@@ -25,8 +25,8 @@ class TriMesh:
 
     outer/inner hold vertex indices ordered along the respective curve;
     outer_s/inner_s are the parent-curve arclengths of those vertices (None
-    for meshes loaded from disk or not built over a curve).  h is the
-    measured maximum edge length.
+    for a mesh not built over a curve, which has no boundary quadrature).
+    h is the measured maximum edge length.
     """
 
     vertices: np.ndarray
@@ -192,92 +192,3 @@ def _check_areas(mesh):
     areas = mesh.signed_areas()
     if np.any(areas <= 1e-15 * float(np.median(np.abs(areas)))):
         raise MeshFailure("degenerate or inverted triangle produced")
-
-
-def square_mesh(n):
-    """Structured right-triangle mesh of the unit square (test fixture)."""
-    xs = np.linspace(0.0, 1.0, n + 1)
-    X, Y = np.meshgrid(xs, xs, indexing="ij")
-    verts = np.stack([X.ravel(), Y.ravel()], axis=1)
-    idx = np.arange((n + 1) * (n + 1)).reshape(n + 1, n + 1)
-    tris = []
-    for i in range(n):
-        for j in range(n):
-            a, b = idx[i, j], idx[i + 1, j]
-            c, d = idx[i + 1, j + 1], idx[i, j + 1]
-            tris.append((a, b, c))
-            tris.append((a, c, d))
-    tris = np.array(tris, dtype=np.int64)
-    on_bnd = (
-        (verts[:, 0] == 0.0) | (verts[:, 0] == 1.0)
-        | (verts[:, 1] == 0.0) | (verts[:, 1] == 1.0)
-    )
-    return TriMesh(
-        vertices=verts,
-        triangles=_orient_ccw(verts, tris),
-        region=np.full(len(tris), CORE, dtype=np.int64),
-        outer=np.flatnonzero(on_bnd),
-        inner=np.array([], dtype=np.int64),
-    )
-
-
-def core_submesh(mesh):
-    """Extract the core region as its own mesh, Dirichlet boundary on the
-    former interface.  Returns (submesh, old_to_new vertex map)."""
-    keep = mesh.region == CORE
-    tris = mesh.triangles[keep]
-    used = np.unique(tris)
-    remap = -np.ones(mesh.n_vertices, dtype=np.int64)
-    remap[used] = np.arange(len(used))
-    sub = TriMesh(
-        vertices=mesh.vertices[used],
-        triangles=remap[tris],
-        region=np.full(keep.sum(), CORE, dtype=np.int64),
-        outer=remap[mesh.inner] if len(mesh.inner) else remap[mesh.outer],
-        inner=np.array([], dtype=np.int64),
-        outer_s=mesh.inner_s if len(mesh.inner) else mesh.outer_s,
-        curve=mesh.curve,
-        layer=None,
-    )
-    return sub, remap
-
-
-def save_mesh(mesh, path):
-    """Plain-text export: `v x y`, `t i j k region`, `b i OUTER|INNER`."""
-    lines = []
-    for x, y in mesh.vertices:
-        lines.append(f"v {x:.17g} {y:.17g}")
-    for (i, j, k), reg in zip(mesh.triangles, mesh.region):
-        lines.append(f"t {i} {j} {k} {reg}")
-    for i in mesh.outer:
-        lines.append(f"b {i} OUTER")
-    for i in mesh.inner:
-        lines.append(f"b {i} INNER")
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def load_mesh(path):
-    verts, tris, region, outer, inner = [], [], [], [], []
-    with open(path) as fh:
-        for ln, raw in enumerate(fh, start=1):
-            parts = raw.split()
-            if not parts:
-                continue
-            tag = parts[0]
-            if tag == "v":
-                verts.append((float(parts[1]), float(parts[2])))
-            elif tag == "t":
-                tris.append(tuple(int(p) for p in parts[1:4]))
-                region.append(int(parts[4]))
-            elif tag == "b":
-                (outer if parts[2] == "OUTER" else inner).append(int(parts[1]))
-            else:
-                raise MeshFailure(f"{path}:{ln}: unknown record {tag!r}")
-    return TriMesh(
-        vertices=np.array(verts),
-        triangles=np.array(tris, dtype=np.int64),
-        region=np.array(region, dtype=np.int64),
-        outer=np.array(outer, dtype=np.int64),
-        inner=np.array(inner, dtype=np.int64),
-    )

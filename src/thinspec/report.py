@@ -103,12 +103,12 @@ def estimate_thickness(lam_measured, coeffs):
     return ThicknessEstimate(first, quad)
 
 
-def richardson(h_coarse, v_coarse, h_fine, v_fine, order=2):
-    """Eliminate the leading O(h^order) error from two mesh levels.
+def richardson(h_coarse, v_coarse, h_fine, v_fine):
+    """Eliminate the leading O(h^2) error from two mesh levels.
 
     Returns (extrapolated value, error estimate of the fine-level value,
     taken as its distance to the extrapolated value)."""
-    ratio = (h_coarse / h_fine) ** order
+    ratio = (h_coarse / h_fine) ** 2
     extrap = v_fine + (v_fine - v_coarse) / (ratio - 1.0)
     return extrap, abs(extrap - v_fine)
 

@@ -128,8 +128,8 @@ def eroded_dirichlet(mesh, K, M):
     """First Dirichlet eigenvalue of the eroded domain (inside the coating).
 
     Solved on the block of the coated mesh's full-domain K and M on the
-    vertices no coating triangle touches, which is the free block of
-    `core_submesh`.
+    vertices no coating triangle touches: the Dirichlet problem of the core
+    triangles alone, with zero data on the interface.
     """
     coated = np.unique(mesh.triangles[mesh.region == LAYER])
     lams, _ = dirichlet_eigs(K, M, coated, 1)

@@ -18,7 +18,9 @@ from thinspec.fem import (
     stiffness_lu,
 )
 from thinspec.geometry import Circle, LayerConfig
-from thinspec.mesh import generate_mesh, square_mesh
+from thinspec.mesh import generate_mesh
+
+from _meshes import square_mesh
 
 LAM0 = 5.783185962946785  # first Dirichlet eigenvalue of the unit disk
 FLUX0 = 1.3567775299013787  # j01/sqrt(pi)
@@ -71,6 +73,13 @@ def test_symmetry_with_coefficients_and_regions():
             for kind in ("stiffness", "mass"):
                 A = assemble(mesh, kind, region=region, coefficient=coefficient)
                 assert abs(A - A.T).max() == 0.0
+
+
+def test_assemble_rejects_unknown_region():
+    mesh = generate_mesh(Circle(1.0), LayerConfig(0.05, 1.0, 0.48), 0.1)
+    for region in ("all", "core", 0, 1):
+        with pytest.raises(ValueError):
+            assemble(mesh, "mass", region=region)
 
 
 def test_mass_positive_definite():

@@ -3,19 +3,16 @@ import math
 import numpy as np
 import pytest
 
-from thinspec.errors import ConfigError, DomainError, InversionFailed, OffsetTooDeep
+from thinspec.errors import ConfigError, DomainError, OffsetTooDeep
 from thinspec.geometry import (
     BoundaryCurve,
     Circle,
     Ellipse,
     FourierCurve,
     LayerConfig,
-    OffsetCurve,
-    curvature,
     curve_from_config,
-    offset_curve,
-    tube_map,
 )
+from thinspec.mesh import generate_mesh
 
 CURVES = [
     Circle(1.0),
@@ -54,8 +51,9 @@ def test_frenet_relation(curve):
 
 
 def test_circle_curvature_exact():
-    assert curvature(Circle(1.0), 0.37) == 1.0
-    assert curvature(Circle(2.0), 5.0) == 0.5
+    assert Circle(1.0).curvature(0.37) == 1.0
+    assert Circle(2.0).curvature(5.0) == 0.5
+    assert np.all(Circle(2.0).curvature_derivative(np.linspace(0.0, 5.0, 7)) == 0.0)
 
 
 def test_ellipse_curvature_closed_form():
@@ -77,6 +75,18 @@ def test_curvature_against_fd_formula(curve):
     kap_fd = (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]) / speed**3
     kap = curve.curvature(s)
     assert np.max(np.abs(kap_fd - kap)) / np.max(np.abs(kap)) <= 1e-6
+
+
+@pytest.mark.parametrize("curve", CURVES, ids=lambda c: f"{c.kind}")
+def test_curvature_derivative_against_fd(curve):
+    """d kappa/ds against central differences of the curvature (the
+    circle's constant curvature gives 0 on both sides)."""
+    rng = np.random.default_rng(11)
+    s = rng.uniform(0.0, curve.s0, 100)
+    h = 1e-5 * curve.s0
+    dkap_fd = (curve.curvature(s + h) - curve.curvature(s - h)) / (2.0 * h)
+    dkap = curve.curvature_derivative(s)
+    assert np.max(np.abs(dkap_fd - dkap)) <= 1e-6 * np.max(np.abs(dkap))
 
 
 def test_orientation_normalized_on_clockwise_input():
@@ -102,20 +112,12 @@ def test_orientation_normalized_on_clockwise_input():
     assert np.max(np.abs(np.sort(cw.curvature(s)) - np.sort(ccw.curvature(s)))) <= 1e-9
 
 
-def test_offset_circle_exact():
-    layer = LayerConfig(0.1, 1.0, 0.5)
-    inner = offset_curve(Circle(1.0), layer)
-    assert isinstance(inner, Circle)
-    assert inner.radius == pytest.approx(0.9, abs=1e-15)
-    assert inner.s0 == pytest.approx(2.0 * math.pi * 0.9, abs=1e-8)
-
-
 def test_offset_too_deep():
     with pytest.raises(OffsetTooDeep):
-        offset_curve(Circle(1.0), LayerConfig(1.2, 1.0, 0.5))
+        generate_mesh(Circle(1.0), LayerConfig(1.2, 1.0, 0.5), 0.1)
     # the reach of this ellipse is b^2/a = 1/1.3
     with pytest.raises(OffsetTooDeep):
-        offset_curve(Ellipse(1.3, 1.0), LayerConfig(0.9, 1.0, 0.5))
+        generate_mesh(Ellipse(1.3, 1.0), LayerConfig(0.9, 1.0, 0.5), 0.1)
 
 
 @pytest.mark.parametrize("a, b", [(1.3, 1.0), (1.0, 1.3), (2.0, 0.7)])
@@ -126,19 +128,18 @@ def test_ellipse_reach_closed_form(a, b):
 
 
 def test_offset_distance_to_parent():
+    # the interface vertices of a coated mesh lie at depth delta from the parent
     parent = Ellipse(1.3, 1.0)
-    inner = offset_curve(parent, LayerConfig(0.05, 1.0, 0.5))
-    assert isinstance(inner, OffsetCurve)
+    mesh = generate_mesh(parent, LayerConfig(0.05, 1.0, 0.5), 0.1)
     golden = 0.5 * (math.sqrt(5.0) - 1.0)
-    for s in np.linspace(0.0, inner.s0, 40, endpoint=False):
-        q = inner.position(s)
+    # dense scan then golden-section refinement of the nearest parameter
+    ts = np.linspace(0.0, parent.s0, 2000, endpoint=False)
+    pts = parent.position(ts)
+    for q in mesh.vertices[mesh.inner]:
 
         def dist(t):
             return float(np.linalg.norm(parent.position(t) - q))
 
-        # dense scan then golden-section refinement of the nearest parameter
-        ts = np.linspace(0.0, parent.s0, 2000, endpoint=False)
-        pts = parent.position(ts)
         i = int(np.argmin(((pts - q) ** 2).sum(axis=1)))
         a = ts[i] - 2.0 * parent.s0 / 2000
         b = ts[i] + 2.0 * parent.s0 / 2000
@@ -154,42 +155,6 @@ def test_offset_distance_to_parent():
                 d = a + golden * (b - a)
                 fd = dist(d)
         assert abs(dist(0.5 * (a + b)) - 0.05) <= 1e-8
-
-
-def test_tube_map_basics():
-    tm = tube_map(Circle(1.0))
-    assert tm.eta0 == 1.0
-    pt = tm.forward(0.0, 0.1)
-    assert np.linalg.norm(pt) == pytest.approx(0.9, abs=1e-14)
-    s = np.linspace(0.0, 2.0 * math.pi, 9)
-    assert np.max(np.abs(tm.jacobian(s, 0.0) - 1.0)) == 0.0
-    assert np.max(np.abs(tm.jacobian(s, 0.2) - 1.2)) <= 1e-14
-
-
-@pytest.mark.parametrize("curve", CURVES, ids=lambda c: f"{c.kind}")
-def test_tube_metric_positive_inside_reach(curve):
-    tm = tube_map(curve)
-    s = np.linspace(0.0, curve.s0, 33, endpoint=False)
-    for eta in np.linspace(-0.99 * tm.eta0, 0.99 * tm.eta0, 21):
-        assert np.all(tm.jacobian(s, eta) > 0.0)
-
-
-@pytest.mark.parametrize("curve", CURVES, ids=lambda c: f"{c.kind}")
-def test_tube_round_trip(curve):
-    tm = tube_map(curve)
-    for s in np.linspace(0.0, curve.s0, 12, endpoint=False):
-        for eta in (-0.85 * tm.eta0, -0.3 * tm.eta0, 0.0, 0.4 * tm.eta0, 0.89 * tm.eta0):
-            pt = tm.forward(s, eta)
-            s_back, eta_back = tm.inverse(pt)
-            gap = np.linalg.norm(tm.forward(s_back, eta_back) - pt)
-            assert gap <= 1e-10
-            assert abs(eta_back - eta) <= 1e-10
-
-
-def test_tube_inverse_rejects_far_point():
-    tm = tube_map(FourierCurve([0.08]))
-    with pytest.raises(InversionFailed):
-        tm.inverse(np.array([25.0, 40.0]))
 
 
 def test_layer_config_validation():
@@ -209,11 +174,9 @@ def test_layer_config_validation():
 
 def test_variable_thickness_profile():
     layer = LayerConfig(0.05, lambda s: 1.0 + 0.3 * np.cos(2.0 * s), 0.5)
-    inner = offset_curve(Circle(1.0), layer)
-    s = np.linspace(0.0, 2.0 * math.pi, 64, endpoint=False)
-    radii = np.linalg.norm(inner.position(s), axis=-1)
-    assert radii.min() >= 1.0 - 0.05 * 1.3 - 1e-9
-    assert radii.max() <= 1.0 - 0.05 * 0.7 + 1e-9
+    mesh = generate_mesh(Circle(1.0), layer, 0.1)
+    radii = np.linalg.norm(mesh.vertices[mesh.inner], axis=-1)
+    assert np.max(np.abs(radii - (1.0 - 0.05 * layer.g_at(mesh.inner_s)))) <= 1e-12
 
 
 def test_curve_from_config():

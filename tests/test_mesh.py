@@ -6,16 +6,9 @@ import pytest
 
 from thinspec.errors import MeshFailure
 from thinspec.geometry import Circle, Ellipse, FourierCurve, LayerConfig
-from thinspec.mesh import (
-    CORE,
-    LAYER,
-    _orient_ccw,
-    core_submesh,
-    generate_mesh,
-    load_mesh,
-    save_mesh,
-    square_mesh,
-)
+from thinspec.mesh import CORE, LAYER, _orient_ccw, generate_mesh
+
+from _meshes import core_submesh, square_mesh
 
 
 def _edge_counts(mesh):
@@ -95,22 +88,6 @@ def test_core_submesh():
     radii = np.linalg.norm(sub.vertices[sub.outer], axis=1)
     assert np.max(np.abs(radii - 0.95)) <= 1e-10
     assert sub.n_vertices == int(np.sum(remap >= 0))
-
-
-def test_save_load_round_trip(tmp_path):
-    mesh = generate_mesh(Circle(1.0), LayerConfig(0.05, 1.0, 0.5), 0.12)
-    path = tmp_path / "disk.mesh"
-    save_mesh(mesh, path)
-    loaded = load_mesh(path)
-    assert np.array_equal(loaded.triangles, mesh.triangles)
-    assert np.array_equal(loaded.region, mesh.region)
-    assert np.array_equal(loaded.outer, mesh.outer)
-    assert np.array_equal(loaded.inner, mesh.inner)
-    assert np.allclose(loaded.vertices, mesh.vertices, atol=0.0)
-    # deterministic re-export
-    path2 = tmp_path / "disk2.mesh"
-    save_mesh(loaded, path2)
-    assert path.read_text() == path2.read_text()
 
 
 # ---------------------------------------------------------------------------

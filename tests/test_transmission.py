@@ -9,7 +9,7 @@ from thinspec import bessel
 from thinspec.errors import MissingLayer
 from thinspec.fem import assemble, dirichlet_eigs, ground_state, h1_norm
 from thinspec.geometry import Circle, Ellipse, LayerConfig
-from thinspec.mesh import LAYER, core_submesh, generate_mesh
+from thinspec.mesh import LAYER, generate_mesh
 from thinspec.transmission import (
     CoupledPencil,
     assemble_pencil,
@@ -20,6 +20,8 @@ from thinspec.transmission import (
     rayleigh_identity_residual,
     smallest_real_eig,
 )
+
+from _meshes import core_submesh
 
 LAM0 = 5.783185962946785
 
@@ -304,9 +306,6 @@ def test_rayleigh_dirichlet_trial_is_upper_bound(disk_te):
     """The eroded Dirichlet mode extended by zero is an admissible trial pair
     (w = 0), for which the identity right-hand side reproduces its eigenvalue,
     an upper bound on the transmission eigenvalue."""
-    from thinspec.fem import dirichlet_eigs
-    from thinspec.mesh import core_submesh
-
     mesh = disk_te.mesh
     sub, remap = core_submesh(mesh)
     K = assemble(sub, "stiffness")
