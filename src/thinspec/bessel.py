@@ -3,8 +3,12 @@
 Everything here is built from two independent evaluation routes (ascending
 power series, and normalized backward / seeded forward recurrences) so the
 package carries no external special-function dependency and the two routes can
-cross-check each other.  The series routes also take numpy arrays, which is
-what the root searches scan with.  On top of them sit the disk-specific pieces:
+cross-check each other.  Each function keeps one route per argument kind: one
+float argument is summed in plain Python floats and its tables of orders are
+lists of floats (what Brent's method calls), and the series routes also take
+numpy arrays, which is what the root searches scan with.  Both kinds take the
+same operations in the same order, so an array element equals the float
+value bit for bit.  On top of them sit the disk-specific pieces:
 Dirichlet eigenvalues of the disk, the 2x2 Cauchy-data matching determinant
 whose zeros are the transmission eigenvalues of a coated disk (all angular
 modes sign-scanned across the Max-Min corridor only, in one series pass over
@@ -31,6 +35,10 @@ EULER_GAMMA = 0.5772156649015328606065120900824024
 # normalized backward recurrence and Y to asymptotically seeded forward
 # recurrence.
 _SERIES_CUTOFF = 12.0
+# bessel_j_zero takes the recurrence from here on.  The series' cancellation
+# costs the zeros between 9 and 12 up to 1e-14 of relative accuracy, and
+# j_{3,1} = 6.38 already 8e-16; from 6 every zero below 12 is within 5e-16
+_ZERO_SERIES_CUTOFF = 6.0
 _MAX_ORDER = 20
 _MAX_ARGUMENT = 1.0e4
 # angular modes 0.._MODE_MAX are scanned for the first transmission eigenvalue
@@ -57,13 +65,10 @@ def _series_arg(x, name):
 def _converged(term, total):
     """The series stopping test, required of every element of an array.
 
-    An array fails it if its last element does; on an ascending scan grid
-    that element has the largest terms and is, as a rule, the last to pass,
-    so it is tried alone first."""
-    if not _is_array(term):
-        return abs(term) <= 1e-18 * abs(total) + 1e-300
-    return ((abs(term[-1:]) <= 1e-18 * abs(total[-1:]) + 1e-300).all()
-            and (abs(term) <= 1e-18 * abs(total) + 1e-300).all())
+    On an ascending scan grid the last element has the largest terms and is,
+    as a rule, the last to pass, so callers try it alone first.  A scalar
+    series makes the same test inline."""
+    return (abs(term) <= 1e-18 * abs(total) + 1e-300).all()
 
 
 def bessel_j_series(m, x):
@@ -71,10 +76,13 @@ def bessel_j_series(m, x):
 
     Accurate route for x below ~12; exposed separately so zeros can be
     confirmed by two independent evaluators.  x may be a scalar (float
-    result) or an array (elementwise result).
+    result, summed in plain floats) or an array (elementwise result).
     """
     x = _series_arg(x, "bessel_j_series")
+    if _is_array(x):
+        return _j_table(x, [m])[0]
     half = 0.5 * x
+    step = -(half * half)
     # (x/2)^m by plain products: numpy's power and the C pow round differently,
     # and the series' cancellation would show that beyond 1e-14
     term = 1.0 / math.factorial(m)
@@ -82,9 +90,9 @@ def bessel_j_series(m, x):
         term = term * half
     total = term
     for k in range(1, 401):
-        term = term * (-(half * half) / (k * (m + k)))
+        term = term * (step / (k * (m + k)))
         total = total + term
-        if _converged(term, total):
+        if abs(term) <= 1e-18 * abs(total) + 1e-300:
             break
     return total
 
@@ -94,7 +102,8 @@ def bessel_j_recurrence(m, x, mmax=None):
 
     Downward three-term recurrence started far above max(m, x), normalized
     with the even-order sum identity J_0 + 2*sum_k J_{2k} = 1.  Independent of
-    the series route for any x > 0.
+    the series route for any x > 0.  With mmax, the list of floats
+    J_0..J_max(m, mmax).
     """
     if x <= 0:
         raise DomainError("bessel_j_recurrence: argument must be positive")
@@ -104,7 +113,7 @@ def bessel_j_recurrence(m, x, mmax=None):
         start += 1
     jp = 0.0
     j = 1e-300
-    wanted = np.zeros(top + 1)
+    wanted = [0.0] * (top + 1)
     even_sum = 0.0
     for mm in range(start, -1, -1):
         jm = (2.0 * (mm + 1) / x) * j - jp
@@ -114,13 +123,13 @@ def bessel_j_recurrence(m, x, mmax=None):
             j *= 1e-250
             jp *= 1e-250
             even_sum *= 1e-250
-            wanted *= 1e-250
+            wanted = [w * 1e-250 for w in wanted]
         if mm <= top:
             wanted[mm] = j
         if mm >= 2 and mm % 2 == 0:
             even_sum += 2.0 * j
     norm = even_sum + j
-    wanted /= norm
+    wanted = [w / norm for w in wanted]
     if mmax is not None:
         return wanted
     return wanted[m]
@@ -157,11 +166,14 @@ def _y01_asymptotic(x):
 
 
 def _y01_series(x, jtab=None):
-    """(Y_0(x), Y_1(x)) by ascending series for x > 0, scalar or array.
+    """(Y_0(x), Y_1(x)) by ascending series for x > 0: floats at one float x,
+    summed in plain floats, or arrays for an array x.
 
     jtab, if given, is a table whose rows 0 and 1 hold J_0(x) and J_1(x)."""
     x = _series_arg(x, "_y01_series")
+    array = _is_array(x)
     half = 0.5 * x
+    quarter = half * half
     lnt = np.log(half) + EULER_GAMMA
     if jtab is None:
         j0, j1 = bessel_j_series(0, x), bessel_j_series(1, x)
@@ -171,12 +183,18 @@ def _y01_series(x, jtab=None):
     s0 = 0.0
     term = 1.0
     harmonic = 0.0
+    sign = -1.0
     for k in range(1, 400):
-        term = term * ((half * half) / (k * k))
+        term = term * (quarter / (k * k))
         harmonic += 1.0 / k
-        contrib = ((-1) ** (k + 1)) * harmonic * term
+        sign = -sign
+        contrib = sign * harmonic * term
         s0 = s0 + contrib
-        if _converged(contrib, s0):
+        if array:
+            if (abs(contrib[-1]) <= 1e-18 * abs(s0[-1]) + 1e-300
+                    and _converged(contrib, s0)):
+                break
+        elif abs(contrib) <= 1e-18 * abs(s0) + 1e-300:
             break
     y0 = (2.0 / math.pi) * (lnt * j0 + s0)
     # order one
@@ -184,81 +202,98 @@ def _y01_series(x, jtab=None):
     term = 1.0
     hk = 0.0
     hk1 = 1.0
+    sign = -1.0
     for k in range(0, 400):
-        contrib = ((-1) ** k) * (hk + hk1) * term
+        sign = -sign
+        contrib = sign * (hk + hk1) * term
         s1 = s1 + contrib
-        if k > 2 and _converged(contrib, s1):
-            break
-        term = term * ((half * half) / ((k + 1) * (k + 2)))
+        if k > 2:
+            if array:
+                if (abs(contrib[-1]) <= 1e-18 * abs(s1[-1]) + 1e-300
+                        and _converged(contrib, s1)):
+                    break
+            elif abs(contrib) <= 1e-18 * abs(s1) + 1e-300:
+                break
+        term = term * (quarter / ((k + 1) * (k + 2)))
         hk += 1.0 / (k + 1)
         hk1 += 1.0 / (k + 2)
     y1 = (2.0 / math.pi) * lnt * j1 - 2.0 / (math.pi * x) - (half / math.pi) * s1
-    if _is_array(x):
+    if array:
         return y0, y1
     return float(y0), float(y1)
 
 
-def _j_table(mmax, x):
-    """Rows J_0..J_mmax of the array x by the ascending series, summed for all
-    orders in one term loop.  Each row takes the same products, in the same
-    order, and stops at the same term as bessel_j_series(m, x) (a row that
-    has passed the stopping test takes no further terms), so the table equals
-    the per-order series bit for bit."""
-    x = _series_arg(x, "_j_values")
+def _j_table(x, orders):
+    """Rows J_m(x), m in orders, of the float array x by the ascending series,
+    summed for all orders in one term loop.  Each row takes the same
+    products, in the same order, and stops at the same term as a one-row
+    table (a row that has passed the stopping test takes no further terms),
+    so the rows do not depend on which other orders are summed with them."""
     half = 0.5 * x
-    term = np.empty((mmax + 1, x.size))
-    for m in range(mmax + 1):
+    term = np.empty((len(orders), x.size))
+    for i, m in enumerate(orders):
         row = 1.0 / math.factorial(m)
         for _ in range(m):
             row = row * half
-        term[m] = row
+        term[i] = row
     total = term.copy()
     step = -(half * half)
-    orders = np.arange(mmax + 1)[:, None]
+    orders = np.asarray(orders)[:, None]
     live = np.ones_like(orders, dtype=bool)  # rows still summing
     for k in range(1, 401):
         term *= step / (k * (orders + k))
         np.add(total, term, out=total, where=live)
-        # as in _converged, the last column is tried first, for all rows at once
+        # the last column is tried first, for all rows at once
         near = live & (abs(term[:, -1:]) <= 1e-18 * abs(total[:, -1:]) + 1e-300)
         if near.any():
-            for m in np.flatnonzero(near):
-                live[m] = not _converged(term[m], total[m])
+            for i in np.flatnonzero(near):
+                live[i] = not _converged(term[i], total[i])
             if not live.any():
                 break
     return total
 
 
 def _j_values(mmax, x):
-    """J_0..J_mmax at one argument, choosing the route by magnitude of x; an
-    array below the series cutoff gives one row per order."""
+    """J_0..J_mmax at x, choosing the route by magnitude of x: a list of
+    floats at one float x, one row per order for an array below the series
+    cutoff."""
     if _is_array(x):
-        return _j_table(mmax, x)
+        return _j_table(_series_arg(x, "_j_values"), range(mmax + 1))
     if x >= _SERIES_CUTOFF:
         return bessel_j_recurrence(0, x, mmax=mmax)
-    return np.array([bessel_j_series(m, x) for m in range(mmax + 1)])
+    return [bessel_j_series(m, x) for m in range(mmax + 1)]
 
 
 def _y_values(mmax, x, jtab=None):
-    """Y_0..Y_mmax at one argument (or an array below the series cutoff);
-    forward recurrence is stable upward.  jtab is passed on to _y01_series."""
-    if _is_array(x) or x < _SERIES_CUTOFF:
+    """Y_0..Y_mmax at x as _j_values gives J: a list of floats at one float
+    x, rows of an array below the series cutoff.  Forward recurrence is
+    stable upward; jtab is passed on to _y01_series."""
+    array = _is_array(x)
+    if array or x < _SERIES_CUTOFF:
         y0, y1 = _y01_series(x, jtab)
     else:
         y0, y1 = _y01_asymptotic(x)
     vals = [y0, y1]
     for m in range(2, mmax + 1):
         vals.append((2.0 * (m - 1) / x) * vals[-1] - vals[-2])
-    return np.array(vals[: mmax + 1])
+    vals = vals[: mmax + 1]
+    return np.array(vals) if array else vals
 
 
 def _with_slopes(table):
-    """Split a table T_0..T_{M+1} of cylinder functions into the values and
-    the derivatives of orders 0..M (T_0' = -T_1, T_m' = (T_{m-1} - T_{m+1})/2)."""
+    """Split an array table T_0..T_{M+1} of cylinder functions into the
+    values and the derivatives of orders 0..M (T_0' = -T_1,
+    T_m' = (T_{m-1} - T_{m+1})/2)."""
     slopes = np.empty_like(table[:-1])
     slopes[0] = -table[1]
     slopes[1:] = 0.5 * (table[:-2] - table[2:])
     return table[:-1], slopes
+
+
+def _value_slope(table, m):
+    """(T_m, T_m') from a float table T_0..T_{m+1}, by the rule of
+    _with_slopes."""
+    return table[m], (0.5 * (table[m - 1] - table[m + 1]) if m else -table[1])
 
 
 def _j_checked(m, x):
@@ -286,8 +321,7 @@ def bessel_j(m, x):
 
     Valid for 0 <= m <= 20 and 0 <= x <= 1e4; raises DomainError outside.
     """
-    vals, slopes = _with_slopes(_j_checked(m, x))
-    return vals[m], slopes[m]
+    return _value_slope(_j_checked(m, x), m)
 
 
 def bessel_y(m, x):
@@ -296,8 +330,7 @@ def bessel_y(m, x):
     A MagnitudeWarning is emitted below x = 1e-8 where the logarithmic
     singularity dominates; the returned value is still finite.
     """
-    vals, slopes = _with_slopes(_y_checked(m, x))
-    return vals[m], slopes[m]
+    return _value_slope(_y_checked(m, x), m)
 
 
 def wronskian_defect(m, x):
@@ -341,20 +374,20 @@ def bessel_j_zero(m, k, method=None):
     method selects the evaluator so the same zero can be produced by two
     independent routes: 'series' scans in one array call but only below the
     series cutoff (DomainError if the zero is not found there),
-    'recurrence' works everywhere, and None takes the route by magnitude as
-    _j_values does.  A pure function of its arguments, so each zero is
-    computed once per process.
+    'recurrence' works everywhere, and None takes the series below
+    _ZERO_SERIES_CUTOFF and the recurrence from there on.  A pure function
+    of its arguments, so each zero is computed once per process.
     """
     if k < 1:
         raise DomainError("bessel_j_zero: k_index must be >= 1")
-    routes = {None: lambda x: _j_values(m, x)[m], "series": partial(bessel_j_series, m),
-              "recurrence": partial(bessel_j_recurrence, m)}
-    if method not in routes:
+    cutoffs = {None: _ZERO_SERIES_CUTOFF, "series": _SERIES_CUTOFF, "recurrence": 0.0}
+    if method not in cutoffs:
         raise ValueError(f"unknown evaluator {method!r}")
+    cutoff = cutoffs[method]
     lo, hi = max(m, 0.05), (k + 0.5 * m) * math.pi
     xs = np.linspace(lo, hi, math.ceil((hi - lo) / 0.05) + 1)
     # the series serves the scan below the cutoff in one call, the recurrence the rest
-    cut = 0 if method == "recurrence" else int(np.searchsorted(xs, _SERIES_CUTOFF))
+    cut = int(np.searchsorted(xs, cutoff))
     if method == "series":
         xs = xs[:cut]
     fs = np.concatenate([bessel_j_series(m, xs[:cut]),
@@ -364,7 +397,8 @@ def bessel_j_zero(m, k, method=None):
         if method == "series":
             raise DomainError(f"bessel_j_zero: zero #{k} of J_{m} lies past the series cutoff")
         raise NoRootInBracket(f"no sign change of J_{m} for zero #{k}")
-    return _root_in(routes[method], xs, fs, hits[k - 1], 1e-14)
+    return _root_in(lambda x: bessel_j_series(m, x) if x < cutoff else bessel_j_recurrence(m, x),
+                    xs, fs, hits[k - 1], 1e-14)
 
 
 def disk_dirichlet_eigen(R, m, k_index):
@@ -413,11 +447,11 @@ def transmission_determinant(prob, k):
         raise DomainError("transmission_determinant: k*sqrt(n)*(R-delta) must be positive")
     m = prob.m
     ja_table, jb_table = _j_checked(m, a), _j_checked(m, b)
-    ja, jda = _with_slopes(ja_table)
-    ya, yda = _with_slopes(_y_checked(m, a, ja_table))
+    ja, jda = _value_slope(ja_table, m)
+    ya, yda = _value_slope(_y_checked(m, a, ja_table), m)
     jb, yb = jb_table[m], _y_checked(m, b, jb_table)[m]
-    w_val = ja[m] * yb - ya[m] * jb
-    w_der = (k * math.sqrt(prob.n)) * (jda[m] * yb - yda[m] * jb)
+    w_val = ja * yb - ya * jb
+    w_der = (k * math.sqrt(prob.n)) * (jda * yb - yda * jb)
     v_val, v_der = bessel_j(m, k * prob.R)
     v_der *= k
     return v_val * w_der - v_der * w_val

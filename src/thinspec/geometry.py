@@ -336,9 +336,9 @@ class LayerConfig:
             raise DomainError("LayerConfig: thickness profile must stay non-negative")
         return float(self.delta0 * np.max(g))
 
-    def validate_against(self, curve):
-        """Reject coatings that reach the curvature reach of the curve."""
-        eta0 = curve.reach()
+    def validate_against(self, curve, eta0):
+        """Reject coatings that reach eta0, the curvature reach curve.reach()
+        that the caller has already evaluated."""
         if self.max_thickness(curve) >= eta0:
             raise OffsetTooDeep(
                 f"coating depth {self.max_thickness(curve):.6g} reaches eta0={eta0:.6g}"

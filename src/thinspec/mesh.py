@@ -119,7 +119,7 @@ def generate_mesh(curve, layer, h):
             f"= {min(0.2 * eta0, curve.s0 / 16.0):.6g}"
         )
     if layer is not None:
-        layer.validate_against(curve)
+        layer.validate_against(curve, eta0)
 
     n_rings = max(2, int(round(curve.s0 / (6.0 * h))))
     nb = 6 * n_rings

@@ -206,3 +206,19 @@ def test_one_boundary_evaluation_per_mesh():
         # coating); the coating rows add one position and one normal call
         counts = [_t_of_s_calls(Ellipse(1.3, 1.0), layer, h) for h in (0.075, 0.02)]
         assert counts[0] == counts[1] <= most
+
+
+def test_one_reach_per_coated_mesh():
+    # the sampled reach of a general curve serves both the mesh size guard
+    # and the coating depth check
+    curve = FourierCurve([0.0, 0.05, 0.0, 0.02])
+    calls = []
+    reach = curve.reach
+
+    def counted():
+        calls.append(1)
+        return reach()
+
+    curve.reach = counted
+    generate_mesh(curve, LayerConfig(0.02, 1.0, 0.5), 0.05)
+    assert len(calls) == 1
