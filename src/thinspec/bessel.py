@@ -169,7 +169,7 @@ def _y01_series(x, jtab=None):
     """(Y_0(x), Y_1(x)) by ascending series for x > 0: floats at one float x,
     summed in plain floats, or arrays for an array x.
 
-    jtab, if given, is a table whose rows 0 and 1 hold J_0(x) and J_1(x)."""
+    jtab, if given, holds J_0(x) and J_1(x) at its keys or rows 0 and 1."""
     x = _series_arg(x, "_y01_series")
     array = _is_array(x)
     half = 0.5 * x
@@ -291,18 +291,30 @@ def _with_slopes(table):
 
 
 def _value_slope(table, m):
-    """(T_m, T_m') from a float table T_0..T_{m+1}, by the rule of
-    _with_slopes."""
+    """(T_m, T_m') from a float table holding T_{m-1}..T_{m+1} (T_0 and T_1
+    at m = 0) at those indices or keys, by the rule of _with_slopes."""
     return table[m], (0.5 * (table[m - 1] - table[m + 1]) if m else -table[1])
 
 
-def _j_checked(m, x):
-    """Table J_0..J_{m+1} at x, under bessel_j's range checks."""
+def _slope_orders(m):
+    """The orders _value_slope reads for order m."""
+    return (m - 1, m, m + 1) if m else (0, 1)
+
+
+def _j_checked(m, x, orders=None):
+    """{k: J_k(x)} for k in orders (all at most m + 1; default
+    _slope_orders(m)), each the value of the table _j_values(m + 1, x),
+    under bessel_j's range checks.  Below the series cutoff only the orders
+    asked for are summed."""
     if not (0 <= m <= _MAX_ORDER):
         raise DomainError(f"bessel_j: order {m} outside [0, {_MAX_ORDER}]")
     if x < 0 or x > _MAX_ARGUMENT:
         raise DomainError(f"bessel_j: argument {x} outside [0, {_MAX_ARGUMENT}]")
-    return _j_values(m + 1, x)
+    orders = _slope_orders(m) if orders is None else orders
+    if x >= _SERIES_CUTOFF:
+        table = bessel_j_recurrence(0, x, mmax=m + 1)
+        return {k: table[k] for k in orders}
+    return {k: bessel_j_series(k, x) for k in orders}
 
 
 def _y_checked(m, x, jtab=None):
@@ -438,15 +450,17 @@ def transmission_determinant(prob, k):
     The interior field is J_m(k r) on the full disk; the coating field is the
     combination of J_m and Y_m at argument k*sqrt(n)*r vanishing on the inner
     boundary r = R - delta.  The determinant vanishes exactly at transmission
-    eigenvalues lambda = k^2 of mode m.  One J table per argument also gives
-    the Y series its J_0 and J_1.
+    eigenvalues lambda = k^2 of mode m.  Only the J orders read are summed:
+    J_0 and J_1, which also seed the Y series, with m - 1..m + 1 at k*sqrt(n)*R
+    and m at k*sqrt(n)*(R - delta).
     """
     a = k * math.sqrt(prob.n) * prob.R
     b = k * math.sqrt(prob.n) * (prob.R - prob.delta)
     if b <= 0:
         raise DomainError("transmission_determinant: k*sqrt(n)*(R-delta) must be positive")
     m = prob.m
-    ja_table, jb_table = _j_checked(m, a), _j_checked(m, b)
+    ja_table = _j_checked(m, a, {0, 1, *_slope_orders(m)})
+    jb_table = _j_checked(m, b, {0, 1, m})
     ja, jda = _value_slope(ja_table, m)
     ya, yda = _value_slope(_y_checked(m, a, ja_table), m)
     jb, yb = jb_table[m], _y_checked(m, b, jb_table)[m]

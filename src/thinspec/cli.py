@@ -1,4 +1,4 @@
-"""Batch front door: `thinspec <task> --config <file> [--out <dir>] [--jobs N]`.
+"""Batch front door: `thinspec <task> --config <file> [--out <dir>]`.
 
 Tasks: coeffs (expansion coefficients per mesh size), direct (coupled-pencil
 eigenvalues per thickness and mesh size, with the backward error of each
@@ -17,7 +17,7 @@ from . import bessel
 from .asymptotics import compute_coefficients, format_coefficients
 from .errors import ConfigError, ThinspecError
 from .geometry import Circle, LayerConfig, config_number, curve_from_config
-from .report import richardson, run_sweep, sweep_svg, write_atomic
+from .report import cell_processes, richardson, run_sweep, solve_cells, sweep_svg, write_atomic
 from .transmission import first_te, rayleigh_identity_residual
 
 _SCHEMA = "thinspec/1"
@@ -158,23 +158,22 @@ def _task_coeffs(cfg, outdir):
 
 def _task_direct(cfg, outdir):
     curve = cfg["curve"]
+    cells = [(LayerConfig(delta, cfg["g"], cfg["n"]), h)
+             for delta in cfg["deltas"] for h in cfg["h_list"]]
+    processes, _ = cell_processes(cfg["g"], len(cells))
+    solved, _ = solve_cells(curve, cells, cfg["upper_slack"], processes)
     lines = ["delta,h,lambda_direct,lambda0,lambda_dirichlet_eroded,residual"]
-    for delta in cfg["deltas"]:
-        for h in cfg["h_list"]:
-            layer = LayerConfig(delta, cfg["g"], cfg["n"])
-            te = first_te(curve, layer, h, upper_slack=cfg["upper_slack"])
-            lines.append(",".join(f"{v:.17g}" for v in
-                                  (delta, h, te.lam, te.lambda0, te.lambda_eroded,
-                                   te.residual)))
+    for (layer, h), values in zip(cells, solved):
+        lines.append(",".join(f"{v:.17g}" for v in (layer.delta0, h, *values)))
     write_atomic(os.path.join(outdir, "direct.csv"), "\n".join(lines) + "\n")
     return 0
 
 
-def _task_sweep(cfg, outdir, jobs):
+def _task_sweep(cfg, outdir):
     report = run_sweep(
         cfg["curve"], cfg["deltas"], cfg["g"], cfg["n"],
         h_list=cfg.get("h_list"), solver=cfg["solver"],
-        jobs=jobs, sandwich_factor=cfg["sandwich_factor"],
+        sandwich_factor=cfg["sandwich_factor"],
         upper_slack=cfg["upper_slack"],
     )
     write_atomic(os.path.join(outdir, "sweep.csv"), report.to_csv())
@@ -234,7 +233,6 @@ def main(argv=None):
     parser.add_argument("task", choices=_TASKS)
     parser.add_argument("--config", required=True)
     parser.add_argument("--out", default=None, help="output directory")
-    parser.add_argument("--jobs", type=int, default=1)
     args = parser.parse_args(argv)
 
     try:
@@ -255,7 +253,7 @@ def main(argv=None):
         if args.task == "direct":
             return _task_direct(cfg, outdir)
         if args.task == "sweep":
-            return _task_sweep(cfg, outdir, args.jobs)
+            return _task_sweep(cfg, outdir)
         if args.task == "validate":
             return _task_validate(cfg, outdir)
     except ConfigError as exc:

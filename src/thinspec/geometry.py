@@ -119,8 +119,14 @@ class BoundaryCurve:
         return d / np.linalg.norm(d, axis=-1, keepdims=True)
 
     def inward_normal(self, s):
-        tau = self.tangent(s)
-        return np.stack([-tau[..., 1], tau[..., 0]], axis=-1)
+        return self.position_normal(s)[1]
+
+    def position_normal(self, s):
+        """(position, inward_normal) at the arclengths s, from one inversion."""
+        t = self._t_of_s(s)
+        d = self._g_d1(t)
+        tau = d / np.linalg.norm(d, axis=-1, keepdims=True)
+        return self._g_xy(t), np.stack([-tau[..., 1], tau[..., 0]], axis=-1)
 
     def curvature(self, s):
         t = self._t_of_s(s)
@@ -176,6 +182,11 @@ class Circle(BoundaryCurve):
     def inward_normal(self, s):
         th = np.asarray(s, dtype=float) / self.radius
         return -np.stack([np.cos(th), np.sin(th)], axis=-1)
+
+    def position_normal(self, s):
+        th = np.asarray(s, dtype=float) / self.radius
+        outward = np.stack([np.cos(th), np.sin(th)], axis=-1)
+        return self.radius * outward, -outward
 
     def curvature(self, s):
         return np.full(np.shape(np.asarray(s, dtype=float)), 1.0 / self.radius)[()]

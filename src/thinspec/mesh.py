@@ -78,12 +78,14 @@ def _hex_core(n_rings, boundary_points_of):
 
     boundary_points_of(frac) returns boundary points at parameter fractions;
     interior ring i carries 6i vertices at radial fraction i/N.  It is called
-    once per mesh, on the fractions j/(6i) of all rings at once.
+    once per mesh, on the distinct fractions j/(6i) of all rings at once
+    (equal fractions of different rings divide to the same double).
     """
     ring = np.repeat(np.arange(1, n_rings + 1), 6 * np.arange(1, n_rings + 1))
     start = 1 + 3 * ring * (ring - 1)  # index of the first vertex of each ring
     j = np.arange(1, len(ring) + 1) - start
-    pts = (ring / n_rings)[:, None] * boundary_points_of(j / (6.0 * ring))
+    frac, where = np.unique(j / (6.0 * ring), return_inverse=True)
+    pts = (ring / n_rings)[:, None] * boundary_points_of(frac)[where]
     verts = np.concatenate([np.zeros((1, 2)), pts])
     # rings i and i+1 are joined by one (a, b, c) per vertex m = sector*(i+1) + k
     # of ring i+1, each followed by (b, d, c) unless k == i; a, b lie on ring
@@ -147,8 +149,8 @@ def generate_mesh(curve, layer, h):
 
     def bpoints(frac):
         s = frac * curve.s0
-        depth = layer.thickness(s)
-        return curve.position(s) + np.asarray(depth)[..., None] * curve.inward_normal(s)
+        base, nu = curve.position_normal(s)
+        return base + np.asarray(layer.thickness(s))[..., None] * nu
 
     core_verts, core_tris, interface = _hex_core(n_rings, bpoints)
 
@@ -159,8 +161,7 @@ def generate_mesh(curve, layer, h):
     rows = max(2, int(math.ceil(float(depth.max()) / h)))
 
     # row k sits at the remaining depth fraction 1 - k/rows (0 on the outer boundary)
-    base = curve.position(s_ring)
-    nu = curve.inward_normal(s_ring)
+    base, nu = curve.position_normal(s_ring)
     frac_in = 1.0 - np.arange(1, rows + 1) / rows
     row_verts = base + (frac_in[:, None] * depth)[..., None] * nu
     ring = len(core_verts) + np.arange(rows * nb).reshape(rows, nb)

@@ -12,10 +12,10 @@ pencil on every mesh size in the list and Richardson-extrapolate.
 """
 
 import math
+import multiprocessing
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -132,12 +132,18 @@ class SweepRow:
 
 @dataclass
 class SweepReport:
+    """Rows, fits and Richardson coefficients of a sweep.  processes is how
+    many processes solved its cells, serial_reason why that was one (None
+    when it was more); neither is written to the CSVs."""
+
     rows: list
     fits: dict
     provenance: dict
     lambda0: float
     lambda1: float
     lambda2: float
+    processes: int = 1
+    serial_reason: str = None
 
     def sandwich_violations(self):
         return [r for r in self.rows if not r.sandwich_ok]
@@ -218,43 +224,102 @@ def _sweep_disk(curve, deltas, g, n, sandwich_factor):
     return rows, coeffs.lambda0, coeffs.lambda1, coeffs.lambda2
 
 
-def _fem_row(curve, h_list, upper_slack, layer):
-    """One coating's row of a finite element sweep: (direct eigenvalue,
-    eroded Dirichlet value) on every mesh size.  Top-level for pickling."""
-    out = []
-    for h in h_list:
-        te = first_te(curve, layer, h, upper_slack=upper_slack)
-        out.append((te.lam, te.lambda_eroded))
-    return out
+# BLAS thread variables in OpenBLAS's order of precedence
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
 
 
-def _sweep_fem(curve, deltas, g, n, h_list, jobs, sandwich_factor, upper_slack):
+def _usable_cores():
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _blas_pinned():
+    """Whether BLAS runs one thread: the first of _BLAS_THREAD_VARS that
+    holds a positive integer is 1, which is how OpenBLAS reads them."""
+    for var in _BLAS_THREAD_VARS:
+        try:
+            threads = int(os.environ.get(var, ""))
+        except ValueError:
+            continue
+        if threads > 0:
+            return threads == 1
+    return False
+
+
+def cell_processes(g, n_cells):
+    """(processes, reason) for solving n_cells finite element cells.
+
+    More than one process only when more than one core is usable, new
+    processes fork (a spawned worker would import the package again), BLAS
+    is pinned to one thread (several threads per process would contend for
+    the same cores) and g can be pickled; reason names the rule that chose
+    one process, else it is None."""
+    if callable(g):
+        return 1, "callable thickness profile"
+    if n_cells < 2:
+        return 1, "one cell"
+    cores = _usable_cores()
+    if cores < 2:
+        return 1, "one usable core"
+    if not _blas_pinned():
+        return 1, "BLAS threads not pinned to 1"
+    method = multiprocessing.get_start_method(allow_none=True) \
+        or multiprocessing.get_all_start_methods()[0]
+    if method != "fork":
+        return 1, f"start method {method}"
+    return min(cores, n_cells), None
+
+
+def _fem_cell(curve, layer, h, upper_slack):
+    """One (thickness, mesh size) cell: first_te's (lam, lambda0,
+    lambda_eroded, residual).  Top-level for pickling."""
+    te = first_te(curve, layer, h, upper_slack=upper_slack)
+    return te.lam, te.lambda0, te.lambda_eroded, te.residual
+
+
+def solve_cells(curve, cells, upper_slack, processes, alongside=None):
+    """_fem_cell of every (layer, h) in cells, in input order, with the result
+    of alongside() (None without it).
+
+    With more than one process the cells go to a pool of forked workers,
+    finest mesh first, and alongside runs in this process meanwhile; the
+    pool is shut down, its workers joined, before this returns.  Each cell
+    is computed the same way in either case, so the results are the same
+    bits."""
+    if processes == 1:
+        side = alongside() if alongside else None
+        return [_fem_cell(curve, layer, h, upper_slack) for layer, h in cells], side
+    order = sorted(range(len(cells)), key=lambda i: cells[i][1])
+    context = multiprocessing.get_context("fork")
+    with ProcessPoolExecutor(max_workers=processes, mp_context=context) as pool:
+        futures = {i: pool.submit(_fem_cell, curve, *cells[i], upper_slack) for i in order}
+        side = alongside() if alongside else None
+        return [futures[i].result() for i in range(len(cells))], side
+
+
+def _sweep_fem(curve, deltas, g, n, h_list, sandwich_factor, upper_slack):
     if h_list is None or len(h_list) < 2:
         raise ConfigError("finite element sweep needs at least two mesh sizes")
+    cells = [(LayerConfig(delta, g, n), h) for delta in deltas for h in h_list]
+    processes, reason = cell_processes(g, len(cells))
     # expansion coefficients per mesh size, then Richardson in h
-    coeff_by_h = []
-    for h in h_list:
-        layer = LayerConfig(max(deltas), g, n)
-        coeff_by_h.append(compute_coefficients(curve, layer, h))
+    coeff_layer = LayerConfig(max(deltas), g, n)
+    solved, coeff_by_h = solve_cells(
+        curve, cells, upper_slack, processes,
+        alongside=lambda: [compute_coefficients(curve, coeff_layer, h) for h in h_list])
     h_coarse, h_fine = h_list[-2], h_list[-1]
     c_coarse, c_fine = coeff_by_h[-2], coeff_by_h[-1]
     lam0, est0 = richardson(h_coarse, c_coarse.lambda0, h_fine, c_fine.lambda0)
     lam1, _ = richardson(h_coarse, c_coarse.lambda1, h_fine, c_fine.lambda1)
     lam2, _ = richardson(h_coarse, c_coarse.lambda2, h_fine, c_fine.lambda2)
 
-    row = partial(_fem_row, curve, h_list, upper_slack)
-    layers = [LayerConfig(delta, g, n) for delta in deltas]
-    if callable(g):
-        jobs = 1  # callables cannot cross process boundaries
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(row, layers))
-    else:
-        results = [row(layer) for layer in layers]
-
+    nh = len(h_list)
+    results = [solved[i * nh:(i + 1) * nh] for i in range(len(deltas))]
     rows = []
     for delta, per_h in zip(deltas, results):
-        (lam_c, ero_c), (lam_f, ero_f) = per_h[-2], per_h[-1]
+        (lam_c, _, ero_c, _), (lam_f, _, ero_f, _) = per_h[-2], per_h[-1]
         lam_direct, est_direct = richardson(h_coarse, lam_c, h_fine, lam_f)
         lam_eroded, est_eroded = richardson(h_coarse, ero_c, h_fine, ero_f)
         pred0, pred1 = lam0, lam0 + delta * lam1
@@ -283,25 +348,27 @@ def _sweep_fem(curve, deltas, g, n, h_list, jobs, sandwich_factor, upper_slack):
             mesh_est=mesh_est,
             guard2_ok=bool(guard2),
         ))
-    return rows, lam0, lam1, lam2
+    return rows, lam0, lam1, lam2, processes, reason
 
 
-def run_sweep(curve, deltas, g, n, h_list=None, solver="auto", jobs=1,
+def run_sweep(curve, deltas, g, n, h_list=None, solver="auto",
               sandwich_factor=3.0, upper_slack=5e-3):
     """Sweep coating thicknesses and fit the convergence orders.
 
     solver 'bessel' uses the semi-analytic disk determinant (circle geometry
     only), 'fem' the coupled pencil on every mesh size in h_list with
-    Richardson extrapolation, 'auto' picks by geometry.
+    Richardson extrapolation, 'auto' picks by geometry.  The finite element
+    cells run on as many processes as `cell_processes` derives.
     """
     deltas = [float(d) for d in deltas]
     if solver == "auto":
         solver = "bessel" if isinstance(curve, Circle) and not callable(g) and float(g) == 1.0 else "fem"
     if solver == "bessel":
         rows, lam0, lam1, lam2 = _sweep_disk(curve, deltas, g, n, sandwich_factor)
+        processes, reason = 1, "semi-analytic solver"
     elif solver == "fem":
-        rows, lam0, lam1, lam2 = _sweep_fem(
-            curve, deltas, g, n, h_list, jobs, sandwich_factor, upper_slack
+        rows, lam0, lam1, lam2, processes, reason = _sweep_fem(
+            curve, deltas, g, n, h_list, sandwich_factor, upper_slack
         )
     else:
         raise ConfigError(f"unknown solver {solver!r}", field="solver")
@@ -314,7 +381,8 @@ def run_sweep(curve, deltas, g, n, h_list=None, solver="auto", jobs=1,
         "version": _VERSION,
     }
     return SweepReport(rows=rows, fits=fits, provenance=provenance,
-                       lambda0=lam0, lambda1=lam1, lambda2=lam2)
+                       lambda0=lam0, lambda1=lam1, lambda2=lam2,
+                       processes=processes, serial_reason=reason)
 
 
 # ---------------------------------------------------------------------------

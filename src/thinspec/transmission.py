@@ -110,7 +110,8 @@ class FirstTE:
     """First transmission eigenvalue on a coated mesh with its eigenpair and
     the bracketing quantities used to validate it.  residual is the backward
     error ||(A - lam B)x||_1 / ((||A||_1 + lam ||B||_1) ||x||_1); fallback is
-    "widened-window" when the corridor held no eigenvalue, else None."""
+    "widened-window" when the corridor held no eigenvalue, else None.  K and
+    M are the full-domain stiffness and mass on mesh."""
 
     lam: float
     v: FemField
@@ -122,6 +123,8 @@ class FirstTE:
     fallback: str = None
     mesh: object = field(repr=False, default=None)
     pencil: object = field(repr=False, default=None)
+    K: object = field(repr=False, default=None)
+    M: object = field(repr=False, default=None)
 
 
 def eroded_dirichlet(mesh, K, M):
@@ -184,6 +187,8 @@ def first_te(curve, layer, h, upper_slack=5e-3):
         fallback=fallback,
         mesh=mesh,
         pencil=pencil,
+        K=K,
+        M=M,
     )
 
 
@@ -227,10 +232,7 @@ def eigenfunction_error_rate(curve, deltas, h, n, g=1.0):
     for delta0 in deltas:
         layer = LayerConfig(delta0, g, n)
         te = first_te(curve, layer, h)
-        K = assemble(te.mesh, "stiffness")
-        M = assemble(te.mesh, "mass")
-        diff = te.v.values - te.v0.values
-        errors.append(h1_norm(K, M, diff))
+        errors.append(h1_norm(te.K, te.M, te.v.values - te.v0.values))
     deltas = np.asarray(deltas, dtype=float)
     errors = np.asarray(errors)
     slope = float(np.polyfit(np.log(deltas), np.log(errors), 1)[0])

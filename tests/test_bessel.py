@@ -286,6 +286,21 @@ def test_determinant_evaluates_each_series_once(monkeypatch):
             assert len(calls) == len(set(calls)), (m, k)
 
 
+def test_determinant_sums_only_the_orders_it_reads(monkeypatch):
+    # J_0, J_1 and m-1..m+1 at k*sqrt(n)*R; J_0, J_1 and m at
+    # k*sqrt(n)*(R - delta); m-1..m+1 at k*R
+    calls = []
+    series = bessel.bessel_j_series
+
+    def recording(m, x):
+        calls.append(m)
+        return series(m, x)
+
+    monkeypatch.setattr(bessel, "bessel_j_series", recording)
+    bessel.transmission_determinant(bessel.DiskProblem(1.0, 0.05, 0.48, 6), 2.43)
+    assert sorted(calls) == [0, 0, 1, 1, 5, 5, 6, 6, 6, 7, 7]
+
+
 def test_det_scan_matches_scalar_determinant():
     deltas = [0.02, 0.3]
     ks = np.array([np.linspace(0.05, 7.2, 40), np.linspace(0.1, 9.0, 40)])

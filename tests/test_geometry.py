@@ -32,6 +32,16 @@ def test_frame_is_unit(curve):
 
 
 @pytest.mark.parametrize("curve", CURVES, ids=lambda c: f"{c.kind}")
+def test_position_normal_is_position_and_normal(curve):
+    s = np.linspace(0.0, curve.s0, 57, endpoint=False)
+    x, nu = curve.position_normal(s)
+    tau = curve.tangent(s)
+    assert np.array_equal(x, curve.position(s))
+    assert np.array_equal(nu, np.stack([-tau[..., 1], tau[..., 0]], axis=-1))
+    assert np.array_equal(nu, curve.inward_normal(s))
+
+
+@pytest.mark.parametrize("curve", CURVES, ids=lambda c: f"{c.kind}")
 def test_periodicity(curve):
     s = np.linspace(0.0, curve.s0, 23, endpoint=False)
     gap = curve.position(s + curve.s0) - curve.position(s)

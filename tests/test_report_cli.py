@@ -1,13 +1,14 @@
 import json
 import math
+import multiprocessing
 import os
 
 import numpy as np
 import pytest
 
-from thinspec import bessel
+from thinspec import bessel, cli, report
 from thinspec.cli import _IDENTITY_TOL, main
-from thinspec.errors import BelowLambda0, ConfigError, InsufficientData
+from thinspec.errors import BelowLambda0, ConfigError, InsufficientData, NoRootFound
 from thinspec.geometry import Circle, Ellipse
 from thinspec.report import (
     estimate_thickness,
@@ -144,14 +145,108 @@ def test_bessel_sweep_rejects_ellipse():
         run_sweep(Ellipse(1.3, 1.0), [0.02, 0.01], 1.0, 0.48, solver="bessel")
 
 
-def test_fem_sweep_worker_pool_deterministic():
+needs_fork = pytest.mark.skipif(multiprocessing.get_all_start_methods()[0] != "fork",
+                                reason="worker processes are forked only where fork is the default")
+
+
+def _force_cells(monkeypatch, pooled):
+    """Make cell_processes choose two workers (two usable cores, BLAS pinned)
+    or one process (BLAS unpinned)."""
+    for var in report._BLAS_THREAD_VARS:
+        monkeypatch.delenv(var, raising=False)
+    if pooled:
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        monkeypatch.setattr(report, "_usable_cores", lambda: 2)
+
+
+@needs_fork
+@pytest.mark.parametrize("curve", [Circle(1.0), Ellipse(1.3, 1.0)], ids=["circle", "ellipse"])
+def test_fem_sweep_pooled_matches_serial(monkeypatch, curve):
     # the ellipse crosses the process boundary with its arclength tables
-    for curve in (Circle(1.0), Ellipse(1.3, 1.0)):
-        serial = run_sweep(curve, [0.03, 0.02], 1.0, 0.48,
-                           h_list=[0.08, 0.06], solver="fem", jobs=1)
-        pooled = run_sweep(curve, [0.03, 0.02], 1.0, 0.48,
-                           h_list=[0.08, 0.06], solver="fem", jobs=2)
-        assert serial.to_csv() == pooled.to_csv()
+    sweeps = {}
+    for pooled in (False, True):
+        _force_cells(monkeypatch, pooled)
+        sweeps[pooled] = run_sweep(curve, [0.03, 0.02], 1.0, 0.48,
+                                   h_list=[0.08, 0.06], solver="fem")
+        assert multiprocessing.active_children() == []
+    assert (sweeps[True].processes, sweeps[True].serial_reason) == (2, None)
+    assert (sweeps[False].processes, sweeps[False].serial_reason) == \
+        (1, "BLAS threads not pinned to 1")
+    assert sweeps[True].to_csv() == sweeps[False].to_csv()
+    assert sweeps[True].fits_csv() == sweeps[False].fits_csv()
+
+
+@needs_fork
+def test_fem_sweep_worker_error_reaches_caller(monkeypatch):
+    # forked workers inherit the patched solver; the typed error crosses back
+    solve = report.first_te
+
+    def failing(curve, layer, h, upper_slack):
+        if layer.delta0 == 0.02 and h == 0.08:
+            raise NoRootFound("no real pencil eigenvalue")
+        return solve(curve, layer, h, upper_slack=upper_slack)
+
+    monkeypatch.setattr(report, "first_te", failing)
+    _force_cells(monkeypatch, pooled=True)
+    with pytest.raises(NoRootFound):
+        run_sweep(Circle(1.0), [0.03, 0.02], 1.0, 0.48, h_list=[0.1, 0.08], solver="fem")
+    assert multiprocessing.active_children() == []
+
+
+@needs_fork
+@pytest.mark.parametrize("geometry", [{"kind": "circle", "radius": 1.0},
+                                      {"kind": "ellipse", "a": 1.3, "b": 1.0}],
+                         ids=["circle", "ellipse"])
+def test_cli_direct_pooled_matches_serial(monkeypatch, tmp_path, geometry):
+    cfg = _write_config(tmp_path, geometry=geometry, mesh={"h": [0.08, 0.06]},
+                        layer={"delta0": [0.03, 0.02], "n": 0.48})
+    used = []
+    solve = cli.solve_cells
+
+    def recording(curve, cells, upper_slack, processes, alongside=None):
+        used.append(processes)
+        return solve(curve, cells, upper_slack, processes, alongside)
+
+    monkeypatch.setattr(cli, "solve_cells", recording)
+    out = {}
+    for pooled in (False, True):
+        _force_cells(monkeypatch, pooled)
+        out[pooled] = tmp_path / f"pooled{int(pooled)}"
+        assert main(["direct", "--config", cfg, "--out", str(out[pooled])]) == 0
+        assert multiprocessing.active_children() == []
+    assert used == [1, 2]
+    assert (out[True] / "direct.csv").read_bytes() == (out[False] / "direct.csv").read_bytes()
+
+
+@pytest.mark.parametrize("env, cores, g, expected", [
+    ({}, 2, 1.0, (1, "BLAS threads not pinned to 1")),
+    ({"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, 2, 1.0,
+     (1, "BLAS threads not pinned to 1")),
+    ({"OPENBLAS_NUM_THREADS": "1"}, 1, 1.0, (1, "one usable core")),
+    ({"OPENBLAS_NUM_THREADS": "1"}, 2, lambda s: 1.0 + 0.0 * s, (1, "callable thickness profile")),
+    # OpenBLAS skips a variable that holds no positive count
+    ({"OPENBLAS_NUM_THREADS": "0", "GOTO_NUM_THREADS": "x", "OMP_NUM_THREADS": "1"}, 4, 1.0,
+     (3, None)),
+    ({"GOTO_NUM_THREADS": "1", "OMP_NUM_THREADS": "2"}, 2, 1.0, (2, None)),
+], ids=["unpinned", "openblas-first", "one-core", "callable-g", "omp", "goto"])
+def test_cell_process_rule(monkeypatch, env, cores, g, expected):
+    for var in report._BLAS_THREAD_VARS:
+        monkeypatch.delenv(var, raising=False)
+    for var, value in env.items():
+        monkeypatch.setenv(var, value)
+    monkeypatch.setattr(report, "_usable_cores", lambda: cores)
+    if expected[0] > 1 and multiprocessing.get_all_start_methods()[0] != "fork":
+        expected = (1, f"start method {multiprocessing.get_all_start_methods()[0]}")
+    assert report.cell_processes(g, 3) == expected
+
+
+def test_sweep_records_why_it_ran_serially(monkeypatch, disk_sweep_report):
+    assert (disk_sweep_report.processes, disk_sweep_report.serial_reason) == \
+        (1, "semi-analytic solver")
+    _force_cells(monkeypatch, pooled=True)
+    sweep = run_sweep(Circle(1.0), [0.03, 0.02], lambda s: 1.0 + 0.0 * s, 0.48,
+                      h_list=[0.08, 0.06], solver="fem")
+    assert (sweep.processes, sweep.serial_reason) == (1, "callable thickness profile")
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ import pytest
 import scipy.linalg
 import scipy.sparse as sp
 
-from thinspec import bessel
+from thinspec import bessel, fem, transmission
 from thinspec.errors import MissingLayer
 from thinspec.fem import assemble, dirichlet_eigs, ground_state, h1_norm
 from thinspec.geometry import Circle, Ellipse, LayerConfig
@@ -164,9 +164,6 @@ def test_first_te_frees_stiffness_factor_before_pencil_lu(monkeypatch):
     never add to its peak memory."""
     import gc
     import weakref
-
-    import thinspec.fem as fem
-    import thinspec.transmission as transmission
 
     class Factor:  # weak-referenceable stand-in for SuperLU
         def __init__(self, lu):
@@ -328,6 +325,29 @@ def test_eigenfunction_error_rate():
     )
     assert slope >= 0.8
     assert np.all(np.diff(errors) < 0.0)
+
+
+def test_eigenfunction_error_rate_assembles_only_in_first_te(monkeypatch):
+    calls = []
+
+    def counting(home):
+        original = home.assemble
+
+        def wrapper(*args, **kwargs):
+            calls.append(args[1])
+            return original(*args, **kwargs)
+        monkeypatch.setattr(home, "assemble", wrapper)
+
+    counting(fem)
+    counting(transmission)
+    te = first_te(Circle(1.0), LayerConfig(0.04, 1.0, 0.48), 0.1)
+    per_solve = len(calls)
+    calls.clear()
+    _, errors, _ = eigenfunction_error_rate(Circle(1.0), [0.04, 0.02], 0.1, 0.48)
+    assert len(calls) == 2 * per_solve
+    # the matrices first_te carries are the ones a fresh assembly gives
+    K, M = _full_km(te.mesh)
+    assert errors[0] == h1_norm(K, M, te.v.values - te.v0.values)
 
 
 def test_eigenfunction_error_mesh_stable():
