@@ -26,6 +26,6 @@ print(f"first TE (oracle)     = {oracle:.8f}   relative gap {abs(te.lam-oracle)/
 print(f"corridor holds: {te.lambda0 <= te.lam <= te.lambda_eroded}")
 
 print("\n== energy identity ==")
-res = rayleigh_identity_residual(te.lam, te.v, te.w, n, te.mesh)
+res = rayleigh_identity_residual(te.lam, te.v, te.w, n, te.mesh, te.K, te.M)
 print(f"relative defect of the eigenpair identity: {res:.2e}")
 print("(discrete eigenpairs satisfy it to solver accuracy)")

@@ -10,13 +10,14 @@ numpy arrays, which is what the root searches scan with.  Both kinds take the
 same operations in the same order, so an array element equals the float
 value bit for bit.  On top of them sit the disk-specific pieces:
 Dirichlet eigenvalues of the disk, the 2x2 Cauchy-data matching determinant
-whose zeros are the transmission eigenvalues of a coated disk (all angular
-modes sign-scanned across the Max-Min corridor only, in one series pass over
-the three Bessel arguments and over every thickness of a sweep, brackets
-refined by Brent's method from the scanned end values), and the expansion
-coefficients lambda0 = (j01/R)^2, lambda1 = 2 lambda0/R,
-lambda2 = 3 lambda0/R^2 with their radial fields, all in closed form and
-independent of the refractive index.
+whose zeros are the transmission eigenvalues of a coated disk (sign-scanned
+across the Max-Min corridor only, in one series pass over the three Bessel
+arguments and over every thickness of a sweep, brackets refined by Brent's
+method from the scanned end values; an angular mode m is scanned only if its
+Max-Min floor (j_{m,1}/R)^2 lies inside a corridor, so thin coatings scan mode
+0 alone), and the expansion coefficients lambda0 = (j01/R)^2,
+lambda1 = 2 lambda0/R, lambda2 = 3 lambda0/R^2 with their radial fields, all
+in closed form and independent of the refractive index.
 """
 
 import math
@@ -41,7 +42,7 @@ _SERIES_CUTOFF = 12.0
 _ZERO_SERIES_CUTOFF = 6.0
 _MAX_ORDER = 20
 _MAX_ARGUMENT = 1.0e4
-# angular modes 0.._MODE_MAX are scanned for the first transmission eigenvalue
+# the first transmission eigenvalue is sought among angular modes 0.._MODE_MAX
 _MODE_MAX = 6
 
 
@@ -165,20 +166,21 @@ def _y01_asymptotic(x):
     return out[0], out[1]
 
 
-def _y01_series(x, jtab=None):
-    """(Y_0(x), Y_1(x)) by ascending series for x > 0: floats at one float x,
-    summed in plain floats, or arrays for an array x.
+def _y01_series(x, jtab=None, top=1):
+    """(Y_0(x), Y_1(x)) by ascending series for x > 0, or (Y_0(x),) alone if
+    top is 0: floats at one float x, summed in plain floats, or arrays for an
+    array x.
 
-    jtab, if given, holds J_0(x) and J_1(x) at its keys or rows 0 and 1."""
+    jtab, if given, holds J_0(x) (and J_1(x) unless top is 0) at its keys or
+    rows 0 and 1."""
     x = _series_arg(x, "_y01_series")
     array = _is_array(x)
     half = 0.5 * x
     quarter = half * half
     lnt = np.log(half) + EULER_GAMMA
     if jtab is None:
-        j0, j1 = bessel_j_series(0, x), bessel_j_series(1, x)
-    else:
-        j0, j1 = jtab[0], jtab[1]
+        jtab = [bessel_j_series(m, x) for m in range(top + 1)]
+    j0 = jtab[0]
     # order zero
     s0 = 0.0
     term = 1.0
@@ -197,6 +199,8 @@ def _y01_series(x, jtab=None):
         elif abs(contrib) <= 1e-18 * abs(s0) + 1e-300:
             break
     y0 = (2.0 / math.pi) * (lnt * j0 + s0)
+    if top == 0:
+        return (y0 if array else float(y0),)
     # order one
     s1 = 0.0
     term = 1.0
@@ -217,7 +221,7 @@ def _y01_series(x, jtab=None):
         term = term * (quarter / ((k + 1) * (k + 2)))
         hk += 1.0 / (k + 1)
         hk1 += 1.0 / (k + 2)
-    y1 = (2.0 / math.pi) * lnt * j1 - 2.0 / (math.pi * x) - (half / math.pi) * s1
+    y1 = (2.0 / math.pi) * lnt * jtab[1] - 2.0 / (math.pi * x) - (half / math.pi) * s1
     if array:
         return y0, y1
     return float(y0), float(y1)
@@ -267,13 +271,13 @@ def _j_values(mmax, x):
 def _y_values(mmax, x, jtab=None):
     """Y_0..Y_mmax at x as _j_values gives J: a list of floats at one float
     x, rows of an array below the series cutoff.  Forward recurrence is
-    stable upward; jtab is passed on to _y01_series."""
+    stable upward; jtab is passed on to _y01_series, which sums the order-one
+    series only if mmax is at least 1."""
     array = _is_array(x)
     if array or x < _SERIES_CUTOFF:
-        y0, y1 = _y01_series(x, jtab)
+        vals = list(_y01_series(x, jtab, min(mmax, 1)))
     else:
-        y0, y1 = _y01_asymptotic(x)
-    vals = [y0, y1]
+        vals = list(_y01_asymptotic(x))
     for m in range(2, mmax + 1):
         vals.append((2.0 * (m - 1) / x) * vals[-1] - vals[-2])
     vals = vals[: mmax + 1]
@@ -317,15 +321,15 @@ def _j_checked(m, x, orders=None):
     return {k: bessel_j_series(k, x) for k in orders}
 
 
-def _y_checked(m, x, jtab=None):
-    """Table Y_0..Y_{m+1} at x, under bessel_y's domain check and warning;
+def _y_checked(top, x, jtab=None):
+    """Table Y_0..Y_top at x, under bessel_y's domain check and warning;
     jtab is passed on to _y01_series."""
     if x <= 0:
         raise DomainError("bessel_y: argument must be positive")
     if x < 1e-8:
         warnings.warn("bessel_y: argument below 1e-8, value near the logarithmic "
                       "singularity", MagnitudeWarning)
-    return _y_values(m + 1, x, jtab)
+    return _y_values(top, x, jtab)
 
 
 def bessel_j(m, x):
@@ -342,7 +346,7 @@ def bessel_y(m, x):
     A MagnitudeWarning is emitted below x = 1e-8 where the logarithmic
     singularity dominates; the returned value is still finite.
     """
-    return _value_slope(_y_checked(m, x), m)
+    return _value_slope(_y_checked(m + 1, x), m)
 
 
 def wronskian_defect(m, x):
@@ -450,9 +454,10 @@ def transmission_determinant(prob, k):
     The interior field is J_m(k r) on the full disk; the coating field is the
     combination of J_m and Y_m at argument k*sqrt(n)*r vanishing on the inner
     boundary r = R - delta.  The determinant vanishes exactly at transmission
-    eigenvalues lambda = k^2 of mode m.  Only the J orders read are summed:
+    eigenvalues lambda = k^2 of mode m.  Only the series read are summed:
     J_0 and J_1, which also seed the Y series, with m - 1..m + 1 at k*sqrt(n)*R
-    and m at k*sqrt(n)*(R - delta).
+    and m at k*sqrt(n)*(R - delta), where mode 0 reads Y_0 alone and so sums
+    neither J_1 nor the order-one Y series.
     """
     a = k * math.sqrt(prob.n) * prob.R
     b = k * math.sqrt(prob.n) * (prob.R - prob.delta)
@@ -460,9 +465,9 @@ def transmission_determinant(prob, k):
         raise DomainError("transmission_determinant: k*sqrt(n)*(R-delta) must be positive")
     m = prob.m
     ja_table = _j_checked(m, a, {0, 1, *_slope_orders(m)})
-    jb_table = _j_checked(m, b, {0, 1, m})
+    jb_table = _j_checked(m, b, {0, 1, m} if m else {0})
     ja, jda = _value_slope(ja_table, m)
-    ya, yda = _value_slope(_y_checked(m, a, ja_table), m)
+    ya, yda = _value_slope(_y_checked(m + 1, a, ja_table), m)
     jb, yb = jb_table[m], _y_checked(m, b, jb_table)[m]
     w_val = ja * yb - ya * jb
     w_der = (k * math.sqrt(prob.n)) * (jda * yb - yda * jb)
@@ -515,14 +520,20 @@ def disk_first_tes(R, deltas, n):
     radius R coated with index n, for every thickness of deltas.
 
     One array sign scan (`_det_scan`, one series pass for all thicknesses)
-    of angular modes 0.._MODE_MAX at 17 wavenumbers across each thickness's
-    Max-Min corridor (see `corridor`) of lambda0 = (j01/R)^2 and
-    lambda_eroded = (j01/(R - delta))^2.  Each mode's first bracket is
-    refined by Brent's method to width 1e-14 from the scanned values at its
-    ends (`_root_in`), in increasing order, until the next bracket starts
-    above the best root.  Raises NoRootInBracket if no mode changes sign in
-    a corridor; for delta/R above about 0.8 the corridor passes the series
-    cutoff k*R = 12 and _det_scan raises DomainError.
+    at 17 wavenumbers across each thickness's Max-Min corridor (see
+    `corridor`) of lambda0 = (j01/R)^2 and lambda_eroded = (j01/(R - delta))^2.
+    The Max-Min principle in the mode-m subspace puts mode m's first
+    eigenvalue at or above its Dirichlet floor (j_{m,1}/R)^2, so the scan
+    takes mode 0 and each mode 1.._MODE_MAX whose floor k = j_{m,1}/R is at
+    most the largest scanned wavenumber: mode 0 alone while every delta/R
+    is below 0.3708 (1 - j01/j11 = 0.372, less the corridor's upper slack),
+    and the modes a thicker coating's corridor reaches beyond that.  Each
+    mode's first bracket is refined by Brent's method to width 1e-14 from
+    the scanned values at its ends (`_root_in`), in increasing order, until
+    the next bracket starts above the best root.  Raises NoRootInBracket if
+    no mode changes sign in a corridor; for delta/R above about 0.8 the
+    corridor passes the series cutoff k*R = 12 and _det_scan raises
+    DomainError.
     """
     probs = [DiskProblem(R, delta, n) for delta in deltas]
     if not probs:
@@ -530,7 +541,11 @@ def disk_first_tes(R, deltas, n):
     j01 = bessel_j_zero(0, 1)
     windows = [corridor((j01 / R) ** 2, (j01 / (R - p.delta)) ** 2) for p in probs]
     ks = np.array([np.linspace(math.sqrt(lo), math.sqrt(hi), 17) for lo, hi in windows])
-    tables = _det_scan(R, [p.delta for p in probs], n, ks, _MODE_MAX)
+    # mode m's first root lies at or above its floor j_{m,1}/R
+    mode_max = 0
+    while mode_max < _MODE_MAX and bessel_j_zero(mode_max + 1, 1) <= ks.max() * R:
+        mode_max += 1
+    tables = _det_scan(R, [p.delta for p in probs], n, ks, mode_max)
     lams = []
     for prob, row, table, (lo, hi) in zip(probs, ks, tables.swapaxes(0, 1), windows):
         firsts = sorted((hits[0], m) for m, hits in enumerate(map(_sign_changes, table))

@@ -216,7 +216,8 @@ def _task_validate(cfg, outdir):
         sandwich = (tef.lambda0 * (1 - 1e-9) <= tef.lam
                     <= tef.lambda_eroded * (1 + cfg["sandwich_factor"] * 1e-3))
         checks.append(("sandwich", delta, tef.lam, sandwich))
-        resid = rayleigh_identity_residual(tef.lam, tef.v, tef.w, cfg["n"], tef.mesh)
+        resid = rayleigh_identity_residual(tef.lam, tef.v, tef.w, cfg["n"], tef.mesh,
+                                           tef.K, tef.M)
         checks.append(("rayleigh_identity", delta, resid, resid <= _IDENTITY_TOL))
     lines = ["check,delta,value,ok"]
     for name, delta, value, ok in checks:

@@ -17,8 +17,6 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import bessel
 from .asymptotics import compute_coefficients, geometry_hash
 from .errors import BelowLambda0, ConfigError, InsufficientData
@@ -40,28 +38,31 @@ class FitResult:
 def fit_order(deltas, errors):
     """Least-squares slope of log(error) against log(delta).
 
-    Zero error rows are dropped with a note; fewer than three surviving pairs
-    raises InsufficientData.
+    The centred line in closed form, in plain floats: slope Sxy/Sxx and
+    r2 = Sxy^2/(Sxx Syy) from the sums of squares about the means.  Zero
+    error rows are dropped with a note; fewer than three surviving pairs, or
+    a single distinct thickness among them, raises InsufficientData.
     """
-    deltas = np.asarray(deltas, dtype=float)
-    errors = np.asarray(errors, dtype=float)
-    if np.any(deltas <= 0):
+    deltas = [float(d) for d in deltas]
+    if any(d <= 0 for d in deltas):
         raise InsufficientData("fit_order: thickness values must be positive")
-    keep = errors > 0.0
-    note = ""
-    if not np.all(keep):
-        note = f"dropped {int((~keep).sum())} zero-error row(s)"
-    deltas = deltas[keep]
-    errors = errors[keep]
-    if len(deltas) < 3:
-        raise InsufficientData(f"fit_order: need >= 3 positive pairs, have {len(deltas)}")
-    x = np.log(deltas)
-    y = np.log(errors)
-    slope, intercept = np.polyfit(x, y, 1)
-    resid = y - (slope * x + intercept)
-    ss_tot = float(np.sum((y - y.mean()) ** 2))
-    r2 = 1.0 - float(np.sum(resid**2)) / ss_tot if ss_tot > 0 else 1.0
-    return FitResult(float(slope), float(intercept), r2, len(deltas), note)
+    pairs = [(math.log(d), math.log(e)) for d, e in zip(deltas, map(float, errors), strict=True)
+             if e > 0.0]
+    dropped = len(deltas) - len(pairs)
+    note = f"dropped {dropped} zero-error row(s)" if dropped else ""
+    count = len(pairs)
+    if count < 3:
+        raise InsufficientData(f"fit_order: need >= 3 positive pairs, have {count}")
+    x_mean = sum(x for x, _ in pairs) / count
+    y_mean = sum(y for _, y in pairs) / count
+    sxx = sum((x - x_mean) ** 2 for x, _ in pairs)
+    if sxx == 0.0:
+        raise InsufficientData("fit_order: need two distinct thickness values")
+    sxy = sum((x - x_mean) * (y - y_mean) for x, y in pairs)
+    syy = sum((y - y_mean) ** 2 for _, y in pairs)
+    slope = sxy / sxx
+    r2 = sxy * sxy / (sxx * syy) if syy > 0 else 1.0
+    return FitResult(slope, y_mean - slope * x_mean, r2, count, note)
 
 
 @dataclass

@@ -192,11 +192,12 @@ def first_te(curve, layer, h, upper_slack=5e-3):
     )
 
 
-def rayleigh_identity_residual(lam, v, w, n, mesh):
+def rayleigh_identity_residual(lam, v, w, n, mesh, K, M):
     """Relative defect of the energy identity satisfied by an eigenpair.
 
-    With u = w - v (w extended by zero outside the coating) normalized to
-    unit mass norm, a true eigenpair satisfies
+    K and M are the full-domain stiffness and mass on mesh (a `FirstTE`
+    carries both).  With u = w - v (w extended by zero outside the coating)
+    normalized to unit mass norm, a true eigenpair satisfies
 
         lam = lam * int_layer (1-n) |w|^2 + int |grad u|^2.
 
@@ -206,8 +207,6 @@ def rayleigh_identity_residual(lam, v, w, n, mesh):
     evaluated after normalizing u, so it is invariant under scaling of the
     eigenpair.
     """
-    K = assemble(mesh, "stiffness")
-    M = assemble(mesh, "mass")
     v_vals = v.values if isinstance(v, FemField) else np.asarray(v, dtype=float)
     w_vals = w.values if isinstance(w, FemField) else np.asarray(w, dtype=float)
     one_minus_n = (lambda x, y: 1.0 - n(x, y)) if callable(n) else 1.0 - float(n)

@@ -230,11 +230,16 @@ def _mode_roots_reference(m, R, delta, n, k_lo, k_hi, step):
     (R, n, ratio * R) for R in (0.5, 2.0) for n in (0.02, 0.98) for ratio in (0.2, 0.6)])
 def test_first_te_matches_scalar_scan(R, n, delta):
     j01 = float(jn_zeros(0, 1)[0])
-    roots = [k for m in range(7) for k in _mode_roots_reference(
-        m, R, delta, n, 0.05 / R, 3.0 * j01 / R, 0.01 / R)]
-    # no determinant root of any mode lies below lambda0 = (j01/R)^2, and the
-    # first one lies in the corridor the solver scans
-    assert not [k for k in roots if k < j01 / R]
+    floors = [float(jn_zeros(m, 1)[0]) / R for m in range(7)]
+    # every mode's reference window reaches past its floor
+    mode_roots = [_mode_roots_reference(m, R, delta, n, 0.05 / R, 1.1 * floors[6], 0.01 / R)
+                  for m in range(7)]
+    # no determinant root of mode m lies below its Max-Min floor j_{m,1}/R,
+    # which for mode 0 is lambda0 = (j01/R)^2, and the first root lies in the
+    # corridor the solver scans
+    for m, roots in enumerate(mode_roots):
+        assert not [k for k in roots if k < floors[m]], m
+    roots = [k for ks in mode_roots for k in ks]
     lo, hi = bessel.corridor((j01 / R) ** 2, (j01 / (R - delta)) ** 2)
     assert lo <= min(roots) ** 2 <= hi
     lam = bessel.disk_first_te(bessel.DiskProblem(R, delta, n))
@@ -246,7 +251,7 @@ def test_first_te_scans_only_the_corridor(monkeypatch):
     det_scan = bessel._det_scan
 
     def recording(R, deltas, n, ks, mode_max):
-        scanned.append((list(deltas), np.array(ks)))
+        scanned.append((list(deltas), np.array(ks), mode_max))
         return det_scan(R, deltas, n, ks, mode_max)
 
     monkeypatch.setattr(bessel, "_det_scan", recording)
@@ -255,9 +260,24 @@ def test_first_te_scans_only_the_corridor(monkeypatch):
         for delta in (0.04, 0.02, 0.01, 0.005):
             bessel.disk_first_te(bessel.DiskProblem(1.0, delta, n))
     assert len(scanned) == 12
-    for (delta,), ks in scanned:
+    for (delta,), ks, mode_max in scanned:
         lo, hi = bessel.corridor(j01**2, (j01 / (1.0 - delta)) ** 2)
         assert math.sqrt(lo) <= ks.min() and ks.max() <= math.sqrt(hi)
+        assert mode_max == 0
+    # the benchmark's disk sweeps (thicknesses up to 0.044) scan mode 0 alone
+    scanned.clear()
+    for n in (0.16, 0.84):
+        bessel.disk_first_tes(1.0, [0.044, 0.022, 0.011, 0.0055], n)
+    assert [mode_max for *_, mode_max in scanned] == [0, 0]
+    # a coating of 0.6 R scans exactly the modes whose floor j_{m,1}/R the
+    # corridor reaches
+    for R in (0.5, 2.0):
+        for n in (0.02, 0.98):
+            scanned.clear()
+            bessel.disk_first_te(bessel.DiskProblem(R, 0.6 * R, n))
+            (_, ks, mode_max), = scanned
+            reached = [m for m in range(7) if jn_zeros(m, 1)[0] <= ks.max() * R]
+            assert reached == list(range(mode_max + 1)) and mode_max >= 1, (R, n)
 
 
 def test_first_te_without_sign_change_raises(monkeypatch):
@@ -299,6 +319,16 @@ def test_determinant_sums_only_the_orders_it_reads(monkeypatch):
     monkeypatch.setattr(bessel, "bessel_j_series", recording)
     bessel.transmission_determinant(bessel.DiskProblem(1.0, 0.05, 0.48, 6), 2.43)
     assert sorted(calls) == [0, 0, 1, 1, 5, 5, 6, 6, 6, 7, 7]
+    # mode 0 reads Y_0 alone at k*sqrt(n)*(R - delta): J_0 there, no J_1,
+    # and no order-one Y series
+    calls.clear()
+    y_tops = []
+    y_series = bessel._y01_series
+    monkeypatch.setattr(bessel, "_y01_series",
+                        lambda x, jtab=None, top=1: y_tops.append(top) or y_series(x, jtab, top))
+    bessel.transmission_determinant(bessel.DiskProblem(1.0, 0.05, 0.48, 0), 2.43)
+    assert sorted(calls) == [0, 0, 0, 1, 1]
+    assert y_tops == [1, 0]
 
 
 def test_det_scan_matches_scalar_determinant():

@@ -47,6 +47,36 @@ def test_fit_order_drops_zero_rows():
 def test_fit_order_insufficient():
     with pytest.raises(InsufficientData):
         fit_order([0.04, 0.02], [1.0, 0.5])
+    with pytest.raises(InsufficientData, match="distinct"):
+        fit_order([0.02, 0.02, 0.02], [1.0, 0.5, 0.25])
+    with pytest.raises(ValueError):
+        fit_order([0.04, 0.02, 0.01, 0.005], [1.0, 0.5, 0.25])
+
+
+def _polyfit_reference(deltas, errors):
+    """(slope, intercept, r2) of the log-log line by numpy's polyfit."""
+    keep = np.asarray(errors) > 0.0
+    x, y = np.log(np.asarray(deltas)[keep]), np.log(np.asarray(errors)[keep])
+    slope, intercept = np.polyfit(x, y, 1)
+    resid = y - (slope * x + intercept)
+    return slope, intercept, 1.0 - np.sum(resid**2) / np.sum((y - y.mean()) ** 2)
+
+
+def test_fit_order_matches_polyfit():
+    deltas = np.array([0.04, 0.02, 0.01, 0.005])
+    cases = [(deltas, 7.0 * deltas**3), (deltas, 2.0 * deltas + 5.0 * deltas**2),
+             (deltas, [1.6e-3, 4e-4, 0.0, 2.5e-5])]
+    # the benchmark's three disk sweeps, every order
+    for n in (0.2, 0.48, 0.8):
+        rows = run_sweep(Circle(1.0), list(deltas), 1.0, n, solver="bessel").rows
+        cases += [([r.delta for r in rows], [getattr(r, f"err{order}") for r in rows])
+                  for order in (0, 1, 2)]
+    # the dropped-row case is exactly delta^2, whose intercept 0 polyfit
+    # reads as 6e-15: the absolute floor covers it
+    for ds, errs in cases:
+        fit = fit_order(ds, errs)
+        ref = _polyfit_reference(ds, errs)
+        assert (fit.slope, fit.intercept, fit.r2) == pytest.approx(ref, rel=1e-12, abs=1e-13)
 
 
 def test_richardson_second_order():
@@ -389,6 +419,6 @@ def test_validate_identity_bound_can_fail(disk_te):
     # the identity holds to rounding for the computed pair, and a relative
     # eigenvalue error of 1e-6 breaks it by far more than validate allows
     assert rayleigh_identity_residual(disk_te.lam, disk_te.v, disk_te.w, 0.48,
-                                      disk_te.mesh) <= _IDENTITY_TOL
+                                      disk_te.mesh, disk_te.K, disk_te.M) <= _IDENTITY_TOL
     assert rayleigh_identity_residual(disk_te.lam * (1 + 1e-6), disk_te.v, disk_te.w, 0.48,
-                                      disk_te.mesh) > _IDENTITY_TOL
+                                      disk_te.mesh, disk_te.K, disk_te.M) > _IDENTITY_TOL

@@ -283,19 +283,20 @@ def test_eroded_dirichlet_monotone():
 
 def test_rayleigh_identity_residual(disk_te):
     res = rayleigh_identity_residual(disk_te.lam, disk_te.v, disk_te.w, 0.48,
-                                     disk_te.mesh)
+                                     disk_te.mesh, disk_te.K, disk_te.M)
     assert res <= 5.0 * disk_te.mesh.h
     assert res <= 1e-6  # discrete eigenpairs satisfy the identity exactly
 
 
 def test_rayleigh_identity_scale_invariant(disk_te):
     res1 = rayleigh_identity_residual(disk_te.lam, disk_te.v, disk_te.w, 0.48,
-                                      disk_te.mesh)
+                                      disk_te.mesh, disk_te.K, disk_te.M)
     v2 = disk_te.v.copy()
     w2 = disk_te.w.copy()
     v2.values = 2.0 * v2.values
     w2.values = 2.0 * w2.values
-    res2 = rayleigh_identity_residual(disk_te.lam, v2, w2, 0.48, disk_te.mesh)
+    res2 = rayleigh_identity_residual(disk_te.lam, v2, w2, 0.48, disk_te.mesh,
+                                      disk_te.K, disk_te.M)
     assert abs(res1 - res2) <= 1e-12
 
 
