@@ -141,16 +141,17 @@ def _task_coeffs(cfg, outdir):
     computed = []
     for h in cfg["h_list"]:
         co = compute_coefficients(curve, layer, h)
-        computed.append((h, co))
+        computed.append(co)
         lines.append(",".join(f"{v:.17g}" for v in
                               (h, co.lambda0, co.lambda1, co.lambda2, co.multiplier)))
         write_atomic(os.path.join(outdir, f"coefficients_{co.geometry_hash}_h{h:g}.txt"),
                      format_coefficients(co))
     if len(computed) >= 2:
-        (hc, cc), (hf, cf) = computed[-2], computed[-1]
-        ex0, _ = richardson(hc, cc.lambda0, hf, cf.lambda0)
-        ex1, _ = richardson(hc, cc.lambda1, hf, cf.lambda1)
-        ex2, _ = richardson(hc, cc.lambda2, hf, cf.lambda2)
+        cc, cf = computed[-2], computed[-1]
+        refine = cf.mesh.n_rings / cc.mesh.n_rings
+        ex0, _ = richardson(cc.lambda0, cf.lambda0, refine)
+        ex1, _ = richardson(cc.lambda1, cf.lambda1, refine)
+        ex2, _ = richardson(cc.lambda2, cf.lambda2, refine)
         lines.append(",".join(f"{v:.17g}" for v in (0.0, ex0, ex1, ex2, 0.0)))
     write_atomic(os.path.join(outdir, "coefficients.csv"), "\n".join(lines) + "\n")
     return 0
@@ -164,7 +165,7 @@ def _task_direct(cfg, outdir):
     solved, _ = solve_cells(curve, cells, cfg["upper_slack"], processes)
     lines = ["delta,h,lambda_direct,lambda0,lambda_dirichlet_eroded,residual"]
     for (layer, h), values in zip(cells, solved):
-        lines.append(",".join(f"{v:.17g}" for v in (layer.delta0, h, *values)))
+        lines.append(",".join(f"{v:.17g}" for v in (layer.delta0, h, *values[:4])))
     write_atomic(os.path.join(outdir, "direct.csv"), "\n".join(lines) + "\n")
     return 0
 
@@ -204,13 +205,10 @@ def _task_validate(cfg, outdir):
     checks = []
     deltas = cfg["deltas"][:2]
     for delta, lam_oracle in zip(deltas, bessel.disk_first_tes(curve.radius, deltas, cfg["n"])):
-        per_h = []
-        for h in cfg["h_list"]:
-            layer = LayerConfig(delta, cfg["g"], cfg["n"])
-            te = first_te(curve, layer, h, upper_slack=cfg["upper_slack"])
-            per_h.append((h, te))
-        (hc, tec), (hf, tef) = per_h[-2], per_h[-1]
-        lam_fem, est = richardson(hc, tec.lam, hf, tef.lam)
+        layer = LayerConfig(delta, cfg["g"], cfg["n"])
+        tes = [first_te(curve, layer, h, upper_slack=cfg["upper_slack"]) for h in cfg["h_list"]]
+        tec, tef = tes[-2], tes[-1]
+        lam_fem, est = richardson(tec.lam, tef.lam, tef.mesh.n_rings / tec.mesh.n_rings)
         agree = abs(lam_fem - lam_oracle) <= cfg["sandwich_factor"] * max(est, 1e-12)
         checks.append(("cross_validation", delta, abs(lam_fem - lam_oracle), agree))
         sandwich = (tef.lambda0 * (1 - 1e-9) <= tef.lam

@@ -23,10 +23,18 @@ from .errors import ConfigError, DomainError, OffsetTooDeep
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(8)
 
 
+# panels per block of `_panel_quad`, which bounds its panels x nodes scratch
+_QUAD_BLOCK = 2048
+
+
 def _panel_quad(fun, a, b):
-    """Composite 8-point Gauss value of fun over [a, b] (vectorized in b)."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
+    """Composite 8-point Gauss value of fun over [a, b] (vectorized in b),
+    taken _QUAD_BLOCK panels at a time; each panel's value is the same bits
+    in any block."""
+    a, b = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
+    if b.ndim == 1 and len(b) > _QUAD_BLOCK:
+        return np.concatenate([_panel_quad(fun, a[i:i + _QUAD_BLOCK], b[i:i + _QUAD_BLOCK])
+                               for i in range(0, len(b), _QUAD_BLOCK)])
     half = 0.5 * (b - a)
     mid = 0.5 * (a + b)
     nodes = mid[..., None] + half[..., None] * _GL_NODES

@@ -26,7 +26,9 @@ class TriMesh:
     outer/inner hold vertex indices ordered along the respective curve;
     outer_s/inner_s are the parent-curve arclengths of those vertices (None
     for a mesh not built over a curve, which has no boundary quadrature).
-    h is the measured maximum edge length.
+    h is the measured maximum edge length; n_rings is the number of rings of
+    the hexagonal core, whose spacing s0/(6 n_rings) is what a mesh
+    refinement changes (None for a mesh not built by `generate_mesh`).
     """
 
     vertices: np.ndarray
@@ -38,6 +40,7 @@ class TriMesh:
     inner_s: np.ndarray = None
     curve: object = field(default=None, repr=False)
     layer: object = field(default=None, repr=False)
+    n_rings: int = None
 
     @property
     def n_vertices(self):
@@ -45,15 +48,19 @@ class TriMesh:
 
     @property
     def h(self):
-        e = self.vertices[self.triangles[:, [1, 2, 0]]] - self.vertices[self.triangles]
-        return float(np.sqrt((e**2).sum(-1)).max())
+        """Longest edge, from the squared lengths of the three edge arrays
+        (the square root is monotone, so it is taken once)."""
+        x, y = self.vertices[:, 0], self.vertices[:, 1]
+        t = self.triangles
+        longest = 0.0
+        for i, j in ((0, 1), (1, 2), (2, 0)):
+            dx = x[t[:, j]] - x[t[:, i]]
+            dy = y[t[:, j]] - y[t[:, i]]
+            longest = max(longest, float((dx * dx + dy * dy).max(initial=0.0)))
+        return math.sqrt(longest)
 
     def signed_areas(self):
-        p = self.vertices
-        t = self.triangles
-        a = p[t[:, 1]] - p[t[:, 0]]
-        b = p[t[:, 2]] - p[t[:, 0]]
-        return 0.5 * (a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0])
+        return 0.5 * _cross(self.vertices, self.triangles)
 
     def centroid(self):
         areas = self.signed_areas()
@@ -64,11 +71,15 @@ class TriMesh:
         return bool(np.any(self.region == LAYER))
 
 
+def _cross(p, t):
+    """Twice the signed area of each triangle, one coordinate array at a time."""
+    x, y = p[:, 0], p[:, 1]
+    x0, y0 = x[t[:, 0]], y[t[:, 0]]
+    return (x[t[:, 1]] - x0) * (y[t[:, 2]] - y0) - (y[t[:, 1]] - y0) * (x[t[:, 2]] - x0)
+
+
 def _orient_ccw(vertices, triangles):
-    a = vertices[triangles[:, 1]] - vertices[triangles[:, 0]]
-    b = vertices[triangles[:, 2]] - vertices[triangles[:, 0]]
-    det = a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0]
-    flip = det < 0
+    flip = _cross(vertices, triangles) < 0
     triangles[flip] = triangles[flip][:, [0, 2, 1]]
     return triangles
 
@@ -85,22 +96,28 @@ def _hex_core(n_rings, boundary_points_of):
     start = 1 + 3 * ring * (ring - 1)  # index of the first vertex of each ring
     j = np.arange(1, len(ring) + 1) - start
     frac, where = np.unique(j / (6.0 * ring), return_inverse=True)
-    pts = (ring / n_rings)[:, None] * boundary_points_of(frac)[where]
-    verts = np.concatenate([np.zeros((1, 2)), pts])
+    verts = np.zeros((len(ring) + 1, 2))  # the centre, then the rings
+    np.multiply((ring / n_rings)[:, None], boundary_points_of(frac)[where], out=verts[1:])
+    del frac, where
     # rings i and i+1 are joined by one (a, b, c) per vertex m = sector*(i+1) + k
     # of ring i+1, each followed by (b, d, c) unless k == i; a, b lie on ring
-    # i+1 and c, d on ring i
-    joined = ring > 1
-    i, m, so = ring[joined] - 1, j[joined], start[joined]
+    # i+1 and c, d on ring i.  Ring 1 is the first 6 entries; the columns are
+    # written straight into their rows of the triangle array.
+    i, m, so = ring[6:] - 1, j[6:], start[6:]
     si, ni = 1 + 3 * i * (i - 1), 6 * i
     sector, k = m // (i + 1), m % (i + 1)
-    a, b = so + m, so + (m + 1) % (ni + 6)
-    c = si + (sector * i + k) % ni
-    d = si + (sector * i + k + 1) % ni
-    pair = np.stack([np.stack([a, b, c], -1), np.stack([b, d, c], -1)], 1)
-    keep = np.stack([np.ones(len(k), dtype=bool), k < i], 1)
-    fan = np.stack([np.zeros(6, dtype=np.int64), 1 + np.arange(6), 1 + (np.arange(1, 7) % 6)], -1)
-    tris = np.concatenate([fan, pair[keep]])
+    second = k < i
+    at = 6 + np.arange(len(m)) + np.cumsum(second) - second  # row of each (a, b, c)
+    tris = np.empty((6 + len(m) + int(second.sum()), 3), dtype=np.int64)
+    tris[:6] = np.stack([np.zeros(6, dtype=np.int64), 1 + np.arange(6),
+                         1 + (np.arange(1, 7) % 6)], -1)
+    tris[at, 0] = so + m
+    tris[at, 1] = so + (m + 1) % (ni + 6)
+    tris[at, 2] = si + (sector * i + k) % ni
+    at_bdc = at[second]
+    tris[at_bdc + 1, 0] = tris[at_bdc, 1]
+    tris[at_bdc + 1, 1] = (si + (sector * i + k + 1) % ni)[second]
+    tris[at_bdc + 1, 2] = tris[at_bdc, 2]
     boundary = np.arange(len(verts) - 6 * n_rings, len(verts))
     return verts, tris, boundary
 
@@ -143,6 +160,7 @@ def generate_mesh(curve, layer, h):
             inner_s=None,
             curve=curve,
             layer=None,
+            n_rings=n_rings,
         )
         _check_areas(mesh)
         return mesh
@@ -170,10 +188,11 @@ def generate_mesh(curve, layer, h):
     a, b, c, d = prev, prev[:, nxt], ring, ring[:, nxt]
     layer_tris = np.stack([np.stack([a, b, c], -1), np.stack([b, d, c], -1)], 2)
 
+    region = np.repeat(np.array([CORE, LAYER], dtype=np.int64), [len(core_tris), 2 * rows * nb])
     verts = np.concatenate([core_verts, row_verts.reshape(-1, 2)])
     tris = np.concatenate([core_tris, layer_tris.reshape(-1, 3)])
+    del core_verts, core_tris  # superseded by the copies above
     tris = _orient_ccw(verts, tris)
-    region = np.repeat(np.array([CORE, LAYER], dtype=np.int64), [len(core_tris), 2 * rows * nb])
     mesh = TriMesh(
         vertices=verts,
         triangles=tris,
@@ -184,6 +203,7 @@ def generate_mesh(curve, layer, h):
         inner_s=s_ring.copy(),
         curve=curve,
         layer=layer,
+        n_rings=n_rings,
     )
     _check_areas(mesh)
     return mesh

@@ -8,7 +8,8 @@ times the Richardson mesh-error estimate), and a mesh-guard flag that admits
 the row into order fits only when the estimated mesh error is at most a third
 of the model error it would be fitted against.  Disks are swept with the
 semi-analytic solver; general geometries run the coupled finite element
-pencil on every mesh size in the list and Richardson-extrapolate.
+pencil on every mesh size in the list and Richardson-extrapolate over the
+ring spacing of the two finest meshes built.
 """
 
 import math
@@ -104,13 +105,16 @@ def estimate_thickness(lam_measured, coeffs):
     return ThicknessEstimate(first, quad)
 
 
-def richardson(h_coarse, v_coarse, h_fine, v_fine):
-    """Eliminate the leading O(h^2) error from two mesh levels.
+def richardson(v_coarse, v_fine, refinement):
+    """Eliminate the leading O(h^2) error from two mesh levels whose spacings
+    differ by the factor refinement = h_coarse/h_fine.  For meshes from
+    `generate_mesh` that is n_rings fine / n_rings coarse: the ring count is
+    round(s0/(6h)), so the nominal sizes h give the spacing ratio only when
+    both round alike.
 
     Returns (extrapolated value, error estimate of the fine-level value,
     taken as its distance to the extrapolated value)."""
-    ratio = (h_coarse / h_fine) ** 2
-    extrap = v_fine + (v_fine - v_coarse) / (ratio - 1.0)
+    extrap = v_fine + (v_fine - v_coarse) / (refinement**2 - 1.0)
     return extrap, abs(extrap - v_fine)
 
 
@@ -275,9 +279,10 @@ def cell_processes(g, n_cells):
 
 def _fem_cell(curve, layer, h, upper_slack):
     """One (thickness, mesh size) cell: first_te's (lam, lambda0,
-    lambda_eroded, residual).  Top-level for pickling."""
+    lambda_eroded, residual) and the ring count of its mesh.  Top-level for
+    pickling."""
     te = first_te(curve, layer, h, upper_slack=upper_slack)
-    return te.lam, te.lambda0, te.lambda_eroded, te.residual
+    return te.lam, te.lambda0, te.lambda_eroded, te.residual, te.mesh.n_rings
 
 
 def solve_cells(curve, cells, upper_slack, processes, alongside=None):
@@ -310,19 +315,19 @@ def _sweep_fem(curve, deltas, g, n, h_list, sandwich_factor, upper_slack):
     solved, coeff_by_h = solve_cells(
         curve, cells, upper_slack, processes,
         alongside=lambda: [compute_coefficients(curve, coeff_layer, h) for h in h_list])
-    h_coarse, h_fine = h_list[-2], h_list[-1]
     c_coarse, c_fine = coeff_by_h[-2], coeff_by_h[-1]
-    lam0, est0 = richardson(h_coarse, c_coarse.lambda0, h_fine, c_fine.lambda0)
-    lam1, _ = richardson(h_coarse, c_coarse.lambda1, h_fine, c_fine.lambda1)
-    lam2, _ = richardson(h_coarse, c_coarse.lambda2, h_fine, c_fine.lambda2)
+    refine = c_fine.mesh.n_rings / c_coarse.mesh.n_rings
+    lam0, est0 = richardson(c_coarse.lambda0, c_fine.lambda0, refine)
+    lam1, _ = richardson(c_coarse.lambda1, c_fine.lambda1, refine)
+    lam2, _ = richardson(c_coarse.lambda2, c_fine.lambda2, refine)
 
     nh = len(h_list)
     results = [solved[i * nh:(i + 1) * nh] for i in range(len(deltas))]
     rows = []
     for delta, per_h in zip(deltas, results):
-        (lam_c, _, ero_c, _), (lam_f, _, ero_f, _) = per_h[-2], per_h[-1]
-        lam_direct, est_direct = richardson(h_coarse, lam_c, h_fine, lam_f)
-        lam_eroded, est_eroded = richardson(h_coarse, ero_c, h_fine, ero_f)
+        (lam_c, _, ero_c, _, rings_c), (lam_f, _, ero_f, _, rings_f) = per_h[-2], per_h[-1]
+        lam_direct, est_direct = richardson(lam_c, lam_f, rings_f / rings_c)
+        lam_eroded, est_eroded = richardson(ero_c, ero_f, rings_f / rings_c)
         pred0, pred1 = lam0, lam0 + delta * lam1
         pred2 = pred1 + delta * delta * lam2
         err0 = abs(lam_direct - pred0)

@@ -221,11 +221,13 @@ def rayleigh_identity_residual(lam, v, w, n, mesh, K, M):
 
 def eigenfunction_error_rate(curve, deltas, h, n, g=1.0):
     """H1 distance between the coated eigenfunction and the Dirichlet ground
-    mode for each coating thickness, with the fitted log-log slope.
+    mode for each coating thickness, with the log-log slope `fit_order`
+    fits to them (at least three thicknesses, else InsufficientData).
 
     Returns (deltas, errors, slope).
     """
     from .geometry import LayerConfig
+    from .report import fit_order  # report imports this module
 
     errors = []
     for delta0 in deltas:
@@ -234,5 +236,4 @@ def eigenfunction_error_rate(curve, deltas, h, n, g=1.0):
         errors.append(h1_norm(te.K, te.M, te.v.values - te.v0.values))
     deltas = np.asarray(deltas, dtype=float)
     errors = np.asarray(errors)
-    slope = float(np.polyfit(np.log(deltas), np.log(errors), 1)[0])
-    return deltas, errors, slope
+    return deltas, errors, fit_order(deltas, errors).slope

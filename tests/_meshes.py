@@ -1,9 +1,19 @@
-"""Meshes the tests build as references: a structured unit square and the
-core of a coated mesh cut out as its own mesh."""
+"""Inputs and references the tests share: a set of boundary curves, a
+structured unit square, the core of a coated mesh cut out as its own mesh,
+and finite element assembly through triangles x 3 x 3 broadcasts."""
 
 import numpy as np
+from scipy import sparse
 
-from thinspec.mesh import CORE, TriMesh, _orient_ccw
+from thinspec.geometry import Circle, Ellipse, FourierCurve
+from thinspec.mesh import CORE, LAYER, TriMesh, _orient_ccw
+
+CURVES = [
+    Circle(1.0),
+    Ellipse(2.0, 1.0),
+    Ellipse(1.3, 1.0),
+    FourierCurve([0.08, 0.0, 0.03]),
+]
 
 
 def square_mesh(n):
@@ -52,3 +62,44 @@ def core_submesh(mesh):
         inner=np.array([], dtype=np.int64),
     )
     return sub, remap
+
+
+def broadcast_assemble(mesh, kind, region=None, coefficient=None):
+    """Reference assembly through triangles x 3 x 3 broadcasts: the local
+    stiffness as outer products of the gradient components, the local mass
+    as the edge-midpoint rule accumulated over the three quadrature points.
+    `thinspec.fem.assemble` must return the same bits."""
+    tris = mesh.triangles if region is None else mesh.triangles[mesh.region == LAYER]
+    p = mesh.vertices
+    nv = mesh.n_vertices
+    x = p[tris, 0]
+    y = p[tris, 1]
+    det = (x[:, 1] - x[:, 0]) * (y[:, 2] - y[:, 0]) - (x[:, 2] - x[:, 0]) * (y[:, 1] - y[:, 0])
+    area = 0.5 * det
+    if kind == "stiffness":
+        b = np.stack([y[:, 1] - y[:, 2], y[:, 2] - y[:, 0], y[:, 0] - y[:, 1]], axis=1)
+        c = np.stack([x[:, 2] - x[:, 1], x[:, 0] - x[:, 2], x[:, 1] - x[:, 0]], axis=1)
+        local = (b[:, :, None] * b[:, None, :] + c[:, :, None] * c[:, None, :]) / (
+            4.0 * area[:, None, None]
+        )
+        if coefficient is not None and not callable(coefficient):
+            local = local * float(coefficient)
+        elif callable(coefficient):
+            mid = p[tris].mean(axis=1)
+            local = local * np.asarray(coefficient(mid[:, 0], mid[:, 1]))[:, None, None]
+    else:
+        mids = [0.5 * (p[tris[:, i]] + p[tris[:, j]]) for i, j in ((0, 1), (1, 2), (2, 0))]
+        if coefficient is None:
+            cvals = [np.ones(len(tris))] * 3
+        elif callable(coefficient):
+            cvals = [np.asarray(coefficient(m[:, 0], m[:, 1]), dtype=float) for m in mids]
+        else:
+            cvals = [np.full(len(tris), float(coefficient))] * 3
+        # hat values at the edge midpoints: 1/2 on the two adjacent vertices
+        phis = [np.array([0.5, 0.5, 0.0]), np.array([0.0, 0.5, 0.5]), np.array([0.5, 0.0, 0.5])]
+        local = np.zeros((len(tris), 3, 3))
+        for phi, cv in zip(phis, cvals):
+            local += (area * cv / 3.0)[:, None, None] * np.outer(phi, phi)[None, :, :]
+    rows = np.repeat(tris, 3, axis=1).ravel()
+    cols = np.tile(tris, (1, 3)).ravel()
+    return sparse.csr_matrix((local.ravel(), (rows, cols)), shape=(nv, nv))

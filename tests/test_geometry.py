@@ -14,12 +14,7 @@ from thinspec.geometry import (
 )
 from thinspec.mesh import generate_mesh
 
-CURVES = [
-    Circle(1.0),
-    Ellipse(2.0, 1.0),
-    Ellipse(1.3, 1.0),
-    FourierCurve([0.08, 0.0, 0.03]),
-]
+from _meshes import CURVES
 
 
 @pytest.mark.parametrize("curve", CURVES, ids=lambda c: f"{c.kind}")

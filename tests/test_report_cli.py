@@ -8,8 +8,9 @@ import pytest
 
 from thinspec import bessel, cli, report
 from thinspec.cli import _IDENTITY_TOL, main
+from thinspec.asymptotics import compute_coefficients
 from thinspec.errors import BelowLambda0, ConfigError, InsufficientData, NoRootFound
-from thinspec.geometry import Circle, Ellipse
+from thinspec.geometry import Circle, Ellipse, LayerConfig
 from thinspec.report import (
     estimate_thickness,
     fit_order,
@@ -17,7 +18,7 @@ from thinspec.report import (
     run_sweep,
     sweep_svg,
 )
-from thinspec.transmission import rayleigh_identity_residual
+from thinspec.transmission import first_te, rayleigh_identity_residual
 
 
 # ---------------------------------------------------------------------------
@@ -81,9 +82,23 @@ def test_fit_order_matches_polyfit():
 
 def test_richardson_second_order():
     # v(h) = 3 + 4 h^2 is reproduced exactly
-    extrap, est = richardson(0.04, 3.0 + 4.0 * 0.04**2, 0.02, 3.0 + 4.0 * 0.02**2)
+    extrap, est = richardson(3.0 + 4.0 * 0.04**2, 3.0 + 4.0 * 0.02**2, 2.0)
     assert abs(extrap - 3.0) <= 1e-14
     assert est == pytest.approx(4.0 * 0.02**2, rel=1e-10)
+
+
+def test_fem_sweep_extrapolates_over_ring_spacing():
+    # h = 0.09 and 0.06 build 13 and 20 rings on this ellipse: the spacings
+    # differ by 20/13, not by the nominal 1.5
+    curve, layer, h_list = Ellipse(1.3, 1.0), LayerConfig(0.03, 1.0, 0.48), [0.09, 0.06]
+    sweep = run_sweep(curve, [0.03], 1.0, 0.48, h_list=h_list, solver="fem")
+    coarse, fine = (compute_coefficients(curve, layer, h) for h in h_list)
+    te_coarse, te_fine = (first_te(curve, layer, h) for h in h_list)
+    assert (coarse.mesh.n_rings, fine.mesh.n_rings) == (13, 20)
+    assert (te_coarse.mesh.n_rings, te_fine.mesh.n_rings) == (13, 20)
+    assert sweep.lambda0 == richardson(coarse.lambda0, fine.lambda0, 20 / 13)[0]
+    assert sweep.lambda1 == richardson(coarse.lambda1, fine.lambda1, 20 / 13)[0]
+    assert sweep.rows[0].lambda_direct == richardson(te_coarse.lam, te_fine.lam, 20 / 13)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -413,6 +428,46 @@ def test_cli_validate_task(tmp_path):
     lines = (tmp_path / "validate.csv").read_text().splitlines()
     assert lines[0] == "check,delta,value,ok"
     assert all(ln.endswith(",1") for ln in lines[1:])
+
+
+def test_cli_validate_extrapolates_over_ring_spacing(tmp_path):
+    # h = 0.09 and 0.06 build 12 and 17 rings on the unit disk, not 1.5 apart
+    cfg = _write_config(tmp_path, mesh={"h": [0.09, 0.06]},
+                        layer={"delta0": [0.02], "n": 0.48})
+    assert main(["validate", "--config", cfg, "--out", str(tmp_path)]) == 0
+    row = (tmp_path / "validate.csv").read_text().splitlines()[1].split(",")
+    assert row[0] == "cross_validation"
+    layer = LayerConfig(0.02, 1.0, 0.48)
+    te_coarse, te_fine = (first_te(Circle(1.0), layer, h) for h in (0.09, 0.06))
+    assert (te_coarse.mesh.n_rings, te_fine.mesh.n_rings) == (12, 17)
+    lam_fem = richardson(te_coarse.lam, te_fine.lam, 17 / 12)[0]
+    oracle = bessel.disk_first_tes(1.0, [0.02], 0.48)[0]
+    assert float(row[2]) == abs(lam_fem - oracle)
+
+
+@pytest.mark.parametrize("geometry, references", [
+    ({"kind": "circle", "radius": 1.0}, [1.0, 2.0, 3.0]),
+    ({"kind": "ellipse", "a": 1.3, "b": 1.0}, [None]),
+], ids=["circle", "ellipse"])
+def test_cli_coeffs_extrapolates_over_ring_spacing(tmp_path, geometry, references):
+    # h = 0.02 and 0.01 build 52 and 105 rings on the unit disk and 60 and
+    # 121 on the ellipse, so extrapolating with the nominal ratio 2 leaves a
+    # bias far above the O(h^4) remainder.  The references are the disk
+    # closed forms j01^2, 2 j01^2, 3 j01^2 and the Mathieu value of the
+    # ellipse's lambda0; extrapolating over the ring spacing must bring each
+    # at least 10x closer than the nominal ratio does
+    j01_sq = bessel.bessel_j_zero(0, 1) ** 2
+    exact = [4.593976334167 if r is None else r * j01_sq for r in references]
+    cfg = _write_config(tmp_path, geometry=geometry, mesh={"h": [0.02, 0.01]},
+                        layer={"delta0": [0.01], "n": 0.48})
+    assert main(["coeffs", "--config", cfg, "--out", str(tmp_path)]) == 0
+    rows = [[float(v) for v in line.split(",")]
+            for line in (tmp_path / "coefficients.csv").read_text().splitlines()[1:]]
+    (_, *coarse), (_, *fine), (_, *extrap) = rows
+    for value, c, f, ref in zip(extrap, coarse, fine, exact):
+        nominal = richardson(c, f, 2.0)[0]
+        assert abs(value - ref) <= 2.5e-7 * ref
+        assert 10.0 * abs(value - ref) <= abs(nominal - ref)
 
 
 def test_validate_identity_bound_can_fail(disk_te):

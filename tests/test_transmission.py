@@ -6,10 +6,11 @@ import scipy.linalg
 import scipy.sparse as sp
 
 from thinspec import bessel, fem, transmission
-from thinspec.errors import MissingLayer
+from thinspec.errors import InsufficientData, MissingLayer
 from thinspec.fem import assemble, dirichlet_eigs, ground_state, h1_norm
 from thinspec.geometry import Circle, Ellipse, LayerConfig
 from thinspec.mesh import LAYER, generate_mesh
+from thinspec.report import fit_order
 from thinspec.transmission import (
     CoupledPencil,
     assemble_pencil,
@@ -219,8 +220,7 @@ def test_first_te_trend_with_thickness():
     for delta in deltas:
         te = first_te(Circle(1.0), LayerConfig(delta, 1.0, 0.48), 0.06)
         lams.append(te.lam - te.lambda0)
-    slope = np.polyfit(np.log(deltas), np.log(lams), 1)[0]
-    assert slope >= 0.9
+    assert fit_order(deltas, lams).slope >= 0.9
 
 
 def test_eroded_dirichlet_disk():
@@ -344,11 +344,16 @@ def test_eigenfunction_error_rate_assembles_only_in_first_te(monkeypatch):
     te = first_te(Circle(1.0), LayerConfig(0.04, 1.0, 0.48), 0.1)
     per_solve = len(calls)
     calls.clear()
-    _, errors, _ = eigenfunction_error_rate(Circle(1.0), [0.04, 0.02], 0.1, 0.48)
-    assert len(calls) == 2 * per_solve
+    _, errors, _ = eigenfunction_error_rate(Circle(1.0), [0.04, 0.02, 0.01], 0.1, 0.48)
+    assert len(calls) == 3 * per_solve
     # the matrices first_te carries are the ones a fresh assembly gives
     K, M = _full_km(te.mesh)
     assert errors[0] == h1_norm(K, M, te.v.values - te.v0.values)
+
+
+def test_eigenfunction_error_rate_needs_three_thicknesses():
+    with pytest.raises(InsufficientData):
+        eigenfunction_error_rate(Circle(1.0), [0.04, 0.02], 0.1, 0.48)
 
 
 def test_eigenfunction_error_mesh_stable():
