@@ -17,7 +17,8 @@ from . import bessel
 from .asymptotics import compute_coefficients, format_coefficients
 from .errors import ConfigError, ThinspecError
 from .geometry import Circle, LayerConfig, config_number, curve_from_config
-from .report import cell_processes, richardson, run_sweep, solve_cells, sweep_svg, write_atomic
+from .report import (cell_processes, fallback_cells, richardson, run_sweep, solve_cells,
+                     sweep_svg, write_atomic)
 from .transmission import first_te, rayleigh_identity_residual
 
 _SCHEMA = "thinspec/1"
@@ -157,12 +158,19 @@ def _task_coeffs(cfg, outdir):
     return 0
 
 
+def _print_fallbacks(task, fallbacks):
+    for delta, h, fallback in fallbacks:
+        print(f"{task}: cell delta {delta:g} h {h:g} fell back: {fallback}",
+              file=sys.stderr)
+
+
 def _task_direct(cfg, outdir):
     curve = cfg["curve"]
     cells = [(LayerConfig(delta, cfg["g"], cfg["n"]), h)
              for delta in cfg["deltas"] for h in cfg["h_list"]]
     processes, _ = cell_processes(cfg["g"], len(cells))
     solved, _ = solve_cells(curve, cells, cfg["upper_slack"], processes)
+    _print_fallbacks("direct", fallback_cells(cells, solved))
     lines = ["delta,h,lambda_direct,lambda0,lambda_dirichlet_eroded,residual"]
     for (layer, h), values in zip(cells, solved):
         lines.append(",".join(f"{v:.17g}" for v in (layer.delta0, h, *values[:4])))
@@ -177,6 +185,7 @@ def _task_sweep(cfg, outdir):
         sandwich_factor=cfg["sandwich_factor"],
         upper_slack=cfg["upper_slack"],
     )
+    _print_fallbacks("sweep", report.fallbacks)
     write_atomic(os.path.join(outdir, "sweep.csv"), report.to_csv())
     write_atomic(os.path.join(outdir, "sweep_fits.csv"), report.fits_csv())
     sweep_svg(report, path=os.path.join(outdir, "sweep.svg"))

@@ -163,8 +163,11 @@ def dirichlet_eigs(K, M, boundary, count, tol=1e-10, maxit=500, lu=None):
     data on `boundary`.
 
     ARPACK shift-invert Lanczos at sigma = 0 on the free block, applying
-    K_ff^-1 through `lu` (built by `stiffness_lu` when not given), from a
-    fixed random start vector and with at most `maxit` restarts.  Every
+    K_ff^-1 through `lu` (built by `stiffness_lu` when not given), with at
+    most `maxit` restarts.  For count 1 it starts from the constant vector,
+    since the ground mode is one-signed, in a Krylov space of at most 6
+    vectors; for more pairs from a fixed random vector in ARPACK's default
+    space.  Every
     returned pair must satisfy ||K u - lambda M u|| <= tol * ||K u||, else
     ConvergenceFailure is raised.  Eigenvalues are ascending; eigenvectors
     are returned on the full vertex set (zeros on the boundary),
@@ -177,11 +180,14 @@ def dirichlet_eigs(K, M, boundary, count, tol=1e-10, maxit=500, lu=None):
     Mf = M[np.ix_(free, free)]
     if lu is None:
         lu = stiffness_lu(K, boundary)
-    start = np.random.default_rng(0).standard_normal(len(free))
+    if count == 1:
+        start, ncv = np.ones(len(free)), min(6, len(free))
+    else:
+        start, ncv = np.random.default_rng(0).standard_normal(len(free)), None
     try:
         lams, X = eigsh(Kf, k=count, M=Mf, sigma=0.0,
                         OPinv=LinearOperator(Kf.shape, matvec=lu.solve, dtype=float),
-                        v0=start, tol=1e-13, maxiter=maxit)
+                        v0=start, ncv=ncv, tol=1e-13, maxiter=maxit)
     except ArpackNoConvergence as exc:
         raise ConvergenceFailure(f"eigensolver: no convergence in {maxit} restarts") from exc
     order = np.argsort(lams)

@@ -16,7 +16,7 @@ import math
 import multiprocessing
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from . import bessel
 from .asymptotics import compute_coefficients, geometry_hash
@@ -139,7 +139,9 @@ class SweepRow:
 class SweepReport:
     """Rows, fits and Richardson coefficients of a sweep.  processes is how
     many processes solved its cells, serial_reason why that was one (None
-    when it was more); neither is written to the CSVs."""
+    when it was more), fallbacks the (delta, h, fallback) of each finite
+    element cell whose `first_te` fell back; none of them is written to the
+    CSVs."""
 
     rows: list
     fits: dict
@@ -149,6 +151,7 @@ class SweepReport:
     lambda2: float
     processes: int = 1
     serial_reason: str = None
+    fallbacks: list = field(default_factory=list)
 
     def sandwich_violations(self):
         return [r for r in self.rows if not r.sandwich_ok]
@@ -279,10 +282,15 @@ def cell_processes(g, n_cells):
 
 def _fem_cell(curve, layer, h, upper_slack):
     """One (thickness, mesh size) cell: first_te's (lam, lambda0,
-    lambda_eroded, residual) and the ring count of its mesh.  Top-level for
-    pickling."""
+    lambda_eroded, residual), the ring count of its mesh and first_te's
+    fallback.  Top-level for pickling."""
     te = first_te(curve, layer, h, upper_slack=upper_slack)
-    return te.lam, te.lambda0, te.lambda_eroded, te.residual, te.mesh.n_rings
+    return te.lam, te.lambda0, te.lambda_eroded, te.residual, te.mesh.n_rings, te.fallback
+
+
+def fallback_cells(cells, solved):
+    """(delta, h, fallback) of each (layer, h) cell whose solve fell back."""
+    return [(layer.delta0, h, out[-1]) for (layer, h), out in zip(cells, solved) if out[-1]]
 
 
 def solve_cells(curve, cells, upper_slack, processes, alongside=None):
@@ -325,7 +333,7 @@ def _sweep_fem(curve, deltas, g, n, h_list, sandwich_factor, upper_slack):
     results = [solved[i * nh:(i + 1) * nh] for i in range(len(deltas))]
     rows = []
     for delta, per_h in zip(deltas, results):
-        (lam_c, _, ero_c, _, rings_c), (lam_f, _, ero_f, _, rings_f) = per_h[-2], per_h[-1]
+        (lam_c, _, ero_c, _, rings_c, _), (lam_f, _, ero_f, _, rings_f, _) = per_h[-2], per_h[-1]
         lam_direct, est_direct = richardson(lam_c, lam_f, rings_f / rings_c)
         lam_eroded, est_eroded = richardson(ero_c, ero_f, rings_f / rings_c)
         pred0, pred1 = lam0, lam0 + delta * lam1
@@ -354,7 +362,7 @@ def _sweep_fem(curve, deltas, g, n, h_list, sandwich_factor, upper_slack):
             mesh_est=mesh_est,
             guard2_ok=bool(guard2),
         ))
-    return rows, lam0, lam1, lam2, processes, reason
+    return rows, lam0, lam1, lam2, processes, reason, fallback_cells(cells, solved)
 
 
 def run_sweep(curve, deltas, g, n, h_list=None, solver="auto",
@@ -371,9 +379,9 @@ def run_sweep(curve, deltas, g, n, h_list=None, solver="auto",
         solver = "bessel" if isinstance(curve, Circle) and not callable(g) and float(g) == 1.0 else "fem"
     if solver == "bessel":
         rows, lam0, lam1, lam2 = _sweep_disk(curve, deltas, g, n, sandwich_factor)
-        processes, reason = 1, "semi-analytic solver"
+        processes, reason, fallbacks = 1, "semi-analytic solver", []
     elif solver == "fem":
-        rows, lam0, lam1, lam2, processes, reason = _sweep_fem(
+        rows, lam0, lam1, lam2, processes, reason, fallbacks = _sweep_fem(
             curve, deltas, g, n, h_list, sandwich_factor, upper_slack
         )
     else:
@@ -388,7 +396,7 @@ def run_sweep(curve, deltas, g, n, h_list=None, solver="auto",
     }
     return SweepReport(rows=rows, fits=fits, provenance=provenance,
                        lambda0=lam0, lambda1=lam1, lambda2=lam2,
-                       processes=processes, serial_reason=reason)
+                       processes=processes, serial_reason=reason, fallbacks=fallbacks)
 
 
 # ---------------------------------------------------------------------------

@@ -285,6 +285,16 @@ def test_cell_process_rule(monkeypatch, env, cores, g, expected):
     assert report.cell_processes(g, 3) == expected
 
 
+def test_fem_sweep_records_fallback_cells(ellipse_sweep_report):
+    # a negative slack empties every corridor, so every cell falls back
+    sweep = run_sweep(Circle(1.0), [0.04, 0.02], 1.0, 0.48, h_list=[0.15, 0.1],
+                      solver="fem", upper_slack=-0.5)
+    assert sweep.fallbacks == [(delta, h, "widened-window")
+                               for delta in (0.04, 0.02) for h in (0.15, 0.1)]
+    assert "widened-window" not in sweep.to_csv() + sweep.fits_csv()
+    assert ellipse_sweep_report[0].fallbacks == []
+
+
 def test_sweep_records_why_it_ran_serially(monkeypatch, disk_sweep_report):
     assert (disk_sweep_report.processes, disk_sweep_report.serial_reason) == \
         (1, "semi-analytic solver")
@@ -412,6 +422,17 @@ def test_cli_direct_task(tmp_path):
     assert lines[0] == "delta,h,lambda_direct,lambda0,lambda_dirichlet_eroded,residual"
     assert len(lines) == 2
     assert 0.0 <= float(lines[1].split(",")[-1]) <= 1e-10
+
+
+@pytest.mark.parametrize("task", ["sweep", "direct"])
+def test_cli_prints_one_line_per_fallback_cell(tmp_path, capsys, task):
+    cfg = _write_config(tmp_path, mesh={"h": [0.15, 0.1]}, solver="fem",
+                        layer={"delta0": [0.04, 0.02], "n": 0.48},
+                        tolerances={"upper_slack": -0.5})
+    main([task, "--config", cfg, "--out", str(tmp_path)])
+    lines = [ln for ln in capsys.readouterr().err.splitlines() if "fell back" in ln]
+    assert lines == [f"{task}: cell delta {delta:g} h {h:g} fell back: widened-window"
+                     for delta in (0.04, 0.02) for h in (0.15, 0.1)]
 
 
 def test_cli_direct_rejects_scan_block(tmp_path):

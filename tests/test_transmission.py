@@ -6,11 +6,11 @@ import scipy.linalg
 import scipy.sparse as sp
 
 from thinspec import bessel, fem, transmission
-from thinspec.errors import InsufficientData, MissingLayer
+from thinspec.errors import InsufficientData, MissingLayer, NoRootFound
 from thinspec.fem import assemble, dirichlet_eigs, ground_state, h1_norm
 from thinspec.geometry import Circle, Ellipse, LayerConfig
 from thinspec.mesh import LAYER, generate_mesh
-from thinspec.report import fit_order
+from thinspec.report import fit_order, richardson
 from thinspec.transmission import (
     CoupledPencil,
     assemble_pencil,
@@ -18,8 +18,8 @@ from thinspec.transmission import (
     eigenfunction_error_rate,
     eroded_dirichlet,
     first_te,
+    nearest_eig,
     rayleigh_identity_residual,
-    smallest_real_eig,
 )
 
 from _meshes import core_submesh
@@ -193,25 +193,133 @@ def test_first_te_frees_stiffness_factor_before_pencil_lu(monkeypatch):
     assert alive_at_pencil == [[]]
 
 
-def test_first_te_records_widened_window():
+class _CountingFactor:
+    """SuperLU stand-in that counts its solves in counts["solves"]."""
+
+    def __init__(self, lu, counts):
+        self.shape, self._lu, self._counts = lu.shape, lu, counts
+
+    def solve(self, rhs):
+        self._counts["solves"] += 1
+        return self._lu.solve(rhs)
+
+
+def _count_pencil_work(monkeypatch):
+    """Patch the pencil's splu to count its factorizations and solves."""
+    counts = {"factorizations": 0, "solves": 0}
+    real_splu = transmission.splu
+
+    def counting_splu(a, **kwargs):
+        counts["factorizations"] += 1
+        return _CountingFactor(real_splu(a, **kwargs), counts)
+
+    monkeypatch.setattr(transmission, "splu", counting_splu)
+    return counts
+
+
+def test_first_te_records_widened_window(monkeypatch):
     # a negative slack empties the corridor, so the eigenvalue must come
     # from the widened window and say so
     layer = LayerConfig(0.04, 1.0, 0.48)
     plain = first_te(Circle(1.0), layer, 0.15)
+    pencil = _count_pencil_work(monkeypatch)
     widened = first_te(Circle(1.0), layer, 0.15, upper_slack=-0.5)
     assert plain.fallback is None
     assert widened.fallback == "widened-window"
     assert abs(widened.lam - plain.lam) / plain.lam <= 1e-9
+    assert pencil["factorizations"] == 1
 
 
-def test_smallest_real_eig_window():
-    assert smallest_real_eig(_toy_pencil(), 1.0, 1.5) is None
-    lam, x = smallest_real_eig(_toy_pencil(), 1.0, 2.5)
+def test_first_te_solve_counts(monkeypatch):
+    """A cell of the ellipse sweep asks ARPACK for one pencil pair and one
+    eroded pair, each in a Krylov space of at most 6 vectors."""
+    pencil = _count_pencil_work(monkeypatch)
+    eroded = {"solves": 0}
+    real_dirichlet_eigs = transmission.dirichlet_eigs
+
+    def counting_eigs(K, M, boundary, count):
+        lu = _CountingFactor(fem.stiffness_lu(K, boundary), eroded)
+        return real_dirichlet_eigs(K, M, boundary, count, lu=lu)
+
+    monkeypatch.setattr(transmission, "dirichlet_eigs", counting_eigs)
+    te = first_te(Ellipse(1.3, 1.0), LayerConfig(0.04, 1.0, 0.48), 0.15)
+    assert te.fallback is None
+    assert pencil["factorizations"] == 1
+    assert 0 < pencil["solves"] <= 10
+    assert 0 < eroded["solves"] <= 15
+
+
+@pytest.mark.parametrize("case, fallback", [
+    ("as solved", None),
+    ("above the corridor", "widened-window"),
+    ("above the window", NoRootFound),
+    ("below the corridor", NoRootFound),
+    ("complex", NoRootFound),
+])
+def test_first_te_classifies_the_nearest_eigenvalue(monkeypatch, case, fallback):
+    """first_te keeps the eigenvalue nearest the corridor midpoint only when
+    it is real and in the corridor or in the widened window up to 4 lambda0."""
+    layer = LayerConfig(0.04, 1.0, 0.48)
+    lam0 = first_te(Circle(1.0), layer, 0.15).lambda0
+    real_nearest = transmission.nearest_eig
+
+    def moved(pencil, sigma):
+        lam, x = real_nearest(pencil, sigma)
+        return {"as solved": lam, "above the corridor": 1.5 * lam0,
+                "above the window": 4.5 * lam0, "below the corridor": 0.9 * lam0,
+                "complex": complex(lam.real, 1e-6 * lam.real)}[case], x
+
+    monkeypatch.setattr(transmission, "nearest_eig", moved)
+    if fallback is NoRootFound:
+        with pytest.raises(NoRootFound):
+            first_te(Circle(1.0), layer, 0.15)
+    else:
+        assert first_te(Circle(1.0), layer, 0.15).fallback == fallback
+
+
+@pytest.mark.parametrize("curve", [Circle(1.0), Ellipse(1.3, 1.0)])
+@pytest.mark.parametrize("delta", [0.01, 0.2])
+@pytest.mark.parametrize("n", [0.05, 0.95])
+def test_corridor_holds_one_real_eigenvalue_nearest_its_midpoint(curve, delta, n):
+    """Why first_te asks for one pair: each corridor holds exactly one real
+    pencil eigenvalue, and no eigenvalue, real or complex, is nearer the
+    corridor midpoint (dense QZ)."""
+    te = first_te(curve, LayerConfig(delta, 1.0, n), 0.15)
+    lo, hi = corridor(te.lambda0, te.lambda_eroded)
+    real = _qz_real_eigs(te.pencil)
+    inside = real[(real >= lo) & (real <= hi)]
+    assert inside.size == 1
+    every = scipy.linalg.eigvals(te.pencil.A.toarray(), te.pencil.B.toarray())
+    every = every[np.isfinite(every)]
+    nearest = every[np.argmin(np.abs(every - 0.5 * (lo + hi)))]
+    assert abs(nearest - inside[0]) <= 1e-9 * inside[0]
+    assert abs(te.lam - inside[0]) / inside[0] <= 1e-9
+    assert te.fallback is None
+
+
+def test_disk_first_te_richardson_over_ring_spacing():
+    """Richardson over the ring counts of h = (0.02, 0.01) puts the disk
+    pencil eigenvalue within 5e-7 of the Bessel root; the nominal ratio 2
+    leaves it about 6e-6 below."""
+    layer = LayerConfig(0.01, 1.0, 0.48)
+    coarse, fine = (first_te(Circle(1.0), layer, h) for h in (0.02, 0.01))
+    lam, _ = richardson(coarse.lam, fine.lam, fine.mesh.n_rings / coarse.mesh.n_rings)
+    assert abs(lam - bessel.disk_first_tes(1.0, [0.01], 0.48)[0]) <= 5e-7
+
+
+def test_nearest_eig_toy_pencils():
+    lam, x = nearest_eig(_toy_pencil(), 1.25)
     assert abs(lam - 2.0) <= 1e-12
     assert np.argmax(np.abs(x)) == 0
     # a double eigenvalue, which no determinant sign change would reveal
-    lam, _ = smallest_real_eig(_toy_pencil((2.0, 2.0, 5.0)), 1.03, 4.07)
+    lam, _ = nearest_eig(_toy_pencil((2.0, 2.0, 5.0)), 2.55)
     assert abs(lam - 2.0) <= 1e-12
+    # a symmetric pencil with an indefinite B has the complex pair +-i
+    toy = CoupledPencil(A=sp.csr_matrix([[2.0, 0, 0], [0, 0, 1], [0, 1, 0]]),
+                        B=sp.diags([1.0, -1.0, 1.0]).tocsr(), dim=3, n_vertices=3,
+                        wmap=np.array([], dtype=np.int64))
+    lam, _ = nearest_eig(toy, 0.1)
+    assert abs(abs(lam.imag) - 1.0) <= 1e-12
 
 
 def test_first_te_trend_with_thickness():
