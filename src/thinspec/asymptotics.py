@@ -75,6 +75,8 @@ class AsymptoticCoefficients:
 
     compute_coefficients fills the leading eigenpair and flux0, then
     compute_lambda1 / compute_v1 / compute_lambda2 complete the record.
+    fallback is `fem.ground_state`'s: "two-pair" when the second-eigenvalue
+    floor did not clear lambda0 and two pairs were solved, else None.
     """
 
     lambda0: float = None
@@ -87,6 +89,7 @@ class AsymptoticCoefficients:
     h: float = None
     geometry_hash: str = ""
     multiplier: float = None
+    fallback: str = None
     mesh: object = field(default=None, repr=False)
     K: object = field(default=None, repr=False)
     M: object = field(default=None, repr=False)
@@ -158,11 +161,12 @@ def compute_coefficients(curve, layer, h):
     one boundary mass factor both fluxes; neither is kept on the record.
     """
     mesh = generate_mesh(curve, None, h)
-    lam0, v0, K, M, lu = ground_state(mesh)
+    lam0, v0, K, M, lu, fallback = ground_state(mesh)
     boundary_lu = boundary_mass_lu(mesh)
     coeffs = AsymptoticCoefficients(
         lambda0=lam0, v0=v0, flux0=boundary_flux(mesh, v0, lam0, K, M, lu=boundary_lu),
-        h=mesh.h, geometry_hash=geometry_hash(curve, layer, h), mesh=mesh, K=K, M=M)
+        h=mesh.h, geometry_hash=geometry_hash(curve, layer, h), fallback=fallback,
+        mesh=mesh, K=K, M=M)
     compute_lambda1(coeffs, layer)
     compute_v1(coeffs, layer, lu=lu, boundary_lu=boundary_lu)
     compute_lambda2(coeffs, layer)

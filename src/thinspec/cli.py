@@ -147,6 +147,8 @@ def _task_coeffs(cfg, outdir):
                               (h, co.lambda0, co.lambda1, co.lambda2, co.multiplier)))
         write_atomic(os.path.join(outdir, f"coefficients_{co.geometry_hash}_h{h:g}.txt"),
                      format_coefficients(co))
+    _print_fallbacks("coeffs", [(None, h, co.fallback)
+                                for h, co in zip(cfg["h_list"], computed) if co.fallback])
     if len(computed) >= 2:
         cc, cf = computed[-2], computed[-1]
         refine = cf.mesh.n_rings / cc.mesh.n_rings
@@ -159,9 +161,11 @@ def _task_coeffs(cfg, outdir):
 
 
 def _print_fallbacks(task, fallbacks):
+    """One stderr line per (delta, h, fallback); delta None marks the
+    expansion coefficients of mesh size h."""
     for delta, h, fallback in fallbacks:
-        print(f"{task}: cell delta {delta:g} h {h:g} fell back: {fallback}",
-              file=sys.stderr)
+        where = "coefficients" if delta is None else f"cell delta {delta:g}"
+        print(f"{task}: {where} h {h:g} fell back: {fallback}", file=sys.stderr)
 
 
 def _task_direct(cfg, outdir):
@@ -216,6 +220,8 @@ def _task_validate(cfg, outdir):
     for delta, lam_oracle in zip(deltas, bessel.disk_first_tes(curve.radius, deltas, cfg["n"])):
         layer = LayerConfig(delta, cfg["g"], cfg["n"])
         tes = [first_te(curve, layer, h, upper_slack=cfg["upper_slack"]) for h in cfg["h_list"]]
+        _print_fallbacks("validate", [(delta, h, te.fallback)
+                                      for h, te in zip(cfg["h_list"], tes) if te.fallback])
         tec, tef = tes[-2], tes[-1]
         lam_fem, est = richardson(tec.lam, tef.lam, tef.mesh.n_rings / tec.mesh.n_rings)
         agree = abs(lam_fem - lam_oracle) <= cfg["sandwich_factor"] * max(est, 1e-12)

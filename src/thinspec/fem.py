@@ -16,8 +16,18 @@ constrained source solve is conjugate gradients on the M-orthogonal
 complement of the ground mode, preconditioned by that factor.
 `ground_state` makes that factor together with lambda0 and v0 of the whole
 domain, the quantities both the expansion and the direct solve start from.
+
+The ground state is one Lanczos pair, certified by a closed-form floor of
+the second eigenvalue instead of a second pair.  With exact stiffness and
+an exact mass rule, P1 eigenvalues are Rayleigh-Ritz values of the
+Dirichlet Laplacian on the polygon the triangles cover, so each lies above
+its continuous counterpart; and by domain monotonicity the polygon's
+second eigenvalue lies above that of any box or disk holding its vertices.
+A computed eigenvalue that stays clear below that floor is therefore the
+lowest discrete eigenvalue, and simple (`floor_clears`).
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,6 +53,11 @@ class FemField:
 # element matrix, and its edges in the order of the midpoint quadrature
 _PAIRS = [(i, j) for i in range(3) for j in range(3)]
 _EDGES = ((0, 1), (1, 2), (2, 0))
+# first positive zero of J1 (`bessel.bessel_j_zero(1, 1)`)
+_J11 = 3.8317059702075125
+# relative rounding margin of the floor test: ARPACK's eigenvalue and the
+# floor's own arithmetic are good to far better than this
+_FLOOR_MARGIN = 1e-9
 
 
 def assemble(mesh, kind, region=None, coefficient=None):
@@ -166,9 +181,11 @@ def dirichlet_eigs(K, M, boundary, count, tol=1e-10, maxit=500, lu=None):
     K_ff^-1 through `lu` (built by `stiffness_lu` when not given), with at
     most `maxit` restarts.  For count 1 it starts from the constant vector,
     since the ground mode is one-signed, in a Krylov space of at most 6
-    vectors; for more pairs from a fixed random vector in ARPACK's default
-    space.  Every
-    returned pair must satisfy ||K u - lambda M u|| <= tol * ||K u||, else
+    vectors (10 to 13 factor solves on the meshes of this package); for
+    more pairs from a fixed random vector in ARPACK's default space of 20
+    vectors (21 solves for two pairs).  A single pair is not known to be
+    the lowest one: `floor_clears` can prove it.  Every returned pair must
+    satisfy ||K u - lambda M u|| <= tol * ||K u||, else
     ConvergenceFailure is raised.  Eigenvalues are ascending; eigenvectors
     are returned on the full vertex set (zeros on the boundary),
     M-orthonormal; the first one is sign-normalized to be positive at its
@@ -206,23 +223,57 @@ def dirichlet_eigs(K, M, boundary, count, tol=1e-10, maxit=500, lu=None):
     return lams, vecs
 
 
+def second_eigenvalue_floor(vertices):
+    """Lower bound of the second P1 Dirichlet eigenvalue on any triangle
+    mesh with these vertices (see the module docstring for why).
+
+    The larger of the second eigenvalues of two convex shapes that hold
+    every vertex, hence every triangle: the bounding box a x b,
+    pi^2 min(4/a^2 + 1/b^2, 1/a^2 + 4/b^2), and the disk about the box
+    centre through the farthest vertex, (j11/rho)^2.
+    """
+    p = np.asarray(vertices, dtype=float)
+    lo, hi = p.min(axis=0), p.max(axis=0)
+    a, b = hi - lo
+    box = math.pi**2 * min(4.0 / a**2 + 1.0 / b**2, 1.0 / a**2 + 4.0 / b**2)
+    rho = float(np.sqrt(((p - 0.5 * (lo + hi)) ** 2).sum(axis=1)).max())
+    return max(box, (_J11 / rho) ** 2)
+
+
+def floor_clears(lam, vertices, gap_tol):
+    """Whether `second_eigenvalue_floor(vertices)` proves the P1 Dirichlet
+    eigenvalue lam, computed on triangles with these vertices, the lowest
+    one and simple, with a relative gap above gap_tol to the next: floor -
+    lam > gap_tol * lam, less a rounding margin.  False proves nothing; the
+    floor of a long or bent domain can lie below its first eigenvalue.
+    """
+    return second_eigenvalue_floor(vertices) * (1.0 - _FLOOR_MARGIN) - lam > gap_tol * lam
+
+
 def ground_state(mesh, gap_tol=1e-6):
     """Leading Dirichlet eigenpair of the whole domain.
 
-    Returns (lambda0, v0, K, M, lu): the eigenvalue, its eigenfunction as a
-    FemField with unit mass norm and `dirichlet_eigs`'s sign, the full-domain
-    stiffness and mass, and the free stiffness factor the eigensolve used.
-    Raises NearDegenerate when the gap to the second eigenvalue is at most
-    gap_tol * lambda0: the expansion assumes a simple leading eigenvalue.
+    Returns (lambda0, v0, K, M, lu, fallback): the eigenvalue, its
+    eigenfunction as a FemField with unit mass norm and `dirichlet_eigs`'s
+    sign, the full-domain stiffness and mass, the free stiffness factor the
+    eigensolves used, and the route taken.  One Lanczos pair serves when
+    `floor_clears` it with gap_tol, and fallback is None.  Otherwise two
+    pairs are solved and their gap tested, fallback "two-pair", and
+    NearDegenerate is raised when the gap is at most gap_tol * lambda0: the
+    expansion assumes a simple leading eigenvalue.
     """
     K = assemble(mesh, "stiffness")
     M = assemble(mesh, "mass")
     lu = stiffness_lu(K, mesh.outer)
-    lams, vecs = dirichlet_eigs(K, M, mesh.outer, 2, lu=lu)
-    if lams[1] - lams[0] <= gap_tol * lams[0]:
-        raise NearDegenerate(f"leading eigenvalue not simple: gap {lams[1] - lams[0]:.3e}")
+    lams, vecs = dirichlet_eigs(K, M, mesh.outer, 1, lu=lu)
+    fallback = None
+    if not floor_clears(lams[0], mesh.vertices, gap_tol):
+        fallback = "two-pair"
+        lams, vecs = dirichlet_eigs(K, M, mesh.outer, 2, lu=lu)
+        if lams[1] - lams[0] <= gap_tol * lams[0]:
+            raise NearDegenerate(f"leading eigenvalue not simple: gap {lams[1] - lams[0]:.3e}")
     v0 = vecs[:, 0] / mass_norm(M, vecs[:, 0])
-    return float(lams[0]), FemField(mesh, v0), K, M, lu
+    return float(lams[0]), FemField(mesh, v0), K, M, lu, fallback
 
 
 def solve_constrained_source(K, M, lam0, rhs, dirichlet_values, v0, outer, lu=None):

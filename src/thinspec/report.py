@@ -140,8 +140,9 @@ class SweepReport:
     """Rows, fits and Richardson coefficients of a sweep.  processes is how
     many processes solved its cells, serial_reason why that was one (None
     when it was more), fallbacks the (delta, h, fallback) of each finite
-    element cell whose `first_te` fell back; none of them is written to the
-    CSVs."""
+    element cell whose `first_te` fell back and the (None, h, fallback) of
+    each mesh size whose expansion coefficients did; none of them is
+    written to the CSVs."""
 
     rows: list
     fits: dict
@@ -362,7 +363,9 @@ def _sweep_fem(curve, deltas, g, n, h_list, sandwich_factor, upper_slack):
             mesh_est=mesh_est,
             guard2_ok=bool(guard2),
         ))
-    return rows, lam0, lam1, lam2, processes, reason, fallback_cells(cells, solved)
+    fallbacks = fallback_cells(cells, solved)
+    fallbacks += [(None, h, c.fallback) for h, c in zip(h_list, coeff_by_h) if c.fallback]
+    return rows, lam0, lam1, lam2, processes, reason, fallbacks
 
 
 def run_sweep(curve, deltas, g, n, h_list=None, solver="auto",

@@ -14,7 +14,8 @@ complex, is 8 to 212 times as far from sigma), so shift-invert Arnoldi on
 (A - sigma*B)^-1 B asks for that one pair, from one LU at sigma.  Both
 corridor ends are Dirichlet eigenvalues on the one coated mesh: lambda0 from
 `fem.ground_state` and lambda_eroded from the block of the same K and M off
-the coating.
+the coating, each one Lanczos pair when `fem.floor_clears` proves it the
+lowest.
 """
 
 import math
@@ -27,7 +28,8 @@ from scipy.sparse.linalg import norm as spnorm
 
 from .bessel import corridor
 from .errors import ConvergenceFailure, MissingLayer, NoRootFound
-from .fem import FemField, assemble, dirichlet_eigs, ground_state, h1_norm, mass_norm
+from .fem import (FemField, assemble, dirichlet_eigs, floor_clears, ground_state, h1_norm,
+                  mass_norm)
 from .mesh import LAYER, generate_mesh
 
 
@@ -110,10 +112,13 @@ def nearest_eig(pencil, sigma):
 class FirstTE:
     """First transmission eigenvalue on a coated mesh with its eigenpair and
     the bracketing quantities used to validate it.  residual is the backward
-    error ||(A - lam B)x||_1 / ((||A||_1 + lam ||B||_1) ||x||_1); fallback is
+    error ||(A - lam B)x||_1 / ((||A||_1 + lam ||B||_1) ||x||_1); fallback
+    names, comma-separated, each fallback the solve took, else it is None:
+    "ground two-pair" and "eroded two-pair" when the floor did not clear
+    lambda0 or lambda_eroded and two pairs were solved for it,
     "widened-window" when the eigenvalue nearest the corridor midpoint lay
-    outside the corridor but in the widened window, else None.  K and M are
-    the full-domain stiffness and mass on mesh."""
+    outside the corridor but in the widened window.  K and M are the
+    full-domain stiffness and mass on mesh."""
 
     lam: float
     v: FemField
@@ -134,11 +139,19 @@ def eroded_dirichlet(mesh, K, M):
 
     Solved on the block of the coated mesh's full-domain K and M on the
     vertices no coating triangle touches: the Dirichlet problem of the core
-    triangles alone, with zero data on the interface.
+    triangles alone, with zero data on the interface.  The corridor needs
+    the lowest eigenvalue, not a gap: one Lanczos pair serves when
+    `floor_clears` it with gap 0 on the core triangles' vertices, else the
+    lowest of two pairs is taken.  Returns (lambda_eroded, fallback),
+    fallback None or "two-pair" for the route.
     """
     coated = np.unique(mesh.triangles[mesh.region == LAYER])
     lams, _ = dirichlet_eigs(K, M, coated, 1)
-    return float(lams[0])
+    core = np.unique(mesh.triangles[mesh.region != LAYER])
+    if floor_clears(lams[0], mesh.vertices[core], 0.0):
+        return float(lams[0]), None
+    lams, _ = dirichlet_eigs(K, M, coated, 2)
+    return float(lams[0]), "two-pair"
 
 
 def first_te(curve, layer, h, upper_slack=5e-3):
@@ -148,13 +161,15 @@ def first_te(curve, layer, h, upper_slack=5e-3):
     [lo, hi] (see `corridor`), and `nearest_eig` returns the one eigenvalue
     nearest it.  A real eigenvalue in [lo, hi] is the answer; a real one in
     the widened window [lo, 4*lambda0] is returned with fallback
-    "widened-window"; anything else raises NoRootFound.  The eigenpair is
-    returned with v normalized to unit mass norm and sign-aligned with the
-    Dirichlet ground mode.
+    "widened-window"; anything else raises NoRootFound.  The fallbacks of
+    the two Dirichlet eigensolves are recorded with it (see `FirstTE`).
+    The eigenpair is returned with v normalized to unit mass norm and
+    sign-aligned with the Dirichlet ground mode.
     """
     mesh = generate_mesh(curve, layer, h)
-    lam0, v0, K, M = ground_state(mesh)[:4]  # the stiffness factor dies before the pencil LU
-    lam_eroded = eroded_dirichlet(mesh, K, M)
+    lam0, v0, K, M, lu, ground = ground_state(mesh)
+    del lu  # the stiffness factor dies before the pencil LU
+    lam_eroded, eroded = eroded_dirichlet(mesh, K, M)
     pencil = assemble_pencil(mesh, layer.n, K, M)
 
     lo, hi = corridor(lam0, lam_eroded, upper_slack)
@@ -162,12 +177,15 @@ def first_te(curve, layer, h, upper_slack=5e-3):
     lam_te, x = lam.real, x.real
     real = abs(lam.imag) <= 1e-8 * abs(lam)
     if real and lo <= lam_te <= hi:
-        fallback = None
+        window = None
     elif real and lo <= lam_te <= 4.0 * lam0:
-        fallback = "widened-window"
+        window = "widened-window"
     else:
         raise NoRootFound(f"the pencil eigenvalue nearest the corridor midpoint, {lam:.6g}, "
                           "is real in neither the corridor nor the widened window")
+    taken = [f"ground {ground}"] if ground else []
+    taken += [f"eroded {eroded}"] if eroded else []
+    taken += [window] if window else []
     A, B = pencil.A, pencil.B
     residual = float(np.abs(A @ x - lam_te * (B @ x)).sum()
                      / ((spnorm(A, 1) + lam_te * spnorm(B, 1)) * np.abs(x).sum()))
@@ -192,7 +210,7 @@ def first_te(curve, layer, h, upper_slack=5e-3):
         v0=v0,
         lambda_eroded=lam_eroded,
         residual=residual,
-        fallback=fallback,
+        fallback=", ".join(taken) or None,
         mesh=mesh,
         pencil=pencil,
         K=K,

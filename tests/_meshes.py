@@ -1,6 +1,7 @@
 """Inputs and references the tests share: a set of boundary curves, a
 structured unit square, the core of a coated mesh cut out as its own mesh,
-and finite element assembly through triangles x 3 x 3 broadcasts."""
+finite element assembly through triangles x 3 x 3 broadcasts, and a
+factor that counts its solves."""
 
 import numpy as np
 from scipy import sparse
@@ -103,3 +104,14 @@ def broadcast_assemble(mesh, kind, region=None, coefficient=None):
     rows = np.repeat(tris, 3, axis=1).ravel()
     cols = np.tile(tris, (1, 3)).ravel()
     return sparse.csr_matrix((local.ravel(), (rows, cols)), shape=(nv, nv))
+
+
+class CountingFactor:
+    """SuperLU stand-in that counts its solves in counts["solves"]."""
+
+    def __init__(self, lu, counts):
+        self.shape, self._lu, self._counts = lu.shape, lu, counts
+
+    def solve(self, rhs):
+        self._counts["solves"] += 1
+        return self._lu.solve(rhs)

@@ -12,6 +12,7 @@ from thinspec.asymptotics import (
     format_coefficients,
     layer_profiles,
 )
+from thinspec import fem
 from thinspec.errors import DomainError, NearDegenerate
 from thinspec.fem import ground_state, mass_norm
 from thinspec.geometry import Circle, Ellipse, LayerConfig
@@ -53,6 +54,15 @@ def test_lambda0_degenerate_guard(disk_coeffs_h02):
     coeffs, _ = disk_coeffs_h02
     with pytest.raises(NearDegenerate):
         ground_state(coeffs.mesh, gap_tol=10.0)
+
+
+def test_coefficients_record_the_two_pair_route(monkeypatch):
+    layer = LayerConfig(0.01, 1.0, 0.48)
+    plain = compute_coefficients(Circle(1.0), layer, 0.1)
+    monkeypatch.setattr(fem, "second_eigenvalue_floor", lambda vertices: 0.0)
+    fallen = compute_coefficients(Circle(1.0), layer, 0.1)
+    assert (plain.fallback, fallen.fallback) == (None, "two-pair")
+    assert abs(fallen.lambda0 - plain.lambda0) <= 1e-14 * plain.lambda0
 
 
 def test_normalization_and_orthogonality(disk_coeffs_h02):

@@ -7,6 +7,7 @@ import scipy.linalg
 from scipy import sparse
 from scipy.sparse.linalg import splu
 
+from thinspec import bessel, fem
 from thinspec.errors import SolveSingular
 from thinspec.fem import (
     FemField,
@@ -14,14 +15,18 @@ from thinspec.fem import (
     boundary_flux,
     boundary_mass_matrix,
     dirichlet_eigs,
+    floor_clears,
+    ground_state,
     mass_norm,
+    second_eigenvalue_floor,
     solve_constrained_source,
     stiffness_lu,
 )
+from thinspec.mesh import TriMesh
 from thinspec.geometry import Circle, Ellipse, LayerConfig
 from thinspec.mesh import generate_mesh
 
-from _meshes import CURVES, broadcast_assemble, square_mesh
+from _meshes import CURVES, CountingFactor, broadcast_assemble, core_submesh, square_mesh
 
 LAM0 = 5.783185962946785  # first Dirichlet eigenvalue of the unit disk
 FLUX0 = 1.3567775299013787  # j01/sqrt(pi)
@@ -347,3 +352,67 @@ def test_passing_the_factor_is_bit_identical(disk_h02):
     sol, mu = solve_constrained_source(*args)
     sol_lu, mu_lu = solve_constrained_source(*args, lu=lu)
     assert np.array_equal(sol.values, sol_lu.values) and mu == mu_lu
+
+
+def test_second_eigenvalue_floor_closed_forms():
+    square = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
+    assert second_eigenvalue_floor(square) == pytest.approx(5.0 * math.pi**2, rel=1e-15)
+    theta = np.linspace(0.0, 2.0 * math.pi, 4, endpoint=False)
+    disk = np.stack([np.cos(theta), np.sin(theta)], axis=1)  # the disk beats the box
+    j11 = bessel.bessel_j_zero(1, 1)
+    assert second_eigenvalue_floor(disk) == pytest.approx(j11**2, rel=1e-15)
+
+
+def _floor_meshes():
+    cases = [pytest.param(square_mesh(n), id=f"square-{n}") for n in (12, 24)]
+    for i, curve in enumerate(CURVES):
+        for layer in (None, LayerConfig(0.04, 1.0, 0.48)):
+            for h in (0.09, 0.06):
+                tag = f"{i}-{curve.kind}-{'coated' if layer else 'bare'}-{h:g}"
+                cases.append(pytest.param((curve, layer, h), id=tag))
+    return cases
+
+
+@pytest.mark.parametrize("case", _floor_meshes())
+def test_second_eigenvalue_floor_is_below_lambda2(case):
+    mesh = case if isinstance(case, TriMesh) else generate_mesh(*case)
+    problems = [mesh]
+    if mesh.has_layer():  # the eroded problem that first_te certifies too
+        problems.append(core_submesh(mesh)[0])
+    for sub in problems:
+        K, M = assemble(sub, "stiffness"), assemble(sub, "mass")
+        two, _ = dirichlet_eigs(K, M, sub.outer, 2)
+        one, _ = dirichlet_eigs(K, M, sub.outer, 1)
+        assert second_eigenvalue_floor(sub.vertices) <= two[1]
+        assert floor_clears(one[0], sub.vertices, 1e-6)
+        assert abs(one[0] - two[0]) <= 1e-14 * two[0]
+
+
+def test_ground_state_takes_at_most_14_factor_solves(monkeypatch):
+    counts = {"solves": 0}
+    monkeypatch.setattr(fem, "stiffness_lu",
+                        lambda K, boundary: CountingFactor(stiffness_lu(K, boundary), counts))
+    fallback = ground_state(generate_mesh(Ellipse(1.3, 1.0), None, 0.075))[5]
+    assert fallback is None
+    assert 0 < counts["solves"] <= 14  # two pairs took 21
+
+
+def _rotated_strip(n, width):
+    """The unit square squeezed to a 1 x width strip and turned 45 degrees:
+    its bounding box is far wider than it, so the floor is far too low."""
+    mesh = square_mesh(n)
+    x, y = mesh.vertices[:, 0], width * mesh.vertices[:, 1]
+    c = math.sqrt(0.5)
+    return TriMesh(vertices=np.stack([c * (x - y), c * (x + y)], axis=1),
+                   triangles=mesh.triangles, region=mesh.region, outer=mesh.outer,
+                   inner=mesh.inner)
+
+
+def test_ground_state_falls_back_to_two_pairs_when_the_floor_fails():
+    mesh = _rotated_strip(40, 0.2)
+    lam0, v0, K, M, _, fallback = ground_state(mesh)
+    assert second_eigenvalue_floor(mesh.vertices) < lam0
+    assert fallback == "two-pair"
+    lams, vecs = dirichlet_eigs(K, M, mesh.outer, 2)
+    assert lam0 == float(lams[0])
+    assert np.array_equal(v0.values, vecs[:, 0] / mass_norm(M, vecs[:, 0]))

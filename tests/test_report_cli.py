@@ -6,7 +6,7 @@ import os
 import numpy as np
 import pytest
 
-from thinspec import bessel, cli, report
+from thinspec import bessel, cli, fem, report
 from thinspec.cli import _IDENTITY_TOL, main
 from thinspec.asymptotics import compute_coefficients
 from thinspec.errors import BelowLambda0, ConfigError, InsufficientData, NoRootFound
@@ -433,6 +433,28 @@ def test_cli_prints_one_line_per_fallback_cell(tmp_path, capsys, task):
     lines = [ln for ln in capsys.readouterr().err.splitlines() if "fell back" in ln]
     assert lines == [f"{task}: cell delta {delta:g} h {h:g} fell back: widened-window"
                      for delta in (0.04, 0.02) for h in (0.15, 0.1)]
+
+
+_TWO_PAIR_LINES = {
+    "validate": [f"validate: cell delta 0.02 h {h:g} fell back: ground two-pair, eroded two-pair"
+                 for h in (0.09, 0.06)],
+    "coeffs": [f"coeffs: coefficients h {h:g} fell back: two-pair" for h in (0.09, 0.06)],
+    "sweep": [f"sweep: cell delta 0.02 h {h:g} fell back: ground two-pair, eroded two-pair"
+              for h in (0.09, 0.06)]
+             + [f"sweep: coefficients h {h:g} fell back: two-pair" for h in (0.09, 0.06)],
+}
+
+
+@pytest.mark.parametrize("task", sorted(_TWO_PAIR_LINES))
+def test_cli_prints_two_pair_fallbacks(tmp_path, capsys, monkeypatch, task):
+    """With a floor that clears nothing, every ground state and eroded
+    eigensolve falls back to two pairs, and each task says so."""
+    monkeypatch.setattr(fem, "second_eigenvalue_floor", lambda vertices: 0.0)
+    cfg = _write_config(tmp_path, mesh={"h": [0.09, 0.06]}, solver="fem",
+                        layer={"delta0": [0.02], "n": 0.48})
+    main([task, "--config", cfg, "--out", str(tmp_path)])
+    lines = [ln for ln in capsys.readouterr().err.splitlines() if "fell back" in ln]
+    assert lines == _TWO_PAIR_LINES[task]
 
 
 def test_cli_direct_rejects_scan_block(tmp_path):

@@ -22,7 +22,7 @@ from thinspec.transmission import (
     rayleigh_identity_residual,
 )
 
-from _meshes import core_submesh
+from _meshes import CountingFactor, core_submesh
 
 LAM0 = 5.783185962946785
 
@@ -193,17 +193,6 @@ def test_first_te_frees_stiffness_factor_before_pencil_lu(monkeypatch):
     assert alive_at_pencil == [[]]
 
 
-class _CountingFactor:
-    """SuperLU stand-in that counts its solves in counts["solves"]."""
-
-    def __init__(self, lu, counts):
-        self.shape, self._lu, self._counts = lu.shape, lu, counts
-
-    def solve(self, rhs):
-        self._counts["solves"] += 1
-        return self._lu.solve(rhs)
-
-
 def _count_pencil_work(monkeypatch):
     """Patch the pencil's splu to count its factorizations and solves."""
     counts = {"factorizations": 0, "solves": 0}
@@ -211,7 +200,7 @@ def _count_pencil_work(monkeypatch):
 
     def counting_splu(a, **kwargs):
         counts["factorizations"] += 1
-        return _CountingFactor(real_splu(a, **kwargs), counts)
+        return CountingFactor(real_splu(a, **kwargs), counts)
 
     monkeypatch.setattr(transmission, "splu", counting_splu)
     return counts
@@ -238,7 +227,7 @@ def test_first_te_solve_counts(monkeypatch):
     real_dirichlet_eigs = transmission.dirichlet_eigs
 
     def counting_eigs(K, M, boundary, count):
-        lu = _CountingFactor(fem.stiffness_lu(K, boundary), eroded)
+        lu = CountingFactor(fem.stiffness_lu(K, boundary), eroded)
         return real_dirichlet_eigs(K, M, boundary, count, lu=lu)
 
     monkeypatch.setattr(transmission, "dirichlet_eigs", counting_eigs)
@@ -247,6 +236,22 @@ def test_first_te_solve_counts(monkeypatch):
     assert pencil["factorizations"] == 1
     assert 0 < pencil["solves"] <= 10
     assert 0 < eroded["solves"] <= 15
+
+
+def test_first_te_records_the_two_pair_routes(monkeypatch):
+    """With a floor that clears nothing, both Dirichlet eigensolves take two
+    pairs, and the cell names each fallback it took."""
+    layer = LayerConfig(0.04, 1.0, 0.48)
+    plain = first_te(Circle(1.0), layer, 0.15)
+    monkeypatch.setattr(fem, "second_eigenvalue_floor", lambda vertices: 0.0)
+    fallen = first_te(Circle(1.0), layer, 0.15)
+    widened = first_te(Circle(1.0), layer, 0.15, upper_slack=-0.5)
+    assert plain.fallback is None
+    assert fallen.fallback == "ground two-pair, eroded two-pair"
+    assert widened.fallback == "ground two-pair, eroded two-pair, widened-window"
+    assert abs(fallen.lambda0 - plain.lambda0) <= 1e-14 * plain.lambda0
+    assert abs(fallen.lambda_eroded - plain.lambda_eroded) <= 1e-14 * plain.lambda_eroded
+    assert abs(fallen.lam - plain.lam) <= 1e-9 * plain.lam
 
 
 @pytest.mark.parametrize("case, fallback", [
@@ -333,7 +338,7 @@ def test_first_te_trend_with_thickness():
 
 def test_eroded_dirichlet_disk():
     mesh = generate_mesh(Circle(1.0), LayerConfig(0.01, 1.0, 0.48), 0.05)
-    lam = eroded_dirichlet(mesh, *_full_km(mesh))
+    lam = eroded_dirichlet(mesh, *_full_km(mesh))[0]
     exact = (bessel.bessel_j_zero(0, 1) / 0.99) ** 2
     assert abs(lam - exact) / exact <= 0.005
 
@@ -344,7 +349,7 @@ def test_eroded_dirichlet_is_the_core_submesh_eigenvalue(curve):
     mesh = generate_mesh(curve, layer, 0.1)
     sub, _ = core_submesh(mesh)
     lams, _ = dirichlet_eigs(assemble(sub, "stiffness"), assemble(sub, "mass"), sub.outer, 1)
-    assert eroded_dirichlet(mesh, *_full_km(mesh)) == float(lams[0])
+    assert eroded_dirichlet(mesh, *_full_km(mesh)) == (float(lams[0]), None)
 
 
 def _wmap_by_loop(mesh):
@@ -385,7 +390,7 @@ def test_ground_mode_nonnegative_on_free_vertices(curve, layer):
 def test_eroded_dirichlet_monotone():
     meshes = [generate_mesh(Circle(1.0), LayerConfig(d, 1.0, 0.48), 0.06)
               for d in (0.01, 0.02, 0.04)]
-    vals = [eroded_dirichlet(mesh, *_full_km(mesh)) for mesh in meshes]
+    vals = [eroded_dirichlet(mesh, *_full_km(mesh))[0] for mesh in meshes]
     assert vals[0] < vals[1] < vals[2]
 
 
