@@ -44,6 +44,8 @@ _MAX_ORDER = 20
 _MAX_ARGUMENT = 1.0e4
 # the first transmission eigenvalue is sought among angular modes 0.._MODE_MAX
 _MODE_MAX = 6
+# relative slack of the Max-Min corridor's upper end (`corridor`)
+_UPPER_SLACK = 5e-3
 
 
 # ---------------------------------------------------------------------------
@@ -504,15 +506,15 @@ def _det_scan(R, deltas, n, ks, mode_max):
     return (v_val * w_der - (v_der * ks) * w_val).reshape(mode_max + 1, *shape)
 
 
-def corridor(lambda0, lambda_eroded, upper_slack=5e-3):
-    """Max-Min search window [lambda0*(1-1e-6), lambda_eroded*(1+upper_slack)].
+def corridor(lambda0, lambda_eroded):
+    """Max-Min search window [lambda0*(1-1e-6), lambda_eroded*(1+_UPPER_SLACK)].
 
     For 0 < n < 1 the first transmission eigenvalue lies between lambda0 of
     the domain and lambda_eroded of the domain inside the coating, up to 4e-8
     of the corridor's width below lambda_eroded as n nears 1; the upper slack
     keeps it off the edge.  The disk and the FEM pencil solvers search it.
     """
-    return lambda0 * (1.0 - 1e-6), lambda_eroded * (1.0 + upper_slack)
+    return lambda0 * (1.0 - 1e-6), lambda_eroded * (1.0 + _UPPER_SLACK)
 
 
 def disk_first_tes(R, deltas, n):
@@ -526,14 +528,14 @@ def disk_first_tes(R, deltas, n):
     eigenvalue at or above its Dirichlet floor (j_{m,1}/R)^2, so the scan
     takes mode 0 and each mode 1.._MODE_MAX whose floor k = j_{m,1}/R is at
     most the largest scanned wavenumber: mode 0 alone while every delta/R
-    is below 0.3708 (1 - j01/j11 = 0.372, less the corridor's upper slack),
-    and the modes a thicker coating's corridor reaches beyond that.  Each
-    mode's first bracket is refined by Brent's method to width 1e-14 from
-    the scanned values at its ends (`_root_in`), in increasing order, until
-    the next bracket starts above the best root.  Raises NoRootInBracket if
-    no mode changes sign in a corridor; for delta/R above about 0.8 the
-    corridor passes the series cutoff k*R = 12 and _det_scan raises
-    DomainError.
+    is below 1 - sqrt(1 + _UPPER_SLACK) j01/j11 = 0.3708 (0.372 less the
+    fixed slack 5e-3), and the modes a thicker coating reaches beyond that.
+    Each mode's first bracket is refined by Brent's method to width 1e-14
+    from the scanned values at its ends (`_root_in`), in increasing order,
+    until the next bracket starts above the best root.  Raises
+    NoRootInBracket if no mode changes sign in a corridor; for delta/R above
+    about 0.8 the corridor passes the series cutoff k*R = 12 and _det_scan
+    raises DomainError.
     """
     probs = [DiskProblem(R, delta, n) for delta in deltas]
     if not probs:

@@ -17,8 +17,8 @@ from . import bessel
 from .asymptotics import compute_coefficients, format_coefficients
 from .errors import ConfigError, ThinspecError
 from .geometry import Circle, LayerConfig, config_number, curve_from_config
-from .report import (cell_processes, fallback_cells, richardson, run_sweep, solve_cells,
-                     sweep_svg, write_atomic)
+from .report import (SANDWICH_FACTOR, cell_processes, fallback_cells, richardson, run_sweep,
+                     solve_cells, sweep_svg, write_atomic)
 from .transmission import first_te, rayleigh_identity_residual
 
 _SCHEMA = "thinspec/1"
@@ -27,12 +27,10 @@ _TASKS = ("coeffs", "direct", "sweep", "disk-oracle", "validate")
 # its relative defect rounding error only
 _IDENTITY_TOL = 1e-10
 
-_TOP_KEYS = {"schema", "task", "geometry", "layer", "mesh", "solver", "output",
-             "require", "tolerances"}
+_TOP_KEYS = {"schema", "task", "geometry", "layer", "mesh", "solver", "output", "require"}
 _LAYER_KEYS = {"delta0", "g", "n"}
 _MESH_KEYS = {"h"}
 _REQUIRE_KEYS = {"slope0_min", "slope1_min", "slope2_min"}
-_TOL_KEYS = {"sandwich_factor", "upper_slack"}
 
 
 def _fail(msg, fieldname=None):
@@ -113,12 +111,6 @@ def load_config(path, task):
     require = raw.get("require", {})
     _check_keys(require, _REQUIRE_KEYS, "require")
     cfg["require"] = {k: config_number(v, f"require.{k}") for k, v in require.items()}
-
-    tol = raw.get("tolerances", {})
-    _check_keys(tol, _TOL_KEYS, "tolerances")
-    cfg["sandwich_factor"] = config_number(tol.get("sandwich_factor", 3.0),
-                                           "tolerances.sandwich_factor")
-    cfg["upper_slack"] = config_number(tol.get("upper_slack", 5e-3), "tolerances.upper_slack")
     return cfg
 
 
@@ -173,7 +165,7 @@ def _task_direct(cfg, outdir):
     cells = [(LayerConfig(delta, cfg["g"], cfg["n"]), h)
              for delta in cfg["deltas"] for h in cfg["h_list"]]
     processes, _ = cell_processes(cfg["g"], len(cells))
-    solved, _ = solve_cells(curve, cells, cfg["upper_slack"], processes)
+    solved, _ = solve_cells(curve, cells, processes)
     _print_fallbacks("direct", fallback_cells(cells, solved))
     lines = ["delta,h,lambda_direct,lambda0,lambda_dirichlet_eroded,residual"]
     for (layer, h), values in zip(cells, solved):
@@ -183,12 +175,8 @@ def _task_direct(cfg, outdir):
 
 
 def _task_sweep(cfg, outdir):
-    report = run_sweep(
-        cfg["curve"], cfg["deltas"], cfg["g"], cfg["n"],
-        h_list=cfg.get("h_list"), solver=cfg["solver"],
-        sandwich_factor=cfg["sandwich_factor"],
-        upper_slack=cfg["upper_slack"],
-    )
+    report = run_sweep(cfg["curve"], cfg["deltas"], cfg["g"], cfg["n"],
+                       h_list=cfg.get("h_list"), solver=cfg["solver"])
     _print_fallbacks("sweep", report.fallbacks)
     write_atomic(os.path.join(outdir, "sweep.csv"), report.to_csv())
     write_atomic(os.path.join(outdir, "sweep_fits.csv"), report.fits_csv())
@@ -219,15 +207,15 @@ def _task_validate(cfg, outdir):
     deltas = cfg["deltas"][:2]
     for delta, lam_oracle in zip(deltas, bessel.disk_first_tes(curve.radius, deltas, cfg["n"])):
         layer = LayerConfig(delta, cfg["g"], cfg["n"])
-        tes = [first_te(curve, layer, h, upper_slack=cfg["upper_slack"]) for h in cfg["h_list"]]
+        tes = [first_te(curve, layer, h) for h in cfg["h_list"]]
         _print_fallbacks("validate", [(delta, h, te.fallback)
                                       for h, te in zip(cfg["h_list"], tes) if te.fallback])
         tec, tef = tes[-2], tes[-1]
         lam_fem, est = richardson(tec.lam, tef.lam, tef.mesh.n_rings / tec.mesh.n_rings)
-        agree = abs(lam_fem - lam_oracle) <= cfg["sandwich_factor"] * max(est, 1e-12)
+        agree = abs(lam_fem - lam_oracle) <= SANDWICH_FACTOR * max(est, 1e-12)
         checks.append(("cross_validation", delta, abs(lam_fem - lam_oracle), agree))
         sandwich = (tef.lambda0 * (1 - 1e-9) <= tef.lam
-                    <= tef.lambda_eroded * (1 + cfg["sandwich_factor"] * 1e-3))
+                    <= tef.lambda_eroded * (1 + SANDWICH_FACTOR * 1e-3))
         checks.append(("sandwich", delta, tef.lam, sandwich))
         resid = rayleigh_identity_residual(tef.lam, tef.v, tef.w, cfg["n"], tef.mesh,
                                            tef.K, tef.M)

@@ -24,7 +24,8 @@ Dirichlet Laplacian on the polygon the triangles cover, so each lies above
 its continuous counterpart; and by domain monotonicity the polygon's
 second eigenvalue lies above that of any box or disk holding its vertices.
 A computed eigenvalue that stays clear below that floor is therefore the
-lowest discrete eigenvalue, and simple (`floor_clears`).
+lowest discrete eigenvalue, and simple (`floor_clears`).  `lowest_pair`
+holds this route for both Max-Min corridor ends, lambda0 and lambda_eroded.
 """
 
 import math
@@ -58,6 +59,11 @@ _J11 = 3.8317059702075125
 # relative rounding margin of the floor test: ARPACK's eigenvalue and the
 # floor's own arithmetic are good to far better than this
 _FLOOR_MARGIN = 1e-9
+# the ground state's least relative gap, the relative residual every
+# Dirichlet eigenpair must meet, and ARPACK's restart limit
+_GAP = 1e-6
+_RESIDUAL_TOL = 1e-10
+_RESTARTS = 500
 
 
 def assemble(mesh, kind, region=None, coefficient=None):
@@ -173,19 +179,19 @@ def stiffness_lu(K, boundary):
         raise SolveSingular(f"stiffness factorization failed: {exc}") from exc
 
 
-def dirichlet_eigs(K, M, boundary, count, tol=1e-10, maxit=500, lu=None):
+def dirichlet_eigs(K, M, boundary, count, lu=None):
     """Smallest `count` eigenpairs of K u = lambda M u with zero essential
     data on `boundary`.
 
     ARPACK shift-invert Lanczos at sigma = 0 on the free block, applying
     K_ff^-1 through `lu` (built by `stiffness_lu` when not given), with at
-    most `maxit` restarts.  For count 1 it starts from the constant vector,
-    since the ground mode is one-signed, in a Krylov space of at most 6
-    vectors (10 to 13 factor solves on the meshes of this package); for
-    more pairs from a fixed random vector in ARPACK's default space of 20
-    vectors (21 solves for two pairs).  A single pair is not known to be
+    most _RESTARTS = 500 restarts.  For count 1 it starts from the constant
+    vector, since the ground mode is one-signed, in a Krylov space of at
+    most 6 vectors (10 to 13 factor solves on the meshes of this package);
+    for more pairs from a fixed random vector in ARPACK's default space of
+    20 vectors (21 solves for two pairs).  A single pair is not known to be
     the lowest one: `floor_clears` can prove it.  Every returned pair must
-    satisfy ||K u - lambda M u|| <= tol * ||K u||, else
+    satisfy ||K u - lambda M u|| <= _RESIDUAL_TOL ||K u|| (1e-10), else
     ConvergenceFailure is raised.  Eigenvalues are ascending; eigenvectors
     are returned on the full vertex set (zeros on the boundary),
     M-orthonormal; the first one is sign-normalized to be positive at its
@@ -204,15 +210,16 @@ def dirichlet_eigs(K, M, boundary, count, tol=1e-10, maxit=500, lu=None):
     try:
         lams, X = eigsh(Kf, k=count, M=Mf, sigma=0.0,
                         OPinv=LinearOperator(Kf.shape, matvec=lu.solve, dtype=float),
-                        v0=start, ncv=ncv, tol=1e-13, maxiter=maxit)
+                        v0=start, ncv=ncv, tol=1e-13, maxiter=_RESTARTS)
     except ArpackNoConvergence as exc:
-        raise ConvergenceFailure(f"eigensolver: no convergence in {maxit} restarts") from exc
+        raise ConvergenceFailure(f"eigensolver: no convergence in {_RESTARTS} restarts") from exc
     order = np.argsort(lams)
     lams, X = lams[order], X[:, order]
     for i in range(count):
         Ku = Kf @ X[:, i]
-        if np.linalg.norm(Ku - lams[i] * (Mf @ X[:, i])) > tol * np.linalg.norm(Ku):
-            raise ConvergenceFailure(f"eigensolver: pair {i} misses the residual tolerance {tol:g}")
+        if np.linalg.norm(Ku - lams[i] * (Mf @ X[:, i])) > _RESIDUAL_TOL * np.linalg.norm(Ku):
+            raise ConvergenceFailure(
+                f"eigensolver: pair {i} misses the residual tolerance {_RESIDUAL_TOL:g}")
 
     vecs = np.zeros((n, count))
     vecs[free] = X
@@ -240,50 +247,62 @@ def second_eigenvalue_floor(vertices):
     return max(box, (_J11 / rho) ** 2)
 
 
-def floor_clears(lam, vertices, gap_tol):
+def floor_clears(lam, vertices, gap):
     """Whether `second_eigenvalue_floor(vertices)` proves the P1 Dirichlet
     eigenvalue lam, computed on triangles with these vertices, the lowest
-    one and simple, with a relative gap above gap_tol to the next: floor -
-    lam > gap_tol * lam, less a rounding margin.  False proves nothing; the
+    one and simple, with a relative gap above `gap` to the next: floor -
+    lam > gap * lam, less a rounding margin.  False proves nothing; the
     floor of a long or bent domain can lie below its first eigenvalue.
     """
-    return second_eigenvalue_floor(vertices) * (1.0 - _FLOOR_MARGIN) - lam > gap_tol * lam
+    return second_eigenvalue_floor(vertices) * (1.0 - _FLOOR_MARGIN) - lam > gap * lam
 
 
-def ground_state(mesh, gap_tol=1e-6):
+def lowest_pair(K, M, boundary, vertices, gap, lu):
+    """The lowest Dirichlet eigenpair of K u = lambda M u off `boundary`,
+    certified, on triangles with these vertices.
+
+    One Lanczos pair (`dirichlet_eigs`) serves when `floor_clears` it with
+    `gap`, and fallback is None.  Otherwise two pairs are solved, fallback
+    "two-pair", and NearDegenerate is raised when their gap is at most
+    gap * lambda.  Both solves use `lu`, the `stiffness_lu` factor off
+    `boundary`.  Returns (lambda, u, fallback), u on the full vertex set
+    with `dirichlet_eigs`'s norm and sign.
+    """
+    lams, vecs = dirichlet_eigs(K, M, boundary, 1, lu=lu)
+    fallback = None
+    if not floor_clears(lams[0], vertices, gap):
+        fallback = "two-pair"
+        lams, vecs = dirichlet_eigs(K, M, boundary, 2, lu=lu)
+        if lams[1] - lams[0] <= gap * lams[0]:
+            raise NearDegenerate(f"leading eigenvalue not simple: gap {lams[1] - lams[0]:.3e}")
+    return float(lams[0]), vecs[:, 0], fallback
+
+
+def ground_state(mesh):
     """Leading Dirichlet eigenpair of the whole domain.
 
     Returns (lambda0, v0, K, M, lu, fallback): the eigenvalue, its
     eigenfunction as a FemField with unit mass norm and `dirichlet_eigs`'s
     sign, the full-domain stiffness and mass, the free stiffness factor the
-    eigensolves used, and the route taken.  One Lanczos pair serves when
-    `floor_clears` it with gap_tol, and fallback is None.  Otherwise two
-    pairs are solved and their gap tested, fallback "two-pair", and
-    NearDegenerate is raised when the gap is at most gap_tol * lambda0: the
-    expansion assumes a simple leading eigenvalue.
+    eigensolves used, and `lowest_pair`'s route at the relative gap _GAP
+    (1e-6): the expansion assumes a simple leading eigenvalue, so a smaller
+    gap raises NearDegenerate.
     """
     K = assemble(mesh, "stiffness")
     M = assemble(mesh, "mass")
     lu = stiffness_lu(K, mesh.outer)
-    lams, vecs = dirichlet_eigs(K, M, mesh.outer, 1, lu=lu)
-    fallback = None
-    if not floor_clears(lams[0], mesh.vertices, gap_tol):
-        fallback = "two-pair"
-        lams, vecs = dirichlet_eigs(K, M, mesh.outer, 2, lu=lu)
-        if lams[1] - lams[0] <= gap_tol * lams[0]:
-            raise NearDegenerate(f"leading eigenvalue not simple: gap {lams[1] - lams[0]:.3e}")
-    v0 = vecs[:, 0] / mass_norm(M, vecs[:, 0])
-    return float(lams[0]), FemField(mesh, v0), K, M, lu, fallback
+    lam0, u, fallback = lowest_pair(K, M, mesh.outer, mesh.vertices, _GAP, lu)
+    return lam0, FemField(mesh, u / mass_norm(M, u)), K, M, lu, fallback
 
 
 def solve_constrained_source(K, M, lam0, rhs, dirichlet_values, v0, outer, lu=None):
     """Solve (Laplacian + lam0) u = rhs with essential data on the outer
     boundary and u constrained M-orthogonal to v0.
 
-    rhs and v0 are FemField (or plain vertex arrays); v0 must be the
-    discrete ground mode for lam0; dirichlet_values is one value per outer
-    vertex in the mesh's outer ordering.  On the free vertices, with
-    A = K - lam0 M, q = M v0 and b = -(M rhs) - lifted data, this solves
+    rhs and v0 are FemField; v0 must be the discrete ground mode for lam0;
+    dirichlet_values is one value per outer vertex in the mesh's outer
+    ordering.  On the free vertices, with A = K - lam0 M, q = M v0 and
+    b = -(M rhs) - lifted data, this solves
 
         A u + mu q = b,    q^T u = 0  (q^T over all vertices).
 
@@ -295,8 +314,7 @@ def solve_constrained_source(K, M, lam0, rhs, dirichlet_values, v0, outer, lu=No
     (FemField, mu).
     """
     n = K.shape[0]
-    rhs_vec = rhs.values if isinstance(rhs, FemField) else np.asarray(rhs, dtype=float)
-    v0_vec = v0.values if isinstance(v0, FemField) else np.asarray(v0, dtype=float)
+    rhs_vec, v0_vec = rhs.values, v0.values
     outer = np.asarray(outer, dtype=np.int64)
     data = np.asarray(dirichlet_values, dtype=float)
     free = _free(n, outer)
@@ -328,8 +346,7 @@ def solve_constrained_source(K, M, lam0, rhs, dirichlet_values, v0, outer, lu=No
     u[free] = project(x) - vf * float(q[outer] @ data) / s
     if not np.all(np.isfinite(u)):
         raise SolveSingular("constrained solve produced non-finite values")
-    mesh = rhs.mesh if isinstance(rhs, FemField) else (v0.mesh if isinstance(v0, FemField) else None)
-    return FemField(mesh, u), mu
+    return FemField(rhs.mesh, u), mu
 
 
 def boundary_mass_matrix(mesh):
@@ -356,17 +373,16 @@ def boundary_flux(mesh, fld, lam, K, M, rhs=None, lu=None):
     """Inward-normal derivative of a field on the outer boundary by
     variational recovery.
 
-    The field is assumed to satisfy (Laplacian + lam) u = rhs weakly on the
-    free vertices; testing the residual with boundary hat functions isolates
-    the outward conormal, which is negated to match the inward-normal
-    convention.  K and M are the mesh's full-domain stiffness and mass;
-    `lu` is its `boundary_mass_lu`, built when not given.  Returns one value
-    per outer vertex (mesh outer ordering).
+    The FemField fld is assumed to satisfy (Laplacian + lam) u = rhs (a
+    FemField) weakly on the free vertices; testing the residual with
+    boundary hat functions isolates the outward conormal, which is negated
+    to match the inward-normal convention.  K and M are the mesh's
+    full-domain stiffness and mass; `lu` is its `boundary_mass_lu`, built
+    when not given.  Returns one value per outer vertex (outer ordering).
     """
-    u = fld.values if isinstance(fld, FemField) else np.asarray(fld, dtype=float)
+    u = fld.values
     r = K @ u - lam * (M @ u)
     if rhs is not None:
-        rvec = rhs.values if isinstance(rhs, FemField) else np.asarray(rhs, dtype=float)
-        r = r + M @ rvec
+        r = r + M @ rhs.values
     lu = lu if lu is not None else boundary_mass_lu(mesh)
     return -lu.solve(r[mesh.outer])

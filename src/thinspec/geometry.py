@@ -336,10 +336,6 @@ class LayerConfig:
         if not callable(self.g) and float(self.g) < 0.0:
             raise DomainError("LayerConfig: thickness profile must be non-negative")
 
-    @property
-    def g_is_constant(self):
-        return not callable(self.g)
-
     def g_at(self, s):
         if callable(self.g):
             return np.asarray(self.g(np.asarray(s, dtype=float)), dtype=float)

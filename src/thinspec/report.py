@@ -25,6 +25,9 @@ from .geometry import Circle, LayerConfig
 from .transmission import first_te
 
 _VERSION = "thinspec-0.1.0"
+# multiple of its error scale by which a sweep row's or validate's lambda may
+# leave the Max-Min sandwich lambda0 <= lambda <= lambda_eroded
+SANDWICH_FACTOR = 3.0
 
 
 @dataclass
@@ -203,7 +206,7 @@ def _rows_to_fits(rows):
     return fits
 
 
-def _sweep_disk(curve, deltas, g, n, sandwich_factor):
+def _sweep_disk(curve, deltas, g, n):
     if not isinstance(curve, Circle):
         raise ConfigError("semi-analytic sweep requires circle geometry")
     if callable(g) or float(g) != 1.0:
@@ -217,7 +220,7 @@ def _sweep_disk(curve, deltas, g, n, sandwich_factor):
         pred0 = coeffs.lambda0
         pred1 = coeffs.lambda0 + delta * coeffs.lambda1
         pred2 = pred1 + delta * delta * coeffs.lambda2
-        tol = sandwich_factor * 1e-9 * coeffs.lambda0  # root-refinement scale
+        tol = SANDWICH_FACTOR * 1e-9 * coeffs.lambda0  # root-refinement scale
         ok = (coeffs.lambda0 - tol <= lam) and (lam <= lam_eroded + tol)
         rows.append(SweepRow(
             delta=delta,
@@ -281,11 +284,11 @@ def cell_processes(g, n_cells):
     return min(cores, n_cells), None
 
 
-def _fem_cell(curve, layer, h, upper_slack):
+def _fem_cell(curve, layer, h):
     """One (thickness, mesh size) cell: first_te's (lam, lambda0,
     lambda_eroded, residual), the ring count of its mesh and first_te's
     fallback.  Top-level for pickling."""
-    te = first_te(curve, layer, h, upper_slack=upper_slack)
+    te = first_te(curve, layer, h)
     return te.lam, te.lambda0, te.lambda_eroded, te.residual, te.mesh.n_rings, te.fallback
 
 
@@ -294,7 +297,7 @@ def fallback_cells(cells, solved):
     return [(layer.delta0, h, out[-1]) for (layer, h), out in zip(cells, solved) if out[-1]]
 
 
-def solve_cells(curve, cells, upper_slack, processes, alongside=None):
+def solve_cells(curve, cells, processes, alongside=None):
     """_fem_cell of every (layer, h) in cells, in input order, with the result
     of alongside() (None without it).
 
@@ -305,16 +308,16 @@ def solve_cells(curve, cells, upper_slack, processes, alongside=None):
     bits."""
     if processes == 1:
         side = alongside() if alongside else None
-        return [_fem_cell(curve, layer, h, upper_slack) for layer, h in cells], side
+        return [_fem_cell(curve, layer, h) for layer, h in cells], side
     order = sorted(range(len(cells)), key=lambda i: cells[i][1])
     context = multiprocessing.get_context("fork")
     with ProcessPoolExecutor(max_workers=processes, mp_context=context) as pool:
-        futures = {i: pool.submit(_fem_cell, curve, *cells[i], upper_slack) for i in order}
+        futures = {i: pool.submit(_fem_cell, curve, *cells[i]) for i in order}
         side = alongside() if alongside else None
         return [futures[i].result() for i in range(len(cells))], side
 
 
-def _sweep_fem(curve, deltas, g, n, h_list, sandwich_factor, upper_slack):
+def _sweep_fem(curve, deltas, g, n, h_list):
     if h_list is None or len(h_list) < 2:
         raise ConfigError("finite element sweep needs at least two mesh sizes")
     cells = [(LayerConfig(delta, g, n), h) for delta in deltas for h in h_list]
@@ -322,7 +325,7 @@ def _sweep_fem(curve, deltas, g, n, h_list, sandwich_factor, upper_slack):
     # expansion coefficients per mesh size, then Richardson in h
     coeff_layer = LayerConfig(max(deltas), g, n)
     solved, coeff_by_h = solve_cells(
-        curve, cells, upper_slack, processes,
+        curve, cells, processes,
         alongside=lambda: [compute_coefficients(curve, coeff_layer, h) for h in h_list])
     c_coarse, c_fine = coeff_by_h[-2], coeff_by_h[-1]
     refine = c_fine.mesh.n_rings / c_coarse.mesh.n_rings
@@ -350,7 +353,7 @@ def _sweep_fem(curve, deltas, g, n, h_list, sandwich_factor, upper_slack):
         guard1 = abs(err1_fine - err1) <= err1 / 3.0 if err1 > 0 else False
         guard2 = abs(err2_fine - err2) <= err2 / 3.0 if err2 > 0 else False
         mesh_est = max(est_direct, est_eroded, est0)
-        tol = sandwich_factor * mesh_est
+        tol = SANDWICH_FACTOR * mesh_est
         ok = (lam0 - tol <= lam_direct) and (lam_direct <= lam_eroded + tol)
         rows.append(SweepRow(
             delta=delta,
@@ -368,25 +371,24 @@ def _sweep_fem(curve, deltas, g, n, h_list, sandwich_factor, upper_slack):
     return rows, lam0, lam1, lam2, processes, reason, fallbacks
 
 
-def run_sweep(curve, deltas, g, n, h_list=None, solver="auto",
-              sandwich_factor=3.0, upper_slack=5e-3):
+def run_sweep(curve, deltas, g, n, h_list=None, solver="auto"):
     """Sweep coating thicknesses and fit the convergence orders.
 
     solver 'bessel' uses the semi-analytic disk determinant (circle geometry
     only), 'fem' the coupled pencil on every mesh size in h_list with
     Richardson extrapolation, 'auto' picks by geometry.  The finite element
-    cells run on as many processes as `cell_processes` derives.
+    cells run on as many processes as `cell_processes` derives.  Rows take
+    the fixed SANDWICH_FACTOR and `corridor` slack.
     """
     deltas = [float(d) for d in deltas]
     if solver == "auto":
         solver = "bessel" if isinstance(curve, Circle) and not callable(g) and float(g) == 1.0 else "fem"
     if solver == "bessel":
-        rows, lam0, lam1, lam2 = _sweep_disk(curve, deltas, g, n, sandwich_factor)
+        rows, lam0, lam1, lam2 = _sweep_disk(curve, deltas, g, n)
         processes, reason, fallbacks = 1, "semi-analytic solver", []
     elif solver == "fem":
         rows, lam0, lam1, lam2, processes, reason, fallbacks = _sweep_fem(
-            curve, deltas, g, n, h_list, sandwich_factor, upper_slack
-        )
+            curve, deltas, g, n, h_list)
     else:
         raise ConfigError(f"unknown solver {solver!r}", field="solver")
     fits = _rows_to_fits(rows)

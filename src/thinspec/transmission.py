@@ -14,8 +14,8 @@ complex, is 8 to 212 times as far from sigma), so shift-invert Arnoldi on
 (A - sigma*B)^-1 B asks for that one pair, from one LU at sigma.  Both
 corridor ends are Dirichlet eigenvalues on the one coated mesh: lambda0 from
 `fem.ground_state` and lambda_eroded from the block of the same K and M off
-the coating, each one Lanczos pair when `fem.floor_clears` proves it the
-lowest.
+the coating, each certified by `fem.lowest_pair`: one Lanczos pair when
+`fem.floor_clears` proves it the lowest.
 """
 
 import math
@@ -28,8 +28,7 @@ from scipy.sparse.linalg import norm as spnorm
 
 from .bessel import corridor
 from .errors import ConvergenceFailure, MissingLayer, NoRootFound
-from .fem import (FemField, assemble, dirichlet_eigs, floor_clears, ground_state, h1_norm,
-                  mass_norm)
+from .fem import FemField, assemble, ground_state, h1_norm, lowest_pair, mass_norm, stiffness_lu
 from .mesh import LAYER, generate_mesh
 
 
@@ -140,29 +139,26 @@ def eroded_dirichlet(mesh, K, M):
     Solved on the block of the coated mesh's full-domain K and M on the
     vertices no coating triangle touches: the Dirichlet problem of the core
     triangles alone, with zero data on the interface.  The corridor needs
-    the lowest eigenvalue, not a gap: one Lanczos pair serves when
-    `floor_clears` it with gap 0 on the core triangles' vertices, else the
-    lowest of two pairs is taken.  Returns (lambda_eroded, fallback),
-    fallback None or "two-pair" for the route.
+    the lowest eigenvalue, not a gap, so `fem.lowest_pair` certifies it at
+    gap 0 on the core triangles' vertices.  Returns (lambda_eroded,
+    fallback), fallback None or "two-pair" for the route.
     """
     coated = np.unique(mesh.triangles[mesh.region == LAYER])
-    lams, _ = dirichlet_eigs(K, M, coated, 1)
     core = np.unique(mesh.triangles[mesh.region != LAYER])
-    if floor_clears(lams[0], mesh.vertices[core], 0.0):
-        return float(lams[0]), None
-    lams, _ = dirichlet_eigs(K, M, coated, 2)
-    return float(lams[0]), "two-pair"
+    lu = stiffness_lu(K, coated)
+    lam, _, fallback = lowest_pair(K, M, coated, mesh.vertices[core], 0.0, lu)
+    return lam, fallback
 
 
-def first_te(curve, layer, h, upper_slack=5e-3):
+def first_te(curve, layer, h):
     """Locate the first transmission eigenvalue of the coated domain.
 
     The pencil is factored once, at the midpoint of the computable corridor
-    [lo, hi] (see `corridor`), and `nearest_eig` returns the one eigenvalue
-    nearest it.  A real eigenvalue in [lo, hi] is the answer; a real one in
-    the widened window [lo, 4*lambda0] is returned with fallback
-    "widened-window"; anything else raises NoRootFound.  The fallbacks of
-    the two Dirichlet eigensolves are recorded with it (see `FirstTE`).
+    [lo, hi] (`corridor`, its upper slack fixed), and `nearest_eig` returns
+    the one eigenvalue nearest it.  A real eigenvalue in [lo, hi] is the
+    answer; a real one in the widened window [lo, 4*lambda0] is returned
+    with fallback "widened-window"; anything else raises NoRootFound.  The
+    fallbacks of the two Dirichlet eigensolves are recorded (see `FirstTE`).
     The eigenpair is returned with v normalized to unit mass norm and
     sign-aligned with the Dirichlet ground mode.
     """
@@ -172,7 +168,7 @@ def first_te(curve, layer, h, upper_slack=5e-3):
     lam_eroded, eroded = eroded_dirichlet(mesh, K, M)
     pencil = assemble_pencil(mesh, layer.n, K, M)
 
-    lo, hi = corridor(lam0, lam_eroded, upper_slack)
+    lo, hi = corridor(lam0, lam_eroded)
     lam, x = nearest_eig(pencil, 0.5 * (lo + hi))
     lam_te, x = lam.real, x.real
     real = abs(lam.imag) <= 1e-8 * abs(lam)
@@ -221,9 +217,9 @@ def first_te(curve, layer, h, upper_slack=5e-3):
 def rayleigh_identity_residual(lam, v, w, n, mesh, K, M):
     """Relative defect of the energy identity satisfied by an eigenpair.
 
-    K and M are the full-domain stiffness and mass on mesh (a `FirstTE`
-    carries both).  With u = w - v (w extended by zero outside the coating)
-    normalized to unit mass norm, a true eigenpair satisfies
+    v and w are FemField, K and M the full-domain stiffness and mass on mesh
+    (a `FirstTE` carries all four).  With u = w - v (w extended by zero outside
+    the coating) normalized to unit mass norm, a true eigenpair satisfies
 
         lam = lam * int_layer (1-n) |w|^2 + int |grad u|^2.
 
@@ -233,8 +229,7 @@ def rayleigh_identity_residual(lam, v, w, n, mesh, K, M):
     evaluated after normalizing u, so it is invariant under scaling of the
     eigenpair.
     """
-    v_vals = v.values if isinstance(v, FemField) else np.asarray(v, dtype=float)
-    w_vals = w.values if isinstance(w, FemField) else np.asarray(w, dtype=float)
+    v_vals, w_vals = v.values, w.values
     one_minus_n = (lambda x, y: 1.0 - n(x, y)) if callable(n) else 1.0 - float(n)
     M_1mn = assemble(mesh, "mass", region="layer", coefficient=one_minus_n).tocsr()
     u = w_vals - v_vals

@@ -50,10 +50,11 @@ def test_lambda0_scaling():
     assert abs(big - small / 4.0) / small <= 1e-6
 
 
-def test_lambda0_degenerate_guard(disk_coeffs_h02):
+def test_lambda0_degenerate_guard(monkeypatch, disk_coeffs_h02):
     coeffs, _ = disk_coeffs_h02
+    monkeypatch.setattr(fem, "_GAP", 10.0)
     with pytest.raises(NearDegenerate):
-        ground_state(coeffs.mesh, gap_tol=10.0)
+        ground_state(coeffs.mesh)
 
 
 def test_coefficients_record_the_two_pair_route(monkeypatch):

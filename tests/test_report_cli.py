@@ -226,10 +226,10 @@ def test_fem_sweep_worker_error_reaches_caller(monkeypatch):
     # forked workers inherit the patched solver; the typed error crosses back
     solve = report.first_te
 
-    def failing(curve, layer, h, upper_slack):
+    def failing(curve, layer, h):
         if layer.delta0 == 0.02 and h == 0.08:
             raise NoRootFound("no real pencil eigenvalue")
-        return solve(curve, layer, h, upper_slack=upper_slack)
+        return solve(curve, layer, h)
 
     monkeypatch.setattr(report, "first_te", failing)
     _force_cells(monkeypatch, pooled=True)
@@ -248,9 +248,9 @@ def test_cli_direct_pooled_matches_serial(monkeypatch, tmp_path, geometry):
     used = []
     solve = cli.solve_cells
 
-    def recording(curve, cells, upper_slack, processes, alongside=None):
+    def recording(curve, cells, processes, alongside=None):
         used.append(processes)
-        return solve(curve, cells, upper_slack, processes, alongside)
+        return solve(curve, cells, processes, alongside)
 
     monkeypatch.setattr(cli, "solve_cells", recording)
     out = {}
@@ -285,10 +285,11 @@ def test_cell_process_rule(monkeypatch, env, cores, g, expected):
     assert report.cell_processes(g, 3) == expected
 
 
-def test_fem_sweep_records_fallback_cells(ellipse_sweep_report):
+def test_fem_sweep_records_fallback_cells(monkeypatch, ellipse_sweep_report):
     # a negative slack empties every corridor, so every cell falls back
+    monkeypatch.setattr(bessel, "_UPPER_SLACK", -0.5)
     sweep = run_sweep(Circle(1.0), [0.04, 0.02], 1.0, 0.48, h_list=[0.15, 0.1],
-                      solver="fem", upper_slack=-0.5)
+                      solver="fem")
     assert sweep.fallbacks == [(delta, h, "widened-window")
                                for delta in (0.04, 0.02) for h in (0.15, 0.1)]
     assert "widened-window" not in sweep.to_csv() + sweep.fits_csv()
@@ -372,8 +373,8 @@ _LAYER = {"delta0": [0.02, 0.01], "n": 0.48}
     ("mesh.h", {"mesh": {"h": [None]}}),
     ("layer.g.value", {"layer": dict(_LAYER, g={"kind": "const", "value": "a"})}),
     ("require.slope1_min", {"require": {"slope1_min": "x"}}),
-    ("tolerances.sandwich_factor", {"tolerances": {"sandwich_factor": "x"}}),
-    ("tolerances.upper_slack", {"tolerances": {"upper_slack": None}}),
+    ("layer.n", {"layer": {"delta0": [0.02, 0.01], "n": "0.48"}}),
+    ("solver", {"solver": None}),
     ("geometry.radius", {"geometry": {"kind": "circle", "radius": "1"}}),
     ("geometry.a", {"geometry": {"kind": "ellipse", "a": "1.3", "b": 1.0}}),
     ("geometry.modes", {"geometry": {"kind": "fourier", "modes": 0.1}}),
@@ -425,10 +426,10 @@ def test_cli_direct_task(tmp_path):
 
 
 @pytest.mark.parametrize("task", ["sweep", "direct"])
-def test_cli_prints_one_line_per_fallback_cell(tmp_path, capsys, task):
+def test_cli_prints_one_line_per_fallback_cell(monkeypatch, tmp_path, capsys, task):
     cfg = _write_config(tmp_path, mesh={"h": [0.15, 0.1]}, solver="fem",
-                        layer={"delta0": [0.04, 0.02], "n": 0.48},
-                        tolerances={"upper_slack": -0.5})
+                        layer={"delta0": [0.04, 0.02], "n": 0.48})
+    monkeypatch.setattr(bessel, "_UPPER_SLACK", -0.5)
     main([task, "--config", cfg, "--out", str(tmp_path)])
     lines = [ln for ln in capsys.readouterr().err.splitlines() if "fell back" in ln]
     assert lines == [f"{task}: cell delta {delta:g} h {h:g} fell back: widened-window"
@@ -462,6 +463,15 @@ def test_cli_direct_rejects_scan_block(tmp_path):
                         layer={"delta0": [0.02], "n": 0.48}, scan={"steps": 64})
     assert main(["direct", "--config", cfg, "--out", str(tmp_path)]) == 3
     assert not (tmp_path / "direct.csv").exists()
+
+
+def test_cli_rejects_tolerances_block(tmp_path, capsys):
+    # the corridor slack and the sandwich factor are fixed constants, so a
+    # tolerances block is an unknown key
+    cfg = _write_config(tmp_path, tolerances={"upper_slack": 5e-3})
+    assert main(["sweep", "--config", cfg, "--out", str(tmp_path)]) == 3
+    assert "unknown keys ['tolerances']" in capsys.readouterr().err
+    assert not (tmp_path / "sweep.csv").exists()
 
 
 def test_cli_validate_task(tmp_path):

@@ -212,7 +212,8 @@ def test_first_te_records_widened_window(monkeypatch):
     layer = LayerConfig(0.04, 1.0, 0.48)
     plain = first_te(Circle(1.0), layer, 0.15)
     pencil = _count_pencil_work(monkeypatch)
-    widened = first_te(Circle(1.0), layer, 0.15, upper_slack=-0.5)
+    monkeypatch.setattr(bessel, "_UPPER_SLACK", -0.5)
+    widened = first_te(Circle(1.0), layer, 0.15)
     assert plain.fallback is None
     assert widened.fallback == "widened-window"
     assert abs(widened.lam - plain.lam) / plain.lam <= 1e-9
@@ -224,13 +225,13 @@ def test_first_te_solve_counts(monkeypatch):
     eroded pair, each in a Krylov space of at most 6 vectors."""
     pencil = _count_pencil_work(monkeypatch)
     eroded = {"solves": 0}
-    real_dirichlet_eigs = transmission.dirichlet_eigs
+    real_lowest_pair = transmission.lowest_pair
 
-    def counting_eigs(K, M, boundary, count):
-        lu = CountingFactor(fem.stiffness_lu(K, boundary), eroded)
-        return real_dirichlet_eigs(K, M, boundary, count, lu=lu)
+    def counting_pair(K, M, boundary, vertices, gap, lu):
+        return real_lowest_pair(K, M, boundary, vertices, gap, CountingFactor(lu, eroded))
 
-    monkeypatch.setattr(transmission, "dirichlet_eigs", counting_eigs)
+    # transmission calls lowest_pair for the eroded solve alone
+    monkeypatch.setattr(transmission, "lowest_pair", counting_pair)
     te = first_te(Ellipse(1.3, 1.0), LayerConfig(0.04, 1.0, 0.48), 0.15)
     assert te.fallback is None
     assert pencil["factorizations"] == 1
@@ -245,7 +246,8 @@ def test_first_te_records_the_two_pair_routes(monkeypatch):
     plain = first_te(Circle(1.0), layer, 0.15)
     monkeypatch.setattr(fem, "second_eigenvalue_floor", lambda vertices: 0.0)
     fallen = first_te(Circle(1.0), layer, 0.15)
-    widened = first_te(Circle(1.0), layer, 0.15, upper_slack=-0.5)
+    monkeypatch.setattr(bessel, "_UPPER_SLACK", -0.5)
+    widened = first_te(Circle(1.0), layer, 0.15)
     assert plain.fallback is None
     assert fallen.fallback == "ground two-pair, eroded two-pair"
     assert widened.fallback == "ground two-pair, eroded two-pair, widened-window"
