@@ -22,8 +22,8 @@ for h in (0.08, 0.04):
 
 print("\n== predictions ==")
 for delta in (0.04, 0.02, 0.01):
-    p1 = evaluate_expansion(co, delta, order=1)
-    p2 = evaluate_expansion(co, delta, order=2)
+    p1 = evaluate_expansion(co.lambdas, delta, order=1)
+    p2 = evaluate_expansion(co.lambdas, delta, order=2)
     print(f"delta = {delta}: order-1 {p1:.8f}, order-2 {p2:.8f}")
 
 print("\n== coating correction profiles ==")

@@ -12,6 +12,11 @@ solvability condition is exactly the lambda1 quadrature, and lambda2 as
 under this package's convex-positive curvature convention.  Boundary traces
 are carried as periodic arclength tables with linear interpolation; curve
 quantities (kappa, g) are evaluated exactly at the quadrature points.
+
+`compute_coefficients` runs the steps compute_lambda1, compute_v1 and
+compute_lambda2 as functions of the values they need and builds one
+complete `AsymptoticCoefficients` from what they return.
+`evaluate_expansion` is the one place the truncated sum is formed.
 """
 
 import hashlib
@@ -71,121 +76,107 @@ def boundary_quadrature(mesh, integrand):
 
 @dataclass
 class AsymptoticCoefficients:
-    """Expansion coefficients with the fields and traces that produced them.
+    """Expansion coefficients of one mesh with the fields and traces that
+    produced them, as `compute_coefficients` returns them.
 
-    compute_coefficients fills the leading eigenpair and flux0, then
-    compute_lambda1 / compute_v1 / compute_lambda2 complete the record.
-    fallback is `fem.ground_state`'s: "two-pair" when the second-eigenvalue
-    floor did not clear lambda0 and two pairs were solved, else None.
+    `lambdas` is the (lambda0, lambda1, lambda2) triple `evaluate_expansion`
+    takes.  fallback is `fem.ground_state`'s: "two-pair" when the
+    second-eigenvalue floor did not clear lambda0 and two pairs were solved,
+    else None.
     """
 
-    lambda0: float = None
-    lambda1: float = None
-    lambda2: float = None
-    v0: FemField = None
-    v1: FemField = None
-    flux0: np.ndarray = None
-    flux1: np.ndarray = None
-    h: float = None
-    geometry_hash: str = ""
-    multiplier: float = None
-    fallback: str = None
-    mesh: object = field(default=None, repr=False)
-    K: object = field(default=None, repr=False)
-    M: object = field(default=None, repr=False)
+    lambda0: float
+    lambda1: float
+    lambda2: float
+    v0: FemField
+    v1: FemField
+    flux0: np.ndarray
+    flux1: np.ndarray
+    h: float
+    geometry_hash: str
+    multiplier: float
+    fallback: str
+    mesh: object = field(repr=False)
+    K: object = field(repr=False)
+    M: object = field(repr=False)
+
+    @property
+    def lambdas(self):
+        return (self.lambda0, self.lambda1, self.lambda2)
 
 
-def compute_lambda1(coeffs, layer):
+def compute_lambda1(mesh, flux0, layer):
     """First-order coefficient: boundary quadrature of g * flux0^2."""
-    mesh = coeffs.mesh
-    f0 = periodic_interp(mesh.outer_s, coeffs.flux0, mesh.curve.s0)
+    f0 = periodic_interp(mesh.outer_s, flux0, mesh.curve.s0)
 
     def integrand(s):
         return layer.g_at(s) * f0(s) ** 2
 
-    lam1 = boundary_quadrature(mesh, integrand)
-    coeffs.lambda1 = lam1
-    return lam1
+    return boundary_quadrature(mesh, integrand)
 
 
-def compute_v1(coeffs, layer, lu=None, boundary_lu=None):
-    """Corrector field of the expansion and its boundary trace.
+def compute_v1(mesh, K, M, lu, boundary_lu, lambda0, v0, flux0, lambda1, layer):
+    """Corrector field of the expansion: (v1, flux1, multiplier).
 
     Solves (Laplacian + lambda0) v1 = -lambda1 v0 with essential data
-    -g * dv0/dnu on the boundary, v1 orthogonal to v0.  lambda1 must already
-    be the quadrature value: it is the solvability condition of this system,
-    and the returned multiplier records the residual defect.  `lu` and
-    `boundary_lu` are the factors of the eigensolve and flux0, if kept.
+    -g * dv0/dnu on the boundary, v1 orthogonal to v0.  lambda1 is the
+    quadrature value: it is the solvability condition of this system, and
+    the multiplier records the residual defect.  `lu` is the stiffness
+    factor of the eigensolve, `boundary_lu` the boundary mass factor of
+    flux0.
     """
-    if coeffs.lambda1 is None:
-        raise DomainError("compute_v1: lambda1 must be computed first")
-    mesh = coeffs.mesh
-    g_b = layer.g_at(mesh.outer_s)
-    data = -np.asarray(g_b) * coeffs.flux0
-    rhs = FemField(mesh, -coeffs.lambda1 * coeffs.v0.values)
-    v1, mu = solve_constrained_source(
-        coeffs.K, coeffs.M, coeffs.lambda0, rhs, data, coeffs.v0, mesh.outer, lu=lu
-    )
-    flux1 = boundary_flux(mesh, v1, coeffs.lambda0, coeffs.K, coeffs.M, rhs=rhs,
-                          lu=boundary_lu)
-    coeffs.v1 = v1
-    coeffs.flux1 = flux1
-    coeffs.multiplier = mu
-    return v1, flux1
+    data = -np.asarray(layer.g_at(mesh.outer_s)) * flux0
+    rhs = FemField(mesh, -lambda1 * v0.values)
+    v1, mu = solve_constrained_source(K, M, lambda0, rhs, data, v0, mesh.outer, lu=lu)
+    flux1 = boundary_flux(mesh, v1, lambda0, K, M, rhs=rhs, lu=boundary_lu)
+    return v1, flux1, mu
 
 
-def compute_lambda2(coeffs, layer):
+def compute_lambda2(mesh, flux0, flux1, layer):
     """Second-order coefficient from the recovered traces and curvature."""
-    if coeffs.flux1 is None:
-        raise DomainError("compute_lambda2: corrector trace missing")
-    mesh = coeffs.mesh
     curve = mesh.curve
-    f0 = periodic_interp(mesh.outer_s, coeffs.flux0, curve.s0)
-    f1 = periodic_interp(mesh.outer_s, coeffs.flux1, curve.s0)
+    f0 = periodic_interp(mesh.outer_s, flux0, curve.s0)
+    f1 = periodic_interp(mesh.outer_s, flux1, curve.s0)
 
     def integrand(s):
         g = layer.g_at(s)
         kap = curve.curvature(s)
         return (0.5 * kap * g**2 * f0(s) + g * f1(s)) * f0(s)
 
-    lam2 = boundary_quadrature(mesh, integrand)
-    coeffs.lambda2 = lam2
-    return lam2
+    return boundary_quadrature(mesh, integrand)
 
 
 def compute_coefficients(curve, layer, h):
     """Full expansion pipeline for one (curve, layer, h) triple, on the
     uncoated mesh of the domain.
 
-    One free stiffness factor serves the eigensolve and the corrector solve,
-    one boundary mass factor both fluxes; neither is kept on the record.
+    Each step takes the values it needs and returns values; the record is
+    built once, complete.  One free stiffness factor serves the eigensolve
+    and the corrector solve, one boundary mass factor both fluxes; neither
+    is kept on the record.
     """
     mesh = generate_mesh(curve, None, h)
     lam0, v0, K, M, lu, fallback = ground_state(mesh)
     boundary_lu = boundary_mass_lu(mesh)
-    coeffs = AsymptoticCoefficients(
-        lambda0=lam0, v0=v0, flux0=boundary_flux(mesh, v0, lam0, K, M, lu=boundary_lu),
-        h=mesh.h, geometry_hash=geometry_hash(curve, layer, h), fallback=fallback,
-        mesh=mesh, K=K, M=M)
-    compute_lambda1(coeffs, layer)
-    compute_v1(coeffs, layer, lu=lu, boundary_lu=boundary_lu)
-    compute_lambda2(coeffs, layer)
-    return coeffs
+    flux0 = boundary_flux(mesh, v0, lam0, K, M, lu=boundary_lu)
+    lam1 = compute_lambda1(mesh, flux0, layer)
+    v1, flux1, mu = compute_v1(mesh, K, M, lu, boundary_lu, lam0, v0, flux0, lam1, layer)
+    lam2 = compute_lambda2(mesh, flux0, flux1, layer)
+    return AsymptoticCoefficients(
+        lambda0=lam0, lambda1=lam1, lambda2=lam2, v0=v0, v1=v1, flux0=flux0, flux1=flux1,
+        h=mesh.h, geometry_hash=geometry_hash(curve, layer, h), multiplier=mu,
+        fallback=fallback, mesh=mesh, K=K, M=M)
 
 
-def evaluate_expansion(coeffs, delta0, order=2):
-    """Predicted eigenvalue lambda0 + delta0*lambda1 (+ delta0^2*lambda2)."""
-    if order not in (0, 1, 2):
-        raise DomainError(f"expansion order must be 0, 1 or 2, got {order}")
-    out = coeffs.lambda0
-    if order >= 1:
-        if coeffs.lambda1 is None:
-            raise DomainError("expansion order 1 requested but lambda1 missing")
-        out = out + delta0 * coeffs.lambda1
-    if order == 2:
-        if coeffs.lambda2 is None:
-            raise DomainError("expansion order 2 requested but lambda2 missing")
-        out = out + delta0 * delta0 * coeffs.lambda2
+def evaluate_expansion(lambdas, delta0, order=2):
+    """Predicted eigenvalue lambda0 + delta0*lambda1 + ... up to delta0^order
+    from the coefficients lambdas = (lambda0, lambda1, lambda2)."""
+    if not 0 <= order < len(lambdas):
+        raise DomainError(f"expansion order must be 0 to {len(lambdas) - 1}, got {order}")
+    out, power = lambdas[0], 1.0
+    for lam in lambdas[1:order + 1]:
+        power = power * delta0
+        out = out + power * lam
     return out
 
 
@@ -233,8 +224,6 @@ class LayerProfile:
 def layer_profiles(coeffs, layer):
     mesh = coeffs.mesh
     curve = mesh.curve
-    if coeffs.flux1 is None:
-        raise DomainError("layer_profiles: corrector trace missing")
     f0 = periodic_interp(mesh.outer_s, coeffs.flux0, curve.s0)
     f1 = periodic_interp(mesh.outer_s, coeffs.flux1, curve.s0)
     return LayerProfile(curve, layer, f0, f1)
@@ -246,10 +235,8 @@ def format_coefficients(coeffs):
         f"geometry {coeffs.geometry_hash}",
         f"h {coeffs.h:.15g}",
         f"lambda0 {coeffs.lambda0:.15g}",
+        f"lambda1 {coeffs.lambda1:.15g}",
+        f"lambda2 {coeffs.lambda2:.15g}",
     ]
-    if coeffs.lambda1 is not None:
-        lines.append(f"lambda1 {coeffs.lambda1:.15g}")
-    if coeffs.lambda2 is not None:
-        lines.append(f"lambda2 {coeffs.lambda2:.15g}")
     return "\n".join(lines) + "\n"
 

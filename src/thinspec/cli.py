@@ -17,8 +17,8 @@ from . import bessel
 from .asymptotics import compute_coefficients, format_coefficients
 from .errors import ConfigError, ThinspecError
 from .geometry import Circle, LayerConfig, config_number, curve_from_config
-from .report import (SANDWICH_FACTOR, cell_processes, fallback_cells, richardson, run_sweep,
-                     solve_cells, sweep_svg, write_atomic)
+from .report import (SANDWICH_FACTOR, cell_processes, extrapolate_coefficients, fallback_cells,
+                     richardson, run_sweep, solve_cells, sweep_svg, write_atomic)
 from .transmission import first_te, rayleigh_identity_residual
 
 _SCHEMA = "thinspec/1"
@@ -136,18 +136,14 @@ def _task_coeffs(cfg, outdir):
         co = compute_coefficients(curve, layer, h)
         computed.append(co)
         lines.append(",".join(f"{v:.17g}" for v in
-                              (h, co.lambda0, co.lambda1, co.lambda2, co.multiplier)))
+                              (h, *co.lambdas, co.multiplier)))
         write_atomic(os.path.join(outdir, f"coefficients_{co.geometry_hash}_h{h:g}.txt"),
                      format_coefficients(co))
     _print_fallbacks("coeffs", [(None, h, co.fallback)
                                 for h, co in zip(cfg["h_list"], computed) if co.fallback])
     if len(computed) >= 2:
-        cc, cf = computed[-2], computed[-1]
-        refine = cf.mesh.n_rings / cc.mesh.n_rings
-        ex0, _ = richardson(cc.lambda0, cf.lambda0, refine)
-        ex1, _ = richardson(cc.lambda1, cf.lambda1, refine)
-        ex2, _ = richardson(cc.lambda2, cf.lambda2, refine)
-        lines.append(",".join(f"{v:.17g}" for v in (0.0, ex0, ex1, ex2, 0.0)))
+        lambdas, _ = extrapolate_coefficients(*computed[-2:])
+        lines.append(",".join(f"{v:.17g}" for v in (0.0, *lambdas, 0.0)))
     write_atomic(os.path.join(outdir, "coefficients.csv"), "\n".join(lines) + "\n")
     return 0
 

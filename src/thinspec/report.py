@@ -6,10 +6,12 @@ against the expansion predictions at orders 0..2, carries the Max-Min
 sandwich flag (lambda0 - tol <= lambda <= lambda_eroded + tol with tol three
 times the Richardson mesh-error estimate), and a mesh-guard flag that admits
 the row into order fits only when the estimated mesh error is at most a third
-of the model error it would be fitted against.  Disks are swept with the
-semi-analytic solver; general geometries run the coupled finite element
-pencil on every mesh size in the list and Richardson-extrapolate over the
-ring spacing of the two finest meshes built.
+of the model error it would be fitted against.  Both solver legs build their
+rows with one row function, whose predictions are `evaluate_expansion`'s.
+Disks are swept with the semi-analytic solver; general geometries run the
+coupled finite element pencil on every mesh size in the list and
+Richardson-extrapolate over the ring spacing of the two finest meshes built,
+the expansion coefficients with `extrapolate_coefficients`.
 """
 
 import math
@@ -19,7 +21,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 from . import bessel
-from .asymptotics import compute_coefficients, geometry_hash
+from .asymptotics import compute_coefficients, evaluate_expansion, geometry_hash
 from .errors import BelowLambda0, ConfigError, InsufficientData
 from .geometry import Circle, LayerConfig
 from .transmission import first_te
@@ -90,12 +92,12 @@ def estimate_thickness(lam_measured, coeffs):
         )
     if gap == 0.0:
         return ThicknessEstimate(0.0, 0.0)
-    if coeffs.lambda1 is None or coeffs.lambda1 <= 0:
+    if coeffs.lambda1 <= 0:
         raise BelowLambda0("thickness recovery needs lambda1 > 0")
     first = gap / coeffs.lambda1
     quad = None
     lam2 = coeffs.lambda2
-    if lam2 is None or lam2 == 0.0:
+    if lam2 == 0.0:
         quad = first
     else:
         disc = coeffs.lambda1**2 + 4.0 * lam2 * gap
@@ -119,6 +121,16 @@ def richardson(v_coarse, v_fine, refinement):
     taken as its distance to the extrapolated value)."""
     extrap = v_fine + (v_fine - v_coarse) / (refinement**2 - 1.0)
     return extrap, abs(extrap - v_fine)
+
+
+def extrapolate_coefficients(coarse, fine):
+    """`richardson` of each expansion coefficient of two meshes from
+    `compute_coefficients` over their ring ratio.
+
+    Returns (extrapolated lambdas triple, error estimate of fine.lambda0)."""
+    refine = fine.mesh.n_rings / coarse.mesh.n_rings
+    pairs = [richardson(c, f, refine) for c, f in zip(coarse.lambdas, fine.lambdas)]
+    return tuple(value for value, _ in pairs), pairs[0][1]
 
 
 @dataclass
@@ -206,6 +218,34 @@ def _rows_to_fits(rows):
     return fits
 
 
+def _sweep_row(delta, lam, lam_eroded, lambdas, scale, fine=None):
+    """SweepRow of thickness delta for the eigenvalue lam, with the
+    `evaluate_expansion` predictions of lambdas at orders 0..2.
+
+    The row passes the sandwich test when
+    lambdas[0] - tol <= lam <= lam_eroded + tol, tol = SANDWICH_FACTOR * scale.
+    fine = (eigenvalue, lambdas) of the finest single mesh marks a row
+    extrapolated over meshes: its mesh_est is scale, and its order-1 and
+    order-2 guards pass only when the same error measured on the fine mesh
+    differs from the row's by at most a third of it, i.e. little mesh error
+    survives in the modelled error.  Without fine, mesh_est is 0 and both
+    guards pass.
+    """
+    preds = [evaluate_expansion(lambdas, delta, order) for order in (0, 1, 2)]
+    errs = [abs(lam - pred) for pred in preds]
+    mesh_est, guards = 0.0, (True, True)
+    if fine is not None:
+        lam_fine, fine_lambdas = fine
+        mesh_est = scale
+        fine_errs = [abs(lam_fine - evaluate_expansion(fine_lambdas, delta, k)) for k in (1, 2)]
+        guards = [bool(err > 0 and abs(fine_err - err) <= err / 3.0)
+                  for err, fine_err in zip(errs[1:], fine_errs)]
+    tol = SANDWICH_FACTOR * scale
+    return SweepRow(delta, lam, lam_eroded, *preds, *errs,
+                    sandwich_ok=bool(lambdas[0] - tol <= lam <= lam_eroded + tol),
+                    mesh_guard_ok=guards[0], mesh_est=mesh_est, guard2_ok=guards[1])
+
+
 def _sweep_disk(curve, deltas, g, n):
     if not isinstance(curve, Circle):
         raise ConfigError("semi-analytic sweep requires circle geometry")
@@ -213,27 +253,12 @@ def _sweep_disk(curve, deltas, g, n):
         raise ConfigError("semi-analytic sweep requires unit thickness profile")
     R = curve.radius
     coeffs = bessel.disk_asymptotic_coeffs(R)
+    lambdas = (coeffs.lambda0, coeffs.lambda1, coeffs.lambda2)
     j01 = bessel.bessel_j_zero(0, 1)
-    rows = []
-    for delta, lam in zip(deltas, bessel.disk_first_tes(R, deltas, n)):
-        lam_eroded = (j01 / (R - delta)) ** 2
-        pred0 = coeffs.lambda0
-        pred1 = coeffs.lambda0 + delta * coeffs.lambda1
-        pred2 = pred1 + delta * delta * coeffs.lambda2
-        tol = SANDWICH_FACTOR * 1e-9 * coeffs.lambda0  # root-refinement scale
-        ok = (coeffs.lambda0 - tol <= lam) and (lam <= lam_eroded + tol)
-        rows.append(SweepRow(
-            delta=delta,
-            lambda_direct=lam,
-            lambda_eroded=lam_eroded,
-            pred0=pred0, pred1=pred1, pred2=pred2,
-            err0=abs(lam - pred0), err1=abs(lam - pred1), err2=abs(lam - pred2),
-            sandwich_ok=bool(ok),
-            mesh_guard_ok=True,
-            mesh_est=0.0,
-            guard2_ok=True,
-        ))
-    return rows, coeffs.lambda0, coeffs.lambda1, coeffs.lambda2
+    scale = 1e-9 * coeffs.lambda0  # root-refinement scale
+    rows = [_sweep_row(delta, lam, (j01 / (R - delta)) ** 2, lambdas, scale)
+            for delta, lam in zip(deltas, bessel.disk_first_tes(R, deltas, n))]
+    return rows, lambdas
 
 
 # BLAS thread variables in OpenBLAS's order of precedence
@@ -327,48 +352,22 @@ def _sweep_fem(curve, deltas, g, n, h_list):
     solved, coeff_by_h = solve_cells(
         curve, cells, processes,
         alongside=lambda: [compute_coefficients(curve, coeff_layer, h) for h in h_list])
-    c_coarse, c_fine = coeff_by_h[-2], coeff_by_h[-1]
-    refine = c_fine.mesh.n_rings / c_coarse.mesh.n_rings
-    lam0, est0 = richardson(c_coarse.lambda0, c_fine.lambda0, refine)
-    lam1, _ = richardson(c_coarse.lambda1, c_fine.lambda1, refine)
-    lam2, _ = richardson(c_coarse.lambda2, c_fine.lambda2, refine)
+    lambdas, est0 = extrapolate_coefficients(*coeff_by_h[-2:])
 
     nh = len(h_list)
-    results = [solved[i * nh:(i + 1) * nh] for i in range(len(deltas))]
     rows = []
-    for delta, per_h in zip(deltas, results):
-        (lam_c, _, ero_c, _, rings_c, _), (lam_f, _, ero_f, _, rings_f, _) = per_h[-2], per_h[-1]
+    for k, delta in enumerate(deltas, start=1):
+        # cells of one thickness are consecutive, the two finest meshes last
+        (lam_c, _, ero_c, _, rings_c, _), (lam_f, _, ero_f, _, rings_f, _) = \
+            solved[k * nh - 2:k * nh]
         lam_direct, est_direct = richardson(lam_c, lam_f, rings_f / rings_c)
         lam_eroded, est_eroded = richardson(ero_c, ero_f, rings_f / rings_c)
-        pred0, pred1 = lam0, lam0 + delta * lam1
-        pred2 = pred1 + delta * delta * lam2
-        err0 = abs(lam_direct - pred0)
-        err1 = abs(lam_direct - pred1)
-        err2 = abs(lam_direct - pred2)
-        # same error measures on the finest single mesh, to estimate how much
-        # mesh error survives in each modelled error
-        err1_fine = abs(lam_f - (c_fine.lambda0 + delta * c_fine.lambda1))
-        err2_fine = abs(lam_f - (c_fine.lambda0 + delta * c_fine.lambda1
-                                 + delta * delta * c_fine.lambda2))
-        guard1 = abs(err1_fine - err1) <= err1 / 3.0 if err1 > 0 else False
-        guard2 = abs(err2_fine - err2) <= err2 / 3.0 if err2 > 0 else False
-        mesh_est = max(est_direct, est_eroded, est0)
-        tol = SANDWICH_FACTOR * mesh_est
-        ok = (lam0 - tol <= lam_direct) and (lam_direct <= lam_eroded + tol)
-        rows.append(SweepRow(
-            delta=delta,
-            lambda_direct=lam_direct,
-            lambda_eroded=lam_eroded,
-            pred0=pred0, pred1=pred1, pred2=pred2,
-            err0=err0, err1=err1, err2=err2,
-            sandwich_ok=bool(ok),
-            mesh_guard_ok=bool(guard1),
-            mesh_est=mesh_est,
-            guard2_ok=bool(guard2),
-        ))
+        rows.append(_sweep_row(delta, lam_direct, lam_eroded, lambdas,
+                               max(est_direct, est_eroded, est0),
+                               fine=(lam_f, coeff_by_h[-1].lambdas)))
     fallbacks = fallback_cells(cells, solved)
     fallbacks += [(None, h, c.fallback) for h, c in zip(h_list, coeff_by_h) if c.fallback]
-    return rows, lam0, lam1, lam2, processes, reason, fallbacks
+    return rows, lambdas, processes, reason, fallbacks
 
 
 def run_sweep(curve, deltas, g, n, h_list=None, solver="auto"):
@@ -384,10 +383,10 @@ def run_sweep(curve, deltas, g, n, h_list=None, solver="auto"):
     if solver == "auto":
         solver = "bessel" if isinstance(curve, Circle) and not callable(g) and float(g) == 1.0 else "fem"
     if solver == "bessel":
-        rows, lam0, lam1, lam2 = _sweep_disk(curve, deltas, g, n)
+        rows, lambdas = _sweep_disk(curve, deltas, g, n)
         processes, reason, fallbacks = 1, "semi-analytic solver", []
     elif solver == "fem":
-        rows, lam0, lam1, lam2, processes, reason, fallbacks = _sweep_fem(
+        rows, lambdas, processes, reason, fallbacks = _sweep_fem(
             curve, deltas, g, n, h_list)
     else:
         raise ConfigError(f"unknown solver {solver!r}", field="solver")
@@ -400,7 +399,7 @@ def run_sweep(curve, deltas, g, n, h_list=None, solver="auto"):
         "version": _VERSION,
     }
     return SweepReport(rows=rows, fits=fits, provenance=provenance,
-                       lambda0=lam0, lambda1=lam1, lambda2=lam2,
+                       lambda0=lambdas[0], lambda1=lambdas[1], lambda2=lambdas[2],
                        processes=processes, serial_reason=reason, fallbacks=fallbacks)
 
 

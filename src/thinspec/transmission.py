@@ -245,16 +245,17 @@ def eigenfunction_error_rate(curve, deltas, h, n, g=1.0):
     mode for each coating thickness, with the log-log slope `fit_order`
     fits to them (at least three thicknesses, else InsufficientData).
 
-    Returns (deltas, errors, slope).
+    Returns (deltas, errors, fallbacks, slope); fallbacks[i] is the
+    `FirstTE.fallback` of the solve behind errors[i].
     """
     from .geometry import LayerConfig
     from .report import fit_order  # report imports this module
 
-    errors = []
+    errors, fallbacks = [], []
     for delta0 in deltas:
-        layer = LayerConfig(delta0, g, n)
-        te = first_te(curve, layer, h)
+        te = first_te(curve, LayerConfig(delta0, g, n), h)
         errors.append(h1_norm(te.K, te.M, te.v.values - te.v0.values))
+        fallbacks.append(te.fallback)
     deltas = np.asarray(deltas, dtype=float)
     errors = np.asarray(errors)
-    return deltas, errors, fit_order(deltas, errors).slope
+    return deltas, errors, fallbacks, fit_order(deltas, errors).slope

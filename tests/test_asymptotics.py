@@ -1,10 +1,10 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from thinspec.asymptotics import (
-    AsymptoticCoefficients,
     compute_coefficients,
     compute_lambda1,
     compute_lambda2,
@@ -66,6 +66,18 @@ def test_coefficients_record_the_two_pair_route(monkeypatch):
     assert abs(fallen.lambda0 - plain.lambda0) <= 1e-14 * plain.lambda0
 
 
+def test_coefficients_record_is_complete(monkeypatch):
+    # every field is a computed value; fallback is None only on the route
+    # that did not fall back, as in FirstTE
+    layer = LayerConfig(0.01, 1.0, 0.48)
+    plain = compute_coefficients(Circle(1.0), layer, 0.1)
+    monkeypatch.setattr(fem, "second_eigenvalue_floor", lambda vertices: 0.0)
+    fallen = compute_coefficients(Circle(1.0), layer, 0.1)
+    for record, unset in ((plain, ["fallback"]), (fallen, [])):
+        assert [f.name for f in dataclasses.fields(record)
+                if getattr(record, f.name) is None] == unset
+
+
 def test_normalization_and_orthogonality(disk_coeffs_h02):
     coeffs, _ = disk_coeffs_h02
     assert abs(mass_norm(coeffs.M, coeffs.v0.values) - 1.0) <= 1e-8
@@ -80,41 +92,25 @@ def test_lambda1_disk(disk_coeffs_h02):
 
 def test_lambda1_degenerate_profile(disk_coeffs_h02):
     coeffs, _ = disk_coeffs_h02
-    shadow = AsymptoticCoefficients(
-        lambda0=coeffs.lambda0, v0=coeffs.v0, flux0=coeffs.flux0,
-        mesh=coeffs.mesh, K=coeffs.K, M=coeffs.M,
-    )
-    assert compute_lambda1(shadow, LayerConfig(0.01, 0.0, 0.48)) == 0.0
+    assert compute_lambda1(coeffs.mesh, coeffs.flux0, LayerConfig(0.01, 0.0, 0.48)) == 0.0
 
 
 def test_lambda1_linearity_in_profile(disk_coeffs_h02):
     coeffs, _ = disk_coeffs_h02
-    shadow = AsymptoticCoefficients(
-        lambda0=coeffs.lambda0, v0=coeffs.v0, flux0=coeffs.flux0,
-        mesh=coeffs.mesh, K=coeffs.K, M=coeffs.M,
-    )
-    base = compute_lambda1(shadow, LayerConfig(0.01, 1.0, 0.48))
-    tripled = compute_lambda1(shadow, LayerConfig(0.01, 3.0, 0.48))
+    base = compute_lambda1(coeffs.mesh, coeffs.flux0, LayerConfig(0.01, 1.0, 0.48))
+    tripled = compute_lambda1(coeffs.mesh, coeffs.flux0, LayerConfig(0.01, 3.0, 0.48))
     assert abs(tripled - 3.0 * base) <= 1e-12 * abs(tripled)
 
 
 def test_lambda1_nonnegative_for_nonnegative_profile(disk_coeffs_h02):
     coeffs, _ = disk_coeffs_h02
-    shadow = AsymptoticCoefficients(
-        lambda0=coeffs.lambda0, v0=coeffs.v0, flux0=coeffs.flux0,
-        mesh=coeffs.mesh, K=coeffs.K, M=coeffs.M,
-    )
     wavy = LayerConfig(0.01, lambda s: 1.0 + np.cos(3.0 * s), 0.48)  # touches 0
-    assert compute_lambda1(shadow, wavy) >= 0.0
+    assert compute_lambda1(coeffs.mesh, coeffs.flux0, wavy) >= 0.0
 
 
 def test_lambda1_sign_flip_invariance(disk_coeffs_h02):
     coeffs, layer = disk_coeffs_h02
-    flipped = AsymptoticCoefficients(
-        lambda0=coeffs.lambda0, v0=coeffs.v0, flux0=-coeffs.flux0,
-        mesh=coeffs.mesh, K=coeffs.K, M=coeffs.M,
-    )
-    lam1 = compute_lambda1(flipped, layer)
+    lam1 = compute_lambda1(coeffs.mesh, -coeffs.flux0, layer)
     assert abs(lam1 - coeffs.lambda1) <= 1e-12 * coeffs.lambda1
 
 
@@ -144,11 +140,8 @@ def test_lambda2_disk(disk_coeffs_h02, goldens):
 
 def test_lambda2_degenerate_profile(disk_coeffs_h02):
     coeffs, _ = disk_coeffs_h02
-    shadow = AsymptoticCoefficients(
-        lambda0=coeffs.lambda0, v0=coeffs.v0, flux0=coeffs.flux0,
-        flux1=coeffs.flux1, mesh=coeffs.mesh, K=coeffs.K, M=coeffs.M,
-    )
-    assert compute_lambda2(shadow, LayerConfig(0.01, 0.0, 0.48)) == 0.0
+    zero_layer = LayerConfig(0.01, 0.0, 0.48)
+    assert compute_lambda2(coeffs.mesh, coeffs.flux0, coeffs.flux1, zero_layer) == 0.0
 
 
 def test_lambda2_orientation_invariance(disk_coeffs_h02):
@@ -192,14 +185,15 @@ def test_profiles_boundary_conditions(disk_coeffs_h02):
 
 
 def test_evaluate_expansion(disk_oracle):
-    assert evaluate_expansion(disk_oracle, 0.0, 2) == disk_oracle.lambda0
+    lambdas = (disk_oracle.lambda0, disk_oracle.lambda1, disk_oracle.lambda2)
+    assert evaluate_expansion(lambdas, 0.0, 2) == disk_oracle.lambda0
     # the disk has lambda1 = 2*lambda0 in closed form
-    pred = evaluate_expansion(disk_oracle, 0.01, 1)
+    pred = evaluate_expansion(lambdas, 0.01, 1)
     assert abs(pred - disk_oracle.lambda0 * 1.02) <= 1e-12 * pred
-    gap = evaluate_expansion(disk_oracle, 0.03, 2) - evaluate_expansion(disk_oracle, 0.03, 1)
+    gap = evaluate_expansion(lambdas, 0.03, 2) - evaluate_expansion(lambdas, 0.03, 1)
     assert abs(gap - 0.03**2 * disk_oracle.lambda2) <= 1e-14 * disk_oracle.lambda0
     with pytest.raises(DomainError):
-        evaluate_expansion(disk_oracle, 0.01, 3)
+        evaluate_expansion(lambdas, 0.01, 3)
 
 
 def test_mesh_convergence_of_coefficients():

@@ -8,7 +8,7 @@ import pytest
 
 from thinspec import bessel, cli, fem, report
 from thinspec.cli import _IDENTITY_TOL, main
-from thinspec.asymptotics import compute_coefficients
+from thinspec.asymptotics import compute_coefficients, evaluate_expansion
 from thinspec.errors import BelowLambda0, ConfigError, InsufficientData, NoRootFound
 from thinspec.geometry import Circle, Ellipse, LayerConfig
 from thinspec.report import (
@@ -99,6 +99,18 @@ def test_fem_sweep_extrapolates_over_ring_spacing():
     assert sweep.lambda0 == richardson(coarse.lambda0, fine.lambda0, 20 / 13)[0]
     assert sweep.lambda1 == richardson(coarse.lambda1, fine.lambda1, 20 / 13)[0]
     assert sweep.rows[0].lambda_direct == richardson(te_coarse.lam, te_fine.lam, 20 / 13)[0]
+
+
+@pytest.mark.parametrize("fixture", ["disk_sweep_report", "ellipse_sweep_report"])
+def test_sweep_predictions_come_from_evaluate_expansion(request, fixture):
+    # both sweep legs predict with the report's coefficients through the one
+    # evaluator, bit for bit
+    rep = request.getfixturevalue(fixture)
+    rep = rep[0] if isinstance(rep, tuple) else rep
+    lambdas = (rep.lambda0, rep.lambda1, rep.lambda2)
+    for row in rep.rows:
+        assert (row.pred0, row.pred1, row.pred2) == tuple(
+            evaluate_expansion(lambdas, row.delta, order) for order in (0, 1, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -510,7 +522,7 @@ def test_cli_coeffs_extrapolates_over_ring_spacing(tmp_path, geometry, reference
     # ellipse's lambda0; extrapolating over the ring spacing must bring each
     # at least 10x closer than the nominal ratio does
     j01_sq = bessel.bessel_j_zero(0, 1) ** 2
-    exact = [4.593976334167 if r is None else r * j01_sq for r in references]
+    exact = [4.593976334146151 if r is None else r * j01_sq for r in references]
     cfg = _write_config(tmp_path, geometry=geometry, mesh={"h": [0.02, 0.01]},
                         layer={"delta0": [0.01], "n": 0.48})
     assert main(["coeffs", "--config", cfg, "--out", str(tmp_path)]) == 0

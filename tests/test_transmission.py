@@ -436,11 +436,20 @@ def test_rayleigh_dirichlet_trial_is_upper_bound(disk_te):
 
 
 def test_eigenfunction_error_rate():
-    deltas, errors, slope = eigenfunction_error_rate(
+    deltas, errors, fallbacks, slope = eigenfunction_error_rate(
         Circle(1.0), [0.04, 0.02, 0.01], 0.05, 0.48
     )
     assert slope >= 0.8
     assert np.all(np.diff(errors) < 0.0)
+    assert fallbacks == [None, None, None]
+
+
+def test_eigenfunction_error_rate_reports_fallbacks(monkeypatch):
+    monkeypatch.setattr(bessel, "_UPPER_SLACK", -0.5)
+    _, errors, fallbacks, _ = eigenfunction_error_rate(
+        Circle(1.0), [0.04, 0.02, 0.01], 0.15, 0.48)
+    assert len(errors) == 3
+    assert fallbacks == ["widened-window"] * 3
 
 
 def test_eigenfunction_error_rate_assembles_only_in_first_te(monkeypatch):
@@ -459,7 +468,7 @@ def test_eigenfunction_error_rate_assembles_only_in_first_te(monkeypatch):
     te = first_te(Circle(1.0), LayerConfig(0.04, 1.0, 0.48), 0.1)
     per_solve = len(calls)
     calls.clear()
-    _, errors, _ = eigenfunction_error_rate(Circle(1.0), [0.04, 0.02, 0.01], 0.1, 0.48)
+    _, errors, _, _ = eigenfunction_error_rate(Circle(1.0), [0.04, 0.02, 0.01], 0.1, 0.48)
     assert len(calls) == 3 * per_solve
     # the matrices first_te carries are the ones a fresh assembly gives
     K, M = _full_km(te.mesh)

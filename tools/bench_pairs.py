@@ -7,7 +7,9 @@ odd ones, so a slow spell of the host falls on both sides alike.  The JSON
 written to --out holds, per workload and seed, the value of every run of
 every end-to-end metric, each side's median and quartiles, how many pairs
 each side won, whether the gap between the medians exceeds the parent's
-quartile distance, and each run's correct/failed/attempted counts.
+quartile distance, and each run's correct/failed/attempted counts.  It also
+holds each checkout's line count of src/thinspec/*.py (src_lines), counted
+as `wc -l` counts, so a change's size is tracked along with its speed.
 
 Usage:
     python3 tools/bench_pairs.py --parent DIR --change DIR --out BENCH_<n>.json \\
@@ -100,6 +102,13 @@ def directions(checkout):
     return {m["name"]: m["better"] for m in spec["end_to_end"]}
 
 
+def src_lines(checkout):
+    """Newlines in the checkout's src/thinspec/*.py, which is what `wc -l`
+    counts."""
+    return sum(path.read_bytes().count(b"\n")
+               for path in (Path(checkout) / "src" / "thinspec").glob("*.py"))
+
+
 def host():
     try:
         import numpy
@@ -151,6 +160,7 @@ def main(argv=None):
         "schema": SCHEMA,
         "command": f"python3 bench/run.py --workload W --seed S --seconds {args.seconds:g}",
         "host": host(),
+        "src_lines": {side: src_lines(getattr(args, side)) for side in SIDES},
         "quartiles": "25th and 75th percentiles of one side's runs, linear between runs",
         "wins": "a side wins a pair when its value is better in the metric's direction; "
                 "a tie counts for neither",
