@@ -35,10 +35,15 @@ _GAUSS3_WEIGHTS = np.array([5.0 / 9.0, 8.0 / 9.0, 5.0 / 9.0])
 
 
 def geometry_hash(curve, layer=None, h=None):
-    """Stable short hash of the geometry/coating/resolution description."""
+    """Stable short hash of what expansion coefficients depend on: the
+    curve, the thickness profile g of layer and the mesh size h.  g is keyed
+    by the little-endian doubles of its `LayerConfig.g_samples`, so profiles
+    hash alike exactly when their samples agree, callable or constant;
+    delta0 and n, which no coefficient depends on, are left out."""
     payload = {"curve": curve.describe()}
     if layer is not None:
-        payload["layer"] = layer.describe()
+        samples = np.asarray(layer.g_samples(curve), dtype="<f8")
+        payload["g"] = hashlib.sha256(samples.tobytes()).hexdigest()
     if h is not None:
         payload["h"] = h
     blob = json.dumps(payload, sort_keys=True).encode()
@@ -92,7 +97,6 @@ class AsymptoticCoefficients:
     v1: FemField
     flux0: np.ndarray
     flux1: np.ndarray
-    h: float
     geometry_hash: str
     multiplier: float
     fallback: str
@@ -127,8 +131,8 @@ def compute_v1(mesh, K, M, lu, boundary_lu, lambda0, v0, flux0, lambda1, layer):
     """
     data = -np.asarray(layer.g_at(mesh.outer_s)) * flux0
     rhs = FemField(mesh, -lambda1 * v0.values)
-    v1, mu = solve_constrained_source(K, M, lambda0, rhs, data, v0, mesh.outer, lu=lu)
-    flux1 = boundary_flux(mesh, v1, lambda0, K, M, rhs=rhs, lu=boundary_lu)
+    v1, mu = solve_constrained_source(K, M, lambda0, rhs, data, v0, mesh.outer, lu)
+    flux1 = boundary_flux(mesh, v1, lambda0, K, M, boundary_lu, rhs=rhs)
     return v1, flux1, mu
 
 
@@ -158,13 +162,13 @@ def compute_coefficients(curve, layer, h):
     mesh = generate_mesh(curve, None, h)
     lam0, v0, K, M, lu, fallback = ground_state(mesh)
     boundary_lu = boundary_mass_lu(mesh)
-    flux0 = boundary_flux(mesh, v0, lam0, K, M, lu=boundary_lu)
+    flux0 = boundary_flux(mesh, v0, lam0, K, M, boundary_lu)
     lam1 = compute_lambda1(mesh, flux0, layer)
     v1, flux1, mu = compute_v1(mesh, K, M, lu, boundary_lu, lam0, v0, flux0, lam1, layer)
     lam2 = compute_lambda2(mesh, flux0, flux1, layer)
     return AsymptoticCoefficients(
         lambda0=lam0, lambda1=lam1, lambda2=lam2, v0=v0, v1=v1, flux0=flux0, flux1=flux1,
-        h=mesh.h, geometry_hash=geometry_hash(curve, layer, h), multiplier=mu,
+        geometry_hash=geometry_hash(curve, layer, h), multiplier=mu,
         fallback=fallback, mesh=mesh, K=K, M=M)
 
 
@@ -230,10 +234,11 @@ def layer_profiles(coeffs, layer):
 
 
 def format_coefficients(coeffs):
-    """15-significant-digit text record keyed by the geometry hash."""
+    """15-significant-digit text record keyed by the geometry hash; h is
+    the longest edge of the coefficients' mesh."""
     lines = [
         f"geometry {coeffs.geometry_hash}",
-        f"h {coeffs.h:.15g}",
+        f"h {coeffs.mesh.h:.15g}",
         f"lambda0 {coeffs.lambda0:.15g}",
         f"lambda1 {coeffs.lambda1:.15g}",
         f"lambda2 {coeffs.lambda2:.15g}",

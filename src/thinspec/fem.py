@@ -9,8 +9,8 @@ triplets are built one element-matrix entry at a time with int32 indices,
 so assembly needs no triangles x 3 x 3 scratch: it peaks at about 300 bytes
 per triangle beyond its input (24.8 MiB for the 87,846 triangles of an
 Ellipse(1.3, 1) at h = 0.01), the triplets and their unmerged CSR copy.  Both
-solvers on the free vertices use one SuperLU factor of the free stiffness
-block (`stiffness_lu`), which a caller can build once and pass to both: the
+solvers on the free vertices take one SuperLU factor of the free stiffness
+block (`stiffness_lu`) as an argument, built once for both: the
 Dirichlet eigensolver is ARPACK shift-invert Lanczos at sigma = 0, and the
 constrained source solve is conjugate gradients on the M-orthogonal
 complement of the ground mode, preconditioned by that factor.
@@ -179,12 +179,12 @@ def stiffness_lu(K, boundary):
         raise SolveSingular(f"stiffness factorization failed: {exc}") from exc
 
 
-def dirichlet_eigs(K, M, boundary, count, lu=None):
+def dirichlet_eigs(K, M, boundary, count, lu):
     """Smallest `count` eigenpairs of K u = lambda M u with zero essential
     data on `boundary`.
 
     ARPACK shift-invert Lanczos at sigma = 0 on the free block, applying
-    K_ff^-1 through `lu` (built by `stiffness_lu` when not given), with at
+    K_ff^-1 through `lu`, the `stiffness_lu` factor off `boundary`, with at
     most _RESTARTS = 500 restarts.  For count 1 it starts from the constant
     vector, since the ground mode is one-signed, in a Krylov space of at
     most 6 vectors (10 to 13 factor solves on the meshes of this package);
@@ -201,8 +201,6 @@ def dirichlet_eigs(K, M, boundary, count, lu=None):
     free = _free(n, boundary)
     Kf = K[np.ix_(free, free)]
     Mf = M[np.ix_(free, free)]
-    if lu is None:
-        lu = stiffness_lu(K, boundary)
     if count == 1:
         start, ncv = np.ones(len(free)), min(6, len(free))
     else:
@@ -268,11 +266,11 @@ def lowest_pair(K, M, boundary, vertices, gap, lu):
     `boundary`.  Returns (lambda, u, fallback), u on the full vertex set
     with `dirichlet_eigs`'s norm and sign.
     """
-    lams, vecs = dirichlet_eigs(K, M, boundary, 1, lu=lu)
+    lams, vecs = dirichlet_eigs(K, M, boundary, 1, lu)
     fallback = None
     if not floor_clears(lams[0], vertices, gap):
         fallback = "two-pair"
-        lams, vecs = dirichlet_eigs(K, M, boundary, 2, lu=lu)
+        lams, vecs = dirichlet_eigs(K, M, boundary, 2, lu)
         if lams[1] - lams[0] <= gap * lams[0]:
             raise NearDegenerate(f"leading eigenvalue not simple: gap {lams[1] - lams[0]:.3e}")
     return float(lams[0]), vecs[:, 0], fallback
@@ -295,7 +293,7 @@ def ground_state(mesh):
     return lam0, FemField(mesh, u / mass_norm(M, u)), K, M, lu, fallback
 
 
-def solve_constrained_source(K, M, lam0, rhs, dirichlet_values, v0, outer, lu=None):
+def solve_constrained_source(K, M, lam0, rhs, dirichlet_values, v0, outer, lu):
     """Solve (Laplacian + lam0) u = rhs with essential data on the outer
     boundary and u constrained M-orthogonal to v0.
 
@@ -308,8 +306,8 @@ def solve_constrained_source(K, M, lam0, rhs, dirichlet_values, v0, outer, lu=No
 
     Since A v0 = 0, mu = v0^T b / v0^T q, and the rest is conjugate
     gradients on the complement {q^T x = 0}, where A is positive definite,
-    preconditioned by K_ff^-1 (`lu`, built by `stiffness_lu` when not
-    given).  mu reports the solvability defect of the data (zero in exact
+    preconditioned by K_ff^-1 (`lu`, the `stiffness_lu` factor off
+    outer).  mu reports the solvability defect of the data (zero in exact
     arithmetic when the compatibility condition holds).  Returns
     (FemField, mu).
     """
@@ -326,8 +324,6 @@ def solve_constrained_source(K, M, lam0, rhs, dirichlet_values, v0, outer, lu=No
     s = float(vf @ qf)
     if not s > 0.0:
         raise SolveSingular("constraint vector has no mass on the free vertices")
-    if lu is None:
-        lu = stiffness_lu(K, outer)
 
     def project(x):  # onto {q^T x = 0} along v0
         return x - vf * (qf @ x) / s
@@ -369,7 +365,7 @@ def boundary_mass_lu(mesh):
     return splu(boundary_mass_matrix(mesh))
 
 
-def boundary_flux(mesh, fld, lam, K, M, rhs=None, lu=None):
+def boundary_flux(mesh, fld, lam, K, M, lu, rhs=None):
     """Inward-normal derivative of a field on the outer boundary by
     variational recovery.
 
@@ -377,12 +373,11 @@ def boundary_flux(mesh, fld, lam, K, M, rhs=None, lu=None):
     FemField) weakly on the free vertices; testing the residual with
     boundary hat functions isolates the outward conormal, which is negated
     to match the inward-normal convention.  K and M are the mesh's
-    full-domain stiffness and mass; `lu` is its `boundary_mass_lu`, built
-    when not given.  Returns one value per outer vertex (outer ordering).
+    full-domain stiffness and mass; `lu` is its `boundary_mass_lu`.
+    Returns one value per outer vertex (outer ordering).
     """
     u = fld.values
     r = K @ u - lam * (M @ u)
     if rhs is not None:
         r = r + M @ rhs.values
-    lu = lu if lu is not None else boundary_mass_lu(mesh)
     return -lu.solve(r[mesh.outer])

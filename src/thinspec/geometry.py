@@ -1,16 +1,20 @@
 """Smooth closed boundary curves and coating descriptions.
 
-Curves are arclength-parameterized at construction (adaptive composite
-Gauss quadrature of the parametric speed) and orientation-normalized to run
-counterclockwise, so the signed curvature of a convex domain is positive and
-the unit circle has curvature exactly +1.  With the inward unit normal nu and
-unit tangent tau this fixes the frame convention used around the package:
+Curves are arclength-parameterized at construction (composite Gauss
+quadrature of the parametric speed) and must run counterclockwise: a
+generator that runs clockwise raises DomainError.  So the signed curvature
+of a convex domain is positive and the unit circle has curvature exactly +1.
+With the inward unit normal nu and unit tangent tau this fixes the frame
+convention used around the package:
 
     d tau / ds = +kappa(s) * nu(s),      d nu / ds = -kappa(s) * tau(s).
 
 A coating of thickness delta0*g(s) lies between the boundary and its inner
 offset x(s) + delta0*g(s)*nu(s), which must stay inside the curvature reach
 eta0 = inf_s 1/|kappa(s)|; `LayerConfig.validate_against` rejects it otherwise.
+A curve answers what meshing and the expansion read: its length s0,
+`position`, `position_normal` (the point and nu), `curvature`, `reach` and
+`describe`.
 """
 
 import math
@@ -45,19 +49,19 @@ def _panel_quad(fun, a, b):
 class BoundaryCurve:
     """Closed C^2 curve queried by arclength.
 
-    Subclasses provide the parametric generator (_xy, _d1, _d2 and, when
-    available, _d3 over one period of the raw parameter); this base class owns
-    arclength reparameterization, orientation normalization, and the
-    arclength-domain queries position / tangent / inward_normal / curvature.
+    Subclasses provide the parametric generator (_xy, _d1, _d2 over one
+    period of the raw parameter), which must run counterclockwise; this base
+    class checks that, owns the arclength reparameterization, and answers
+    the arclength-domain queries position / position_normal / curvature.
     """
 
     kind = "generic"
 
     def __init__(self, t_period):
         self._T = float(t_period)
-        self._flip = False
         if self._signed_area() < 0.0:
-            self._flip = True
+            raise DomainError(f"{type(self).__name__}: the generator runs clockwise; "
+                              "curves must run counterclockwise")
         tg = np.linspace(0.0, self._T, 2049)  # 2048 arclength panels
         seg = _panel_quad(self._speed, tg[:-1], tg[1:])
         self._t_nodes = tg
@@ -74,24 +78,9 @@ class BoundaryCurve:
     def _d2(self, t):
         raise NotImplementedError
 
-    def _d3(self, t):
-        raise NotImplementedError
-
     # -- raw-parameter helpers ----------------------------------------------
-    def _g_xy(self, t):
-        return self._xy(self._T - t) if self._flip else self._xy(t)
-
-    def _g_d1(self, t):
-        return -self._d1(self._T - t) if self._flip else self._d1(t)
-
-    def _g_d2(self, t):
-        return self._d2(self._T - t) if self._flip else self._d2(t)
-
-    def _g_d3(self, t):
-        return -self._d3(self._T - t) if self._flip else self._d3(t)
-
     def _speed(self, t):
-        d = self._g_d1(np.asarray(t))
+        d = self._d1(np.asarray(t))
         return np.sqrt(d[..., 0] ** 2 + d[..., 1] ** 2)
 
     def _signed_area(self):
@@ -120,42 +109,23 @@ class BoundaryCurve:
 
     # -- arclength-domain queries -------------------------------------------
     def position(self, s):
-        return self._g_xy(self._t_of_s(s))
-
-    def tangent(self, s):
-        d = self._g_d1(self._t_of_s(s))
-        return d / np.linalg.norm(d, axis=-1, keepdims=True)
-
-    def inward_normal(self, s):
-        return self.position_normal(s)[1]
+        return self._xy(self._t_of_s(s))
 
     def position_normal(self, s):
-        """(position, inward_normal) at the arclengths s, from one inversion."""
+        """(position, inward unit normal) at the arclengths s, from one
+        inversion; the normal is the unit tangent turned a quarter left."""
         t = self._t_of_s(s)
-        d = self._g_d1(t)
+        d = self._d1(t)
         tau = d / np.linalg.norm(d, axis=-1, keepdims=True)
-        return self._g_xy(t), np.stack([-tau[..., 1], tau[..., 0]], axis=-1)
+        return self._xy(t), np.stack([-tau[..., 1], tau[..., 0]], axis=-1)
 
     def curvature(self, s):
         t = self._t_of_s(s)
-        d1 = self._g_d1(t)
-        d2 = self._g_d2(t)
+        d1 = self._d1(t)
+        d2 = self._d2(t)
         speed2 = d1[..., 0] ** 2 + d1[..., 1] ** 2
         num = d1[..., 0] * d2[..., 1] - d1[..., 1] * d2[..., 0]
         return num / speed2**1.5
-
-    def curvature_derivative(self, s):
-        """d kappa / ds from the third derivative of the generator."""
-        t = self._t_of_s(s)
-        d1 = self._g_d1(t)
-        d2 = self._g_d2(t)
-        d3 = self._g_d3(t)
-        sp2 = d1[..., 0] ** 2 + d1[..., 1] ** 2
-        num = d1[..., 0] * d2[..., 1] - d1[..., 1] * d2[..., 0]
-        dnum = d1[..., 0] * d3[..., 1] - d1[..., 1] * d3[..., 0]
-        ddot = d1[..., 0] * d2[..., 0] + d1[..., 1] * d2[..., 1]
-        dkap_dt = (dnum - 3.0 * num * ddot / sp2) / sp2**1.5
-        return dkap_dt / np.sqrt(sp2)
 
     def reach(self):
         """eta0 = inf_s 1/|kappa(s)| over 4096 equally spaced arclengths."""
@@ -183,14 +153,6 @@ class Circle(BoundaryCurve):
         th = np.asarray(s, dtype=float) / self.radius
         return self.radius * np.stack([np.cos(th), np.sin(th)], axis=-1)
 
-    def tangent(self, s):
-        th = np.asarray(s, dtype=float) / self.radius
-        return np.stack([-np.sin(th), np.cos(th)], axis=-1)
-
-    def inward_normal(self, s):
-        th = np.asarray(s, dtype=float) / self.radius
-        return -np.stack([np.cos(th), np.sin(th)], axis=-1)
-
     def position_normal(self, s):
         th = np.asarray(s, dtype=float) / self.radius
         outward = np.stack([np.cos(th), np.sin(th)], axis=-1)
@@ -198,9 +160,6 @@ class Circle(BoundaryCurve):
 
     def curvature(self, s):
         return np.full(np.shape(np.asarray(s, dtype=float)), 1.0 / self.radius)[()]
-
-    def curvature_derivative(self, s):
-        return np.zeros(np.shape(np.asarray(s, dtype=float)))[()]
 
     def reach(self):
         return self.radius
@@ -235,9 +194,6 @@ class Ellipse(BoundaryCurve):
     def _d2(self, t):
         return np.stack([-self.a * np.cos(t), -self.b * np.sin(t)], axis=-1)
 
-    def _d3(self, t):
-        return np.stack([self.a * np.sin(t), -self.b * np.cos(t)], axis=-1)
-
     def describe(self):
         return {"kind": "ellipse", "a": self.a, "b": self.b}
 
@@ -261,10 +217,8 @@ class FourierCurve(BoundaryCurve):
                 r = r + c * np.cos(ph)
             elif order == 1:
                 r = r - c * m * np.sin(ph)
-            elif order == 2:
-                r = r - c * m * m * np.cos(ph)
             else:
-                r = r + c * m**3 * np.sin(ph)
+                r = r - c * m * m * np.cos(ph)
         return r
 
     def _xy(self, t):
@@ -284,16 +238,6 @@ class FourierCurve(BoundaryCurve):
         c, s = np.cos(t), np.sin(t)
         return np.stack(
             [(r2 - r) * c - 2 * r1 * s, (r2 - r) * s + 2 * r1 * c], axis=-1
-        )
-
-    def _d3(self, t):
-        t = np.asarray(t, dtype=float)
-        r, r1, r2, r3 = (self._radius(t, k) for k in (0, 1, 2, 3))
-        c, s = np.cos(t), np.sin(t)
-        return np.stack(
-            [(r3 - 3 * r1) * c - (3 * r2 - r) * s,
-             (r3 - 3 * r1) * s + (3 * r2 - r) * c],
-            axis=-1,
         )
 
     def describe(self):
@@ -329,8 +273,6 @@ class LayerConfig:
             lo = hi = float(self.n)
         if not (0.0 < lo <= hi < 1.0):
             raise DomainError("LayerConfig: index must satisfy 0 < n < 1")
-        self.n_lower = float(lo)
-        self.n_upper = float(hi)
         # g == 0 is admitted as the degenerate no-coating limit; meshing,
         # which needs actual depth, rejects it there
         if not callable(self.g) and float(self.g) < 0.0:
@@ -344,9 +286,14 @@ class LayerConfig:
     def thickness(self, s):
         return self.delta0 * self.g_at(s)
 
-    def max_thickness(self, curve):
+    def g_samples(self, curve):
+        """g at 2048 equally spaced arclengths of curve, the samples that
+        bound the coating depth and key the profile in a geometry hash."""
         s = np.linspace(0.0, curve.s0, 2048, endpoint=False)
-        g = self.g_at(s)
+        return np.broadcast_to(self.g_at(s), s.shape)
+
+    def max_thickness(self, curve):
+        g = self.g_samples(curve)
         if np.min(g) < 0.0:
             raise DomainError("LayerConfig: thickness profile must stay non-negative")
         return float(self.delta0 * np.max(g))
@@ -358,11 +305,6 @@ class LayerConfig:
             raise OffsetTooDeep(
                 f"coating depth {self.max_thickness(curve):.6g} reaches eta0={eta0:.6g}"
             )
-
-    def describe(self):
-        g = "callable" if callable(self.g) else float(self.g)
-        n = "callable" if callable(self.n) else float(self.n)
-        return {"delta0": self.delta0, "g": g, "n": n}
 
 
 # ---------------------------------------------------------------------------

@@ -23,12 +23,14 @@ LAYER = 1
 class TriMesh:
     """Triangulation with tagged boundary rings and per-triangle regions.
 
-    outer/inner hold vertex indices ordered along the respective curve;
-    outer_s/inner_s are the parent-curve arclengths of those vertices (None
-    for a mesh not built over a curve, which has no boundary quadrature).
-    h is the measured maximum edge length; n_rings is the number of rings of
-    the hexagonal core, whose spacing s0/(6 n_rings) is what a mesh
-    refinement changes (None for a mesh not built by `generate_mesh`).
+    outer/inner hold vertex indices ordered along the outer boundary and the
+    coating interface (empty without a coating); a coated mesh puts them at
+    the same parent arclengths.  outer_s holds those arclengths of the outer
+    vertices and curve is the parent curve (both None for a mesh not built
+    over a curve, which has no boundary quadrature).  h is the measured
+    maximum edge length; n_rings is the number of rings of the hexagonal
+    core, whose spacing s0/(6 n_rings) is what a mesh refinement changes
+    (None for a mesh not built by `generate_mesh`).
     """
 
     vertices: np.ndarray
@@ -37,9 +39,7 @@ class TriMesh:
     outer: np.ndarray
     inner: np.ndarray
     outer_s: np.ndarray = None
-    inner_s: np.ndarray = None
     curve: object = field(default=None, repr=False)
-    layer: object = field(default=None, repr=False)
     n_rings: int = None
 
     @property
@@ -142,74 +142,45 @@ def generate_mesh(curve, layer, h):
 
     n_rings = max(2, int(round(curve.s0 / (6.0 * h))))
     nb = 6 * n_rings
+    s_ring = np.arange(nb) * curve.s0 / nb
 
     if layer is None:
-        def bpoints(frac):
-            return curve.position(frac * curve.s0)
-
-        verts, tris, boundary = _hex_core(n_rings, bpoints)
+        verts, tris, outer = _hex_core(n_rings, lambda frac: curve.position(frac * curve.s0))
         region = np.full(len(tris), CORE, dtype=np.int64)
-        tris = _orient_ccw(verts, tris)
-        mesh = TriMesh(
-            vertices=verts,
-            triangles=tris,
-            region=region,
-            outer=boundary,
-            inner=np.array([], dtype=np.int64),
-            outer_s=np.arange(nb) * curve.s0 / nb,
-            inner_s=None,
-            curve=curve,
-            layer=None,
-            n_rings=n_rings,
-        )
-        _check_areas(mesh)
-        return mesh
+        inner = np.array([], dtype=np.int64)
+    else:
+        def bpoints(frac):
+            s = frac * curve.s0
+            base, nu = curve.position_normal(s)
+            return base + np.asarray(layer.thickness(s))[..., None] * nu
 
-    def bpoints(frac):
-        s = frac * curve.s0
-        base, nu = curve.position_normal(s)
-        return base + np.asarray(layer.thickness(s))[..., None] * nu
+        core_verts, core_tris, inner = _hex_core(n_rings, bpoints)
 
-    core_verts, core_tris, interface = _hex_core(n_rings, bpoints)
+        depth = np.asarray(layer.thickness(s_ring))
+        if float(depth.min()) <= 0.0:
+            raise MeshFailure("coating must have positive depth everywhere to be meshed")
+        rows = max(2, int(math.ceil(float(depth.max()) / h)))
 
-    s_ring = np.arange(nb) * curve.s0 / nb
-    depth = np.asarray(layer.thickness(s_ring))
-    if float(depth.min()) <= 0.0:
-        raise MeshFailure("coating must have positive depth everywhere to be meshed")
-    rows = max(2, int(math.ceil(float(depth.max()) / h)))
+        # row k sits at the remaining depth fraction 1 - k/rows (0 on the outer boundary)
+        base, nu = curve.position_normal(s_ring)
+        frac_in = 1.0 - np.arange(1, rows + 1) / rows
+        row_verts = base + (frac_in[:, None] * depth)[..., None] * nu
+        ring = len(core_verts) + np.arange(rows * nb).reshape(rows, nb)
+        prev = np.concatenate([inner[None], ring[:-1]])
+        nxt = np.roll(np.arange(nb), -1)
+        a, b, c, d = prev, prev[:, nxt], ring, ring[:, nxt]
+        layer_tris = np.stack([np.stack([a, b, c], -1), np.stack([b, d, c], -1)], 2)
 
-    # row k sits at the remaining depth fraction 1 - k/rows (0 on the outer boundary)
-    base, nu = curve.position_normal(s_ring)
-    frac_in = 1.0 - np.arange(1, rows + 1) / rows
-    row_verts = base + (frac_in[:, None] * depth)[..., None] * nu
-    ring = len(core_verts) + np.arange(rows * nb).reshape(rows, nb)
-    prev = np.concatenate([interface[None], ring[:-1]])
-    nxt = np.roll(np.arange(nb), -1)
-    a, b, c, d = prev, prev[:, nxt], ring, ring[:, nxt]
-    layer_tris = np.stack([np.stack([a, b, c], -1), np.stack([b, d, c], -1)], 2)
+        region = np.repeat(np.array([CORE, LAYER], dtype=np.int64),
+                           [len(core_tris), 2 * rows * nb])
+        verts = np.concatenate([core_verts, row_verts.reshape(-1, 2)])
+        tris = np.concatenate([core_tris, layer_tris.reshape(-1, 3)])
+        del core_verts, core_tris  # superseded by the copies above
+        outer = ring[-1]
 
-    region = np.repeat(np.array([CORE, LAYER], dtype=np.int64), [len(core_tris), 2 * rows * nb])
-    verts = np.concatenate([core_verts, row_verts.reshape(-1, 2)])
-    tris = np.concatenate([core_tris, layer_tris.reshape(-1, 3)])
-    del core_verts, core_tris  # superseded by the copies above
-    tris = _orient_ccw(verts, tris)
-    mesh = TriMesh(
-        vertices=verts,
-        triangles=tris,
-        region=region,
-        outer=ring[-1],
-        inner=interface,
-        outer_s=s_ring.copy(),
-        inner_s=s_ring.copy(),
-        curve=curve,
-        layer=layer,
-        n_rings=n_rings,
-    )
-    _check_areas(mesh)
-    return mesh
-
-
-def _check_areas(mesh):
+    mesh = TriMesh(vertices=verts, triangles=_orient_ccw(verts, tris), region=region,
+                   outer=outer, inner=inner, outer_s=s_ring, curve=curve, n_rings=n_rings)
     areas = mesh.signed_areas()
     if np.any(areas <= 1e-15 * float(np.median(np.abs(areas)))):
         raise MeshFailure("degenerate or inverted triangle produced")
+    return mesh

@@ -82,8 +82,11 @@ def estimate_thickness(lam_measured, coeffs):
     eigenvalue and the expansion coefficients.
 
     The first-order estimate is (lam - lambda0)/lambda1; the quadratic
-    refinement takes the smaller positive root of
-    lambda2*d^2 + lambda1*d = lam - lambda0 when it is real.
+    refinement is the smaller positive root of lambda2*d^2 + lambda1*d = gap,
+    gap = lam - lambda0, when it is real.  That root is
+    2*gap/(lambda1 + sqrt(lambda1^2 + 4*lambda2*gap)) for either sign of
+    lambda2 and for lambda2 = 0, where it equals the first-order estimate;
+    this form adds two positive terms, so a small gap loses no digits.
     """
     gap = lam_measured - coeffs.lambda0
     if gap < 0:
@@ -94,20 +97,9 @@ def estimate_thickness(lam_measured, coeffs):
         return ThicknessEstimate(0.0, 0.0)
     if coeffs.lambda1 <= 0:
         raise BelowLambda0("thickness recovery needs lambda1 > 0")
-    first = gap / coeffs.lambda1
-    quad = None
-    lam2 = coeffs.lambda2
-    if lam2 == 0.0:
-        quad = first
-    else:
-        disc = coeffs.lambda1**2 + 4.0 * lam2 * gap
-        if disc >= 0.0:
-            r1 = (-coeffs.lambda1 + math.sqrt(disc)) / (2.0 * lam2)
-            r2 = (-coeffs.lambda1 - math.sqrt(disc)) / (2.0 * lam2)
-            positive = sorted(r for r in (r1, r2) if r > 0)
-            if positive:
-                quad = positive[0]
-    return ThicknessEstimate(first, quad)
+    disc = coeffs.lambda1**2 + 4.0 * coeffs.lambda2 * gap
+    quad = 2.0 * gap / (coeffs.lambda1 + math.sqrt(disc)) if disc >= 0.0 else None
+    return ThicknessEstimate(gap / coeffs.lambda1, quad)
 
 
 def richardson(v_coarse, v_fine, refinement):

@@ -10,6 +10,7 @@ from thinspec.asymptotics import (
     compute_lambda2,
     evaluate_expansion,
     format_coefficients,
+    geometry_hash,
     layer_profiles,
 )
 from thinspec import fem
@@ -144,32 +145,6 @@ def test_lambda2_degenerate_profile(disk_coeffs_h02):
     assert compute_lambda2(coeffs.mesh, coeffs.flux0, coeffs.flux1, zero_layer) == 0.0
 
 
-def test_lambda2_orientation_invariance(disk_coeffs_h02):
-    """A clockwise-ingested boundary is normalized at construction, so the
-    curvature-weighted quadrature is unchanged."""
-    import thinspec.geometry as geo
-
-    class ClockwiseCircle(geo.BoundaryCurve):
-        kind = "cw-circle"
-
-        def _xy(self, t):
-            return np.stack([np.cos(-t), np.sin(-t)], axis=-1)
-
-        def _d1(self, t):
-            return np.stack([np.sin(-t), -np.cos(-t)], axis=-1)
-
-        def _d2(self, t):
-            return np.stack([-np.cos(-t), -np.sin(-t)], axis=-1)
-
-        def _d3(self, t):
-            return np.stack([-np.sin(-t), np.cos(-t)], axis=-1)
-
-    layer = LayerConfig(0.01, 1.0, 0.48)
-    cw = compute_coefficients(ClockwiseCircle(2.0 * math.pi), layer, 0.06)
-    ccw = compute_coefficients(Circle(1.0), layer, 0.06)
-    assert cw.lambda2 == pytest.approx(ccw.lambda2, rel=1e-3)
-
-
 def test_profiles_boundary_conditions(disk_coeffs_h02):
     coeffs, layer = disk_coeffs_h02
     prof = layer_profiles(coeffs, layer)
@@ -223,6 +198,25 @@ def test_coefficients_text_record(disk_coeffs_h02):
     assert back["geometry"] == coeffs.geometry_hash
     assert float(back["lambda0"]) == pytest.approx(coeffs.lambda0, rel=1e-14)
     assert float(back["lambda2"]) == pytest.approx(coeffs.lambda2, rel=1e-14)
+
+
+def test_geometry_hash_keys_a_callable_profile_by_its_values():
+    curve = Circle(1.0)
+    one, two = (geometry_hash(curve, LayerConfig(0.01, g, 0.48), 0.1)
+                for g in (lambda s: 1.0, lambda s: 2.0))
+    assert one != two
+    # the constant profile of the same values keys alike
+    assert one == geometry_hash(curve, LayerConfig(0.01, 1.0, 0.48), 0.1)
+    assert one != geometry_hash(curve, LayerConfig(0.01, 1.0, 0.48), 0.05)
+
+
+def test_geometry_hash_leaves_out_what_coefficients_do_not_read():
+    """delta0 and n do not enter the coefficients, so records that differ
+    only in them are the same record under the same name."""
+    thin, thick = LayerConfig(0.01, 1.0, 0.5), LayerConfig(0.02, 1.0, 0.48)
+    assert geometry_hash(Circle(1.0), thin, 0.1) == geometry_hash(Circle(1.0), thick, 0.1)
+    assert format_coefficients(compute_coefficients(Circle(1.0), thin, 0.1)) == \
+        format_coefficients(compute_coefficients(Circle(1.0), thick, 0.1))
 
 
 def test_ellipse_pipeline_runs():

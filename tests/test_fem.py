@@ -13,6 +13,7 @@ from thinspec.fem import (
     FemField,
     assemble,
     boundary_flux,
+    boundary_mass_lu,
     boundary_mass_matrix,
     dirichlet_eigs,
     floor_clears,
@@ -37,7 +38,7 @@ def disk_h02():
     mesh = generate_mesh(Circle(1.0), None, 0.02)
     K = assemble(mesh, "stiffness")
     M = assemble(mesh, "mass")
-    lams, vecs = dirichlet_eigs(K, M, mesh.outer, 2)
+    lams, vecs = dirichlet_eigs(K, M, mesh.outer, 2, stiffness_lu(K, mesh.outer))
     v0 = vecs[:, 0] / mass_norm(M, vecs[:, 0])
     return mesh, K, M, lams, v0
 
@@ -147,7 +148,7 @@ def test_square_eigenvalue():
     mesh = square_mesh(50)  # h = 0.02
     K = assemble(mesh, "stiffness")
     M = assemble(mesh, "mass")
-    lams, _ = dirichlet_eigs(K, M, mesh.outer, 1)
+    lams, _ = dirichlet_eigs(K, M, mesh.outer, 1, stiffness_lu(K, mesh.outer))
     exact = 2.0 * math.pi**2
     assert abs(lams[0] - exact) / exact <= 0.005
     assert lams[0] >= exact  # conforming elements approximate from above
@@ -165,7 +166,7 @@ def test_eigen_convergence_order():
         mesh = generate_mesh(Circle(1.0), None, h)
         K = assemble(mesh, "stiffness")
         M = assemble(mesh, "mass")
-        lams, _ = dirichlet_eigs(K, M, mesh.outer, 1)
+        lams, _ = dirichlet_eigs(K, M, mesh.outer, 1, stiffness_lu(K, mesh.outer))
         assert lams[0] >= LAM0
         errs.append(lams[0] - LAM0)
     order = math.log(errs[0] / errs[1], 2.0), math.log(errs[1] / errs[2], 2.0)
@@ -174,7 +175,7 @@ def test_eigen_convergence_order():
 
 def test_eigenvectors_m_orthonormal(disk_h02):
     mesh, K, M, lams, _ = disk_h02
-    lams2, vecs = dirichlet_eigs(K, M, mesh.outer, 2)
+    lams2, vecs = dirichlet_eigs(K, M, mesh.outer, 2, stiffness_lu(K, mesh.outer))
     G = vecs.T @ (M.tocsr() @ vecs)
     assert np.max(np.abs(G - np.eye(2))) <= 1e-8
     free = np.setdiff1d(np.arange(mesh.n_vertices), mesh.outer)
@@ -192,7 +193,7 @@ def test_iteration_budget_enforced(monkeypatch):
     monkeypatch.setattr(fem, "_RESTARTS", 1)
     monkeypatch.setattr(fem, "_RESIDUAL_TOL", 1e-14)
     with pytest.raises(ConvergenceFailure):
-        dirichlet_eigs(K, M, mesh.outer, 2)
+        dirichlet_eigs(K, M, mesh.outer, 2, stiffness_lu(K, mesh.outer))
 
 
 def test_ground_mode_sign_rule(disk_h02):
@@ -206,14 +207,15 @@ def test_ground_mode_sign_rule(disk_h02):
 
 def test_flux_recovery_disk(disk_h02):
     mesh, K, M, lams, v0 = disk_h02
-    flux = boundary_flux(mesh, FemField(mesh, v0), lams[0], K=K, M=M)
+    flux = boundary_flux(mesh, FemField(mesh, v0), lams[0], K, M, boundary_mass_lu(mesh))
     assert np.max(np.abs(flux - FLUX0)) / FLUX0 <= 0.01
 
 
 def test_flux_of_constant_field():
     mesh = generate_mesh(Circle(1.0), None, 0.1)
     flux = boundary_flux(mesh, FemField(mesh, np.ones(mesh.n_vertices)), 0.0,
-                         assemble(mesh, "stiffness"), assemble(mesh, "mass"))
+                         assemble(mesh, "stiffness"), assemble(mesh, "mass"),
+                         boundary_mass_lu(mesh))
     assert np.max(np.abs(flux)) <= 1e-10
 
 
@@ -223,9 +225,9 @@ def test_flux_superconvergence():
         mesh = generate_mesh(Circle(1.0), None, h)
         K = assemble(mesh, "stiffness")
         M = assemble(mesh, "mass")
-        lams, vecs = dirichlet_eigs(K, M, mesh.outer, 1)
+        lams, vecs = dirichlet_eigs(K, M, mesh.outer, 1, stiffness_lu(K, mesh.outer))
         v0 = vecs[:, 0] / mass_norm(M, vecs[:, 0])
-        flux = boundary_flux(mesh, FemField(mesh, v0), lams[0], K=K, M=M)
+        flux = boundary_flux(mesh, FemField(mesh, v0), lams[0], K, M, boundary_mass_lu(mesh))
         errs.append(abs(flux.mean() - FLUX0))
     assert errs[0] / errs[1] >= 3.0
 
@@ -234,7 +236,8 @@ def test_constrained_solve_homogeneous(disk_h02):
     mesh, K, M, lams, v0 = disk_h02
     zero = FemField(mesh, np.zeros(mesh.n_vertices))
     sol, mu = solve_constrained_source(
-        K, M, lams[0], zero, np.zeros(len(mesh.outer)), FemField(mesh, v0), mesh.outer
+        K, M, lams[0], zero, np.zeros(len(mesh.outer)), FemField(mesh, v0), mesh.outer,
+        stiffness_lu(K, mesh.outer)
     )
     assert np.max(np.abs(sol.values)) <= 1e-12
     assert abs(mu) <= 1e-12
@@ -242,12 +245,12 @@ def test_constrained_solve_homogeneous(disk_h02):
 
 def test_constrained_solve_matches_radial_oracle(disk_h02, disk_oracle):
     mesh, K, M, lams, v0 = disk_h02
-    flux0 = boundary_flux(mesh, FemField(mesh, v0), lams[0], K=K, M=M)
+    flux0 = boundary_flux(mesh, FemField(mesh, v0), lams[0], K, M, boundary_mass_lu(mesh))
     mg = boundary_mass_matrix(mesh)
     lam1 = float(flux0 @ (mg @ flux0))  # discrete compatibility value
     rhs = FemField(mesh, -lam1 * v0)
     sol, mu = solve_constrained_source(K, M, lams[0], rhs, -flux0,
-                                       FemField(mesh, v0), mesh.outer)
+                                       FemField(mesh, v0), mesh.outer, stiffness_lu(K, mesh.outer))
     radii = np.linalg.norm(mesh.vertices, axis=1)
     exact = disk_oracle.v1(radii)
     scale = np.max(np.abs(exact))
@@ -262,12 +265,12 @@ def test_constrained_solve_matches_radial_oracle(disk_h02, disk_oracle):
 
 def test_constrained_solve_galerkin_residual(disk_h02):
     mesh, K, M, lams, v0 = disk_h02
-    flux0 = boundary_flux(mesh, FemField(mesh, v0), lams[0], K=K, M=M)
+    flux0 = boundary_flux(mesh, FemField(mesh, v0), lams[0], K, M, boundary_mass_lu(mesh))
     mg = boundary_mass_matrix(mesh)
     lam1 = float(flux0 @ (mg @ flux0))
     rhs = FemField(mesh, -lam1 * v0)
     sol, mu = solve_constrained_source(K, M, lams[0], rhs, -flux0,
-                                       FemField(mesh, v0), mesh.outer)
+                                       FemField(mesh, v0), mesh.outer, stiffness_lu(K, mesh.outer))
     A = K.tocsr() - lams[0] * M.tocsr()
     resid = A @ sol.values + M.tocsr() @ rhs.values + mu * (M.tocsr() @ v0)
     free = np.setdiff1d(np.arange(mesh.n_vertices), mesh.outer)
@@ -283,7 +286,8 @@ def test_singular_augmented_system_detected(disk_h02):
     rhs = FemField(mesh, v0)
     with pytest.raises(SolveSingular):
         sol, _ = solve_constrained_source(
-            K, M, lams[0], rhs, np.zeros(len(mesh.outer)), zero_constraint, mesh.outer
+            K, M, lams[0], rhs, np.zeros(len(mesh.outer)), zero_constraint, mesh.outer,
+            stiffness_lu(K, mesh.outer)
         )
         # some LU implementations factor to garbage instead of raising; make
         # the check explicit
@@ -300,7 +304,7 @@ def test_dirichlet_eigs_matches_dense(count):
     ref_lams, ref_vecs = scipy.linalg.eigh(
         K[np.ix_(free, free)].toarray(), M[np.ix_(free, free)].toarray()
     )
-    lams, vecs = dirichlet_eigs(K, M, mesh.outer, count)
+    lams, vecs = dirichlet_eigs(K, M, mesh.outer, count, stiffness_lu(K, mesh.outer))
     assert np.max(np.abs(lams - ref_lams[:count]) / ref_lams[:count]) <= 1e-12
     assert np.all(vecs[mesh.outer] == 0.0)
     # the simple ground mode agrees up to the sign rule
@@ -331,29 +335,15 @@ def _saddle_lu_reference(K, M, lam0, rhs, data, v0, outer):
 
 def test_cg_corrector_matches_saddle_lu(disk_h02):
     mesh, K, M, lams, v0 = disk_h02
-    flux0 = boundary_flux(mesh, FemField(mesh, v0), lams[0], K=K, M=M)
+    flux0 = boundary_flux(mesh, FemField(mesh, v0), lams[0], K, M, boundary_mass_lu(mesh))
     mg = boundary_mass_matrix(mesh)
     lam1 = float(flux0 @ (mg @ flux0))
     rhs = -lam1 * v0
     sol, mu = solve_constrained_source(K, M, lams[0], FemField(mesh, rhs), -flux0,
-                                       FemField(mesh, v0), mesh.outer)
+                                       FemField(mesh, v0), mesh.outer, stiffness_lu(K, mesh.outer))
     ref, ref_mu = _saddle_lu_reference(K, M, lams[0], rhs, -flux0, v0, mesh.outer)
     assert np.max(np.abs(sol.values - ref)) <= 1e-12 * np.max(np.abs(ref))
     assert abs(mu - ref_mu) <= 1e-12 * np.linalg.norm(rhs)
-
-
-def test_passing_the_factor_is_bit_identical(disk_h02):
-    mesh, K, M, lams, v0 = disk_h02
-    lu = stiffness_lu(K, mesh.outer)
-    own = dirichlet_eigs(K, M, mesh.outer, 2)
-    shared = dirichlet_eigs(K, M, mesh.outer, 2, lu=lu)
-    assert np.array_equal(own[0], shared[0]) and np.array_equal(own[1], shared[1])
-    flux0 = boundary_flux(mesh, FemField(mesh, v0), lams[0], K=K, M=M)
-    rhs = FemField(mesh, -2.0 * lams[0] * v0)
-    args = (K, M, lams[0], rhs, -flux0, FemField(mesh, v0), mesh.outer)
-    sol, mu = solve_constrained_source(*args)
-    sol_lu, mu_lu = solve_constrained_source(*args, lu=lu)
-    assert np.array_equal(sol.values, sol_lu.values) and mu == mu_lu
 
 
 def test_second_eigenvalue_floor_closed_forms():
@@ -383,8 +373,8 @@ def test_second_eigenvalue_floor_is_below_lambda2(case):
         problems.append(core_submesh(mesh)[0])
     for sub in problems:
         K, M = assemble(sub, "stiffness"), assemble(sub, "mass")
-        two, _ = dirichlet_eigs(K, M, sub.outer, 2)
-        one, _ = dirichlet_eigs(K, M, sub.outer, 1)
+        two, _ = dirichlet_eigs(K, M, sub.outer, 2, stiffness_lu(K, sub.outer))
+        one, _ = dirichlet_eigs(K, M, sub.outer, 1, stiffness_lu(K, sub.outer))
         assert second_eigenvalue_floor(sub.vertices) <= two[1]
         assert floor_clears(one[0], sub.vertices, 1e-6)
         assert abs(one[0] - two[0]) <= 1e-14 * two[0]
@@ -415,6 +405,6 @@ def test_ground_state_falls_back_to_two_pairs_when_the_floor_fails():
     lam0, v0, K, M, _, fallback = ground_state(mesh)
     assert second_eigenvalue_floor(mesh.vertices) < lam0
     assert fallback == "two-pair"
-    lams, vecs = dirichlet_eigs(K, M, mesh.outer, 2)
+    lams, vecs = dirichlet_eigs(K, M, mesh.outer, 2, stiffness_lu(K, mesh.outer))
     assert lam0 == float(lams[0])
     assert np.array_equal(v0.values, vecs[:, 0] / mass_norm(M, vecs[:, 0]))

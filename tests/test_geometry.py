@@ -20,20 +20,21 @@ from _meshes import CURVES
 @pytest.mark.parametrize("curve", CURVES, ids=lambda c: f"{c.kind}")
 def test_frame_is_unit(curve):
     s = np.linspace(0.0, curve.s0, 57, endpoint=False)
-    tau = curve.tangent(s)
-    nu = curve.inward_normal(s)
-    assert np.max(np.abs(np.linalg.norm(tau, axis=-1) - 1.0)) <= 1e-12
+    _, nu = curve.position_normal(s)
     assert np.max(np.abs(np.linalg.norm(nu, axis=-1) - 1.0)) <= 1e-12
 
 
 @pytest.mark.parametrize("curve", CURVES, ids=lambda c: f"{c.kind}")
 def test_position_normal_is_position_and_normal(curve):
+    """The point is `position`'s, bit for bit, and the normal is the unit
+    tangent of central differences of `position` turned a quarter left."""
     s = np.linspace(0.0, curve.s0, 57, endpoint=False)
     x, nu = curve.position_normal(s)
-    tau = curve.tangent(s)
     assert np.array_equal(x, curve.position(s))
-    assert np.array_equal(nu, np.stack([-tau[..., 1], tau[..., 0]], axis=-1))
-    assert np.array_equal(nu, curve.inward_normal(s))
+    h = 1e-5 * curve.s0
+    d = curve.position(s + h) - curve.position(s - h)
+    tau = d / np.linalg.norm(d, axis=-1, keepdims=True)
+    assert np.max(np.abs(nu - np.stack([-tau[..., 1], tau[..., 0]], axis=-1))) <= 1e-8
 
 
 @pytest.mark.parametrize("curve", CURVES, ids=lambda c: f"{c.kind}")
@@ -45,12 +46,13 @@ def test_periodicity(curve):
 
 @pytest.mark.parametrize("curve", CURVES, ids=lambda c: f"{c.kind}")
 def test_frenet_relation(curve):
-    # d tau/ds = +kappa * nu under the convex-positive convention, checked
-    # against central differences of the tangent
+    # d tau/ds = d^2 x/ds^2 = +kappa * nu under the convex-positive
+    # convention, checked against second differences of the position
     s = np.linspace(0.05, curve.s0, 40, endpoint=False)
-    h = 1e-6 * curve.s0
-    dtau = (curve.tangent(s + h) - curve.tangent(s - h)) / (2.0 * h)
-    pred = curve.curvature(s)[..., None] * curve.inward_normal(s)
+    h = 2e-5 * curve.s0
+    x, nu = curve.position_normal(s)
+    dtau = (curve.position(s + h) - 2.0 * x + curve.position(s - h)) / h**2
+    pred = curve.curvature(s)[..., None] * nu
     scale = np.max(np.abs(pred))
     assert np.max(np.abs(dtau - pred)) / scale <= 1e-6
 
@@ -58,7 +60,6 @@ def test_frenet_relation(curve):
 def test_circle_curvature_exact():
     assert Circle(1.0).curvature(0.37) == 1.0
     assert Circle(2.0).curvature(5.0) == 0.5
-    assert np.all(Circle(2.0).curvature_derivative(np.linspace(0.0, 5.0, 7)) == 0.0)
 
 
 def test_ellipse_curvature_closed_form():
@@ -82,39 +83,29 @@ def test_curvature_against_fd_formula(curve):
     assert np.max(np.abs(kap_fd - kap)) / np.max(np.abs(kap)) <= 1e-6
 
 
-@pytest.mark.parametrize("curve", CURVES, ids=lambda c: f"{c.kind}")
-def test_curvature_derivative_against_fd(curve):
-    """d kappa/ds against central differences of the curvature (the
-    circle's constant curvature gives 0 on both sides)."""
-    rng = np.random.default_rng(11)
-    s = rng.uniform(0.0, curve.s0, 100)
-    h = 1e-5 * curve.s0
-    dkap_fd = (curve.curvature(s + h) - curve.curvature(s - h)) / (2.0 * h)
-    dkap = curve.curvature_derivative(s)
-    assert np.max(np.abs(dkap_fd - dkap)) <= 1e-6 * np.max(np.abs(dkap))
+class _ClockwiseEllipse(BoundaryCurve):
+    """The ellipse with semi-axes a and b traced clockwise, t -> -t."""
+
+    def __init__(self, a, b):
+        self.a, self.b = a, b
+        super().__init__(2.0 * math.pi)
+
+    def _xy(self, t):
+        return np.stack([self.a * np.cos(-t), self.b * np.sin(-t)], axis=-1)
+
+    def _d1(self, t):
+        return np.stack([self.a * np.sin(-t), -self.b * np.cos(-t)], axis=-1)
+
+    def _d2(self, t):
+        return np.stack([-self.a * np.cos(-t), -self.b * np.sin(-t)], axis=-1)
 
 
-def test_orientation_normalized_on_clockwise_input():
-    class ClockwiseEllipse(BoundaryCurve):
-        kind = "cw-ellipse"
-
-        def _xy(self, t):
-            return np.stack([1.3 * np.cos(-t), np.sin(-t)], axis=-1)
-
-        def _d1(self, t):
-            return np.stack([1.3 * np.sin(-t), -np.cos(-t)], axis=-1)
-
-        def _d2(self, t):
-            return np.stack([-1.3 * np.cos(-t), -np.sin(-t)], axis=-1)
-
-        def _d3(self, t):
-            return np.stack([-1.3 * np.sin(-t), np.cos(-t)], axis=-1)
-
-    cw = ClockwiseEllipse(2.0 * math.pi)
-    ccw = Ellipse(1.3, 1.0)
-    s = np.linspace(0.0, ccw.s0, 50, endpoint=False)
-    assert np.all(cw.curvature(s) > 0)
-    assert np.max(np.abs(np.sort(cw.curvature(s)) - np.sort(ccw.curvature(s)))) <= 1e-9
+@pytest.mark.parametrize("a, b", [(1.3, 1.0), (1.0, 1.0)], ids=["cw-ellipse", "cw-circle"])
+def test_clockwise_generator_raises(a, b):
+    """Curves must run counterclockwise: a clockwise generator is rejected
+    at construction, not turned around."""
+    with pytest.raises(DomainError, match="counterclockwise"):
+        _ClockwiseEllipse(a, b)
 
 
 def test_offset_too_deep():
@@ -173,15 +164,16 @@ def test_layer_config_validation():
         LayerConfig(0.1, -1.0, 0.5)
     with pytest.raises(DomainError):
         LayerConfig(0.1, 1.0, lambda x, y: 0.5)  # callable index needs bounds
-    cfg = LayerConfig(0.1, 1.0, lambda x, y: 0.5, n_bounds=(0.4, 0.6))
-    assert cfg.n_lower == 0.4 and cfg.n_upper == 0.6
+    with pytest.raises(DomainError):
+        LayerConfig(0.1, 1.0, lambda x, y: 0.5, n_bounds=(0.4, 1.0))
+    LayerConfig(0.1, 1.0, lambda x, y: 0.5, n_bounds=(0.4, 0.6))
 
 
 def test_variable_thickness_profile():
     layer = LayerConfig(0.05, lambda s: 1.0 + 0.3 * np.cos(2.0 * s), 0.5)
     mesh = generate_mesh(Circle(1.0), layer, 0.1)
     radii = np.linalg.norm(mesh.vertices[mesh.inner], axis=-1)
-    assert np.max(np.abs(radii - (1.0 - 0.05 * layer.g_at(mesh.inner_s)))) <= 1e-12
+    assert np.max(np.abs(radii - (1.0 - 0.05 * layer.g_at(mesh.outer_s)))) <= 1e-12
 
 
 def test_curve_from_config():

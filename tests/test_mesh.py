@@ -136,7 +136,8 @@ def _loop_mesh(curve, layer, h):
     def bpoints(frac):
         s = frac * curve.s0
         depth = layer.thickness(s)
-        return curve.position(s) + np.asarray(depth)[..., None] * curve.inward_normal(s)
+        base, nu = curve.position_normal(s)
+        return base + np.asarray(depth)[..., None] * nu
 
     verts, tris, interface = _loop_hex_core(n_rings, bpoints)
     verts = list(verts)
@@ -145,8 +146,7 @@ def _loop_mesh(curve, layer, h):
     s_ring = np.arange(nb) * curve.s0 / nb
     depth = np.asarray(layer.thickness(s_ring))
     rows = max(2, int(math.ceil(float(depth.max()) / h)))
-    base = curve.position(s_ring)
-    nu = curve.inward_normal(s_ring)
+    base, nu = curve.position_normal(s_ring)
     ring_prev = list(interface)
     for k in range(1, rows + 1):
         frac_in = 1.0 - k / rows

@@ -1,5 +1,8 @@
+import dataclasses
 import json
 import math
+from decimal import Decimal, localcontext
+from types import SimpleNamespace
 import multiprocessing
 import os
 
@@ -128,6 +131,31 @@ def test_thickness_round_trip(disk_oracle):
 def test_thickness_zero_gap(disk_oracle):
     est = estimate_thickness(disk_oracle.lambda0, disk_oracle)
     assert est.first_order == 0.0
+
+
+def _smaller_root(lambda1, lambda2, gap):
+    """Smaller positive root of lambda2*d^2 + lambda1*d = gap in 50-digit
+    decimal arithmetic, from the binary values of the inputs."""
+    with localcontext() as ctx:
+        ctx.prec = 50
+        l1, l2, g = Decimal(lambda1), Decimal(lambda2), Decimal(gap)
+        roots = [(-l1 + sign * (l1 * l1 + 4 * l2 * g).sqrt()) / (2 * l2) for sign in (1, -1)]
+        return float(min(r for r in roots if r > 0))
+
+
+@pytest.mark.parametrize("lambda2, gap", [(1.0, 1e-10), (-1.0, 0.1)])
+def test_thickness_quadratic_is_the_smaller_root_to_rounding(lambda2, gap):
+    # at lambda2 = 1 and gap 1e-10, -lambda1 + sqrt(disc) cancels 7 digits;
+    # at lambda2 = -1 and gap 0.1 both roots are positive, 0.1127 and 0.8873
+    est = estimate_thickness(gap, SimpleNamespace(lambda0=0.0, lambda1=1.0, lambda2=lambda2))
+    exact = _smaller_root(1.0, lambda2, gap)
+    assert abs(est.quadratic - exact) <= 1e-15 * exact
+
+
+@pytest.mark.parametrize("lambda1, gap", [(1.0, 0.1), (11.566, 0.0433), (3.0, 1e-10)])
+def test_thickness_quadratic_without_lambda2_is_first_order(lambda1, gap):
+    est = estimate_thickness(5.0 + gap, SimpleNamespace(lambda0=5.0, lambda1=lambda1, lambda2=0.0))
+    assert est.quadratic == est.first_order
 
 
 def test_thickness_below_lambda0(disk_oracle):
@@ -508,6 +536,30 @@ def test_cli_validate_extrapolates_over_ring_spacing(tmp_path):
     lam_fem = richardson(te_coarse.lam, te_fine.lam, 17 / 12)[0]
     oracle = bessel.disk_first_tes(1.0, [0.02], 0.48)[0]
     assert float(row[2]) == abs(lam_fem - oracle)
+
+
+@pytest.mark.parametrize("eps", [1e-3, 1e-2, 1e-1])
+@pytest.mark.parametrize("end", ["above_lambda_eroded", "below_lambda0"])
+def test_cli_validate_flags_a_lambda_outside_the_corridor(tmp_path, monkeypatch, end, eps):
+    """A finest-mesh eigenvalue moved eps relative beyond a corridor end lies
+    outside three Richardson error estimates of that end, which the moved
+    eigenvalue does not feed."""
+    finest = 0.02
+
+    def corrupted(curve, layer, h):
+        te = first_te(curve, layer, h)
+        if h != finest:
+            return te
+        lam = (te.lambda_eroded * (1 + eps) if end == "above_lambda_eroded"
+               else te.lambda0 * (1 - eps))
+        return dataclasses.replace(te, lam=lam)
+
+    monkeypatch.setattr(cli, "first_te", corrupted)
+    cfg = _write_config(tmp_path, mesh={"h": [0.04, finest]},
+                        layer={"delta0": [0.02], "n": 0.48})
+    assert main(["validate", "--config", cfg, "--out", str(tmp_path)]) == 2
+    rows = [line.split(",") for line in (tmp_path / "validate.csv").read_text().splitlines()]
+    assert [row[3] for row in rows if row[0] == "sandwich"] == ["0"]
 
 
 @pytest.mark.parametrize("geometry, references", [

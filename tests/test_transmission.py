@@ -7,7 +7,7 @@ import scipy.sparse as sp
 
 from thinspec import bessel, fem, transmission
 from thinspec.errors import InsufficientData, MissingLayer, NoRootFound
-from thinspec.fem import assemble, dirichlet_eigs, ground_state, h1_norm
+from thinspec.fem import assemble, dirichlet_eigs, ground_state, h1_norm, stiffness_lu
 from thinspec.geometry import Circle, Ellipse, LayerConfig
 from thinspec.mesh import LAYER, generate_mesh
 from thinspec.report import fit_order, richardson
@@ -350,7 +350,8 @@ def test_eroded_dirichlet_is_the_core_submesh_eigenvalue(curve):
     layer = LayerConfig(0.04, 1.0, 0.48)
     mesh = generate_mesh(curve, layer, 0.1)
     sub, _ = core_submesh(mesh)
-    lams, _ = dirichlet_eigs(assemble(sub, "stiffness"), assemble(sub, "mass"), sub.outer, 1)
+    K = assemble(sub, "stiffness")
+    lams, _ = dirichlet_eigs(K, assemble(sub, "mass"), sub.outer, 1, stiffness_lu(K, sub.outer))
     assert eroded_dirichlet(mesh, *_full_km(mesh)) == (float(lams[0]), None)
 
 
@@ -423,7 +424,7 @@ def test_rayleigh_dirichlet_trial_is_upper_bound(disk_te):
     sub, remap = core_submesh(mesh)
     K = assemble(sub, "stiffness")
     M = assemble(sub, "mass")
-    lams, vecs = dirichlet_eigs(K, M, sub.outer, 1)
+    lams, vecs = dirichlet_eigs(K, M, sub.outer, 1, stiffness_lu(K, sub.outer))
     v_ext = np.zeros(mesh.n_vertices)
     keep = remap >= 0
     v_ext[keep] = vecs[remap[keep], 0]
