@@ -17,7 +17,7 @@ from . import bessel
 from .asymptotics import compute_coefficients, format_coefficients
 from .errors import ConfigError, ThinspecError
 from .geometry import Circle, LayerConfig, config_number, curve_from_config
-from .report import (SANDWICH_FACTOR, cell_processes, extrapolate_coefficients, fallback_cells,
+from .report import (cell_processes, extrapolate_coefficients, fallback_cells, in_corridor,
                      richardson, run_sweep, solve_cells, sweep_svg, write_atomic)
 from .transmission import first_te, rayleigh_identity_residual
 
@@ -197,27 +197,26 @@ def _task_validate(cfg, outdir):
     curve = cfg["curve"]
     if not isinstance(curve, Circle):
         _fail("validate requires circle geometry", "geometry.kind")
-    if len(cfg["h_list"]) < 2:
-        _fail("validate needs at least two mesh sizes", "mesh.h")
+    if len(cfg["h_list"]) != 2:
+        _fail("validate needs exactly two mesh sizes", "mesh.h")
     checks = []
     deltas = cfg["deltas"][:2]
     for delta, lam_oracle in zip(deltas, bessel.disk_first_tes(curve.radius, deltas, cfg["n"])):
         layer = LayerConfig(delta, cfg["g"], cfg["n"])
-        tes = [first_te(curve, layer, h) for h in cfg["h_list"]]
+        tec, tef = (first_te(curve, layer, h) for h in cfg["h_list"])
         _print_fallbacks("validate", [(delta, h, te.fallback)
-                                      for h, te in zip(cfg["h_list"], tes) if te.fallback])
-        tec, tef = tes[-2], tes[-1]
+                                      for h, te in zip(cfg["h_list"], (tec, tef)) if te.fallback])
         ratio = tef.mesh.n_rings / tec.mesh.n_rings
-        lam_fem, est = richardson(tec.lam, tef.lam, ratio)
-        agree = abs(lam_fem - lam_oracle) <= SANDWICH_FACTOR * max(est, 1e-12)
-        checks.append(("cross_validation", delta, abs(lam_fem - lam_oracle), agree))
-        # each corridor end may miss by 3 estimates of its own mesh error,
-        # which the checked eigenvalue does not feed
+        lam_fem, _ = richardson(tec.lam, tef.lam, ratio)
         _, est0 = richardson(tec.lambda0, tef.lambda0, ratio)
         _, est_ero = richardson(tec.lambda_eroded, tef.lambda_eroded, ratio)
-        sandwich = (tef.lambda0 - SANDWICH_FACTOR * est0 <= tef.lam
-                    <= tef.lambda_eroded + SANDWICH_FACTOR * est_ero)
-        checks.append(("sandwich", delta, tef.lam, sandwich))
+        # the oracle is exact: both ends sit on it, with the mesh error of
+        # lambda_eroded, which the checked eigenvalue does not feed
+        oracle = (lam_oracle, max(est_ero, 1e-12))
+        checks.append(("cross_validation", delta, abs(lam_fem - lam_oracle),
+                       in_corridor(lam_fem, oracle, oracle)))
+        checks.append(("sandwich", delta, tef.lam,
+                       in_corridor(tef.lam, (tef.lambda0, est0), (tef.lambda_eroded, est_ero))))
         resid = rayleigh_identity_residual(tef.lam, tef.v, tef.w, cfg["n"], tef.mesh,
                                            tef.K, tef.M)
         checks.append(("rayleigh_identity", delta, resid, resid <= _IDENTITY_TOL))

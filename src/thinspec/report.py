@@ -3,15 +3,15 @@ mesh-error control, thickness recovery, and deterministic CSV/SVG emission.
 
 A sweep row compares the directly computed first transmission eigenvalue
 against the expansion predictions at orders 0..2, carries the Max-Min
-sandwich flag (lambda0 - tol <= lambda <= lambda_eroded + tol with tol three
-times the Richardson mesh-error estimate), and a mesh-guard flag that admits
-the row into order fits only when the estimated mesh error is at most a third
-of the model error it would be fitted against.  Both solver legs build their
-rows with one row function, whose predictions are `evaluate_expansion`'s.
-Disks are swept with the semi-analytic solver; general geometries run the
-coupled finite element pencil on every mesh size in the list and
-Richardson-extrapolate over the ring spacing of the two finest meshes built,
-the expansion coefficients with `extrapolate_coefficients`.
+sandwich flag of `in_corridor` (each corridor end may miss by
+SANDWICH_FACTOR times its own error estimate), and a mesh-guard flag that
+admits the row into order fits only when the estimated mesh error is at
+most a third of the model error it would be fitted against.  Both solver
+legs build their rows with one row function, whose predictions are
+`evaluate_expansion`'s.  Disks are swept with the semi-analytic solver;
+general geometries run the coupled finite element pencil on exactly two
+mesh sizes and Richardson-extrapolate over their ring spacing, the
+expansion coefficients with `extrapolate_coefficients`.
 """
 
 import math
@@ -27,8 +27,8 @@ from .geometry import Circle, LayerConfig
 from .transmission import first_te
 
 _VERSION = "thinspec-0.1.0"
-# multiple of its error scale by which a sweep row's or validate's lambda may
-# leave the Max-Min sandwich lambda0 <= lambda <= lambda_eroded
+# multiple of its own error estimate by which each end of the Max-Min
+# sandwich lambda0 <= lambda <= lambda_eroded may be missed (`in_corridor`)
 SANDWICH_FACTOR = 3.0
 
 
@@ -125,6 +125,15 @@ def extrapolate_coefficients(coarse, fine):
     return tuple(value for value, _ in pairs), pairs[0][1]
 
 
+def in_corridor(lam, lower, upper):
+    """Whether lam lies in the Max-Min corridor between lower and upper,
+    each a (value, est) pair whose value may be missed by SANDWICH_FACTOR
+    times its own error estimate est.  The estimate of lam never enters, so
+    a wrong lam cannot widen the corridor it is checked against."""
+    (lo, est_lo), (hi, est_hi) = lower, upper
+    return bool(lo - SANDWICH_FACTOR * est_lo <= lam <= hi + SANDWICH_FACTOR * est_hi)
+
+
 @dataclass
 class SweepRow:
     delta: float
@@ -210,31 +219,29 @@ def _rows_to_fits(rows):
     return fits
 
 
-def _sweep_row(delta, lam, lam_eroded, lambdas, scale, fine=None):
+def _sweep_row(delta, lam, lambdas, lower, upper, fine=None):
     """SweepRow of thickness delta for the eigenvalue lam, with the
     `evaluate_expansion` predictions of lambdas at orders 0..2.
 
-    The row passes the sandwich test when
-    lambdas[0] - tol <= lam <= lam_eroded + tol, tol = SANDWICH_FACTOR * scale.
-    fine = (eigenvalue, lambdas) of the finest single mesh marks a row
-    extrapolated over meshes: its mesh_est is scale, and its order-1 and
-    order-2 guards pass only when the same error measured on the fine mesh
-    differs from the row's by at most a third of it, i.e. little mesh error
-    survives in the modelled error.  Without fine, mesh_est is 0 and both
-    guards pass.
+    The row passes the sandwich test when `in_corridor(lam, lower, upper)`;
+    lower = (lambda0, est) and upper = (lambda_eroded, est) are the corridor
+    ends with their own error estimates.  fine = (eigenvalue, lambdas,
+    mesh_est) of the finest single mesh marks a row extrapolated over
+    meshes: its order-1 and order-2 guards pass only when the same error
+    measured on the fine mesh differs from the row's by at most a third of
+    it, i.e. little mesh error survives in the modelled error.  Without
+    fine, mesh_est is 0 and both guards pass.
     """
     preds = [evaluate_expansion(lambdas, delta, order) for order in (0, 1, 2)]
     errs = [abs(lam - pred) for pred in preds]
     mesh_est, guards = 0.0, (True, True)
     if fine is not None:
-        lam_fine, fine_lambdas = fine
-        mesh_est = scale
+        lam_fine, fine_lambdas, mesh_est = fine
         fine_errs = [abs(lam_fine - evaluate_expansion(fine_lambdas, delta, k)) for k in (1, 2)]
         guards = [bool(err > 0 and abs(fine_err - err) <= err / 3.0)
                   for err, fine_err in zip(errs[1:], fine_errs)]
-    tol = SANDWICH_FACTOR * scale
-    return SweepRow(delta, lam, lam_eroded, *preds, *errs,
-                    sandwich_ok=bool(lambdas[0] - tol <= lam <= lam_eroded + tol),
+    return SweepRow(delta, lam, upper[0], *preds, *errs,
+                    sandwich_ok=in_corridor(lam, lower, upper),
                     mesh_guard_ok=guards[0], mesh_est=mesh_est, guard2_ok=guards[1])
 
 
@@ -247,8 +254,8 @@ def _sweep_disk(curve, deltas, g, n):
     coeffs = bessel.disk_asymptotic_coeffs(R)
     lambdas = (coeffs.lambda0, coeffs.lambda1, coeffs.lambda2)
     j01 = bessel.bessel_j_zero(0, 1)
-    scale = 1e-9 * coeffs.lambda0  # root-refinement scale
-    rows = [_sweep_row(delta, lam, (j01 / (R - delta)) ** 2, lambdas, scale)
+    est = 1e-9 * coeffs.lambda0  # root-refinement scale, at both ends
+    rows = [_sweep_row(delta, lam, lambdas, (lambdas[0], est), ((j01 / (R - delta)) ** 2, est))
             for delta, lam in zip(deltas, bessel.disk_first_tes(R, deltas, n))]
     return rows, lambdas
 
@@ -335,8 +342,8 @@ def solve_cells(curve, cells, processes, alongside=None):
 
 
 def _sweep_fem(curve, deltas, g, n, h_list):
-    if h_list is None or len(h_list) < 2:
-        raise ConfigError("finite element sweep needs at least two mesh sizes")
+    if h_list is None or len(h_list) != 2:
+        raise ConfigError("finite element sweep needs exactly two mesh sizes", field="mesh.h")
     cells = [(LayerConfig(delta, g, n), h) for delta in deltas for h in h_list]
     processes, reason = cell_processes(g, len(cells))
     # expansion coefficients per mesh size, then Richardson in h
@@ -344,19 +351,19 @@ def _sweep_fem(curve, deltas, g, n, h_list):
     solved, coeff_by_h = solve_cells(
         curve, cells, processes,
         alongside=lambda: [compute_coefficients(curve, coeff_layer, h) for h in h_list])
-    lambdas, est0 = extrapolate_coefficients(*coeff_by_h[-2:])
+    lambdas, est0 = extrapolate_coefficients(*coeff_by_h)
 
-    nh = len(h_list)
     rows = []
-    for k, delta in enumerate(deltas, start=1):
-        # cells of one thickness are consecutive, the two finest meshes last
-        (lam_c, _, ero_c, _, rings_c, _), (lam_f, _, ero_f, _, rings_f, _) = \
-            solved[k * nh - 2:k * nh]
+    # the coarse and the fine cell of each thickness are consecutive
+    for delta, (lam_c, _, ero_c, _, rings_c, _), (lam_f, _, ero_f, _, rings_f, _) in \
+            zip(deltas, solved[::2], solved[1::2]):
         lam_direct, est_direct = richardson(lam_c, lam_f, rings_f / rings_c)
         lam_eroded, est_eroded = richardson(ero_c, ero_f, rings_f / rings_c)
-        rows.append(_sweep_row(delta, lam_direct, lam_eroded, lambdas,
-                               max(est_direct, est_eroded, est0),
-                               fine=(lam_f, coeff_by_h[-1].lambdas)))
+        # the corridor ends carry their own estimates; mesh_est adds lam's
+        rows.append(_sweep_row(delta, lam_direct, lambdas, (lambdas[0], est0),
+                               (lam_eroded, est_eroded),
+                               fine=(lam_f, coeff_by_h[1].lambdas,
+                                     max(est_direct, est_eroded, est0))))
     fallbacks = fallback_cells(cells, solved)
     fallbacks += [(None, h, c.fallback) for h, c in zip(h_list, coeff_by_h) if c.fallback]
     return rows, lambdas, processes, reason, fallbacks
@@ -366,10 +373,11 @@ def run_sweep(curve, deltas, g, n, h_list=None, solver="auto"):
     """Sweep coating thicknesses and fit the convergence orders.
 
     solver 'bessel' uses the semi-analytic disk determinant (circle geometry
-    only), 'fem' the coupled pencil on every mesh size in h_list with
-    Richardson extrapolation, 'auto' picks by geometry.  The finite element
-    cells run on as many processes as `cell_processes` derives.  Rows take
-    the fixed SANDWICH_FACTOR and `corridor` slack.
+    only), 'fem' the coupled pencil on the two mesh sizes of h_list with
+    Richardson extrapolation (any other count raises ConfigError), 'auto'
+    picks by geometry.  The finite element cells run on as many processes as
+    `cell_processes` derives.  Each row's sandwich flag is `in_corridor`'s,
+    each end with its own error estimate.
     """
     deltas = [float(d) for d in deltas]
     if solver == "auto":

@@ -11,7 +11,8 @@ pencil eigenvalue there and the one nearest the corridor midpoint sigma
 (dense QZ on Circle(1) and Ellipse(1.3, 1) pencils at h = 0.15 for
 delta from 0.01 to 0.2 and n from 0.05 to 0.95: the next eigenvalue, real or
 complex, is 8 to 212 times as far from sigma), so shift-invert Arnoldi on
-(A - sigma*B)^-1 B asks for that one pair, from one LU at sigma.  Both
+(A - sigma*B)^-1 B asks for that one pair, from one LU at sigma, and a pair
+that is not real in the corridor raises NoRootFound.  Both
 corridor ends are Dirichlet eigenvalues on the one coated mesh: lambda0 from
 `fem.ground_state` and lambda_eroded from the block of the same K and M off
 the coating, each certified by `fem.lowest_pair`: one Lanczos pair when
@@ -114,10 +115,8 @@ class FirstTE:
     error ||(A - lam B)x||_1 / ((||A||_1 + lam ||B||_1) ||x||_1); fallback
     names, comma-separated, each fallback the solve took, else it is None:
     "ground two-pair" and "eroded two-pair" when the floor did not clear
-    lambda0 or lambda_eroded and two pairs were solved for it,
-    "widened-window" when the eigenvalue nearest the corridor midpoint lay
-    outside the corridor but in the widened window.  K and M are the
-    full-domain stiffness and mass on mesh."""
+    lambda0 or lambda_eroded and two pairs were solved for it.  K and M are
+    the full-domain stiffness and mass on mesh."""
 
     lam: float
     v: FemField
@@ -155,9 +154,8 @@ def first_te(curve, layer, h):
 
     The pencil is factored once, at the midpoint of the computable corridor
     [lo, hi] (`corridor`, its upper slack fixed), and `nearest_eig` returns
-    the one eigenvalue nearest it.  A real eigenvalue in [lo, hi] is the
-    answer; a real one in the widened window [lo, 4*lambda0] is returned
-    with fallback "widened-window"; anything else raises NoRootFound.  The
+    the one eigenvalue nearest it.  That eigenvalue is the answer when it
+    is real and in [lo, hi]; anything else raises NoRootFound.  The
     fallbacks of the two Dirichlet eigensolves are recorded (see `FirstTE`).
     The eigenpair is returned with v normalized to unit mass norm and
     sign-aligned with the Dirichlet ground mode.
@@ -171,17 +169,11 @@ def first_te(curve, layer, h):
     lo, hi = corridor(lam0, lam_eroded)
     lam, x = nearest_eig(pencil, 0.5 * (lo + hi))
     lam_te, x = lam.real, x.real
-    real = abs(lam.imag) <= 1e-8 * abs(lam)
-    if real and lo <= lam_te <= hi:
-        window = None
-    elif real and lo <= lam_te <= 4.0 * lam0:
-        window = "widened-window"
-    else:
+    if abs(lam.imag) > 1e-8 * abs(lam) or not lo <= lam_te <= hi:
         raise NoRootFound(f"the pencil eigenvalue nearest the corridor midpoint, {lam:.6g}, "
-                          "is real in neither the corridor nor the widened window")
-    taken = [f"ground {ground}"] if ground else []
-    taken += [f"eroded {eroded}"] if eroded else []
-    taken += [window] if window else []
+                          "is not real in the corridor")
+    taken = [f"{solve} {route}" for solve, route in (("ground", ground), ("eroded", eroded))
+             if route]
     A, B = pencil.A, pencil.B
     residual = float(np.abs(A @ x - lam_te * (B @ x)).sum()
                      / ((spnorm(A, 1) + lam_te * spnorm(B, 1)) * np.abs(x).sum()))

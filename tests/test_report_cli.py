@@ -278,6 +278,43 @@ def test_fem_sweep_worker_error_reaches_caller(monkeypatch):
     assert multiprocessing.active_children() == []
 
 
+# at h = [0.07, 0.05] three estimates of lambda_eroded's mesh error are
+# about 3e-3 of lambda, so a cell 1e-3 above lambda_eroded still passes there
+_CORRUPTED_CELLS = [pytest.param(h_list, end, eps,
+                                 id=f"h{h_list[0]:g},{h_list[1]:g}-{end}-{eps:g}")
+                    for h_list in ([0.07, 0.05], [0.04, 0.02])
+                    for end in ("above_lambda_eroded", "below_lambda0")
+                    for eps in (1e-3, 1e-2, 1e-1)
+                    if (h_list[0], end, eps) != (0.07, "above_lambda_eroded", 1e-3)]
+
+
+@pytest.mark.parametrize("h_list, end, eps", _CORRUPTED_CELLS)
+def test_fem_sweep_row_flags_a_corrupted_cell(monkeypatch, h_list, end, eps):
+    """A finest-mesh eigenvalue moved eps relative beyond a corridor end
+    fails the row's sandwich test: each end may miss by three estimates of
+    its own mesh error, which the moved eigenvalue does not feed."""
+    solve = report.first_te
+
+    def corrupted(curve, layer, h):
+        te = solve(curve, layer, h)
+        if h != h_list[1]:
+            return te
+        lam = (te.lambda_eroded * (1 + eps) if end == "above_lambda_eroded"
+               else te.lambda0 * (1 - eps))
+        return dataclasses.replace(te, lam=lam)
+
+    monkeypatch.setattr(report, "first_te", corrupted)
+    _force_cells(monkeypatch, pooled=False)
+    sweep = run_sweep(Circle(1.0), [0.02], 1.0, 0.48, h_list=h_list, solver="fem")
+    assert [row.sandwich_ok for row in sweep.rows] == [False]
+
+
+@pytest.mark.parametrize("h_list", [[0.1], [0.15, 0.12, 0.1]], ids=["one", "three"])
+def test_fem_sweep_takes_exactly_two_mesh_sizes(h_list):
+    with pytest.raises(ConfigError, match="exactly two mesh sizes"):
+        run_sweep(Circle(1.0), [0.02], 1.0, 0.48, h_list=h_list, solver="fem")
+
+
 @needs_fork
 @pytest.mark.parametrize("geometry", [{"kind": "circle", "radius": 1.0},
                                       {"kind": "ellipse", "a": 1.3, "b": 1.0}],
@@ -326,13 +363,15 @@ def test_cell_process_rule(monkeypatch, env, cores, g, expected):
 
 
 def test_fem_sweep_records_fallback_cells(monkeypatch, ellipse_sweep_report):
-    # a negative slack empties every corridor, so every cell falls back
-    monkeypatch.setattr(bessel, "_UPPER_SLACK", -0.5)
+    # a floor that clears nothing sends every Dirichlet solve down the
+    # two-pair route, so every cell and every coefficient mesh falls back
+    monkeypatch.setattr(fem, "second_eigenvalue_floor", lambda vertices: 0.0)
     sweep = run_sweep(Circle(1.0), [0.04, 0.02], 1.0, 0.48, h_list=[0.15, 0.1],
                       solver="fem")
-    assert sweep.fallbacks == [(delta, h, "widened-window")
-                               for delta in (0.04, 0.02) for h in (0.15, 0.1)]
-    assert "widened-window" not in sweep.to_csv() + sweep.fits_csv()
+    assert sweep.fallbacks == [(delta, h, "ground two-pair, eroded two-pair")
+                               for delta in (0.04, 0.02) for h in (0.15, 0.1)] \
+        + [(None, h, "two-pair") for h in (0.15, 0.1)]
+    assert "two-pair" not in sweep.to_csv() + sweep.fits_csv()
     assert ellipse_sweep_report[0].fallbacks == []
 
 
@@ -469,11 +508,14 @@ def test_cli_direct_task(tmp_path):
 def test_cli_prints_one_line_per_fallback_cell(monkeypatch, tmp_path, capsys, task):
     cfg = _write_config(tmp_path, mesh={"h": [0.15, 0.1]}, solver="fem",
                         layer={"delta0": [0.04, 0.02], "n": 0.48})
-    monkeypatch.setattr(bessel, "_UPPER_SLACK", -0.5)
+    monkeypatch.setattr(fem, "second_eigenvalue_floor", lambda vertices: 0.0)
     main([task, "--config", cfg, "--out", str(tmp_path)])
     lines = [ln for ln in capsys.readouterr().err.splitlines() if "fell back" in ln]
-    assert lines == [f"{task}: cell delta {delta:g} h {h:g} fell back: widened-window"
-                     for delta in (0.04, 0.02) for h in (0.15, 0.1)]
+    coefficients = [f"sweep: coefficients h {h:g} fell back: two-pair" for h in (0.15, 0.1)]
+    assert lines == [f"{task}: cell delta {delta:g} h {h:g} fell back: "
+                     "ground two-pair, eroded two-pair"
+                     for delta in (0.04, 0.02) for h in (0.15, 0.1)] \
+        + (coefficients if task == "sweep" else [])
 
 
 _TWO_PAIR_LINES = {
@@ -560,6 +602,42 @@ def test_cli_validate_flags_a_lambda_outside_the_corridor(tmp_path, monkeypatch,
     assert main(["validate", "--config", cfg, "--out", str(tmp_path)]) == 2
     rows = [line.split(",") for line in (tmp_path / "validate.csv").read_text().splitlines()]
     assert [row[3] for row in rows if row[0] == "sandwich"] == ["0"]
+
+
+def test_cli_validate_cross_validation_flags_a_corrupted_lambda(tmp_path, monkeypatch):
+    """A finest lambda 1 % high puts the extrapolated lambda 0.12 off the
+    oracle.  The check allows three estimates of lambda_eroded's mesh error
+    (0.018 here), which the corrupted lambda does not feed; its own
+    Richardson estimate would have allowed 0.17."""
+    def corrupted(curve, layer, h):
+        te = first_te(curve, layer, h)
+        return dataclasses.replace(te, lam=1.01 * te.lam) if h == 0.05 else te
+
+    monkeypatch.setattr(cli, "first_te", corrupted)
+    cfg = _write_config(tmp_path, mesh={"h": [0.07, 0.05]},
+                        layer={"delta0": [0.02], "n": 0.48})
+    assert main(["validate", "--config", cfg, "--out", str(tmp_path)]) == 2
+    rows = [line.split(",") for line in (tmp_path / "validate.csv").read_text().splitlines()]
+    assert [row[3] for row in rows if row[0] == "cross_validation"] == ["0"]
+
+
+@pytest.mark.parametrize("task", ["sweep", "validate"])
+def test_cli_two_mesh_tasks_reject_three_sizes(tmp_path, capsys, task):
+    cfg = _write_config(tmp_path, mesh={"h": [0.15, 0.12, 0.1]}, solver="fem",
+                        layer={"delta0": [0.02], "n": 0.48})
+    assert main([task, "--config", cfg, "--out", str(tmp_path)]) == 3
+    assert "exactly two mesh sizes" in capsys.readouterr().err
+    assert list(tmp_path.glob("*.csv")) == []
+
+
+@pytest.mark.parametrize("task, csv, rows", [("coeffs", "coefficients.csv", 4),
+                                             ("direct", "direct.csv", 3)])
+def test_cli_coeffs_and_direct_take_three_sizes(tmp_path, task, csv, rows):
+    # coeffs adds the extrapolated row of its two finest meshes
+    cfg = _write_config(tmp_path, mesh={"h": [0.15, 0.12, 0.1]},
+                        layer={"delta0": [0.02], "n": 0.48})
+    assert main([task, "--config", cfg, "--out", str(tmp_path)]) == 0
+    assert len((tmp_path / csv).read_text().splitlines()) == 1 + rows
 
 
 @pytest.mark.parametrize("geometry, references", [

@@ -206,20 +206,6 @@ def _count_pencil_work(monkeypatch):
     return counts
 
 
-def test_first_te_records_widened_window(monkeypatch):
-    # a negative slack empties the corridor, so the eigenvalue must come
-    # from the widened window and say so
-    layer = LayerConfig(0.04, 1.0, 0.48)
-    plain = first_te(Circle(1.0), layer, 0.15)
-    pencil = _count_pencil_work(monkeypatch)
-    monkeypatch.setattr(bessel, "_UPPER_SLACK", -0.5)
-    widened = first_te(Circle(1.0), layer, 0.15)
-    assert plain.fallback is None
-    assert widened.fallback == "widened-window"
-    assert abs(widened.lam - plain.lam) / plain.lam <= 1e-9
-    assert pencil["factorizations"] == 1
-
-
 def test_first_te_solve_counts(monkeypatch):
     """A cell of the ellipse sweep asks ARPACK for one pencil pair and one
     eroded pair, each in a Krylov space of at most 6 vectors."""
@@ -246,11 +232,8 @@ def test_first_te_records_the_two_pair_routes(monkeypatch):
     plain = first_te(Circle(1.0), layer, 0.15)
     monkeypatch.setattr(fem, "second_eigenvalue_floor", lambda vertices: 0.0)
     fallen = first_te(Circle(1.0), layer, 0.15)
-    monkeypatch.setattr(bessel, "_UPPER_SLACK", -0.5)
-    widened = first_te(Circle(1.0), layer, 0.15)
     assert plain.fallback is None
     assert fallen.fallback == "ground two-pair, eroded two-pair"
-    assert widened.fallback == "ground two-pair, eroded two-pair, widened-window"
     assert abs(fallen.lambda0 - plain.lambda0) <= 1e-14 * plain.lambda0
     assert abs(fallen.lambda_eroded - plain.lambda_eroded) <= 1e-14 * plain.lambda_eroded
     assert abs(fallen.lam - plain.lam) <= 1e-9 * plain.lam
@@ -258,14 +241,14 @@ def test_first_te_records_the_two_pair_routes(monkeypatch):
 
 @pytest.mark.parametrize("case, fallback", [
     ("as solved", None),
-    ("above the corridor", "widened-window"),
+    ("above the corridor", NoRootFound),
     ("above the window", NoRootFound),
     ("below the corridor", NoRootFound),
     ("complex", NoRootFound),
 ])
 def test_first_te_classifies_the_nearest_eigenvalue(monkeypatch, case, fallback):
     """first_te keeps the eigenvalue nearest the corridor midpoint only when
-    it is real and in the corridor or in the widened window up to 4 lambda0."""
+    it is real and in the corridor."""
     layer = LayerConfig(0.04, 1.0, 0.48)
     lam0 = first_te(Circle(1.0), layer, 0.15).lambda0
     real_nearest = transmission.nearest_eig
@@ -446,11 +429,13 @@ def test_eigenfunction_error_rate():
 
 
 def test_eigenfunction_error_rate_reports_fallbacks(monkeypatch):
-    monkeypatch.setattr(bessel, "_UPPER_SLACK", -0.5)
+    # a floor that clears nothing sends both Dirichlet solves of every cell
+    # down the two-pair route
+    monkeypatch.setattr(fem, "second_eigenvalue_floor", lambda vertices: 0.0)
     _, errors, fallbacks, _ = eigenfunction_error_rate(
         Circle(1.0), [0.04, 0.02, 0.01], 0.15, 0.48)
     assert len(errors) == 3
-    assert fallbacks == ["widened-window"] * 3
+    assert fallbacks == ["ground two-pair, eroded two-pair"] * 3
 
 
 def test_eigenfunction_error_rate_assembles_only_in_first_te(monkeypatch):
