@@ -119,19 +119,19 @@ def compute_lambda1(mesh, flux0, layer):
     return boundary_quadrature(mesh, integrand)
 
 
-def compute_v1(mesh, K, M, lu, boundary_lu, lambda0, v0, flux0, lambda1, layer):
+def compute_v1(mesh, K, M, factor, boundary_lu, lambda0, v0, flux0, lambda1, layer):
     """Corrector field of the expansion: (v1, flux1, multiplier).
 
     Solves (Laplacian + lambda0) v1 = -lambda1 v0 with essential data
     -g * dv0/dnu on the boundary, v1 orthogonal to v0.  lambda1 is the
     quadrature value: it is the solvability condition of this system, and
-    the multiplier records the residual defect.  `lu` is the stiffness
-    factor of the eigensolve, `boundary_lu` the boundary mass factor of
-    flux0.
+    the multiplier records the residual defect.  `factor` is the
+    `fem.dirichlet_factor` of the eigensolve, `boundary_lu` the boundary
+    mass factor of flux0.
     """
     data = -np.asarray(layer.g_at(mesh.outer_s)) * flux0
     rhs = FemField(mesh, -lambda1 * v0.values)
-    v1, mu = solve_constrained_source(K, M, lambda0, rhs, data, v0, mesh.outer, lu)
+    v1, mu = solve_constrained_source(K, M, lambda0, rhs, data, v0, mesh.outer, factor)
     flux1 = boundary_flux(mesh, v1, lambda0, K, M, boundary_lu, rhs=rhs)
     return v1, flux1, mu
 
@@ -155,16 +155,16 @@ def compute_coefficients(curve, layer, h):
     uncoated mesh of the domain.
 
     Each step takes the values it needs and returns values; the record is
-    built once, complete.  One free stiffness factor serves the eigensolve
-    and the corrector solve, one boundary mass factor both fluxes; neither
-    is kept on the record.
+    built once, complete.  One shifted Dirichlet factor serves the
+    eigensolve and the corrector solve, one boundary mass factor both
+    fluxes; neither is kept on the record.
     """
     mesh = generate_mesh(curve, None, h)
-    lam0, v0, K, M, lu, fallback = ground_state(mesh)
+    lam0, v0, K, M, factor, fallback = ground_state(mesh)
     boundary_lu = boundary_mass_lu(mesh)
     flux0 = boundary_flux(mesh, v0, lam0, K, M, boundary_lu)
     lam1 = compute_lambda1(mesh, flux0, layer)
-    v1, flux1, mu = compute_v1(mesh, K, M, lu, boundary_lu, lam0, v0, flux0, lam1, layer)
+    v1, flux1, mu = compute_v1(mesh, K, M, factor, boundary_lu, lam0, v0, flux0, lam1, layer)
     lam2 = compute_lambda2(mesh, flux0, flux1, layer)
     return AsymptoticCoefficients(
         lambda0=lam0, lambda1=lam1, lambda2=lam2, v0=v0, v1=v1, flux0=flux0, flux1=flux1,

@@ -9,23 +9,30 @@ triplets are built one element-matrix entry at a time with int32 indices,
 so assembly needs no triangles x 3 x 3 scratch: it peaks at about 300 bytes
 per triangle beyond its input (24.8 MiB for the 87,846 triangles of an
 Ellipse(1.3, 1) at h = 0.01), the triplets and their unmerged CSR copy.  Both
-solvers on the free vertices take one SuperLU factor of the free stiffness
-block (`stiffness_lu`) as an argument, built once for both: the
-Dirichlet eigensolver is ARPACK shift-invert Lanczos at sigma = 0, and the
+solvers on the free vertices take one SuperLU factor of the shifted free
+block K - sigma M (`dirichlet_factor`) as an argument, built once for both:
+the Dirichlet eigensolver is ARPACK shift-invert Lanczos at sigma, and the
 constrained source solve is conjugate gradients on the M-orthogonal
 complement of the ground mode, preconditioned by that factor.
 `ground_state` makes that factor together with lambda0 and v0 of the whole
 domain, the quantities both the expansion and the direct solve start from.
 
-The ground state is one Lanczos pair, certified by a closed-form floor of
-the second eigenvalue instead of a second pair.  With exact stiffness and
-an exact mass rule, P1 eigenvalues are Rayleigh-Ritz values of the
-Dirichlet Laplacian on the polygon the triangles cover, so each lies above
-its continuous counterpart; and by domain monotonicity the polygon's
-second eigenvalue lies above that of any box or disk holding its vertices.
-A computed eigenvalue that stays clear below that floor is therefore the
+With exact stiffness and an exact mass rule, P1 eigenvalues are
+Rayleigh-Ritz values of the Dirichlet Laplacian on the polygon the
+triangles cover, so each lies above its continuous counterpart.  Two
+certified bounds follow.  By the Faber-Krahn inequality the first
+eigenvalue lies above that of the disk of the same area (`faber_krahn`),
+so sigma, that bound less a rounding margin, sits strictly below every
+discrete eigenvalue: the shifted block stays positive definite, and the
+nearer sigma sits below lambda1, the fewer solves Lanczos needs (it
+converges with the ratio (lambda1 - sigma)/(lambda2 - sigma)).  By domain
+monotonicity the second eigenvalue lies above that of any box or disk
+holding the vertices.  The ground state is therefore one Lanczos pair,
+certified by that closed-form floor of the second eigenvalue instead of a
+second pair: a computed eigenvalue that stays clear below the floor is the
 lowest discrete eigenvalue, and simple (`floor_clears`).  `lowest_pair`
-holds this route for both Max-Min corridor ends, lambda0 and lambda_eroded.
+holds this route for both Max-Min corridor ends, lambda0 and
+lambda_eroded.
 """
 
 import math
@@ -54,16 +61,21 @@ class FemField:
 # element matrix, and its edges in the order of the midpoint quadrature
 _PAIRS = [(i, j) for i in range(3) for j in range(3)]
 _EDGES = ((0, 1), (1, 2), (2, 0))
-# first positive zero of J1 (`bessel.bessel_j_zero(1, 1)`)
+# first positive zeros of J0 and J1 (`bessel.bessel_j_zero(0, 1)` and (1, 1))
+_J01 = 2.404825557695773
 _J11 = 3.8317059702075125
-# relative rounding margin of the floor test: ARPACK's eigenvalue and the
-# floor's own arithmetic are good to far better than this
+# relative rounding margin of the floor test and of the shift below the
+# Faber-Krahn bound: ARPACK's eigenvalue and the bounds' own arithmetic are
+# good to far better than this
 _FLOOR_MARGIN = 1e-9
 # the ground state's least relative gap, the relative residual every
 # Dirichlet eigenpair must meet, and ARPACK's restart limit
 _GAP = 1e-6
 _RESIDUAL_TOL = 1e-10
 _RESTARTS = 500
+# ARPACK's Krylov space for one pair: 3 vectors take the fewest factor
+# solves from the shift (5 on Circle(1), 7 on Ellipse(1.3, 1) at h = 0.075)
+_NCV_ONE = 3
 
 
 def assemble(mesh, kind, region=None, coefficient=None):
@@ -166,48 +178,85 @@ def _free(n, boundary):
     return np.flatnonzero(free)
 
 
-def stiffness_lu(K, boundary):
-    """SuperLU factor of the stiffness block on the vertices off `boundary`.
+def faber_krahn(area):
+    """pi j01^2 / area, the first Dirichlet eigenvalue of the disk of this
+    area: by the Faber-Krahn inequality no domain of this area has a lower
+    one, so neither has a P1 eigenvalue on triangles of this total area."""
+    return math.pi * _J01**2 / area
 
-    The block is symmetric positive definite, so the minimum-degree ordering
-    of its (symmetric) pattern fills in less than the default COLAMD.
+
+@dataclass(frozen=True)
+class DirichletFactor:
+    """SuperLU factor `lu` of the free block of K - sigma M, sigma the
+    Faber-Krahn bound of the triangles the free vertices span, less the
+    rounding margin (`dirichlet_factor`)."""
+
+    lu: object
+    sigma: float
+
+
+def dirichlet_factor(K, M, boundary, vertices, triangles):
+    """`DirichletFactor` of the free block of K - sigma M off `boundary`,
+    where no P1 Dirichlet eigenvalue on `triangles` (rows of indices into
+    `vertices`) lies below sigma = faber_krahn(their area) (1 - margin).
+
+    K and M must share one sparsity pattern, as `assemble` makes them, so
+    the shift acts on the values of the extracted blocks alone.  A sparse
+    K - sigma M, with its own temporaries, or corner arrays still alive
+    during extraction, left the resident heap about 6 MB larger through the
+    meshes of the benchmark's `expansion_fine` round.  The block is
+    symmetric positive definite, so the minimum-degree ordering of its
+    (symmetric) pattern fills in less than the default COLAMD.  Only its
+    CSC copy is alive while it is factored.
     """
+    # the corner arrays die before the blocks are extracted
+    area = float(_area(*_corners(vertices, triangles)).sum())
+    sigma = faber_krahn(area) * (1.0 - _FLOOR_MARGIN)
     free = _free(K.shape[0], boundary)
+    ix = np.ix_(free, free)
+    block, mass = K[ix], M[ix]
+    if not (np.array_equal(block.indptr, mass.indptr)
+            and np.array_equal(block.indices, mass.indices)):
+        raise ValueError("dirichlet_factor: K and M must share one sparsity pattern")
+    block.data -= sigma * mass.data
+    del mass
+    block = block.tocsc()
     try:
-        return splu(K[np.ix_(free, free)].tocsc(), permc_spec="MMD_AT_PLUS_A")
+        return DirichletFactor(splu(block, permc_spec="MMD_AT_PLUS_A"), sigma)
     except RuntimeError as exc:
-        raise SolveSingular(f"stiffness factorization failed: {exc}") from exc
+        raise SolveSingular(f"shifted factorization failed: {exc}") from exc
 
 
-def dirichlet_eigs(K, M, boundary, count, lu):
+def dirichlet_eigs(K, M, boundary, count, factor):
     """Smallest `count` eigenpairs of K u = lambda M u with zero essential
     data on `boundary`.
 
-    ARPACK shift-invert Lanczos at sigma = 0 on the free block, applying
-    K_ff^-1 through `lu`, the `stiffness_lu` factor off `boundary`, with at
-    most _RESTARTS = 500 restarts.  For count 1 it starts from the constant
-    vector, since the ground mode is one-signed, in a Krylov space of at
-    most 6 vectors (10 to 13 factor solves on the meshes of this package);
-    for more pairs from a fixed random vector in ARPACK's default space of
-    20 vectors (21 solves for two pairs).  A single pair is not known to be
-    the lowest one: `floor_clears` can prove it.  Every returned pair must
-    satisfy ||K u - lambda M u|| <= _RESIDUAL_TOL ||K u|| (1e-10), else
-    ConvergenceFailure is raised.  Eigenvalues are ascending; eigenvectors
-    are returned on the full vertex set (zeros on the boundary),
-    M-orthonormal; the first one is sign-normalized to be positive at its
-    free vertex of largest magnitude, so a one-signed ground mode is >= 0.
+    ARPACK shift-invert Lanczos at factor.sigma on the free block, applying
+    (K_ff - sigma M_ff)^-1 through `factor`, the `dirichlet_factor` off
+    `boundary`, with at most _RESTARTS = 500 restarts.  For count 1 it
+    starts from the constant vector, since the ground mode is one-signed,
+    in a Krylov space of at most _NCV_ONE = 3 vectors (5 to 7 factor solves
+    on the meshes of this package); for more pairs from a fixed random
+    vector in ARPACK's default space of 20 vectors.  A single pair is not
+    known to be the lowest one: `floor_clears` can prove it.  Every
+    returned pair must satisfy ||K u - lambda M u|| <= _RESIDUAL_TOL ||K u||
+    (1e-10), else ConvergenceFailure is raised.  Eigenvalues are ascending;
+    eigenvectors are returned on the full vertex set (zeros on the
+    boundary), M-orthonormal; the first one is sign-normalized to be
+    positive at its free vertex of largest magnitude, so a one-signed
+    ground mode is >= 0.
     """
     n = K.shape[0]
     free = _free(n, boundary)
     Kf = K[np.ix_(free, free)]
     Mf = M[np.ix_(free, free)]
     if count == 1:
-        start, ncv = np.ones(len(free)), min(6, len(free))
+        start, ncv = np.ones(len(free)), min(_NCV_ONE, len(free))
     else:
         start, ncv = np.random.default_rng(0).standard_normal(len(free)), None
     try:
-        lams, X = eigsh(Kf, k=count, M=Mf, sigma=0.0,
-                        OPinv=LinearOperator(Kf.shape, matvec=lu.solve, dtype=float),
+        lams, X = eigsh(Kf, k=count, M=Mf, sigma=factor.sigma,
+                        OPinv=LinearOperator(Kf.shape, matvec=factor.lu.solve, dtype=float),
                         v0=start, ncv=ncv, tol=1e-13, maxiter=_RESTARTS)
     except ArpackNoConvergence as exc:
         raise ConvergenceFailure(f"eigensolver: no convergence in {_RESTARTS} restarts") from exc
@@ -245,55 +294,58 @@ def second_eigenvalue_floor(vertices):
     return max(box, (_J11 / rho) ** 2)
 
 
-def floor_clears(lam, vertices, gap):
-    """Whether `second_eigenvalue_floor(vertices)` proves the P1 Dirichlet
-    eigenvalue lam, computed on triangles with these vertices, the lowest
-    one and simple, with a relative gap above `gap` to the next: floor -
-    lam > gap * lam, less a rounding margin.  False proves nothing; the
-    floor of a long or bent domain can lie below its first eigenvalue.
+def floor_clears(lam, floor, gap):
+    """Whether floor, the `second_eigenvalue_floor` of the vertices of some
+    triangles, proves the P1 Dirichlet eigenvalue lam computed on them the
+    lowest one and simple, with a relative gap above `gap` to the next:
+    floor - lam > gap * lam, less a rounding margin.  False proves nothing;
+    the floor of a long or bent domain can lie below its first eigenvalue.
     """
-    return second_eigenvalue_floor(vertices) * (1.0 - _FLOOR_MARGIN) - lam > gap * lam
+    return floor * (1.0 - _FLOOR_MARGIN) - lam > gap * lam
 
 
-def lowest_pair(K, M, boundary, vertices, gap, lu):
+def lowest_pair(K, M, boundary, vertices, gap, factor):
     """The lowest Dirichlet eigenpair of K u = lambda M u off `boundary`,
     certified, on triangles with these vertices.
 
     One Lanczos pair (`dirichlet_eigs`) serves when `floor_clears` it with
-    `gap`, and fallback is None.  Otherwise two pairs are solved, fallback
-    "two-pair", and NearDegenerate is raised when their gap is at most
-    gap * lambda.  Both solves use `lu`, the `stiffness_lu` factor off
-    `boundary`.  Returns (lambda, u, fallback), u on the full vertex set
-    with `dirichlet_eigs`'s norm and sign.
+    the `second_eigenvalue_floor` of `vertices` and `gap`, and fallback is
+    None.  Otherwise two pairs are solved, fallback "two-pair", and
+    NearDegenerate is raised when their gap is at most gap * lambda.  Every
+    eigenvalue lies above factor.sigma, so when the floor does not clear
+    sigma itself the one pair is not tried.  Both solves use `factor`, the
+    `dirichlet_factor` off `boundary`.  Returns (lambda, u, fallback), u on
+    the full vertex set with `dirichlet_eigs`'s norm and sign.
     """
-    lams, vecs = dirichlet_eigs(K, M, boundary, 1, lu)
-    fallback = None
-    if not floor_clears(lams[0], vertices, gap):
-        fallback = "two-pair"
-        lams, vecs = dirichlet_eigs(K, M, boundary, 2, lu)
-        if lams[1] - lams[0] <= gap * lams[0]:
-            raise NearDegenerate(f"leading eigenvalue not simple: gap {lams[1] - lams[0]:.3e}")
-    return float(lams[0]), vecs[:, 0], fallback
+    floor = second_eigenvalue_floor(vertices)
+    if floor_clears(factor.sigma, floor, gap):
+        lams, vecs = dirichlet_eigs(K, M, boundary, 1, factor)
+        if floor_clears(lams[0], floor, gap):
+            return float(lams[0]), vecs[:, 0], None
+    lams, vecs = dirichlet_eigs(K, M, boundary, 2, factor)
+    if lams[1] - lams[0] <= gap * lams[0]:
+        raise NearDegenerate(f"leading eigenvalue not simple: gap {lams[1] - lams[0]:.3e}")
+    return float(lams[0]), vecs[:, 0], "two-pair"
 
 
 def ground_state(mesh):
     """Leading Dirichlet eigenpair of the whole domain.
 
-    Returns (lambda0, v0, K, M, lu, fallback): the eigenvalue, its
+    Returns (lambda0, v0, K, M, factor, fallback): the eigenvalue, its
     eigenfunction as a FemField with unit mass norm and `dirichlet_eigs`'s
-    sign, the full-domain stiffness and mass, the free stiffness factor the
+    sign, the full-domain stiffness and mass, the `dirichlet_factor` the
     eigensolves used, and `lowest_pair`'s route at the relative gap _GAP
     (1e-6): the expansion assumes a simple leading eigenvalue, so a smaller
     gap raises NearDegenerate.
     """
     K = assemble(mesh, "stiffness")
     M = assemble(mesh, "mass")
-    lu = stiffness_lu(K, mesh.outer)
-    lam0, u, fallback = lowest_pair(K, M, mesh.outer, mesh.vertices, _GAP, lu)
-    return lam0, FemField(mesh, u / mass_norm(M, u)), K, M, lu, fallback
+    factor = dirichlet_factor(K, M, mesh.outer, mesh.vertices, mesh.triangles)
+    lam0, u, fallback = lowest_pair(K, M, mesh.outer, mesh.vertices, _GAP, factor)
+    return lam0, FemField(mesh, u / mass_norm(M, u)), K, M, factor, fallback
 
 
-def solve_constrained_source(K, M, lam0, rhs, dirichlet_values, v0, outer, lu):
+def solve_constrained_source(K, M, lam0, rhs, dirichlet_values, v0, outer, factor):
     """Solve (Laplacian + lam0) u = rhs with essential data on the outer
     boundary and u constrained M-orthogonal to v0.
 
@@ -306,10 +358,12 @@ def solve_constrained_source(K, M, lam0, rhs, dirichlet_values, v0, outer, lu):
 
     Since A v0 = 0, mu = v0^T b / v0^T q, and the rest is conjugate
     gradients on the complement {q^T x = 0}, where A is positive definite,
-    preconditioned by K_ff^-1 (`lu`, the `stiffness_lu` factor off
-    outer).  mu reports the solvability defect of the data (zero in exact
-    arithmetic when the compatibility condition holds).  Returns
-    (FemField, mu).
+    preconditioned by (K_ff - sigma M_ff)^-1 (`factor`, the
+    `dirichlet_factor` off outer): with lambda2 the second eigenvalue, the
+    preconditioned spectrum lies in [(lambda2 - lam0)/(lambda2 - sigma), 1),
+    which narrows as sigma nears lam0.  mu reports the solvability defect
+    of the data (zero in exact arithmetic when the compatibility condition
+    holds).  Returns (FemField, mu).
     """
     n = K.shape[0]
     rhs_vec, v0_vec = rhs.values, v0.values
@@ -333,7 +387,8 @@ def solve_constrained_source(K, M, lam0, rhs, dirichlet_values, v0, outer, lu):
 
     mu = float(vf @ b) / s
     Aff = A[np.ix_(free, free)]
-    precond = LinearOperator(Aff.shape, matvec=lambda r: project(lu.solve(project_t(r))), dtype=float)
+    precond = LinearOperator(Aff.shape, matvec=lambda r: project(factor.lu.solve(project_t(r))),
+                             dtype=float)
     x, info = cg(Aff, project_t(b - mu * qf), M=precond, rtol=1e-14, atol=0.0, maxiter=100)
     if info != 0:
         raise SolveSingular(f"projected CG did not converge (info {info})")

@@ -157,8 +157,10 @@ class SweepReport:
     many processes solved its cells, serial_reason why that was one (None
     when it was more), fallbacks the (delta, h, fallback) of each finite
     element cell whose `first_te` fell back and the (None, h, fallback) of
-    each mesh size whose expansion coefficients did; none of them is
-    written to the CSVs."""
+    each mesh size whose expansion coefficients did.  est0 is the Richardson
+    error estimate of lambda0 alone and max_residual the largest `first_te`
+    backward error over the finite element cells; both are None on the
+    semi-analytic leg.  None of these is written to the CSVs."""
 
     rows: list
     fits: dict
@@ -169,6 +171,8 @@ class SweepReport:
     processes: int = 1
     serial_reason: str = None
     fallbacks: list = field(default_factory=list)
+    est0: float = None
+    max_residual: float = None
 
     def sandwich_violations(self):
         return [r for r in self.rows if not r.sandwich_ok]
@@ -366,7 +370,8 @@ def _sweep_fem(curve, deltas, g, n, h_list):
                                      max(est_direct, est_eroded, est0))))
     fallbacks = fallback_cells(cells, solved)
     fallbacks += [(None, h, c.fallback) for h, c in zip(h_list, coeff_by_h) if c.fallback]
-    return rows, lambdas, processes, reason, fallbacks
+    max_residual = max(residual for _, _, _, residual, _, _ in solved)
+    return rows, lambdas, processes, reason, fallbacks, est0, max_residual
 
 
 def run_sweep(curve, deltas, g, n, h_list=None, solver="auto"):
@@ -385,8 +390,9 @@ def run_sweep(curve, deltas, g, n, h_list=None, solver="auto"):
     if solver == "bessel":
         rows, lambdas = _sweep_disk(curve, deltas, g, n)
         processes, reason, fallbacks = 1, "semi-analytic solver", []
+        est0 = max_residual = None
     elif solver == "fem":
-        rows, lambdas, processes, reason, fallbacks = _sweep_fem(
+        rows, lambdas, processes, reason, fallbacks, est0, max_residual = _sweep_fem(
             curve, deltas, g, n, h_list)
     else:
         raise ConfigError(f"unknown solver {solver!r}", field="solver")
@@ -400,7 +406,8 @@ def run_sweep(curve, deltas, g, n, h_list=None, solver="auto"):
     }
     return SweepReport(rows=rows, fits=fits, provenance=provenance,
                        lambda0=lambdas[0], lambda1=lambdas[1], lambda2=lambdas[2],
-                       processes=processes, serial_reason=reason, fallbacks=fallbacks)
+                       processes=processes, serial_reason=reason, fallbacks=fallbacks,
+                       est0=est0, max_residual=max_residual)
 
 
 # ---------------------------------------------------------------------------

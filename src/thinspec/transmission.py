@@ -15,8 +15,10 @@ complex, is 8 to 212 times as far from sigma), so shift-invert Arnoldi on
 that is not real in the corridor raises NoRootFound.  Both
 corridor ends are Dirichlet eigenvalues on the one coated mesh: lambda0 from
 `fem.ground_state` and lambda_eroded from the block of the same K and M off
-the coating, each certified by `fem.lowest_pair`: one Lanczos pair when
-`fem.floor_clears` proves it the lowest.
+the coating, each from a `fem.dirichlet_factor` shifted to the Faber-Krahn
+bound of its triangles (all of them, or the core's) and certified by
+`fem.lowest_pair`: one Lanczos pair when `fem.floor_clears` proves it the
+lowest.
 """
 
 import math
@@ -29,7 +31,8 @@ from scipy.sparse.linalg import norm as spnorm
 
 from .bessel import corridor
 from .errors import ConvergenceFailure, MissingLayer, NoRootFound
-from .fem import FemField, assemble, ground_state, h1_norm, lowest_pair, mass_norm, stiffness_lu
+from .fem import (FemField, assemble, dirichlet_factor, ground_state, h1_norm, lowest_pair,
+                  mass_norm)
 from .mesh import LAYER, generate_mesh
 
 
@@ -137,15 +140,17 @@ def eroded_dirichlet(mesh, K, M):
 
     Solved on the block of the coated mesh's full-domain K and M on the
     vertices no coating triangle touches: the Dirichlet problem of the core
-    triangles alone, with zero data on the interface.  The corridor needs
-    the lowest eigenvalue, not a gap, so `fem.lowest_pair` certifies it at
-    gap 0 on the core triangles' vertices.  Returns (lambda_eroded,
+    triangles alone, with zero data on the interface, factored at the
+    Faber-Krahn shift of the core triangles' area.  The corridor needs the
+    lowest eigenvalue, not a gap, so `fem.lowest_pair` certifies it at gap 0
+    on the core triangles' vertices.  Returns (lambda_eroded,
     fallback), fallback None or "two-pair" for the route.
     """
     coated = np.unique(mesh.triangles[mesh.region == LAYER])
-    core = np.unique(mesh.triangles[mesh.region != LAYER])
-    lu = stiffness_lu(K, coated)
-    lam, _, fallback = lowest_pair(K, M, coated, mesh.vertices[core], 0.0, lu)
+    core_triangles = mesh.triangles[mesh.region != LAYER]
+    factor = dirichlet_factor(K, M, coated, mesh.vertices, core_triangles)
+    core = np.unique(core_triangles)
+    lam, _, fallback = lowest_pair(K, M, coated, mesh.vertices[core], 0.0, factor)
     return lam, fallback
 
 
@@ -161,8 +166,8 @@ def first_te(curve, layer, h):
     sign-aligned with the Dirichlet ground mode.
     """
     mesh = generate_mesh(curve, layer, h)
-    lam0, v0, K, M, lu, ground = ground_state(mesh)
-    del lu  # the stiffness factor dies before the pencil LU
+    lam0, v0, K, M, factor, ground = ground_state(mesh)
+    del factor  # the Dirichlet factor dies before the pencil LU
     lam_eroded, eroded = eroded_dirichlet(mesh, K, M)
     pencil = assemble_pencil(mesh, layer.n, K, M)
 

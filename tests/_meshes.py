@@ -1,11 +1,14 @@
 """Inputs and references the tests share: a set of boundary curves, a
 structured unit square, the core of a coated mesh cut out as its own mesh,
-finite element assembly through triangles x 3 x 3 broadcasts, and a
-factor that counts its solves."""
+finite element assembly through triangles x 3 x 3 broadcasts, the
+Dirichlet factor of a whole mesh, and a factor that counts its solves."""
+
+import dataclasses
 
 import numpy as np
 from scipy import sparse
 
+from thinspec.fem import dirichlet_factor
 from thinspec.geometry import Circle, Ellipse, FourierCurve
 from thinspec.mesh import CORE, LAYER, TriMesh, _orient_ccw
 
@@ -115,3 +118,14 @@ class CountingFactor:
     def solve(self, rhs):
         self._counts["solves"] += 1
         return self._lu.solve(rhs)
+
+
+def counting_factor(factor, counts):
+    """`factor`, a `fem.DirichletFactor`, with its solves counted in
+    counts["solves"]."""
+    return dataclasses.replace(factor, lu=CountingFactor(factor.lu, counts))
+
+
+def domain_factor(mesh, K, M):
+    """`fem.dirichlet_factor` off the outer boundary, over every triangle."""
+    return dirichlet_factor(K, M, mesh.outer, mesh.vertices, mesh.triangles)

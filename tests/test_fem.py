@@ -16,18 +16,19 @@ from thinspec.fem import (
     boundary_mass_lu,
     boundary_mass_matrix,
     dirichlet_eigs,
+    dirichlet_factor,
     floor_clears,
     ground_state,
     mass_norm,
     second_eigenvalue_floor,
     solve_constrained_source,
-    stiffness_lu,
 )
 from thinspec.mesh import TriMesh
 from thinspec.geometry import Circle, Ellipse, LayerConfig
 from thinspec.mesh import generate_mesh
 
-from _meshes import CURVES, CountingFactor, broadcast_assemble, core_submesh, square_mesh
+from _meshes import (CURVES, broadcast_assemble, core_submesh, counting_factor, domain_factor,
+                     square_mesh)
 
 LAM0 = 5.783185962946785  # first Dirichlet eigenvalue of the unit disk
 FLUX0 = 1.3567775299013787  # j01/sqrt(pi)
@@ -38,7 +39,7 @@ def disk_h02():
     mesh = generate_mesh(Circle(1.0), None, 0.02)
     K = assemble(mesh, "stiffness")
     M = assemble(mesh, "mass")
-    lams, vecs = dirichlet_eigs(K, M, mesh.outer, 2, stiffness_lu(K, mesh.outer))
+    lams, vecs = dirichlet_eigs(K, M, mesh.outer, 2, domain_factor(mesh, K, M))
     v0 = vecs[:, 0] / mass_norm(M, vecs[:, 0])
     return mesh, K, M, lams, v0
 
@@ -148,7 +149,7 @@ def test_square_eigenvalue():
     mesh = square_mesh(50)  # h = 0.02
     K = assemble(mesh, "stiffness")
     M = assemble(mesh, "mass")
-    lams, _ = dirichlet_eigs(K, M, mesh.outer, 1, stiffness_lu(K, mesh.outer))
+    lams, _ = dirichlet_eigs(K, M, mesh.outer, 1, domain_factor(mesh, K, M))
     exact = 2.0 * math.pi**2
     assert abs(lams[0] - exact) / exact <= 0.005
     assert lams[0] >= exact  # conforming elements approximate from above
@@ -166,7 +167,7 @@ def test_eigen_convergence_order():
         mesh = generate_mesh(Circle(1.0), None, h)
         K = assemble(mesh, "stiffness")
         M = assemble(mesh, "mass")
-        lams, _ = dirichlet_eigs(K, M, mesh.outer, 1, stiffness_lu(K, mesh.outer))
+        lams, _ = dirichlet_eigs(K, M, mesh.outer, 1, domain_factor(mesh, K, M))
         assert lams[0] >= LAM0
         errs.append(lams[0] - LAM0)
     order = math.log(errs[0] / errs[1], 2.0), math.log(errs[1] / errs[2], 2.0)
@@ -175,7 +176,7 @@ def test_eigen_convergence_order():
 
 def test_eigenvectors_m_orthonormal(disk_h02):
     mesh, K, M, lams, _ = disk_h02
-    lams2, vecs = dirichlet_eigs(K, M, mesh.outer, 2, stiffness_lu(K, mesh.outer))
+    lams2, vecs = dirichlet_eigs(K, M, mesh.outer, 2, domain_factor(mesh, K, M))
     G = vecs.T @ (M.tocsr() @ vecs)
     assert np.max(np.abs(G - np.eye(2))) <= 1e-8
     free = np.setdiff1d(np.arange(mesh.n_vertices), mesh.outer)
@@ -193,7 +194,7 @@ def test_iteration_budget_enforced(monkeypatch):
     monkeypatch.setattr(fem, "_RESTARTS", 1)
     monkeypatch.setattr(fem, "_RESIDUAL_TOL", 1e-14)
     with pytest.raises(ConvergenceFailure):
-        dirichlet_eigs(K, M, mesh.outer, 2, stiffness_lu(K, mesh.outer))
+        dirichlet_eigs(K, M, mesh.outer, 2, domain_factor(mesh, K, M))
 
 
 def test_ground_mode_sign_rule(disk_h02):
@@ -225,7 +226,7 @@ def test_flux_superconvergence():
         mesh = generate_mesh(Circle(1.0), None, h)
         K = assemble(mesh, "stiffness")
         M = assemble(mesh, "mass")
-        lams, vecs = dirichlet_eigs(K, M, mesh.outer, 1, stiffness_lu(K, mesh.outer))
+        lams, vecs = dirichlet_eigs(K, M, mesh.outer, 1, domain_factor(mesh, K, M))
         v0 = vecs[:, 0] / mass_norm(M, vecs[:, 0])
         flux = boundary_flux(mesh, FemField(mesh, v0), lams[0], K, M, boundary_mass_lu(mesh))
         errs.append(abs(flux.mean() - FLUX0))
@@ -237,7 +238,7 @@ def test_constrained_solve_homogeneous(disk_h02):
     zero = FemField(mesh, np.zeros(mesh.n_vertices))
     sol, mu = solve_constrained_source(
         K, M, lams[0], zero, np.zeros(len(mesh.outer)), FemField(mesh, v0), mesh.outer,
-        stiffness_lu(K, mesh.outer)
+        domain_factor(mesh, K, M)
     )
     assert np.max(np.abs(sol.values)) <= 1e-12
     assert abs(mu) <= 1e-12
@@ -250,7 +251,7 @@ def test_constrained_solve_matches_radial_oracle(disk_h02, disk_oracle):
     lam1 = float(flux0 @ (mg @ flux0))  # discrete compatibility value
     rhs = FemField(mesh, -lam1 * v0)
     sol, mu = solve_constrained_source(K, M, lams[0], rhs, -flux0,
-                                       FemField(mesh, v0), mesh.outer, stiffness_lu(K, mesh.outer))
+                                       FemField(mesh, v0), mesh.outer, domain_factor(mesh, K, M))
     radii = np.linalg.norm(mesh.vertices, axis=1)
     exact = disk_oracle.v1(radii)
     scale = np.max(np.abs(exact))
@@ -270,7 +271,7 @@ def test_constrained_solve_galerkin_residual(disk_h02):
     lam1 = float(flux0 @ (mg @ flux0))
     rhs = FemField(mesh, -lam1 * v0)
     sol, mu = solve_constrained_source(K, M, lams[0], rhs, -flux0,
-                                       FemField(mesh, v0), mesh.outer, stiffness_lu(K, mesh.outer))
+                                       FemField(mesh, v0), mesh.outer, domain_factor(mesh, K, M))
     A = K.tocsr() - lams[0] * M.tocsr()
     resid = A @ sol.values + M.tocsr() @ rhs.values + mu * (M.tocsr() @ v0)
     free = np.setdiff1d(np.arange(mesh.n_vertices), mesh.outer)
@@ -287,7 +288,7 @@ def test_singular_augmented_system_detected(disk_h02):
     with pytest.raises(SolveSingular):
         sol, _ = solve_constrained_source(
             K, M, lams[0], rhs, np.zeros(len(mesh.outer)), zero_constraint, mesh.outer,
-            stiffness_lu(K, mesh.outer)
+            domain_factor(mesh, K, M)
         )
         # some LU implementations factor to garbage instead of raising; make
         # the check explicit
@@ -304,7 +305,7 @@ def test_dirichlet_eigs_matches_dense(count):
     ref_lams, ref_vecs = scipy.linalg.eigh(
         K[np.ix_(free, free)].toarray(), M[np.ix_(free, free)].toarray()
     )
-    lams, vecs = dirichlet_eigs(K, M, mesh.outer, count, stiffness_lu(K, mesh.outer))
+    lams, vecs = dirichlet_eigs(K, M, mesh.outer, count, domain_factor(mesh, K, M))
     assert np.max(np.abs(lams - ref_lams[:count]) / ref_lams[:count]) <= 1e-12
     assert np.all(vecs[mesh.outer] == 0.0)
     # the simple ground mode agrees up to the sign rule
@@ -340,7 +341,7 @@ def test_cg_corrector_matches_saddle_lu(disk_h02):
     lam1 = float(flux0 @ (mg @ flux0))
     rhs = -lam1 * v0
     sol, mu = solve_constrained_source(K, M, lams[0], FemField(mesh, rhs), -flux0,
-                                       FemField(mesh, v0), mesh.outer, stiffness_lu(K, mesh.outer))
+                                       FemField(mesh, v0), mesh.outer, domain_factor(mesh, K, M))
     ref, ref_mu = _saddle_lu_reference(K, M, lams[0], rhs, -flux0, v0, mesh.outer)
     assert np.max(np.abs(sol.values - ref)) <= 1e-12 * np.max(np.abs(ref))
     assert abs(mu - ref_mu) <= 1e-12 * np.linalg.norm(rhs)
@@ -373,20 +374,30 @@ def test_second_eigenvalue_floor_is_below_lambda2(case):
         problems.append(core_submesh(mesh)[0])
     for sub in problems:
         K, M = assemble(sub, "stiffness"), assemble(sub, "mass")
-        two, _ = dirichlet_eigs(K, M, sub.outer, 2, stiffness_lu(K, sub.outer))
-        one, _ = dirichlet_eigs(K, M, sub.outer, 1, stiffness_lu(K, sub.outer))
+        two, _ = dirichlet_eigs(K, M, sub.outer, 2, domain_factor(sub, K, M))
+        one, _ = dirichlet_eigs(K, M, sub.outer, 1, domain_factor(sub, K, M))
         assert second_eigenvalue_floor(sub.vertices) <= two[1]
-        assert floor_clears(one[0], sub.vertices, 1e-6)
+        assert floor_clears(one[0], second_eigenvalue_floor(sub.vertices), 1e-6)
         assert abs(one[0] - two[0]) <= 1e-14 * two[0]
 
 
-def test_ground_state_takes_at_most_14_factor_solves(monkeypatch):
+def test_ground_state_and_corrector_factor_solves(monkeypatch):
+    """On Ellipse(1.3, 1) at h = 0.075 the shifted factor takes at most 7
+    solves for the ground state and 6 for the expansion's corrector (13 and
+    10 with the stiffness factor alone, 21 for two pairs)."""
     counts = {"solves": 0}
-    monkeypatch.setattr(fem, "stiffness_lu",
-                        lambda K, boundary: CountingFactor(stiffness_lu(K, boundary), counts))
-    fallback = ground_state(generate_mesh(Ellipse(1.3, 1.0), None, 0.075))[5]
+    monkeypatch.setattr(fem, "dirichlet_factor",
+                        lambda *args: counting_factor(dirichlet_factor(*args), counts))
+    mesh = generate_mesh(Ellipse(1.3, 1.0), None, 0.075)
+    lam0, v0, K, M, factor, fallback = ground_state(mesh)
     assert fallback is None
-    assert 0 < counts["solves"] <= 14  # two pairs took 21
+    assert 0 < counts["solves"] <= 7
+    counts["solves"] = 0
+    flux0 = boundary_flux(mesh, v0, lam0, K, M, boundary_mass_lu(mesh))
+    lam1 = float(flux0 @ (boundary_mass_matrix(mesh) @ flux0))
+    solve_constrained_source(K, M, lam0, FemField(mesh, -lam1 * v0.values), -flux0, v0,
+                             mesh.outer, factor)
+    assert 0 < counts["solves"] <= 6
 
 
 def _rotated_strip(n, width):
@@ -400,11 +411,82 @@ def _rotated_strip(n, width):
                    inner=mesh.inner)
 
 
-def test_ground_state_falls_back_to_two_pairs_when_the_floor_fails():
+def test_ground_state_falls_back_to_two_pairs_when_the_floor_fails(monkeypatch):
+    """The floor (68.5) lies below the shift (90.8), so no eigenvalue can
+    clear it and the two pairs are solved at once: 21 factor solves, where
+    one pair and then two took 57 from an unshifted factor."""
     mesh = _rotated_strip(40, 0.2)
-    lam0, v0, K, M, _, fallback = ground_state(mesh)
-    assert second_eigenvalue_floor(mesh.vertices) < lam0
+    counts = {"solves": 0}
+    monkeypatch.setattr(fem, "dirichlet_factor",
+                        lambda *args: counting_factor(dirichlet_factor(*args), counts))
+    lam0, v0, K, M, factor, fallback = ground_state(mesh)
+    assert not floor_clears(factor.sigma, second_eigenvalue_floor(mesh.vertices), fem._GAP)
     assert fallback == "two-pair"
-    lams, vecs = dirichlet_eigs(K, M, mesh.outer, 2, stiffness_lu(K, mesh.outer))
+    assert 0 < counts["solves"] <= 21
+    lams, vecs = dirichlet_eigs(K, M, mesh.outer, 2, domain_factor(mesh, K, M))
     assert lam0 == float(lams[0])
     assert np.array_equal(v0.values, vecs[:, 0] / mass_norm(M, vecs[:, 0]))
+
+
+def _shift_cases():
+    """Dirichlet problems, each a mesh with its outer boundary, and the route
+    `lowest_pair` takes on it: bare meshes, the strip whose floor fails, and
+    the eroded core of a coated mesh."""
+    coated = generate_mesh(Ellipse(1.3, 1.0), LayerConfig(0.04, 1.0, 0.48), 0.15)
+    cases = {"circle": (generate_mesh(Circle(1.0), None, 0.1), None),
+             "ellipse": (generate_mesh(Ellipse(1.3, 1.0), None, 0.1), None),
+             "strip": (_rotated_strip(20, 0.2), "two-pair"),
+             "square": (square_mesh(12), None),
+             "eroded-core": (core_submesh(coated)[0], None)}
+    return [pytest.param(*case, id=name) for name, case in cases.items()]
+
+
+def _dense_free(mesh):
+    """Dense free blocks of K and M on mesh, with the free vertices."""
+    K, M = assemble(mesh, "stiffness"), assemble(mesh, "mass")
+    free = np.setdiff1d(np.arange(mesh.n_vertices), mesh.outer)
+    ix = np.ix_(free, free)
+    return K, M, K[ix].toarray(), M[ix].toarray(), free
+
+
+def test_faber_krahn_of_the_disk_area_is_j01_squared():
+    j01 = bessel.bessel_j_zero(0, 1)
+    assert fem.faber_krahn(math.pi) == pytest.approx(j01**2, rel=1e-15)
+    assert fem.faber_krahn(4.0 * math.pi) == pytest.approx(j01**2 / 4.0, rel=1e-15)
+
+
+@pytest.mark.parametrize("mesh, route", _shift_cases())
+def test_shift_lies_below_every_eigenvalue(mesh, route):
+    """faber_krahn of the triangles' area lies below the lowest discrete
+    eigenvalue, so the shifted free block is positive definite."""
+    K, M, Kf, Mf, _ = _dense_free(mesh)
+    lowest = scipy.linalg.eigh(Kf, Mf, eigvals_only=True)[0]
+    e1, e2 = (mesh.vertices[mesh.triangles[:, k]] - mesh.vertices[mesh.triangles[:, 0]]
+              for k in (1, 2))
+    area = 0.5 * float(np.sum(e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]))
+    assert fem.faber_krahn(area) < lowest
+    sigma = domain_factor(mesh, K, M).sigma
+    assert sigma == pytest.approx(fem.faber_krahn(area) * (1.0 - fem._FLOOR_MARGIN), rel=1e-14)
+    assert np.linalg.eigvalsh(Kf - sigma * Mf)[0] > 0.0
+
+
+def test_dirichlet_factor_shifts_a_copy_of_one_pattern():
+    mesh = square_mesh(6)
+    K, M = assemble(mesh, "stiffness"), assemble(mesh, "mass")
+    before = K.data.copy()
+    domain_factor(mesh, K, M)
+    assert np.array_equal(K.data, before)
+    with pytest.raises(ValueError, match="sparsity pattern"):
+        domain_factor(mesh, K, sparse.identity(mesh.n_vertices, format="csr"))
+
+
+@pytest.mark.parametrize("mesh, route", _shift_cases())
+def test_lowest_pair_matches_dense_reference(mesh, route):
+    K, M, Kf, Mf, free = _dense_free(mesh)
+    ref_lams, ref_vecs = scipy.linalg.eigh(Kf, Mf)
+    lam, u, fallback = fem.lowest_pair(K, M, mesh.outer, mesh.vertices, fem._GAP,
+                                       domain_factor(mesh, K, M))
+    assert fallback == route
+    assert abs(lam - ref_lams[0]) <= 1e-12 * ref_lams[0]
+    ground = ref_vecs[:, 0] * np.sign(ref_vecs[:, 0] @ u[free])
+    assert np.max(np.abs(u[free] - ground)) <= 1e-10 * np.max(np.abs(ground))

@@ -99,9 +99,10 @@ def test_fem_sweep_extrapolates_over_ring_spacing():
     te_coarse, te_fine = (first_te(curve, layer, h) for h in h_list)
     assert (coarse.mesh.n_rings, fine.mesh.n_rings) == (13, 20)
     assert (te_coarse.mesh.n_rings, te_fine.mesh.n_rings) == (13, 20)
-    assert sweep.lambda0 == richardson(coarse.lambda0, fine.lambda0, 20 / 13)[0]
+    assert (sweep.lambda0, sweep.est0) == richardson(coarse.lambda0, fine.lambda0, 20 / 13)
     assert sweep.lambda1 == richardson(coarse.lambda1, fine.lambda1, 20 / 13)[0]
     assert sweep.rows[0].lambda_direct == richardson(te_coarse.lam, te_fine.lam, 20 / 13)[0]
+    assert sweep.max_residual == max(te_coarse.residual, te_fine.residual)
 
 
 @pytest.mark.parametrize("fixture", ["disk_sweep_report", "ellipse_sweep_report"])
@@ -259,6 +260,12 @@ def test_fem_sweep_pooled_matches_serial(monkeypatch, curve):
         (1, "BLAS threads not pinned to 1")
     assert sweeps[True].to_csv() == sweeps[False].to_csv()
     assert sweeps[True].fits_csv() == sweeps[False].fits_csv()
+    # what the CSVs leave out crosses the process boundary too
+    for sweep in sweeps.values():
+        assert sweep.est0 > 0.0
+        assert 0.0 < sweep.max_residual <= 1e-12
+    assert (sweeps[True].est0, sweeps[True].max_residual) == \
+        (sweeps[False].est0, sweeps[False].max_residual)
 
 
 @needs_fork
@@ -376,6 +383,8 @@ def test_fem_sweep_records_fallback_cells(monkeypatch, ellipse_sweep_report):
 
 
 def test_sweep_records_why_it_ran_serially(monkeypatch, disk_sweep_report):
+    # the semi-analytic leg has no Richardson lambda0 and no pencil residual
+    assert (disk_sweep_report.est0, disk_sweep_report.max_residual) == (None, None)
     assert (disk_sweep_report.processes, disk_sweep_report.serial_reason) == \
         (1, "semi-analytic solver")
     _force_cells(monkeypatch, pooled=True)

@@ -7,7 +7,7 @@ import scipy.sparse as sp
 
 from thinspec import bessel, fem, transmission
 from thinspec.errors import InsufficientData, MissingLayer, NoRootFound
-from thinspec.fem import assemble, dirichlet_eigs, ground_state, h1_norm, stiffness_lu
+from thinspec.fem import assemble, dirichlet_eigs, ground_state, h1_norm
 from thinspec.geometry import Circle, Ellipse, LayerConfig
 from thinspec.mesh import LAYER, generate_mesh
 from thinspec.report import fit_order, richardson
@@ -22,7 +22,7 @@ from thinspec.transmission import (
     rayleigh_identity_residual,
 )
 
-from _meshes import CountingFactor, core_submesh
+from _meshes import CountingFactor, core_submesh, counting_factor, domain_factor
 
 LAM0 = 5.783185962946785
 
@@ -207,14 +207,15 @@ def _count_pencil_work(monkeypatch):
 
 
 def test_first_te_solve_counts(monkeypatch):
-    """A cell of the ellipse sweep asks ARPACK for one pencil pair and one
-    eroded pair, each in a Krylov space of at most 6 vectors."""
+    """A cell of the ellipse sweep asks ARPACK for one pencil pair in a
+    Krylov space of at most 6 vectors and one eroded pair from the shifted
+    Dirichlet factor (13 solves from the stiffness factor alone)."""
     pencil = _count_pencil_work(monkeypatch)
     eroded = {"solves": 0}
     real_lowest_pair = transmission.lowest_pair
 
-    def counting_pair(K, M, boundary, vertices, gap, lu):
-        return real_lowest_pair(K, M, boundary, vertices, gap, CountingFactor(lu, eroded))
+    def counting_pair(K, M, boundary, vertices, gap, factor):
+        return real_lowest_pair(K, M, boundary, vertices, gap, counting_factor(factor, eroded))
 
     # transmission calls lowest_pair for the eroded solve alone
     monkeypatch.setattr(transmission, "lowest_pair", counting_pair)
@@ -222,7 +223,7 @@ def test_first_te_solve_counts(monkeypatch):
     assert te.fallback is None
     assert pencil["factorizations"] == 1
     assert 0 < pencil["solves"] <= 10
-    assert 0 < eroded["solves"] <= 15
+    assert 0 < eroded["solves"] <= 7
 
 
 def test_first_te_records_the_two_pair_routes(monkeypatch):
@@ -334,7 +335,8 @@ def test_eroded_dirichlet_is_the_core_submesh_eigenvalue(curve):
     mesh = generate_mesh(curve, layer, 0.1)
     sub, _ = core_submesh(mesh)
     K = assemble(sub, "stiffness")
-    lams, _ = dirichlet_eigs(K, assemble(sub, "mass"), sub.outer, 1, stiffness_lu(K, sub.outer))
+    M = assemble(sub, "mass")
+    lams, _ = dirichlet_eigs(K, M, sub.outer, 1, domain_factor(sub, K, M))
     assert eroded_dirichlet(mesh, *_full_km(mesh)) == (float(lams[0]), None)
 
 
@@ -407,7 +409,7 @@ def test_rayleigh_dirichlet_trial_is_upper_bound(disk_te):
     sub, remap = core_submesh(mesh)
     K = assemble(sub, "stiffness")
     M = assemble(sub, "mass")
-    lams, vecs = dirichlet_eigs(K, M, sub.outer, 1, stiffness_lu(K, sub.outer))
+    lams, vecs = dirichlet_eigs(K, M, sub.outer, 1, domain_factor(sub, K, M))
     v_ext = np.zeros(mesh.n_vertices)
     keep = remap >= 0
     v_ext[keep] = vecs[remap[keep], 0]
