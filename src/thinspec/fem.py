@@ -13,9 +13,11 @@ solvers on the free vertices take one SuperLU factor of the shifted free
 block K - sigma M (`dirichlet_factor`) as an argument, built once for both:
 the Dirichlet eigensolver is ARPACK shift-invert Lanczos at sigma, and the
 constrained source solve is conjugate gradients on the M-orthogonal
-complement of the ground mode, preconditioned by that factor.
-`ground_state` makes that factor together with lambda0 and v0 of the whole
-domain, the quantities both the expansion and the direct solve start from.
+complement of the ground mode, preconditioned by that factor.  The factor
+alone holds the free set and the free block's pattern, so no solver
+indexes a sparse matrix.  `ground_state` makes that factor together with
+lambda0 and v0 of the whole domain, the quantities both the expansion and
+the direct solve start from.
 
 With exact stiffness and an exact mass rule, P1 eigenvalues are
 Rayleigh-Ritz values of the Dirichlet Laplacian on the polygon the
@@ -76,6 +78,8 @@ _RESTARTS = 500
 # ARPACK's Krylov space for one pair: 3 vectors take the fewest factor
 # solves from the shift (5 on Circle(1), 7 on Ellipse(1.3, 1) at h = 0.075)
 _NCV_ONE = 3
+# SuperLU's supernode relaxation and panel size, scanned in `dirichlet_factor`
+_RELAX, _PANEL = 2, 3
 
 
 def assemble(mesh, kind, region=None, coefficient=None):
@@ -173,9 +177,10 @@ def h1_norm(K, M, u):
 
 
 def _free(n, boundary):
+    """Mask of the n vertices off `boundary`."""
     free = np.ones(n, dtype=bool)
     free[np.asarray(boundary, dtype=np.int64)] = False
-    return np.flatnonzero(free)
+    return free
 
 
 def faber_krahn(area):
@@ -189,10 +194,21 @@ def faber_krahn(area):
 class DirichletFactor:
     """SuperLU factor `lu` of the free block of K - sigma M, sigma the
     Faber-Krahn bound of the triangles the free vertices span, less the
-    rounding margin (`dirichlet_factor`)."""
+    rounding margin (`dirichlet_factor`), with the free vertices `free`,
+    the CSR pattern (`indptr`, `indices`, int32) of the free block of K and
+    M, and `pos` (int32), the positions of its entries in K.data."""
 
     lu: object
     sigma: float
+    free: np.ndarray
+    indptr: np.ndarray
+    indices: np.ndarray
+    pos: np.ndarray
+
+    def block(self, data):
+        """Free block, as CSR, of the matrix with K's pattern and values data."""
+        n = len(self.free)
+        return sparse.csr_matrix((data[self.pos], self.indices, self.indptr), shape=(n, n))
 
 
 def dirichlet_factor(K, M, boundary, vertices, triangles):
@@ -200,56 +216,68 @@ def dirichlet_factor(K, M, boundary, vertices, triangles):
     where no P1 Dirichlet eigenvalue on `triangles` (rows of indices into
     `vertices`) lies below sigma = faber_krahn(their area) (1 - margin).
 
-    K and M must share one sparsity pattern, as `assemble` makes them, so
-    the shift acts on the values of the extracted blocks alone.  A sparse
-    K - sigma M, with its own temporaries, or corner arrays still alive
-    during extraction, left the resident heap about 6 MB larger through the
-    meshes of the benchmark's `expansion_fine` round.  The block is
-    symmetric positive definite, so the minimum-degree ordering of its
-    (symmetric) pattern fills in less than the default COLAMD.  Only its
-    CSC copy is alive while it is factored.
+    K and M must be CSR with one sparsity pattern, as `assemble` makes
+    them, so the free block's pattern is found once, on K, and the block
+    is K.data[pos] - sigma M.data[pos]; a sparse K - sigma M, or corner
+    arrays alive during extraction, left the heap of the benchmark's
+    `expansion_fine` round about 6 MB larger.  The block is symmetric bit
+    for bit, so its CSR arrays read as CSC are the same matrix: SuperLU
+    gets them without a `tocsc` copy.  It is positive definite, so the
+    minimum-degree ordering of its pattern fills in less than COLAMD.
+    SuperLU's supernode relaxation _RELAX and panel size _PANEL, below its
+    defaults 10 and 20, change only the blocking of one elimination, not
+    perm_c or nnz(L + U) (2,698,330 on Circle(1), 3,763,996 on
+    Ellipse(1.3, 1) at h = 0.01).  Factor ms, median of 11 shuffled runs,
+    one BLAS thread, 2-core x86_64; "six" sums Circle(1) and Ellipse(1.3, 1)
+    at h = 0.04, 0.02, 0.01, the meshes of `expansion_fine`:
+
+        relax:panel     10:20   1:3   2:3   3:3   2:4   3:4   3:5
+        Circle 0.01     198.6 141.3 140.7 140.8 141.9 140.6 144.5
+        Ellipse 0.01    276.1 210.4 206.9 208.0 211.4 207.6 215.9
+        six             542.7 406.6 402.1 403.3 408.4 403.8 416.9
+        Ellipse 0.075    2.19  1.55  1.55  1.54  1.56  1.59  1.64
     """
-    # the corner arrays die before the blocks are extracted
+    # the corner arrays die before the pattern is gathered
     area = float(_area(*_corners(vertices, triangles)).sum())
     sigma = faber_krahn(area) * (1.0 - _FLOOR_MARGIN)
-    free = _free(K.shape[0], boundary)
-    ix = np.ix_(free, free)
-    block, mass = K[ix], M[ix]
-    if not (np.array_equal(block.indptr, mass.indptr)
-            and np.array_equal(block.indices, mass.indices)):
+    if not (np.array_equal(K.indptr, M.indptr) and np.array_equal(K.indices, M.indices)):
         raise ValueError("dirichlet_factor: K and M must share one sparsity pattern")
-    block.data -= sigma * mass.data
-    del mass
-    block = block.tocsc()
+    is_free = _free(K.shape[0], boundary)
+    free = np.flatnonzero(is_free)
+    pos = np.flatnonzero(np.repeat(is_free, np.diff(K.indptr)) & is_free[K.indices])
+    # kept entries before each free row's end
+    indptr = np.searchsorted(pos, K.indptr[np.r_[0, free + 1]]).astype(np.int32)
+    indices = (np.cumsum(is_free) - 1)[K.indices[pos]].astype(np.int32)
+    pos, n = pos.astype(np.int32), len(free)
+    block = sparse.csc_matrix((K.data[pos] - sigma * M.data[pos], indices, indptr), shape=(n, n))
     try:
-        return DirichletFactor(splu(block, permc_spec="MMD_AT_PLUS_A"), sigma)
+        lu = splu(block, permc_spec="MMD_AT_PLUS_A", relax=_RELAX, panel_size=_PANEL)
     except RuntimeError as exc:
         raise SolveSingular(f"shifted factorization failed: {exc}") from exc
+    return DirichletFactor(lu, sigma, free, indptr, indices, pos)
 
 
-def dirichlet_eigs(K, M, boundary, count, factor):
+def dirichlet_eigs(K, M, count, factor):
     """Smallest `count` eigenpairs of K u = lambda M u with zero essential
-    data on `boundary`.
+    data off factor.free.
 
     ARPACK shift-invert Lanczos at factor.sigma on the free block, applying
-    (K_ff - sigma M_ff)^-1 through `factor`, the `dirichlet_factor` off
-    `boundary`, with at most _RESTARTS = 500 restarts.  For count 1 it
-    starts from the constant vector, since the ground mode is one-signed,
-    in a Krylov space of at most _NCV_ONE = 3 vectors (5 to 7 factor solves
-    on the meshes of this package); for more pairs from a fixed random
-    vector in ARPACK's default space of 20 vectors.  A single pair is not
-    known to be the lowest one: `floor_clears` can prove it.  Every
-    returned pair must satisfy ||K u - lambda M u|| <= _RESIDUAL_TOL ||K u||
-    (1e-10), else ConvergenceFailure is raised.  Eigenvalues are ascending;
-    eigenvectors are returned on the full vertex set (zeros on the
-    boundary), M-orthonormal; the first one is sign-normalized to be
-    positive at its free vertex of largest magnitude, so a one-signed
-    ground mode is >= 0.
+    (K_ff - sigma M_ff)^-1 through `factor`, the `dirichlet_factor` of K
+    and M, which gathers K_ff and M_ff too, with at most _RESTARTS = 500
+    restarts.  For count 1 it starts from the constant vector, since the
+    ground mode is one-signed, in a Krylov space of at most _NCV_ONE = 3
+    vectors (5 to 7 factor solves on the meshes of this package); for more
+    pairs from a fixed random vector in ARPACK's default space of 20
+    vectors.  A single pair is not known to be the lowest one:
+    `floor_clears` can prove it.  Every returned pair must satisfy
+    ||K u - lambda M u|| <= _RESIDUAL_TOL ||K u|| (1e-10), else
+    ConvergenceFailure is raised.  Eigenvalues are ascending; eigenvectors
+    are returned on the full vertex set (zeros on the boundary),
+    M-orthonormal; the first one is sign-normalized to be positive at its
+    free vertex of largest magnitude, so a one-signed ground mode is >= 0.
     """
-    n = K.shape[0]
-    free = _free(n, boundary)
-    Kf = K[np.ix_(free, free)]
-    Mf = M[np.ix_(free, free)]
+    n, free = K.shape[0], factor.free
+    Kf, Mf = factor.block(K.data), factor.block(M.data)
     if count == 1:
         start, ncv = np.ones(len(free)), min(_NCV_ONE, len(free))
     else:
@@ -304,8 +332,8 @@ def floor_clears(lam, floor, gap):
     return floor * (1.0 - _FLOOR_MARGIN) - lam > gap * lam
 
 
-def lowest_pair(K, M, boundary, vertices, gap, factor):
-    """The lowest Dirichlet eigenpair of K u = lambda M u off `boundary`,
+def lowest_pair(K, M, vertices, gap, factor):
+    """The lowest Dirichlet eigenpair of K u = lambda M u on factor.free,
     certified, on triangles with these vertices.
 
     One Lanczos pair (`dirichlet_eigs`) serves when `floor_clears` it with
@@ -314,15 +342,15 @@ def lowest_pair(K, M, boundary, vertices, gap, factor):
     NearDegenerate is raised when their gap is at most gap * lambda.  Every
     eigenvalue lies above factor.sigma, so when the floor does not clear
     sigma itself the one pair is not tried.  Both solves use `factor`, the
-    `dirichlet_factor` off `boundary`.  Returns (lambda, u, fallback), u on
+    `dirichlet_factor` of K and M.  Returns (lambda, u, fallback), u on
     the full vertex set with `dirichlet_eigs`'s norm and sign.
     """
     floor = second_eigenvalue_floor(vertices)
     if floor_clears(factor.sigma, floor, gap):
-        lams, vecs = dirichlet_eigs(K, M, boundary, 1, factor)
+        lams, vecs = dirichlet_eigs(K, M, 1, factor)
         if floor_clears(lams[0], floor, gap):
             return float(lams[0]), vecs[:, 0], None
-    lams, vecs = dirichlet_eigs(K, M, boundary, 2, factor)
+    lams, vecs = dirichlet_eigs(K, M, 2, factor)
     if lams[1] - lams[0] <= gap * lams[0]:
         raise NearDegenerate(f"leading eigenvalue not simple: gap {lams[1] - lams[0]:.3e}")
     return float(lams[0]), vecs[:, 0], "two-pair"
@@ -341,7 +369,7 @@ def ground_state(mesh):
     K = assemble(mesh, "stiffness")
     M = assemble(mesh, "mass")
     factor = dirichlet_factor(K, M, mesh.outer, mesh.vertices, mesh.triangles)
-    lam0, u, fallback = lowest_pair(K, M, mesh.outer, mesh.vertices, _GAP, factor)
+    lam0, u, fallback = lowest_pair(K, M, mesh.vertices, _GAP, factor)
     return lam0, FemField(mesh, u / mass_norm(M, u)), K, M, factor, fallback
 
 
@@ -359,21 +387,25 @@ def solve_constrained_source(K, M, lam0, rhs, dirichlet_values, v0, outer, facto
     Since A v0 = 0, mu = v0^T b / v0^T q, and the rest is conjugate
     gradients on the complement {q^T x = 0}, where A is positive definite,
     preconditioned by (K_ff - sigma M_ff)^-1 (`factor`, the
-    `dirichlet_factor` off outer): with lambda2 the second eigenvalue, the
+    `dirichlet_factor` of K and M off outer; ValueError when `outer` does
+    not complement factor.free): with lambda2 the second eigenvalue, the
     preconditioned spectrum lies in [(lambda2 - lam0)/(lambda2 - sigma), 1),
     which narrows as sigma nears lam0.  mu reports the solvability defect
     of the data (zero in exact arithmetic when the compatibility condition
-    holds).  Returns (FemField, mu).
+    holds).  No K - lam0 M is built: the factor gathers A_ff from K.data -
+    lam0 M.data, and the lifted data is (K lift - lam0 M lift)[free].
+    Returns (FemField, mu).
     """
-    n = K.shape[0]
+    n, free = K.shape[0], factor.free
+    if not np.array_equal(np.flatnonzero(_free(n, outer)), free):
+        raise ValueError("solve_constrained_source: outer must complement factor.free")
     rhs_vec, v0_vec = rhs.values, v0.values
-    outer = np.asarray(outer, dtype=np.int64)
     data = np.asarray(dirichlet_values, dtype=float)
-    free = _free(n, outer)
+    u = np.zeros(n)  # the lift of the data; the free values are set last
+    u[outer] = data
 
-    A = (K - lam0 * M).tocsr()
     q = M @ v0_vec
-    b = -(M @ rhs_vec)[free] - A[np.ix_(free, outer)] @ data
+    b = -(M @ rhs_vec)[free] - (K @ u - lam0 * (M @ u))[free]
     vf, qf = v0_vec[free], q[free]
     s = float(vf @ qf)
     if not s > 0.0:
@@ -386,14 +418,12 @@ def solve_constrained_source(K, M, lam0, rhs, dirichlet_values, v0, outer, facto
         return r - qf * (vf @ r) / s
 
     mu = float(vf @ b) / s
-    Aff = A[np.ix_(free, free)]
+    Aff = factor.block(K.data - lam0 * M.data)
     precond = LinearOperator(Aff.shape, matvec=lambda r: project(factor.lu.solve(project_t(r))),
                              dtype=float)
     x, info = cg(Aff, project_t(b - mu * qf), M=precond, rtol=1e-14, atol=0.0, maxiter=100)
     if info != 0:
         raise SolveSingular(f"projected CG did not converge (info {info})")
-    u = np.zeros(n)
-    u[outer] = data
     u[free] = project(x) - vf * float(q[outer] @ data) / s
     if not np.all(np.isfinite(u)):
         raise SolveSingular("constrained solve produced non-finite values")

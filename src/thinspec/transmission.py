@@ -150,7 +150,7 @@ def eroded_dirichlet(mesh, K, M):
     core_triangles = mesh.triangles[mesh.region != LAYER]
     factor = dirichlet_factor(K, M, coated, mesh.vertices, core_triangles)
     core = np.unique(core_triangles)
-    lam, _, fallback = lowest_pair(K, M, coated, mesh.vertices[core], 0.0, factor)
+    lam, _, fallback = lowest_pair(K, M, mesh.vertices[core], 0.0, factor)
     return lam, fallback
 
 

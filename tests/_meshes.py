@@ -1,7 +1,8 @@
 """Inputs and references the tests share: a set of boundary curves, a
 structured unit square, the core of a coated mesh cut out as its own mesh,
 finite element assembly through triangles x 3 x 3 broadcasts, the
-Dirichlet factor of a whole mesh, and a factor that counts its solves."""
+Dirichlet factor of a whole mesh, a factor that counts its solves, and a
+record of the factorizations each module asks SuperLU for."""
 
 import dataclasses
 
@@ -129,3 +130,15 @@ def counting_factor(factor, counts):
 def domain_factor(mesh, K, M):
     """`fem.dirichlet_factor` off the outer boundary, over every triangle."""
     return dirichlet_factor(K, M, mesh.outer, mesh.vertices, mesh.triangles)
+
+
+def recording_splu(monkeypatch, *modules):
+    """Replace `splu` in each module with one that records (module name,
+    matrix, keyword arguments) of every call in the returned list."""
+    calls = []
+    for mod in modules:
+        def recording(a, _real=mod.splu, _name=mod.__name__.rsplit(".", 1)[-1], **kwargs):
+            calls.append((_name, a, kwargs))
+            return _real(a, **kwargs)
+        monkeypatch.setattr(mod, "splu", recording)
+    return calls

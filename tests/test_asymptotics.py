@@ -19,7 +19,7 @@ from thinspec.fem import ground_state, mass_norm
 from thinspec.geometry import Circle, Ellipse, LayerConfig
 from thinspec.mesh import TriMesh, generate_mesh
 
-from _meshes import square_mesh
+from _meshes import recording_splu, square_mesh
 
 LAM0 = 5.783185962946785
 
@@ -256,6 +256,20 @@ def test_one_stiffness_factor_per_pipeline(monkeypatch):
     gc.collect()
     assert [s for s in shapes if s[0] >= n_free] == [(n_free, n_free)]
     assert coeffs.v1 is not None and all(ref() is None for ref in refs)
+
+
+def test_coefficients_factor_routes(monkeypatch):
+    """compute_coefficients factors two matrices: the free block, with the
+    Dirichlet supernode sizes, and the boundary mass, with SuperLU's
+    defaults."""
+    calls = recording_splu(monkeypatch, fem)
+    mesh = generate_mesh(Circle(1.0), None, 0.1)
+    compute_coefficients(Circle(1.0), LayerConfig(0.01, 1.0, 0.48), 0.1)
+    n_free, nb = mesh.n_vertices - len(mesh.outer), len(mesh.outer)
+    assert [(name, a.shape, kwargs) for name, a, kwargs in calls] == [
+        ("fem", (n_free, n_free),
+         {"permc_spec": "MMD_AT_PLUS_A", "relax": fem._RELAX, "panel_size": fem._PANEL}),
+        ("fem", (nb, nb), {})]
 
 
 def test_one_boundary_mass_factor_per_pipeline(monkeypatch):

@@ -8,6 +8,7 @@ from scipy import sparse
 from scipy.sparse.linalg import splu
 
 from thinspec import bessel, fem
+from thinspec.asymptotics import compute_coefficients
 from thinspec.errors import SolveSingular
 from thinspec.fem import (
     FemField,
@@ -26,9 +27,10 @@ from thinspec.fem import (
 from thinspec.mesh import TriMesh
 from thinspec.geometry import Circle, Ellipse, LayerConfig
 from thinspec.mesh import generate_mesh
+from thinspec.transmission import eroded_dirichlet
 
 from _meshes import (CURVES, broadcast_assemble, core_submesh, counting_factor, domain_factor,
-                     square_mesh)
+                     recording_splu, square_mesh)
 
 LAM0 = 5.783185962946785  # first Dirichlet eigenvalue of the unit disk
 FLUX0 = 1.3567775299013787  # j01/sqrt(pi)
@@ -39,7 +41,7 @@ def disk_h02():
     mesh = generate_mesh(Circle(1.0), None, 0.02)
     K = assemble(mesh, "stiffness")
     M = assemble(mesh, "mass")
-    lams, vecs = dirichlet_eigs(K, M, mesh.outer, 2, domain_factor(mesh, K, M))
+    lams, vecs = dirichlet_eigs(K, M, 2, domain_factor(mesh, K, M))
     v0 = vecs[:, 0] / mass_norm(M, vecs[:, 0])
     return mesh, K, M, lams, v0
 
@@ -149,7 +151,7 @@ def test_square_eigenvalue():
     mesh = square_mesh(50)  # h = 0.02
     K = assemble(mesh, "stiffness")
     M = assemble(mesh, "mass")
-    lams, _ = dirichlet_eigs(K, M, mesh.outer, 1, domain_factor(mesh, K, M))
+    lams, _ = dirichlet_eigs(K, M, 1, domain_factor(mesh, K, M))
     exact = 2.0 * math.pi**2
     assert abs(lams[0] - exact) / exact <= 0.005
     assert lams[0] >= exact  # conforming elements approximate from above
@@ -167,7 +169,7 @@ def test_eigen_convergence_order():
         mesh = generate_mesh(Circle(1.0), None, h)
         K = assemble(mesh, "stiffness")
         M = assemble(mesh, "mass")
-        lams, _ = dirichlet_eigs(K, M, mesh.outer, 1, domain_factor(mesh, K, M))
+        lams, _ = dirichlet_eigs(K, M, 1, domain_factor(mesh, K, M))
         assert lams[0] >= LAM0
         errs.append(lams[0] - LAM0)
     order = math.log(errs[0] / errs[1], 2.0), math.log(errs[1] / errs[2], 2.0)
@@ -176,7 +178,7 @@ def test_eigen_convergence_order():
 
 def test_eigenvectors_m_orthonormal(disk_h02):
     mesh, K, M, lams, _ = disk_h02
-    lams2, vecs = dirichlet_eigs(K, M, mesh.outer, 2, domain_factor(mesh, K, M))
+    lams2, vecs = dirichlet_eigs(K, M, 2, domain_factor(mesh, K, M))
     G = vecs.T @ (M.tocsr() @ vecs)
     assert np.max(np.abs(G - np.eye(2))) <= 1e-8
     free = np.setdiff1d(np.arange(mesh.n_vertices), mesh.outer)
@@ -194,7 +196,7 @@ def test_iteration_budget_enforced(monkeypatch):
     monkeypatch.setattr(fem, "_RESTARTS", 1)
     monkeypatch.setattr(fem, "_RESIDUAL_TOL", 1e-14)
     with pytest.raises(ConvergenceFailure):
-        dirichlet_eigs(K, M, mesh.outer, 2, domain_factor(mesh, K, M))
+        dirichlet_eigs(K, M, 2, domain_factor(mesh, K, M))
 
 
 def test_ground_mode_sign_rule(disk_h02):
@@ -226,7 +228,7 @@ def test_flux_superconvergence():
         mesh = generate_mesh(Circle(1.0), None, h)
         K = assemble(mesh, "stiffness")
         M = assemble(mesh, "mass")
-        lams, vecs = dirichlet_eigs(K, M, mesh.outer, 1, domain_factor(mesh, K, M))
+        lams, vecs = dirichlet_eigs(K, M, 1, domain_factor(mesh, K, M))
         v0 = vecs[:, 0] / mass_norm(M, vecs[:, 0])
         flux = boundary_flux(mesh, FemField(mesh, v0), lams[0], K, M, boundary_mass_lu(mesh))
         errs.append(abs(flux.mean() - FLUX0))
@@ -305,7 +307,7 @@ def test_dirichlet_eigs_matches_dense(count):
     ref_lams, ref_vecs = scipy.linalg.eigh(
         K[np.ix_(free, free)].toarray(), M[np.ix_(free, free)].toarray()
     )
-    lams, vecs = dirichlet_eigs(K, M, mesh.outer, count, domain_factor(mesh, K, M))
+    lams, vecs = dirichlet_eigs(K, M, count, domain_factor(mesh, K, M))
     assert np.max(np.abs(lams - ref_lams[:count]) / ref_lams[:count]) <= 1e-12
     assert np.all(vecs[mesh.outer] == 0.0)
     # the simple ground mode agrees up to the sign rule
@@ -374,8 +376,8 @@ def test_second_eigenvalue_floor_is_below_lambda2(case):
         problems.append(core_submesh(mesh)[0])
     for sub in problems:
         K, M = assemble(sub, "stiffness"), assemble(sub, "mass")
-        two, _ = dirichlet_eigs(K, M, sub.outer, 2, domain_factor(sub, K, M))
-        one, _ = dirichlet_eigs(K, M, sub.outer, 1, domain_factor(sub, K, M))
+        two, _ = dirichlet_eigs(K, M, 2, domain_factor(sub, K, M))
+        one, _ = dirichlet_eigs(K, M, 1, domain_factor(sub, K, M))
         assert second_eigenvalue_floor(sub.vertices) <= two[1]
         assert floor_clears(one[0], second_eigenvalue_floor(sub.vertices), 1e-6)
         assert abs(one[0] - two[0]) <= 1e-14 * two[0]
@@ -423,7 +425,7 @@ def test_ground_state_falls_back_to_two_pairs_when_the_floor_fails(monkeypatch):
     assert not floor_clears(factor.sigma, second_eigenvalue_floor(mesh.vertices), fem._GAP)
     assert fallback == "two-pair"
     assert 0 < counts["solves"] <= 21
-    lams, vecs = dirichlet_eigs(K, M, mesh.outer, 2, domain_factor(mesh, K, M))
+    lams, vecs = dirichlet_eigs(K, M, 2, domain_factor(mesh, K, M))
     assert lam0 == float(lams[0])
     assert np.array_equal(v0.values, vecs[:, 0] / mass_norm(M, vecs[:, 0]))
 
@@ -478,13 +480,72 @@ def test_dirichlet_factor_shifts_a_copy_of_one_pattern():
     assert np.array_equal(K.data, before)
     with pytest.raises(ValueError, match="sparsity pattern"):
         domain_factor(mesh, K, sparse.identity(mesh.n_vertices, format="csr"))
+    # an entry between two boundary vertices leaves the free blocks' patterns
+    # equal, but not those of the full matrices
+    a, b = mesh.outer[0], mesh.outer[len(mesh.outer) // 2]
+    extra = M + sparse.csr_matrix(([1.0], ([a], [b])), shape=M.shape)
+    with pytest.raises(ValueError, match="sparsity pattern"):
+        domain_factor(mesh, K, extra)
+
+
+@pytest.mark.parametrize("mesh, route", _shift_cases())
+def test_factor_pattern_gathers_the_indexed_free_block(mesh, route, monkeypatch):
+    """The factor's pattern gathers K_ff and M_ff bit for bit as CSR
+    indexing extracts them, and SuperLU gets the shifted block that the
+    CSC copy of the CSR block K_ff - sigma M_ff holds."""
+    K, M = assemble(mesh, "stiffness"), assemble(mesh, "mass")
+    calls = recording_splu(monkeypatch, fem)
+    factor = domain_factor(mesh, K, M)
+    free = np.setdiff1d(np.arange(mesh.n_vertices), mesh.outer)
+    assert np.array_equal(factor.free, free)
+    ix = np.ix_(free, free)
+    for full in (K, M):
+        gathered, indexed = factor.block(full.data), full[ix]
+        for attr in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(gathered, attr), getattr(indexed, attr))
+    shifted = K[ix]
+    shifted.data -= factor.sigma * M[ix].data
+    shifted = shifted.tocsc()
+    ((_, given, _),) = calls
+    assert given.format == "csc"
+    for attr in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(given, attr), getattr(shifted, attr))
+
+
+def test_dirichlet_path_indexes_no_sparse_matrix(monkeypatch):
+    """The coefficient pipeline and the eroded solve gather every free
+    block through the factor's pattern: no CSR matrix is indexed."""
+    calls = []
+    real_getitem = sparse.csr_matrix.__getitem__
+
+    def counting_getitem(self, key):
+        calls.append(key)
+        return real_getitem(self, key)
+
+    monkeypatch.setattr(sparse.csr_matrix, "__getitem__", counting_getitem)
+    layer = LayerConfig(0.04, 1.0, 0.48)
+    compute_coefficients(Ellipse(1.3, 1.0), layer, 0.15)
+    mesh = generate_mesh(Ellipse(1.3, 1.0), layer, 0.15)
+    K, M = assemble(mesh, "stiffness"), assemble(mesh, "mass")
+    eroded_dirichlet(mesh, K, M)
+    assert calls == []
+    K[0, 0]  # the counter counts
+    assert len(calls) == 1
+
+
+def test_constrained_source_needs_the_factor_off_outer():
+    mesh = generate_mesh(Circle(1.0), None, 0.15)
+    lam0, v0, K, M, factor, _ = ground_state(mesh)
+    data = np.zeros(len(mesh.outer))
+    with pytest.raises(ValueError, match="complement"):
+        solve_constrained_source(K, M, lam0, v0, data[1:], v0, mesh.outer[1:], factor)
 
 
 @pytest.mark.parametrize("mesh, route", _shift_cases())
 def test_lowest_pair_matches_dense_reference(mesh, route):
     K, M, Kf, Mf, free = _dense_free(mesh)
     ref_lams, ref_vecs = scipy.linalg.eigh(Kf, Mf)
-    lam, u, fallback = fem.lowest_pair(K, M, mesh.outer, mesh.vertices, fem._GAP,
+    lam, u, fallback = fem.lowest_pair(K, M, mesh.vertices, fem._GAP,
                                        domain_factor(mesh, K, M))
     assert fallback == route
     assert abs(lam - ref_lams[0]) <= 1e-12 * ref_lams[0]

@@ -22,7 +22,8 @@ from thinspec.transmission import (
     rayleigh_identity_residual,
 )
 
-from _meshes import CountingFactor, core_submesh, counting_factor, domain_factor
+from _meshes import (CountingFactor, core_submesh, counting_factor, domain_factor,
+                     recording_splu)
 
 LAM0 = 5.783185962946785
 
@@ -193,6 +194,18 @@ def test_first_te_frees_stiffness_factor_before_pencil_lu(monkeypatch):
     assert alive_at_pencil == [[]]
 
 
+def test_first_te_factor_routes(monkeypatch):
+    """first_te factors three matrices: the free block of the whole mesh and
+    the eroded block, each with the Dirichlet supernode sizes, and the
+    pencil with SuperLU's defaults."""
+    calls = recording_splu(monkeypatch, fem, transmission)
+    te = first_te(Circle(1.0), LayerConfig(0.04, 1.0, 0.48), 0.15)
+    dirichlet = {"permc_spec": "MMD_AT_PLUS_A", "relax": fem._RELAX, "panel_size": fem._PANEL}
+    assert [(name, kwargs) for name, _, kwargs in calls] == [
+        ("fem", dirichlet), ("fem", dirichlet), ("transmission", {})]
+    assert calls[2][1].shape == (te.pencil.dim, te.pencil.dim)
+
+
 def _count_pencil_work(monkeypatch):
     """Patch the pencil's splu to count its factorizations and solves."""
     counts = {"factorizations": 0, "solves": 0}
@@ -214,8 +227,8 @@ def test_first_te_solve_counts(monkeypatch):
     eroded = {"solves": 0}
     real_lowest_pair = transmission.lowest_pair
 
-    def counting_pair(K, M, boundary, vertices, gap, factor):
-        return real_lowest_pair(K, M, boundary, vertices, gap, counting_factor(factor, eroded))
+    def counting_pair(K, M, vertices, gap, factor):
+        return real_lowest_pair(K, M, vertices, gap, counting_factor(factor, eroded))
 
     # transmission calls lowest_pair for the eroded solve alone
     monkeypatch.setattr(transmission, "lowest_pair", counting_pair)
@@ -336,7 +349,7 @@ def test_eroded_dirichlet_is_the_core_submesh_eigenvalue(curve):
     sub, _ = core_submesh(mesh)
     K = assemble(sub, "stiffness")
     M = assemble(sub, "mass")
-    lams, _ = dirichlet_eigs(K, M, sub.outer, 1, domain_factor(sub, K, M))
+    lams, _ = dirichlet_eigs(K, M, 1, domain_factor(sub, K, M))
     assert eroded_dirichlet(mesh, *_full_km(mesh)) == (float(lams[0]), None)
 
 
@@ -409,7 +422,7 @@ def test_rayleigh_dirichlet_trial_is_upper_bound(disk_te):
     sub, remap = core_submesh(mesh)
     K = assemble(sub, "stiffness")
     M = assemble(sub, "mass")
-    lams, vecs = dirichlet_eigs(K, M, sub.outer, 1, domain_factor(sub, K, M))
+    lams, vecs = dirichlet_eigs(K, M, 1, domain_factor(sub, K, M))
     v_ext = np.zeros(mesh.n_vertices)
     keep = remap >= 0
     v_ext[keep] = vecs[remap[keep], 0]

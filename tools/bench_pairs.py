@@ -7,7 +7,14 @@ odd ones, so a slow spell of the host falls on both sides alike.  The JSON
 written to --out holds, per workload and seed, the value of every run of
 every end-to-end metric, each side's median and quartiles, how many pairs
 each side won, whether the gap between the medians exceeds the parent's
-quartile distance, and each run's correct/failed/attempted counts.  It also
+quartile distance, and each run's correct/failed/attempted counts.  Each
+metric also states the acceptance rule: within_bound (the change's median
+is no worse than the parent's by more than the metric's relative `bound`
+in BENCHMARK.json), claim_rule_met (the change wins at least 9/10 of the
+pairs and its median is better by more than the parent's quartile
+distance) and unresolved (either side's quartile distance exceeds the
+bound, and not every change run beats every parent run: such a metric
+reads neither worse nor unchanged).  It also
 holds each checkout's line count of src/thinspec/*.py (src_lines), counted
 as `wc -l` counts, so a change's size is tracked along with its speed.
 
@@ -68,9 +75,10 @@ def quartiles(values):
     return [q[0], q[2]]
 
 
-def summarize(metric, better, pairs):
-    """Statistics of one metric over (parent run, change run) pairs; a pair
-    with a side that reported no value counts in neither."""
+def summarize(metric, better, bound, pairs):
+    """Statistics of one metric over (parent run, change run) pairs, and
+    the acceptance rule at its relative `bound`; a pair with a side that
+    reported no value counts in neither."""
     both = [(p["metrics"][metric]["value"], c["metrics"][metric]["value"]) for p, c in pairs
             if metric in p.get("metrics", {}) and metric in c.get("metrics", {})]
     if not both:
@@ -79,7 +87,9 @@ def summarize(metric, better, pairs):
     change = [c for _, c in both]
     sign = 1.0 if better == "lower" else -1.0
     p_med, c_med = statistics.median(parent), statistics.median(change)
-    p_q = quartiles(parent)
+    p_q, c_q = quartiles(parent), quartiles(change)
+    wins = sum(sign * (c - p) < 0 for p, c in both)
+    scale = abs(p_med)
     return {
         "unit": pairs[0][0]["metrics"][metric]["unit"],
         "better": better,
@@ -88,18 +98,24 @@ def summarize(metric, better, pairs):
         "parent_median": p_med,
         "parent_quartiles": p_q,
         "change_median": c_med,
-        "change_quartiles": quartiles(change),
-        "change_wins": sum(sign * (c - p) < 0 for p, c in both),
+        "change_quartiles": c_q,
+        "change_wins": wins,
         "parent_wins": sum(sign * (p - c) < 0 for p, c in both),
         "relative_change": (c_med - p_med) / p_med if p_med else None,
         "median_gap_exceeds_parent_iqr": abs(c_med - p_med) > p_q[1] - p_q[0],
+        "bound": bound,
+        "within_bound": sign * (c_med - p_med) <= bound * scale,
+        "claim_rule_met": 10 * wins >= 9 * len(both) and sign * (p_med - c_med) > p_q[1] - p_q[0],
+        "unresolved": (max(p_q[1] - p_q[0], c_q[1] - c_q[0]) > bound * scale
+                       and not max(sign * c for c in change) < min(sign * p for p in parent)),
     }
 
 
 def directions(checkout):
-    """Metric name -> "lower"/"higher" from the checkout's BENCHMARK.json."""
+    """Metric name -> ("lower"/"higher", relative bound) from the checkout's
+    BENCHMARK.json."""
     spec = json.loads((Path(checkout) / "BENCHMARK.json").read_text())
-    return {m["name"]: m["better"] for m in spec["end_to_end"]}
+    return {m["name"]: (m["better"], m["bound"]) for m in spec["end_to_end"]}
 
 
 def src_lines(checkout):
@@ -136,7 +152,7 @@ def compare(args, workload, seed, better):
                     if key in run}
                    for run in (pair[i] for pair in pairs)]
             for i, side in enumerate(SIDES)}
-    metrics = {name: summarize(name, better[name], pairs) for name in better}
+    metrics = {name: summarize(name, *better[name], pairs) for name in better}
     return {
         "workload": workload,
         "seed": seed,
@@ -164,6 +180,11 @@ def main(argv=None):
         "quartiles": "25th and 75th percentiles of one side's runs, linear between runs",
         "wins": "a side wins a pair when its value is better in the metric's direction; "
                 "a tie counts for neither",
+        "acceptance": "within_bound: change median no worse than the parent's by more than "
+                      "bound x parent median; claim_rule_met: change wins >= 9/10 of the pairs "
+                      "and beats the parent median by more than the parent's quartile distance; "
+                      "unresolved: a side's quartile distance exceeds bound x parent median "
+                      "and not every change run beats every parent run",
     })
     if args.note is not None:
         doc["note"] = args.note
