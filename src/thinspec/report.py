@@ -11,13 +11,17 @@ legs build their rows with one row function, whose predictions are
 `evaluate_expansion`'s.  Disks are swept with the semi-analytic solver;
 general geometries run the coupled finite element pencil on exactly two
 mesh sizes and Richardson-extrapolate over their ring spacing, the
-expansion coefficients with `extrapolate_coefficients`.
+expansion coefficients with `extrapolate_coefficients`.  Their (thickness,
+mesh size) cells are split by estimated cost between this process, which
+also computes the expansion coefficients, and one forked helper per
+further usable core (`solve_cells`); every helper ends before the sweep
+returns.
 """
 
 import math
 import multiprocessing
 import os
-from concurrent.futures import ProcessPoolExecutor
+import traceback
 from dataclasses import dataclass, field
 
 from . import bessel
@@ -154,8 +158,9 @@ class SweepRow:
 @dataclass
 class SweepReport:
     """Rows, fits and Richardson coefficients of a sweep.  processes is how
-    many processes solved its cells, serial_reason why that was one (None
-    when it was more), fallbacks the (delta, h, fallback) of each finite
+    many processes solved its cells, the caller's and processes - 1 forked
+    helpers (`solve_cells`), serial_reason why that was one (None when it
+    was more), fallbacks the (delta, h, fallback) of each finite
     element cell whose `first_te` fell back and the (None, h, fallback) of
     each mesh size whose expansion coefficients did.  est0 is the Richardson
     error estimate of lambda0 alone and max_residual the largest `first_te`
@@ -289,12 +294,13 @@ def _blas_pinned():
 
 
 def cell_processes(g, n_cells):
-    """(processes, reason) for solving n_cells finite element cells.
+    """(processes, reason) for solving n_cells finite element cells: the
+    caller's process and processes - 1 helpers forked by `solve_cells`.
 
     More than one process only when more than one core is usable, new
-    processes fork (a spawned worker would import the package again), BLAS
+    processes fork (a spawned helper would import the package again), BLAS
     is pinned to one thread (several threads per process would contend for
-    the same cores) and g can be pickled; reason names the rule that chose
+    the same cores) and g is not callable; reason names the rule that chose
     one process, else it is None."""
     if callable(g):
         return 1, "callable thickness profile"
@@ -315,7 +321,7 @@ def cell_processes(g, n_cells):
 def _fem_cell(curve, layer, h):
     """One (thickness, mesh size) cell: first_te's (lam, lambda0,
     lambda_eroded, residual), the ring count of its mesh and first_te's
-    fallback.  Top-level for pickling."""
+    fallback."""
     te = first_te(curve, layer, h)
     return te.lam, te.lambda0, te.lambda_eroded, te.residual, te.mesh.n_rings, te.fallback
 
@@ -325,24 +331,107 @@ def fallback_cells(cells, solved):
     return [(layer.delta0, h, out[-1]) for (layer, h), out in zip(cells, solved) if out[-1]]
 
 
-def solve_cells(curve, cells, processes, alongside=None):
+def cell_cost(h):
+    """Estimated cost of one cell of mesh size h: its mesh size, 1/h**2."""
+    return h ** -2
+
+
+def coefficients_cost(h):
+    """Estimated cost of `compute_coefficients` on mesh size h, in the units
+    of `cell_cost`: the fraction 0.34 + 0.05*log2(h/0.02) of a cell of the
+    same h.  That fits the measured ratio of the two on Ellipse(1.3, 1),
+    n = 0.48, to 0.015 (medians of 3 to 15 runs, 2 cores, BLAS pinned):
+
+        h      coefficients   cell     fraction
+        0.15     3.42 ms      7.0 ms     0.49
+        0.075    5.76 ms     13.7 ms     0.42
+        0.04    15.6 ms      40.2 ms     0.39
+        0.02    56.0 ms     163.5 ms     0.34
+
+    The fraction falls as h does, so the sweep's coefficient work weighs
+    more against coarse cells than against fine ones."""
+    return (0.34 + 0.05 * math.log2(h / 0.02)) * cell_cost(h)
+
+
+def split_cells(cells, processes, preload=0.0):
+    """Shares of the indices of cells for processes sides, side 0 the
+    caller's: longest first, each cell goes to the side with the least
+    estimated load (LPT), a cell costing `cell_cost` of its mesh size and
+    side 0 starting at preload.  No side then exceeds the mean load by more
+    than the largest single cost, unless preload alone does."""
+    costs = [cell_cost(h) for _, h in cells]
+    loads = [preload] + [0.0] * (processes - 1)
+    shares = [[] for _ in range(processes)]
+    for i in sorted(range(len(cells)), key=costs.__getitem__, reverse=True):
+        side = loads.index(min(loads))
+        shares[side].append(i)
+        loads[side] += costs[i]
+    return shares
+
+
+def _solve_share(curve, cells, conn):
+    """Body of a forked helper: send (True, the _fem_cell of each cell) or
+    (False, (the exception that stopped it, its formatted traceback))
+    through conn."""
+    try:
+        out = True, [_fem_cell(curve, layer, h) for layer, h in cells]
+    except Exception as exc:
+        out = False, (exc, traceback.format_exc())
+    conn.send(out)
+    conn.close()
+
+
+def solve_cells(curve, cells, processes, alongside=None, preload=0.0):
     """_fem_cell of every (layer, h) in cells, in input order, with the result
     of alongside() (None without it).
 
-    With more than one process the cells go to a pool of forked workers,
-    finest mesh first, and alongside runs in this process meanwhile; the
-    pool is shut down, its workers joined, before this returns.  Each cell
-    is computed the same way in either case, so the results are the same
+    With more than one process the cells are split by `split_cells`, side 0
+    pre-loaded with preload, the estimated cost of alongside.  Each other
+    share goes to a daemonic helper forked for it, which sends its results
+    back through a one-way pipe; this process runs alongside(), then its own
+    share, then reads the helpers'.  A helper's exception is raised here
+    with its own type, from a RuntimeError that holds the helper's
+    traceback, and a helper that exits without sending raises
+    RuntimeError.  If anything raises here, the helpers still running are
+    terminated; every helper is joined before this returns.  Each cell is
+    computed the same way wherever it runs, so the results are the same
     bits."""
     if processes == 1:
         side = alongside() if alongside else None
         return [_fem_cell(curve, layer, h) for layer, h in cells], side
-    order = sorted(range(len(cells)), key=lambda i: cells[i][1])
+    own, *shares = split_cells(cells, processes, preload)
     context = multiprocessing.get_context("fork")
-    with ProcessPoolExecutor(max_workers=processes, mp_context=context) as pool:
-        futures = {i: pool.submit(_fem_cell, curve, *cells[i]) for i in order}
+    helpers = []
+    try:
+        for share in shares:
+            recv, send = context.Pipe(duplex=False)
+            proc = context.Process(target=_solve_share, daemon=True,
+                                   args=(curve, [cells[i] for i in share], send))
+            proc.start()
+            send.close()  # the helper holds the only write end: its exit is EOF here
+            helpers.append((proc, recv))
         side = alongside() if alongside else None
-        return [futures[i].result() for i in range(len(cells))], side
+        solved = {i: _fem_cell(curve, *cells[i]) for i in own}
+        for share, (proc, recv) in zip(shares, helpers):
+            try:
+                ok, out = recv.recv()
+            except EOFError:
+                proc.join()
+                raise RuntimeError(f"a cell helper exited with code {proc.exitcode} "
+                                   "before sending its results") from None
+            if not ok:
+                exc, trace = out
+                raise exc from RuntimeError(f"raised in a cell helper:\n{trace}")
+            solved.update(zip(share, out))
+        return [solved[i] for i in range(len(cells))], side
+    except BaseException:
+        for proc, _ in helpers:
+            proc.terminate()
+        raise
+    finally:
+        for proc, recv in helpers:
+            proc.join()
+            recv.close()
 
 
 def _sweep_fem(curve, deltas, g, n, h_list):
@@ -354,7 +443,8 @@ def _sweep_fem(curve, deltas, g, n, h_list):
     coeff_layer = LayerConfig(max(deltas), g, n)
     solved, coeff_by_h = solve_cells(
         curve, cells, processes,
-        alongside=lambda: [compute_coefficients(curve, coeff_layer, h) for h in h_list])
+        alongside=lambda: [compute_coefficients(curve, coeff_layer, h) for h in h_list],
+        preload=sum(coefficients_cost(h) for h in h_list))
     lambdas, est0 = extrapolate_coefficients(*coeff_by_h)
 
     rows = []

@@ -98,8 +98,34 @@ def nearest_eig(pencil, sigma):
     space of at most 6 vectors; the pencil eigenvalue is sigma + 1/mu.
     Returns (lam, x): lam is complex, x is scaled so that its entry of
     largest modulus is 1 and is real when lam is.
+
+    SuperLU's supernode relaxation 2 and panel size 3, below its defaults
+    10 and 20, change only the blocking of one elimination: perm_c and
+    nnz(L + U) are the same on each pencil below.  Factor ms (columns
+    relax:panel) of the pencil at the corridor midpoint, Ellipse(1.3, 1),
+    n = 0.48, median of 41 shuffled runs at h = 0.15 and 0.075 and of 11
+    at 0.04 and 0.02, one BLAS thread, 2-core x86_64:
+
+        h      delta   nnz(L+U)    10:20    1:3    2:3    3:3    2:4    3:5
+        0.15   0.04       13,271    0.747  0.729  0.719  0.741  0.735  0.738
+        0.15   0.02       13,271    0.689  0.672  0.677  0.691  0.700  0.697
+        0.15   0.01       13,271    0.712  0.686  0.701  0.691  0.707  0.708
+        0.075  0.04       54,983    2.493  2.448  2.463  2.458  2.475  2.506
+        0.075  0.02       54,983    2.350  2.323  2.334  2.344  2.352  2.392
+        0.075  0.01       54,983    2.427  2.392  2.373  2.396  2.397  2.448
+        0.04   0.04      249,052    9.606  9.292  9.116  9.345  9.335  9.358
+        0.04   0.02      249,112    9.100  8.605  8.726  8.869  8.956  8.976
+        0.04   0.01      249,112    8.905  8.614  8.526  8.547  8.502  8.579
+        0.02   0.04    1,267,842    44.92  42.75  41.92  44.14  43.58  42.77
+        0.02   0.02    1,257,464    43.05  39.35  41.04  40.67  42.25  40.96
+        0.02   0.01    1,257,367    46.92  45.45  46.12  45.33  44.59  44.90
+
+    2:3, the setting of `fem.dirichlet_factor`, is faster than the
+    defaults on every pencil, by 0.7-4 % on the `ellipse_sweep` meshes and
+    2-7 % on the shipped ellipse sweep's; no other column beats it on every
+    pencil.
     """
-    lu = splu(pencil.shifted(sigma))
+    lu = splu(pencil.shifted(sigma), relax=2, panel_size=3)
     op = LinearOperator(lu.shape, matvec=lambda x: lu.solve(pencil.B @ x), dtype=float)
     # fixed start vector, uneven to avoid accidental orthogonality
     v0 = 1.0 + 0.5 * (np.arange(pencil.dim) % 7 == 0)

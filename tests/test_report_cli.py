@@ -5,6 +5,7 @@ from decimal import Decimal, localcontext
 from types import SimpleNamespace
 import multiprocessing
 import os
+import signal
 
 import numpy as np
 import pytest
@@ -269,19 +270,82 @@ def test_fem_sweep_pooled_matches_serial(monkeypatch, curve):
 
 
 @needs_fork
-def test_fem_sweep_worker_error_reaches_caller(monkeypatch):
-    # forked workers inherit the patched solver; the typed error crosses back
-    solve = report.first_te
+@pytest.mark.parametrize("in_helper", [True, False], ids=["helper", "parent"])
+def test_fem_sweep_cell_error_stops_every_process(monkeypatch, in_helper):
+    # cells of delta 0.02 run on both sides; only the chosen side's raise.
+    # A helper's typed error crosses back; an error in this process's own
+    # share terminates the helper, which may still be running
+    parent, solve = os.getpid(), report._fem_cell
 
     def failing(curve, layer, h):
-        if layer.delta0 == 0.02 and h == 0.08:
+        if layer.delta0 == 0.02 and (os.getpid() != parent) == in_helper:
             raise NoRootFound("no real pencil eigenvalue")
         return solve(curve, layer, h)
 
-    monkeypatch.setattr(report, "first_te", failing)
+    monkeypatch.setattr(report, "_fem_cell", failing)
     _force_cells(monkeypatch, pooled=True)
-    with pytest.raises(NoRootFound):
+    with pytest.raises(NoRootFound) as raised:
         run_sweep(Circle(1.0), [0.03, 0.02], 1.0, 0.48, h_list=[0.1, 0.08], solver="fem")
+    assert ("raised in a cell helper" in str(raised.value.__cause__)) == in_helper
+    assert multiprocessing.active_children() == []
+
+
+def _alarm(signum, frame):
+    raise TimeoutError("the sweep waited for a helper that had exited")
+
+
+@needs_fork
+def test_fem_sweep_helper_exit_raises(monkeypatch):
+    # a helper that exits without sending its results is an error, not a wait
+    parent, solve = os.getpid(), report._fem_cell
+
+    def exiting(curve, layer, h):
+        if os.getpid() != parent:
+            os._exit(3)
+        return solve(curve, layer, h)
+
+    monkeypatch.setattr(report, "_fem_cell", exiting)
+    _force_cells(monkeypatch, pooled=True)
+    previous = signal.signal(signal.SIGALRM, _alarm)
+    signal.alarm(60)
+    try:
+        with pytest.raises(RuntimeError, match="exited with code 3"):
+            run_sweep(Circle(1.0), [0.03, 0.02], 1.0, 0.48, h_list=[0.1, 0.08], solver="fem")
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert multiprocessing.active_children() == []
+
+
+_SPLIT_CELLS = [(LayerConfig(delta, 1.0, 0.48), h) for delta in (0.04, 0.02, 0.01)
+                for h in (0.15, 0.075)]
+
+
+@pytest.mark.parametrize("processes", [2, 3])
+@pytest.mark.parametrize("preload", [0.0, sum(report.coefficients_cost(h) for h in (0.15, 0.075))],
+                         ids=["bare", "alongside"])
+def test_split_cells_is_a_balanced_partition(processes, preload):
+    shares = report.split_cells(_SPLIT_CELLS, processes, preload)
+    assert len(shares) == processes
+    assert sorted(i for share in shares for i in share) == list(range(len(_SPLIT_CELLS)))
+    costs = [report.cell_cost(h) for _, h in _SPLIT_CELLS]
+    loads = [sum(costs[i] for i in share) for share in shares]
+    loads[0] += preload
+    assert max(loads) <= max(costs) + sum(loads) / processes
+
+
+@needs_fork
+@pytest.mark.parametrize("processes", [2, 3])
+@pytest.mark.parametrize("with_alongside", [False, True], ids=["bare", "alongside"])
+def test_solve_cells_returns_input_order(monkeypatch, processes, with_alongside):
+    # a cell names itself and the process that solved it
+    monkeypatch.setattr(report, "_fem_cell", lambda curve, layer, h: (layer.delta0, h, os.getpid()))
+    alongside = (lambda: "side") if with_alongside else None
+    preload = sum(report.coefficients_cost(h) for h in (0.15, 0.075)) if with_alongside else 0.0
+    solved, side = report.solve_cells(Circle(1.0), _SPLIT_CELLS, processes, alongside, preload)
+    assert [cell[:2] for cell in solved] == [(layer.delta0, h) for layer, h in _SPLIT_CELLS]
+    assert len({cell[2] for cell in solved}) == processes
+    assert side == ("side" if with_alongside else None)
     assert multiprocessing.active_children() == []
 
 

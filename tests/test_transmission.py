@@ -197,12 +197,12 @@ def test_first_te_frees_stiffness_factor_before_pencil_lu(monkeypatch):
 def test_first_te_factor_routes(monkeypatch):
     """first_te factors three matrices: the free block of the whole mesh and
     the eroded block, each with the Dirichlet supernode sizes, and the
-    pencil with SuperLU's defaults."""
+    pencil with the supernode sizes scanned in `nearest_eig`."""
     calls = recording_splu(monkeypatch, fem, transmission)
     te = first_te(Circle(1.0), LayerConfig(0.04, 1.0, 0.48), 0.15)
     dirichlet = {"permc_spec": "MMD_AT_PLUS_A", "relax": fem._RELAX, "panel_size": fem._PANEL}
     assert [(name, kwargs) for name, _, kwargs in calls] == [
-        ("fem", dirichlet), ("fem", dirichlet), ("transmission", {})]
+        ("fem", dirichlet), ("fem", dirichlet), ("transmission", {"relax": 2, "panel_size": 3})]
     assert calls[2][1].shape == (te.pencil.dim, te.pencil.dim)
 
 
