@@ -160,7 +160,7 @@ def _task_direct(cfg, outdir):
     curve = cfg["curve"]
     cells = [(LayerConfig(delta, cfg["g"], cfg["n"]), h)
              for delta in cfg["deltas"] for h in cfg["h_list"]]
-    processes, _ = cell_processes(cfg["g"], len(cells))
+    processes, _ = cell_processes(len(cells))
     solved, _ = solve_cells(curve, cells, processes)
     _print_fallbacks("direct", fallback_cells(cells, solved))
     lines = ["delta,h,lambda_direct,lambda0,lambda_dirichlet_eroded,residual"]

@@ -293,17 +293,16 @@ def _blas_pinned():
     return False
 
 
-def cell_processes(g, n_cells):
+def cell_processes(n_cells):
     """(processes, reason) for solving n_cells finite element cells: the
     caller's process and processes - 1 helpers forked by `solve_cells`.
 
     More than one process only when more than one core is usable, new
-    processes fork (a spawned helper would import the package again), BLAS
-    is pinned to one thread (several threads per process would contend for
-    the same cores) and g is not callable; reason names the rule that chose
-    one process, else it is None."""
-    if callable(g):
-        return 1, "callable thickness profile"
+    processes fork (a spawned helper would import the package again) and
+    BLAS is pinned to one thread (several threads per process would contend
+    for the same cores); reason names the rule that chose one process, else
+    it is None.  A helper forks with its cells, callable g included, in
+    memory."""
     if n_cells < 2:
         return 1, "one cell"
     cores = _usable_cores()
@@ -338,19 +337,20 @@ def cell_cost(h):
 
 def coefficients_cost(h):
     """Estimated cost of `compute_coefficients` on mesh size h, in the units
-    of `cell_cost`: the fraction 0.34 + 0.05*log2(h/0.02) of a cell of the
+    of `cell_cost`: the fraction 0.435 + 0.03*log2(h/0.02) of a cell of the
     same h.  That fits the measured ratio of the two on Ellipse(1.3, 1),
-    n = 0.48, to 0.015 (medians of 3 to 15 runs, 2 cores, BLAS pinned):
+    n = 0.48, to 0.015 (coefficients at delta = 0.04, cells at 0.02; the
+    mean of two medians of 7 to 21 runs, 2 cores, BLAS pinned):
 
         h      coefficients   cell     fraction
-        0.15     3.42 ms      7.0 ms     0.49
-        0.075    5.76 ms     13.7 ms     0.42
-        0.04    15.6 ms      40.2 ms     0.39
-        0.02    56.0 ms     163.5 ms     0.34
+        0.15     3.42 ms      6.6 ms     0.52
+        0.075    5.68 ms     11.7 ms     0.49
+        0.04    14.0 ms      30.9 ms     0.45
+        0.02    55.0 ms     124.6 ms     0.44
 
     The fraction falls as h does, so the sweep's coefficient work weighs
     more against coarse cells than against fine ones."""
-    return (0.34 + 0.05 * math.log2(h / 0.02)) * cell_cost(h)
+    return (0.435 + 0.03 * math.log2(h / 0.02)) * cell_cost(h)
 
 
 def split_cells(cells, processes, preload=0.0):
@@ -438,7 +438,7 @@ def _sweep_fem(curve, deltas, g, n, h_list):
     if h_list is None or len(h_list) != 2:
         raise ConfigError("finite element sweep needs exactly two mesh sizes", field="mesh.h")
     cells = [(LayerConfig(delta, g, n), h) for delta in deltas for h in h_list]
-    processes, reason = cell_processes(g, len(cells))
+    processes, reason = cell_processes(len(cells))
     # expansion coefficients per mesh size, then Richardson in h
     coeff_layer = LayerConfig(max(deltas), g, n)
     solved, coeff_by_h = solve_cells(

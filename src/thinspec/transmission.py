@@ -42,7 +42,8 @@ class CoupledPencil:
 
     DOF layout: one v unknown per mesh vertex, then one w unknown per coating
     vertex that is neither on the inner boundary (w = 0 there) nor on the
-    outer boundary (where w shares the v trace unknown).
+    outer boundary (where w shares the v trace unknown).  A and B are CSR
+    with one sparsity pattern, explicit zeros included.
     """
 
     A: sparse.csr_matrix
@@ -52,17 +53,22 @@ class CoupledPencil:
     wmap: np.ndarray
 
     def shifted(self, lam):
-        return (self.A - lam * self.B).tocsc()
+        """A - lam*B as CSC: the CSR arrays of a symmetric matrix, read as CSC."""
+        A, B = self.A, self.B
+        if not (np.array_equal(A.indptr, B.indptr) and np.array_equal(A.indices, B.indices)):
+            raise ValueError("CoupledPencil: A and B must share one sparsity pattern")
+        return sparse.csc_matrix((A.data - lam * B.data, A.indices, A.indptr), shape=A.shape)
 
 
 def assemble_pencil(mesh, n, K, M):
     """Build the coupled pencil on a coated mesh with index coefficient n
-    from the full-domain stiffness K and mass M."""
+    from the full-domain stiffness K and mass M: A (B) from one triplet set,
+    K's (M's) entries and then the coating's negated, mapped through wmap."""
     if not mesh.has_layer():
         raise MissingLayer("assemble_pencil: mesh has no coating region")
     nv = mesh.n_vertices
-    K_layer = assemble(mesh, "stiffness", region="layer").tocsr()
-    M_layer_n = assemble(mesh, "mass", region="layer", coefficient=n).tocsr()
+    K_layer = assemble(mesh, "stiffness", region="layer")
+    M_layer_n = assemble(mesh, "mass", region="layer", coefficient=n)
 
     layer_vertices = np.unique(mesh.triangles[mesh.region == LAYER])
     layer_vertices = layer_vertices[~np.isin(layer_vertices, mesh.inner)]  # w = 0 there
@@ -73,24 +79,27 @@ def assemble_pencil(mesh, n, K, M):
     wmap[layer_vertices[on_outer]] = layer_vertices[on_outer]  # trace identification with v
     wmap[own] = np.arange(nv, dim)
 
-    def embed_v(mat):
-        coo = mat.tocoo()
-        return sparse.csr_matrix((coo.data, (coo.row, coo.col)), shape=(dim, dim))
+    def csr_rows(mat):
+        return np.repeat(np.arange(nv), np.diff(mat.indptr))
 
-    def embed_w(mat, sign):
-        coo = mat.tocoo()
-        keep = (wmap[coo.row] >= 0) & (wmap[coo.col] >= 0)
-        return sparse.csr_matrix(
-            (sign * coo.data[keep], (wmap[coo.row[keep]], wmap[coo.col[keep]])),
-            shape=(dim, dim),
-        )
+    w_rows, w_cols = wmap[csr_rows(K_layer)], wmap[K_layer.indices]
+    keep = (w_rows >= 0) & (w_cols >= 0)
+    rows = np.concatenate([csr_rows(K), w_rows[keep]])
+    cols = np.concatenate([K.indices, w_cols[keep]])
 
-    A = (embed_v(K) + embed_w(K_layer, -1.0)).tocsr()
-    B = (embed_v(M) + embed_w(M_layer_n, -1.0)).tocsr()
-    return CoupledPencil(A=A, B=B, dim=dim, n_vertices=nv, wmap=wmap)
+    def operator(full, layer):
+        data = np.concatenate([full.data, -layer.data[keep]])
+        return sparse.csr_matrix((data, (rows, cols)), shape=(dim, dim))
+
+    return CoupledPencil(A=operator(K, K_layer), B=operator(M, M_layer_n), dim=dim,
+                         n_vertices=nv, wmap=wmap)
 
 
-def nearest_eig(pencil, sigma):
+# largest backward error of the symmetric factor's pair (`first_te`)
+_BACKWARD_TOL = 1e-10
+
+
+def nearest_eig(pencil, sigma, pivoted=False):
     """The pencil eigenvalue nearest sigma with its eigenvector.
 
     One LU of A - sigma*B drives shift-invert Arnoldi for the one
@@ -99,33 +108,24 @@ def nearest_eig(pencil, sigma):
     Returns (lam, x): lam is complex, x is scaled so that its entry of
     largest modulus is 1 and is real when lam is.
 
-    SuperLU's supernode relaxation 2 and panel size 3, below its defaults
-    10 and 20, change only the blocking of one elimination: perm_c and
-    nnz(L + U) are the same on each pencil below.  Factor ms (columns
-    relax:panel) of the pencil at the corridor midpoint, Ellipse(1.3, 1),
-    n = 0.48, median of 41 shuffled runs at h = 0.15 and 0.075 and of 11
-    at 0.04 and 0.02, one BLAS thread, 2-core x86_64:
+    A - sigma*B is exactly symmetric, so by default it is factored as such:
+    minimum-degree ordering of its pattern, diagonal pivots, symmetric
+    mode; pivoted=True takes COLAMD with partial pivoting, `first_te`'s
+    fallback.  Both use relax 2, panel 3 (`fem.dirichlet_factor`).  Pencil
+    at the corridor midpoint, Ellipse(1.3, 1), n = 0.48, delta = 0.02, one
+    BLAS thread, 2-core x86_64; factor: medians of 41 shuffled runs (15 at
+    h = 0.04, 9 at 0.02); `first_te`: the median of three alternated
+    processes' medians of 21 runs (11, 5), COLAMD pivoted -> symmetric:
 
-        h      delta   nnz(L+U)    10:20    1:3    2:3    3:3    2:4    3:5
-        0.15   0.04       13,271    0.747  0.729  0.719  0.741  0.735  0.738
-        0.15   0.02       13,271    0.689  0.672  0.677  0.691  0.700  0.697
-        0.15   0.01       13,271    0.712  0.686  0.701  0.691  0.707  0.708
-        0.075  0.04       54,983    2.493  2.448  2.463  2.458  2.475  2.506
-        0.075  0.02       54,983    2.350  2.323  2.334  2.344  2.352  2.392
-        0.075  0.01       54,983    2.427  2.392  2.373  2.396  2.397  2.448
-        0.04   0.04      249,052    9.606  9.292  9.116  9.345  9.335  9.358
-        0.04   0.02      249,112    9.100  8.605  8.726  8.869  8.956  8.976
-        0.04   0.01      249,112    8.905  8.614  8.526  8.547  8.502  8.579
-        0.02   0.04    1,267,842    44.92  42.75  41.92  44.14  43.58  42.77
-        0.02   0.02    1,257,464    43.05  39.35  41.04  40.67  42.25  40.96
-        0.02   0.01    1,257,367    46.92  45.45  46.12  45.33  44.59  44.90
-
-    2:3, the setting of `fem.dirichlet_factor`, is faster than the
-    defaults on every pencil, by 0.7-4 % on the `ellipse_sweep` meshes and
-    2-7 % on the shipped ellipse sweep's; no other column beats it on every
-    pencil.
+        h      factor ms       nnz(L+U)                 first_te ms
+        0.15    0.76 -> 0.44      13,271 -> 10,054       6.87 -> 6.29
+        0.075   2.54 -> 1.41      54,983 -> 42,062      12.95 -> 11.65
+        0.04   10.0  -> 5.1      249,112 -> 165,758     36.2  -> 30.1
+        0.02   47.9  -> 20.9   1,257,464 -> 755,254    151.0  -> 119.6
     """
-    lu = splu(pencil.shifted(sigma), relax=2, panel_size=3)
+    symmetric = {} if pivoted else dict(permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                                        options=dict(SymmetricMode=True))
+    lu = splu(pencil.shifted(sigma), relax=2, panel_size=3, **symmetric)
     op = LinearOperator(lu.shape, matvec=lambda x: lu.solve(pencil.B @ x), dtype=float)
     # fixed start vector, uneven to avoid accidental orthogonality
     v0 = 1.0 + 0.5 * (np.arange(pencil.dim) % 7 == 0)
@@ -144,8 +144,9 @@ class FirstTE:
     error ||(A - lam B)x||_1 / ((||A||_1 + lam ||B||_1) ||x||_1); fallback
     names, comma-separated, each fallback the solve took, else it is None:
     "ground two-pair" and "eroded two-pair" when the floor did not clear
-    lambda0 or lambda_eroded and two pairs were solved for it.  K and M are
-    the full-domain stiffness and mass on mesh."""
+    lambda0 or lambda_eroded and two pairs were solved for it, "pivoted
+    pencil" when the pencil was factored again with partial pivoting
+    (`first_te`).  K and M are the full-domain stiffness and mass on mesh."""
 
     lam: float
     v: FemField
@@ -180,16 +181,30 @@ def eroded_dirichlet(mesh, K, M):
     return lam, fallback
 
 
+def _rayleigh(pencil, x):
+    """(lam, residual): the Rayleigh quotient x^T A x / x^T B x of a real x
+    and the backward error of the pair (`FirstTE`)."""
+    A, B = pencil.A, pencil.B
+    Ax, Bx = A @ x, B @ x
+    lam = float(x @ Ax) / float(x @ Bx)
+    residual = float(np.abs(Ax - lam * Bx).sum()
+                     / ((spnorm(A, 1) + lam * spnorm(B, 1)) * np.abs(x).sum()))
+    return lam, residual
+
+
 def first_te(curve, layer, h):
     """Locate the first transmission eigenvalue of the coated domain.
 
     The pencil is factored once, at the midpoint of the computable corridor
     [lo, hi] (`corridor`, its upper slack fixed), and `nearest_eig` returns
-    the one eigenvalue nearest it.  That eigenvalue is the answer when it
-    is real and in [lo, hi]; anything else raises NoRootFound.  The
-    fallbacks of the two Dirichlet eigensolves are recorded (see `FirstTE`).
-    The eigenpair is returned with v normalized to unit mass norm and
-    sign-aligned with the Dirichlet ground mode.
+    the one eigenvalue nearest it.  It is the answer when it is real and in
+    [lo, hi], as is the Rayleigh quotient of its eigenvector, which is
+    reported: second-order accurate on the symmetric pencil, it restores the
+    digits unpivoted elimination costs as n nears 1.  Anything else raises
+    NoRootFound.  A zero pivot or a backward error above _BACKWARD_TOL
+    refactors the pencil with partial pivoting.  Each fallback taken is
+    recorded (see `FirstTE`).  The eigenpair is returned with v normalized
+    to unit mass norm and sign-aligned with the Dirichlet ground mode.
     """
     mesh = generate_mesh(curve, layer, h)
     lam0, v0, K, M, factor, ground = ground_state(mesh)
@@ -198,16 +213,23 @@ def first_te(curve, layer, h):
     pencil = assemble_pencil(mesh, layer.n, K, M)
 
     lo, hi = corridor(lam0, lam_eroded)
-    lam, x = nearest_eig(pencil, 0.5 * (lo + hi))
-    lam_te, x = lam.real, x.real
-    if abs(lam.imag) > 1e-8 * abs(lam) or not lo <= lam_te <= hi:
-        raise NoRootFound(f"the pencil eigenvalue nearest the corridor midpoint, {lam:.6g}, "
-                          "is not real in the corridor")
+    sigma = 0.5 * (lo + hi)
     taken = [f"{solve} {route}" for solve, route in (("ground", ground), ("eroded", eroded))
              if route]
-    A, B = pencil.A, pencil.B
-    residual = float(np.abs(A @ x - lam_te * (B @ x)).sum()
-                     / ((spnorm(A, 1) + lam_te * spnorm(B, 1)) * np.abs(x).sum()))
+    try:
+        lam, x = nearest_eig(pencil, sigma)
+    except RuntimeError:  # SuperLU met a zero pivot
+        residual = math.inf
+    else:
+        lam_te, residual = _rayleigh(pencil, x.real)
+    if not residual <= _BACKWARD_TOL:
+        lam, x = nearest_eig(pencil, sigma, pivoted=True)
+        lam_te, residual = _rayleigh(pencil, x.real)
+        taken.append("pivoted pencil")
+    if abs(lam.imag) > 1e-8 * abs(lam) or not (lo <= lam.real <= hi and lo <= lam_te <= hi):
+        raise NoRootFound(f"the pencil eigenvalue nearest the corridor midpoint, {lam:.6g}, "
+                          "is not real in the corridor")
+    x = x.real
 
     nv = pencil.n_vertices
     v = x[:nv].copy()
@@ -222,7 +244,7 @@ def first_te(curve, layer, h):
         v = -v
         w = -w
     return FirstTE(
-        lam=float(lam_te),
+        lam=lam_te,
         v=FemField(mesh, v),
         w=FemField(mesh, w),
         lambda0=lam0,

@@ -10,7 +10,7 @@ import signal
 import numpy as np
 import pytest
 
-from thinspec import bessel, cli, fem, report
+from thinspec import bessel, cli, fem, report, transmission
 from thinspec.cli import _IDENTITY_TOL, main
 from thinspec.asymptotics import compute_coefficients, evaluate_expansion
 from thinspec.errors import BelowLambda0, ConfigError, InsufficientData, NoRootFound
@@ -411,18 +411,17 @@ def test_cli_direct_pooled_matches_serial(monkeypatch, tmp_path, geometry):
     assert (out[True] / "direct.csv").read_bytes() == (out[False] / "direct.csv").read_bytes()
 
 
-@pytest.mark.parametrize("env, cores, g, expected", [
-    ({}, 2, 1.0, (1, "BLAS threads not pinned to 1")),
-    ({"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, 2, 1.0,
+@pytest.mark.parametrize("env, cores, expected", [
+    ({}, 2, (1, "BLAS threads not pinned to 1")),
+    ({"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, 2,
      (1, "BLAS threads not pinned to 1")),
-    ({"OPENBLAS_NUM_THREADS": "1"}, 1, 1.0, (1, "one usable core")),
-    ({"OPENBLAS_NUM_THREADS": "1"}, 2, lambda s: 1.0 + 0.0 * s, (1, "callable thickness profile")),
+    ({"OPENBLAS_NUM_THREADS": "1"}, 1, (1, "one usable core")),
     # OpenBLAS skips a variable that holds no positive count
-    ({"OPENBLAS_NUM_THREADS": "0", "GOTO_NUM_THREADS": "x", "OMP_NUM_THREADS": "1"}, 4, 1.0,
+    ({"OPENBLAS_NUM_THREADS": "0", "GOTO_NUM_THREADS": "x", "OMP_NUM_THREADS": "1"}, 4,
      (3, None)),
-    ({"GOTO_NUM_THREADS": "1", "OMP_NUM_THREADS": "2"}, 2, 1.0, (2, None)),
-], ids=["unpinned", "openblas-first", "one-core", "callable-g", "omp", "goto"])
-def test_cell_process_rule(monkeypatch, env, cores, g, expected):
+    ({"GOTO_NUM_THREADS": "1", "OMP_NUM_THREADS": "2"}, 2, (2, None)),
+], ids=["unpinned", "openblas-first", "one-core", "omp", "goto"])
+def test_cell_process_rule(monkeypatch, env, cores, expected):
     for var in report._BLAS_THREAD_VARS:
         monkeypatch.delenv(var, raising=False)
     for var, value in env.items():
@@ -430,7 +429,7 @@ def test_cell_process_rule(monkeypatch, env, cores, g, expected):
     monkeypatch.setattr(report, "_usable_cores", lambda: cores)
     if expected[0] > 1 and multiprocessing.get_all_start_methods()[0] != "fork":
         expected = (1, f"start method {multiprocessing.get_all_start_methods()[0]}")
-    assert report.cell_processes(g, 3) == expected
+    assert report.cell_processes(3) == expected
 
 
 def test_fem_sweep_records_fallback_cells(monkeypatch, ellipse_sweep_report):
@@ -446,15 +445,44 @@ def test_fem_sweep_records_fallback_cells(monkeypatch, ellipse_sweep_report):
     assert ellipse_sweep_report[0].fallbacks == []
 
 
-def test_sweep_records_why_it_ran_serially(monkeypatch, disk_sweep_report):
+def _float_hex_rows(sweep):
+    return [[v.hex() if isinstance(v, float) else v for v in dataclasses.astuple(row)]
+            for row in sweep.rows]
+
+
+@pytest.fixture(scope="module")
+def callable_g_sweeps():
+    """The same finite element sweep with a callable thickness profile, its
+    cells split over two processes and forced onto one."""
+    sweeps = {}
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        for pooled in (False, True):
+            _force_cells(monkeypatch, pooled)
+            sweeps[pooled] = run_sweep(Circle(1.0), [0.03, 0.02], lambda s: 1.0 + 0.0 * s, 0.48,
+                                       h_list=[0.08, 0.06], solver="fem")
+            assert multiprocessing.active_children() == []
+    return sweeps
+
+
+def test_sweep_records_why_it_ran_serially(disk_sweep_report, callable_g_sweeps):
     # the semi-analytic leg has no Richardson lambda0 and no pencil residual
     assert (disk_sweep_report.est0, disk_sweep_report.max_residual) == (None, None)
     assert (disk_sweep_report.processes, disk_sweep_report.serial_reason) == \
         (1, "semi-analytic solver")
-    _force_cells(monkeypatch, pooled=True)
-    sweep = run_sweep(Circle(1.0), [0.03, 0.02], lambda s: 1.0 + 0.0 * s, 0.48,
-                      h_list=[0.08, 0.06], solver="fem")
-    assert (sweep.processes, sweep.serial_reason) == (1, "callable thickness profile")
+    # a callable thickness profile splits like a constant one
+    method = multiprocessing.get_all_start_methods()[0]
+    expected = (2, None) if method == "fork" else (1, f"start method {method}")
+    assert (callable_g_sweeps[True].processes, callable_g_sweeps[True].serial_reason) == expected
+    assert (callable_g_sweeps[False].processes, callable_g_sweeps[False].serial_reason) == \
+        (1, "BLAS threads not pinned to 1")
+
+
+@needs_fork
+def test_fem_sweep_with_callable_g_split_matches_one_process(callable_g_sweeps):
+    """A helper forks with its cells in memory and sends back numbers, so a
+    callable g splits, and every row keeps its bits."""
+    assert callable_g_sweeps[True].processes == 2
+    assert _float_hex_rows(callable_g_sweeps[True]) == _float_hex_rows(callable_g_sweeps[False])
 
 
 # ---------------------------------------------------------------------------
@@ -611,6 +639,19 @@ def test_cli_prints_two_pair_fallbacks(tmp_path, capsys, monkeypatch, task):
     main([task, "--config", cfg, "--out", str(tmp_path)])
     lines = [ln for ln in capsys.readouterr().err.splitlines() if "fell back" in ln]
     assert lines == _TWO_PAIR_LINES[task]
+
+
+@pytest.mark.parametrize("task", ["direct", "sweep"])
+def test_cli_prints_the_pivoted_pencil_fallback(tmp_path, capsys, monkeypatch, task):
+    """With a backward-error guard of 0 every cell factors its pencil again
+    with partial pivoting, and the task says so for each cell."""
+    monkeypatch.setattr(transmission, "_BACKWARD_TOL", 0.0)
+    cfg = _write_config(tmp_path, mesh={"h": [0.09, 0.06]}, solver="fem",
+                        layer={"delta0": [0.02], "n": 0.48})
+    assert main([task, "--config", cfg, "--out", str(tmp_path)]) == 0
+    lines = [ln for ln in capsys.readouterr().err.splitlines() if "fell back" in ln]
+    assert lines == [f"{task}: cell delta 0.02 h {h:g} fell back: pivoted pencil"
+                     for h in (0.09, 0.06)]
 
 
 def test_cli_direct_rejects_scan_block(tmp_path):

@@ -8,7 +8,7 @@ import scipy.sparse as sp
 from thinspec import bessel, fem, transmission
 from thinspec.errors import InsufficientData, MissingLayer, NoRootFound
 from thinspec.fem import assemble, dirichlet_eigs, ground_state, h1_norm
-from thinspec.geometry import Circle, Ellipse, LayerConfig
+from thinspec.geometry import Circle, Ellipse, FourierCurve, LayerConfig
 from thinspec.mesh import LAYER, generate_mesh
 from thinspec.report import fit_order, richardson
 from thinspec.transmission import (
@@ -197,13 +197,66 @@ def test_first_te_frees_stiffness_factor_before_pencil_lu(monkeypatch):
 def test_first_te_factor_routes(monkeypatch):
     """first_te factors three matrices: the free block of the whole mesh and
     the eroded block, each with the Dirichlet supernode sizes, and the
-    pencil with the supernode sizes scanned in `nearest_eig`."""
+    pencil as a symmetric matrix (minimum degree on its pattern, diagonal
+    pivots, symmetric mode) with the same supernode sizes."""
     calls = recording_splu(monkeypatch, fem, transmission)
     te = first_te(Circle(1.0), LayerConfig(0.04, 1.0, 0.48), 0.15)
     dirichlet = {"permc_spec": "MMD_AT_PLUS_A", "relax": fem._RELAX, "panel_size": fem._PANEL}
+    pencil = {"permc_spec": "MMD_AT_PLUS_A", "diag_pivot_thresh": 0.0,
+              "options": {"SymmetricMode": True}, "relax": 2, "panel_size": 3}
     assert [(name, kwargs) for name, _, kwargs in calls] == [
-        ("fem", dirichlet), ("fem", dirichlet), ("transmission", {"relax": 2, "panel_size": 3})]
+        ("fem", dirichlet), ("fem", dirichlet), ("transmission", pencil)]
     assert calls[2][1].shape == (te.pencil.dim, te.pencil.dim)
+
+
+@pytest.mark.parametrize("delta", [0.005, 0.04, 0.2])
+@pytest.mark.parametrize("n", [0.05, 0.48, 0.9, 0.999])
+@pytest.mark.parametrize("curve", [Circle(1.0), Ellipse(1.3, 1.0), FourierCurve([0.1, 0.05])],
+                         ids=["circle", "ellipse", "fourier"])
+def test_symmetric_pencil_factor_matches_pivoted(monkeypatch, curve, n, delta):
+    """The symmetric factor's eigenvalue, the Rayleigh quotient of its
+    Arnoldi vector, agrees with the one from SuperLU's default pivoted
+    route (COLAMD, partial pivoting) to 1e-12 relative and to 1e-5 of the
+    corridor gap, up to n = 0.999 where unpivoted elimination loses the
+    most digits, with a backward error of at most 1e-10."""
+    layer = LayerConfig(delta, 1.0, n)
+    te = first_te(curve, layer, 0.1)
+    real_splu = transmission.splu
+    monkeypatch.setattr(transmission, "splu", lambda a, **kwargs: real_splu(a))
+    ref = first_te(curve, layer, 0.1)
+    assert (te.fallback, ref.fallback) == (None, None)
+    assert 0.0 <= te.residual <= 1e-10
+    assert abs(te.lam - ref.lam) <= 1e-12 * ref.lam
+    assert abs(te.lam - ref.lam) <= 1e-5 * (ref.lambda_eroded - ref.lam)
+
+
+@pytest.mark.parametrize("cause", ["backward error", "zero pivot"])
+def test_first_te_falls_back_to_the_pivoted_pencil(monkeypatch, cause):
+    """A backward error above the guard, here 0, or a zero pivot of the
+    symmetric factor makes first_te factor the pencil once more with partial
+    pivoting, and the cell names that fallback."""
+    layer = LayerConfig(0.04, 1.0, 0.48)
+    plain = first_te(Circle(1.0), layer, 0.15)
+    if cause == "backward error":
+        monkeypatch.setattr(transmission, "_BACKWARD_TOL", 0.0)
+    else:
+        real_splu = transmission.splu
+
+        def zero_pivot(a, **kwargs):
+            if "diag_pivot_thresh" in kwargs:
+                raise RuntimeError("Factor is exactly singular")
+            return real_splu(a, **kwargs)
+
+        monkeypatch.setattr(transmission, "splu", zero_pivot)
+    calls = recording_splu(monkeypatch, transmission)
+    fallen = first_te(Circle(1.0), layer, 0.15)
+    assert fallen.fallback == "pivoted pencil"
+    blocking = {"relax": 2, "panel_size": 3}
+    symmetric = {"permc_spec": "MMD_AT_PLUS_A", "diag_pivot_thresh": 0.0,
+                 "options": {"SymmetricMode": True}}
+    assert [kwargs for _, _, kwargs in calls] == [symmetric | blocking, blocking]
+    assert 0.0 <= fallen.residual <= 1e-10
+    assert abs(fallen.lam - plain.lam) <= 1e-12 * plain.lam
 
 
 def _count_pencil_work(monkeypatch):
@@ -318,12 +371,18 @@ def test_nearest_eig_toy_pencils():
     # a double eigenvalue, which no determinant sign change would reveal
     lam, _ = nearest_eig(_toy_pencil((2.0, 2.0, 5.0)), 2.55)
     assert abs(lam - 2.0) <= 1e-12
-    # a symmetric pencil with an indefinite B has the complex pair +-i
-    toy = CoupledPencil(A=sp.csr_matrix([[2.0, 0, 0], [0, 0, 1], [0, 1, 0]]),
-                        B=sp.diags([1.0, -1.0, 1.0]).tocsr(), dim=3, n_vertices=3,
-                        wmap=np.array([], dtype=np.int64))
+    # a symmetric pencil with an indefinite B has the complex pair +-i; its
+    # operators share one pattern, explicit zeros included
+    rows, cols = [0, 1, 1, 2, 2], [0, 1, 2, 1, 2]
+    toy = CoupledPencil(A=sp.csr_matrix(([2.0, 0.0, 1.0, 1.0, 0.0], (rows, cols)), shape=(3, 3)),
+                        B=sp.csr_matrix(([1.0, -1.0, 0.0, 0.0, 1.0], (rows, cols)), shape=(3, 3)),
+                        dim=3, n_vertices=3, wmap=np.array([], dtype=np.int64))
     lam, _ = nearest_eig(toy, 0.1)
     assert abs(abs(lam.imag) - 1.0) <= 1e-12
+    # the same pencil without B's explicit zeros is refused
+    toy.B = sp.diags([1.0, -1.0, 1.0]).tocsr()
+    with pytest.raises(ValueError, match="one sparsity pattern"):
+        nearest_eig(toy, 0.1)
 
 
 def test_first_te_trend_with_thickness():
