@@ -17,12 +17,12 @@ from . import bessel
 from .asymptotics import compute_coefficients, format_coefficients
 from .errors import ConfigError, ThinspecError
 from .geometry import Circle, LayerConfig, config_number, curve_from_config
-from .report import (cell_processes, extrapolate_coefficients, fallback_cells, in_corridor,
-                     richardson, run_sweep, solve_cells, sweep_svg, write_atomic)
+from .report import (cell_processes, check_ring_counts, extrapolate_coefficients,
+                     fallback_cells, in_corridor, richardson, run_sweep, solve_cells, sweep_svg,
+                     write_atomic)
 from .transmission import first_te, rayleigh_identity_residual
 
 _SCHEMA = "thinspec/1"
-_TASKS = ("coeffs", "direct", "sweep", "disk-oracle", "validate")
 # discrete eigenpairs satisfy the energy identity exactly, so validate allows
 # its relative defect rounding error only
 _IDENTITY_TOL = 1e-10
@@ -130,6 +130,8 @@ def _task_coeffs(cfg, outdir):
     curve = cfg["curve"]
     layer = LayerConfig(cfg["deltas"][0], cfg["g"], cfg["n"]) if "deltas" in cfg \
         else LayerConfig(0.01, 1.0, 0.5)
+    if len(cfg["h_list"]) >= 2:
+        check_ring_counts(curve, *cfg["h_list"][-2:])
     lines = ["h,lambda0,lambda1,lambda2,multiplier"]
     computed = []
     for h in cfg["h_list"]:
@@ -199,6 +201,7 @@ def _task_validate(cfg, outdir):
         _fail("validate requires circle geometry", "geometry.kind")
     if len(cfg["h_list"]) != 2:
         _fail("validate needs exactly two mesh sizes", "mesh.h")
+    check_ring_counts(curve, *cfg["h_list"])
     checks = []
     deltas = cfg["deltas"][:2]
     for delta, lam_oracle in zip(deltas, bessel.disk_first_tes(curve.radius, deltas, cfg["n"])):
@@ -227,6 +230,10 @@ def _task_validate(cfg, outdir):
     return 0 if all(ok for _, _, _, ok in checks) else 2
 
 
+_TASKS = {"coeffs": _task_coeffs, "direct": _task_direct, "sweep": _task_sweep,
+          "disk-oracle": _task_disk_oracle, "validate": _task_validate}
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(
         prog="thinspec",
@@ -239,25 +246,9 @@ def main(argv=None):
 
     try:
         cfg = load_config(args.config, args.task)
-    except ConfigError as exc:
-        where = f" [{exc.field}]" if exc.field else ""
-        print(f"config error{where}: {exc}", file=sys.stderr)
-        return 3
-
-    outdir = args.out if args.out is not None else cfg["output"]
-    os.makedirs(outdir, exist_ok=True)
-
-    try:
-        if args.task == "disk-oracle":
-            return _task_disk_oracle(cfg, outdir)
-        if args.task == "coeffs":
-            return _task_coeffs(cfg, outdir)
-        if args.task == "direct":
-            return _task_direct(cfg, outdir)
-        if args.task == "sweep":
-            return _task_sweep(cfg, outdir)
-        if args.task == "validate":
-            return _task_validate(cfg, outdir)
+        outdir = args.out if args.out is not None else cfg["output"]
+        os.makedirs(outdir, exist_ok=True)
+        return _TASKS[args.task](cfg, outdir)
     except ConfigError as exc:
         where = f" [{exc.field}]" if exc.field else ""
         print(f"config error{where}: {exc}", file=sys.stderr)
@@ -265,7 +256,6 @@ def main(argv=None):
     except ThinspecError as exc:
         print(f"solver error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
-    return 0
 
 
 if __name__ == "__main__":

@@ -55,9 +55,6 @@ class FemField:
     mesh: object
     values: np.ndarray
 
-    def copy(self):
-        return FemField(self.mesh, self.values.copy())
-
 
 # a triangle's vertex pairs (i, j) in the row-major order of its 3 x 3
 # element matrix, and its edges in the order of the midpoint quadrature

@@ -122,6 +122,11 @@ def _hex_core(n_rings, boundary_points_of):
     return verts, tris, boundary
 
 
+def ring_count(curve, h):
+    """Number of hexagonal core rings `generate_mesh` builds for mesh size h."""
+    return max(2, int(round(curve.s0 / (6.0 * h))))
+
+
 def generate_mesh(curve, layer, h):
     """Mesh the domain bounded by `curve`, optionally with a coating.
 
@@ -140,7 +145,7 @@ def generate_mesh(curve, layer, h):
     if layer is not None:
         layer.validate_against(curve, eta0)
 
-    n_rings = max(2, int(round(curve.s0 / (6.0 * h))))
+    n_rings = ring_count(curve, h)
     nb = 6 * n_rings
     s_ring = np.arange(nb) * curve.s0 / nb
 

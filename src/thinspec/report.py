@@ -12,10 +12,10 @@ legs build their rows with one row function, whose predictions are
 general geometries run the coupled finite element pencil on exactly two
 mesh sizes and Richardson-extrapolate over their ring spacing, the
 expansion coefficients with `extrapolate_coefficients`.  Their (thickness,
-mesh size) cells are split by estimated cost between this process, which
-also computes the expansion coefficients, and one forked helper per
-further usable core (`solve_cells`); every helper ends before the sweep
-returns.
+mesh size) cells are pulled, finest mesh first, from one shared counter by
+this process, once it has computed the expansion coefficients, and by one
+forked helper per further usable core (`solve_cells`); every helper ends
+before the sweep returns.
 """
 
 import math
@@ -28,6 +28,7 @@ from . import bessel
 from .asymptotics import compute_coefficients, evaluate_expansion, geometry_hash
 from .errors import BelowLambda0, ConfigError, InsufficientData
 from .geometry import Circle, LayerConfig
+from .mesh import ring_count
 from .transmission import first_te
 
 _VERSION = "thinspec-0.1.0"
@@ -119,6 +120,15 @@ def richardson(v_coarse, v_fine, refinement):
     return extrap, abs(extrap - v_fine)
 
 
+def check_ring_counts(curve, h_coarse, h_fine):
+    """Raise ConfigError (field mesh.h) when both mesh sizes give one
+    `ring_count`, which leaves `richardson` no refinement to divide by."""
+    rings = ring_count(curve, h_coarse)
+    if ring_count(curve, h_fine) == rings:
+        raise ConfigError(f"mesh sizes {h_coarse:g} and {h_fine:g} both give {rings} rings, "
+                          "so Richardson extrapolation has no refinement", field="mesh.h")
+
+
 def extrapolate_coefficients(coarse, fine):
     """`richardson` of each expansion coefficient of two meshes from
     `compute_coefficients` over their ring ratio.
@@ -158,14 +168,15 @@ class SweepRow:
 @dataclass
 class SweepReport:
     """Rows, fits and Richardson coefficients of a sweep.  processes is how
-    many processes solved its cells, the caller's and processes - 1 forked
-    helpers (`solve_cells`), serial_reason why that was one (None when it
-    was more), fallbacks the (delta, h, fallback) of each finite
-    element cell whose `first_te` fell back and the (None, h, fallback) of
-    each mesh size whose expansion coefficients did.  est0 is the Richardson
-    error estimate of lambda0 alone and max_residual the largest `first_te`
-    backward error over the finite element cells; both are None on the
-    semi-analytic leg.  None of these is written to the CSVs."""
+    many processes took part in its cells (one may take none), the caller's
+    and processes - 1 forked helpers (`solve_cells`), serial_reason why that
+    was one (None when it was more), fallbacks the (delta, h, fallback) of
+    each finite element cell whose `first_te` fell back and the (None, h,
+    fallback) of each mesh size whose expansion coefficients did.  est0 is
+    the Richardson error estimate of lambda0 alone and max_residual the
+    largest `first_te` backward error over the finite element cells; both
+    are None on the semi-analytic leg.  None of these is written to the
+    CSVs."""
 
     rows: list
     fits: dict
@@ -330,68 +341,40 @@ def fallback_cells(cells, solved):
     return [(layer.delta0, h, out[-1]) for (layer, h), out in zip(cells, solved) if out[-1]]
 
 
-def cell_cost(h):
-    """Estimated cost of one cell of mesh size h: its mesh size, 1/h**2."""
-    return h ** -2
+def _pull_cells(curve, queue, counter):
+    """Yield (index, _fem_cell) of each (index, cell) of queue this process
+    takes, at the position the shared counter holds, until none is left."""
+    while True:
+        with counter.get_lock():
+            taken, counter.value = counter.value, counter.value + 1
+        if taken >= len(queue):
+            return
+        i, (layer, h) = queue[taken]
+        yield i, _fem_cell(curve, layer, h)
 
 
-def coefficients_cost(h):
-    """Estimated cost of `compute_coefficients` on mesh size h, in the units
-    of `cell_cost`: the fraction 0.435 + 0.03*log2(h/0.02) of a cell of the
-    same h.  That fits the measured ratio of the two on Ellipse(1.3, 1),
-    n = 0.48, to 0.015 (coefficients at delta = 0.04, cells at 0.02; the
-    mean of two medians of 7 to 21 runs, 2 cores, BLAS pinned):
-
-        h      coefficients   cell     fraction
-        0.15     3.42 ms      6.6 ms     0.52
-        0.075    5.68 ms     11.7 ms     0.49
-        0.04    14.0 ms      30.9 ms     0.45
-        0.02    55.0 ms     124.6 ms     0.44
-
-    The fraction falls as h does, so the sweep's coefficient work weighs
-    more against coarse cells than against fine ones."""
-    return (0.435 + 0.03 * math.log2(h / 0.02)) * cell_cost(h)
-
-
-def split_cells(cells, processes, preload=0.0):
-    """Shares of the indices of cells for processes sides, side 0 the
-    caller's: longest first, each cell goes to the side with the least
-    estimated load (LPT), a cell costing `cell_cost` of its mesh size and
-    side 0 starting at preload.  No side then exceeds the mean load by more
-    than the largest single cost, unless preload alone does."""
-    costs = [cell_cost(h) for _, h in cells]
-    loads = [preload] + [0.0] * (processes - 1)
-    shares = [[] for _ in range(processes)]
-    for i in sorted(range(len(cells)), key=costs.__getitem__, reverse=True):
-        side = loads.index(min(loads))
-        shares[side].append(i)
-        loads[side] += costs[i]
-    return shares
-
-
-def _solve_share(curve, cells, conn):
-    """Body of a forked helper: send (True, the _fem_cell of each cell) or
-    (False, (the exception that stopped it, its formatted traceback))
-    through conn."""
+def _solve_pulled(curve, queue, counter, conn):
+    """Body of a forked helper: send (True, its `_pull_cells` pairs) or (False,
+    (the exception that stopped it, its formatted traceback)) through conn."""
     try:
-        out = True, [_fem_cell(curve, layer, h) for layer, h in cells]
+        out = True, list(_pull_cells(curve, queue, counter))
     except Exception as exc:
         out = False, (exc, traceback.format_exc())
     conn.send(out)
     conn.close()
 
 
-def solve_cells(curve, cells, processes, alongside=None, preload=0.0):
+def solve_cells(curve, cells, processes, alongside=None):
     """_fem_cell of every (layer, h) in cells, in input order, with the result
     of alongside() (None without it).
 
-    With more than one process the cells are split by `split_cells`, side 0
-    pre-loaded with preload, the estimated cost of alongside.  Each other
-    share goes to a daemonic helper forked for it, which sends its results
-    back through a one-way pipe; this process runs alongside(), then its own
-    share, then reads the helpers'.  A helper's exception is raised here
-    with its own type, from a RuntimeError that holds the helper's
-    traceback, and a helper that exits without sending raises
+    With more than one process, processes - 1 daemonic helpers are forked,
+    each sending its results back through a one-way pipe, and this process
+    runs alongside() first.  Then every process takes the next cell from one
+    shared counter until none is left, finest mesh first and in input order
+    among equal sizes, so a process may take no cell.  A helper's exception
+    is raised here with its own type, from a RuntimeError that holds the
+    helper's traceback, and a helper that exits without sending raises
     RuntimeError.  If anything raises here, the helpers still running are
     terminated; every helper is joined before this returns.  Each cell is
     computed the same way wherever it runs, so the results are the same
@@ -399,20 +382,21 @@ def solve_cells(curve, cells, processes, alongside=None, preload=0.0):
     if processes == 1:
         side = alongside() if alongside else None
         return [_fem_cell(curve, layer, h) for layer, h in cells], side
-    own, *shares = split_cells(cells, processes, preload)
+    queue = sorted(enumerate(cells), key=lambda item: item[1][1])
     context = multiprocessing.get_context("fork")
+    counter = context.Value("i", 0)
     helpers = []
     try:
-        for share in shares:
+        for _ in range(processes - 1):
             recv, send = context.Pipe(duplex=False)
-            proc = context.Process(target=_solve_share, daemon=True,
-                                   args=(curve, [cells[i] for i in share], send))
+            proc = context.Process(target=_solve_pulled, daemon=True,
+                                   args=(curve, queue, counter, send))
             proc.start()
             send.close()  # the helper holds the only write end: its exit is EOF here
             helpers.append((proc, recv))
         side = alongside() if alongside else None
-        solved = {i: _fem_cell(curve, *cells[i]) for i in own}
-        for share, (proc, recv) in zip(shares, helpers):
+        solved = dict(_pull_cells(curve, queue, counter))
+        for proc, recv in helpers:
             try:
                 ok, out = recv.recv()
             except EOFError:
@@ -422,7 +406,7 @@ def solve_cells(curve, cells, processes, alongside=None, preload=0.0):
             if not ok:
                 exc, trace = out
                 raise exc from RuntimeError(f"raised in a cell helper:\n{trace}")
-            solved.update(zip(share, out))
+            solved.update(out)
         return [solved[i] for i in range(len(cells))], side
     except BaseException:
         for proc, _ in helpers:
@@ -437,14 +421,14 @@ def solve_cells(curve, cells, processes, alongside=None, preload=0.0):
 def _sweep_fem(curve, deltas, g, n, h_list):
     if h_list is None or len(h_list) != 2:
         raise ConfigError("finite element sweep needs exactly two mesh sizes", field="mesh.h")
+    check_ring_counts(curve, *h_list)
     cells = [(LayerConfig(delta, g, n), h) for delta in deltas for h in h_list]
     processes, reason = cell_processes(len(cells))
     # expansion coefficients per mesh size, then Richardson in h
     coeff_layer = LayerConfig(max(deltas), g, n)
     solved, coeff_by_h = solve_cells(
         curve, cells, processes,
-        alongside=lambda: [compute_coefficients(curve, coeff_layer, h) for h in h_list],
-        preload=sum(coefficients_cost(h) for h in h_list))
+        alongside=lambda: [compute_coefficients(curve, coeff_layer, h) for h in h_list])
     lambdas, est0 = extrapolate_coefficients(*coeff_by_h)
 
     rows = []

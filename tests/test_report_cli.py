@@ -269,16 +269,31 @@ def test_fem_sweep_pooled_matches_serial(monkeypatch, curve):
         (sweeps[False].est0, sweeps[False].max_residual)
 
 
+def _once_per_process(processes):
+    """A call that waits on one fork-context barrier of processes parties
+    the first time each process makes it: called from a patched _fem_cell,
+    every process of a pulled solve then holds a cell before any goes on."""
+    barrier = multiprocessing.get_context("fork").Barrier(processes, timeout=30)
+    waited = set()
+
+    def wait():
+        if os.getpid() not in waited:
+            waited.add(os.getpid())
+            barrier.wait()
+    return wait
+
+
 @needs_fork
 @pytest.mark.parametrize("in_helper", [True, False], ids=["helper", "parent"])
 def test_fem_sweep_cell_error_stops_every_process(monkeypatch, in_helper):
-    # cells of delta 0.02 run on both sides; only the chosen side's raise.
-    # A helper's typed error crosses back; an error in this process's own
-    # share terminates the helper, which may still be running
-    parent, solve = os.getpid(), report._fem_cell
+    # both processes take a cell; only the chosen side's cells raise.  A
+    # helper's typed error crosses back; an error in this process's own
+    # cell terminates the helper, which may still be running
+    parent, solve, wait = os.getpid(), report._fem_cell, _once_per_process(2)
 
     def failing(curve, layer, h):
-        if layer.delta0 == 0.02 and (os.getpid() != parent) == in_helper:
+        wait()
+        if (os.getpid() != parent) == in_helper:
             raise NoRootFound("no real pencil eigenvalue")
         return solve(curve, layer, h)
 
@@ -297,9 +312,10 @@ def _alarm(signum, frame):
 @needs_fork
 def test_fem_sweep_helper_exit_raises(monkeypatch):
     # a helper that exits without sending its results is an error, not a wait
-    parent, solve = os.getpid(), report._fem_cell
+    parent, solve, wait = os.getpid(), report._fem_cell, _once_per_process(2)
 
     def exiting(curve, layer, h):
+        wait()
         if os.getpid() != parent:
             os._exit(3)
         return solve(curve, layer, h)
@@ -317,21 +333,8 @@ def test_fem_sweep_helper_exit_raises(monkeypatch):
     assert multiprocessing.active_children() == []
 
 
-_SPLIT_CELLS = [(LayerConfig(delta, 1.0, 0.48), h) for delta in (0.04, 0.02, 0.01)
+_CELLS = [(LayerConfig(delta, 1.0, 0.48), h) for delta in (0.04, 0.02, 0.01)
                 for h in (0.15, 0.075)]
-
-
-@pytest.mark.parametrize("processes", [2, 3])
-@pytest.mark.parametrize("preload", [0.0, sum(report.coefficients_cost(h) for h in (0.15, 0.075))],
-                         ids=["bare", "alongside"])
-def test_split_cells_is_a_balanced_partition(processes, preload):
-    shares = report.split_cells(_SPLIT_CELLS, processes, preload)
-    assert len(shares) == processes
-    assert sorted(i for share in shares for i in share) == list(range(len(_SPLIT_CELLS)))
-    costs = [report.cell_cost(h) for _, h in _SPLIT_CELLS]
-    loads = [sum(costs[i] for i in share) for share in shares]
-    loads[0] += preload
-    assert max(loads) <= max(costs) + sum(loads) / processes
 
 
 @needs_fork
@@ -339,13 +342,65 @@ def test_split_cells_is_a_balanced_partition(processes, preload):
 @pytest.mark.parametrize("with_alongside", [False, True], ids=["bare", "alongside"])
 def test_solve_cells_returns_input_order(monkeypatch, processes, with_alongside):
     # a cell names itself and the process that solved it
-    monkeypatch.setattr(report, "_fem_cell", lambda curve, layer, h: (layer.delta0, h, os.getpid()))
+    wait = _once_per_process(processes)
+
+    def naming(curve, layer, h):
+        wait()
+        return layer.delta0, h, os.getpid()
+
+    monkeypatch.setattr(report, "_fem_cell", naming)
     alongside = (lambda: "side") if with_alongside else None
-    preload = sum(report.coefficients_cost(h) for h in (0.15, 0.075)) if with_alongside else 0.0
-    solved, side = report.solve_cells(Circle(1.0), _SPLIT_CELLS, processes, alongside, preload)
-    assert [cell[:2] for cell in solved] == [(layer.delta0, h) for layer, h in _SPLIT_CELLS]
+    solved, side = report.solve_cells(Circle(1.0), _CELLS, processes, alongside)
+    assert [cell[:2] for cell in solved] == [(layer.delta0, h) for layer, h in _CELLS]
     assert len({cell[2] for cell in solved}) == processes
     assert side == ("side" if with_alongside else None)
+    assert multiprocessing.active_children() == []
+
+
+@needs_fork
+def test_solve_cells_pulls_finest_first(monkeypatch):
+    # this process waits in alongside() until the helper has solved every
+    # cell, so the helper's calls come in the order the cells are pulled
+    cells = [(LayerConfig(delta, 1.0, 0.48), h) for delta, h in
+             ((0.04, 0.15), (0.02, 0.075), (0.04, 0.1), (0.01, 0.075), (0.02, 0.15))]
+    calls = multiprocessing.get_context("fork").Queue()
+
+    def recording(curve, layer, h):
+        calls.put((layer.delta0, h))
+        return layer.delta0, h, os.getpid()
+
+    monkeypatch.setattr(report, "_fem_cell", recording)
+    solved, pulled = report.solve_cells(Circle(1.0), cells, 2,
+                                        lambda: [calls.get(timeout=30) for _ in cells])
+    # finest mesh first, input order among equal sizes
+    assert pulled == [(0.02, 0.075), (0.01, 0.075), (0.04, 0.1), (0.04, 0.15), (0.02, 0.15)]
+    assert [cell[:2] for cell in solved] == [(layer.delta0, h) for layer, h in cells]
+    assert os.getpid() not in {cell[2] for cell in solved}
+    assert multiprocessing.active_children() == []
+
+
+@needs_fork
+def test_solve_cells_takes_each_cell_once(monkeypatch):
+    # four processes (twice the cores of a 2-core runner) pull from one
+    # counter; a lost update of it would hand one cell to two processes
+    cells = [(LayerConfig(0.04, 1.0, 0.48), h) for h in (0.15, 0.1, 0.075) * 16]
+    calls = multiprocessing.get_context("fork").Value("i", 0)
+
+    def counting(curve, layer, h):
+        with calls.get_lock():
+            calls.value += 1
+        return h, os.getpid()
+
+    monkeypatch.setattr(report, "_fem_cell", counting)
+    previous = signal.signal(signal.SIGALRM, _alarm)
+    signal.alarm(60)
+    try:
+        solved, _ = report.solve_cells(Circle(1.0), cells, 4)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert calls.value == len(cells)
+    assert [h for h, _ in solved] == [h for _, h in cells]
     assert multiprocessing.active_children() == []
 
 
@@ -384,6 +439,13 @@ def test_fem_sweep_row_flags_a_corrupted_cell(monkeypatch, h_list, end, eps):
 def test_fem_sweep_takes_exactly_two_mesh_sizes(h_list):
     with pytest.raises(ConfigError, match="exactly two mesh sizes"):
         run_sweep(Circle(1.0), [0.02], 1.0, 0.48, h_list=h_list, solver="fem")
+
+
+def test_fem_sweep_rejects_two_sizes_of_one_ring_count():
+    # 0.15 and 0.149 both give 8 rings on this ellipse: nothing to extrapolate
+    with pytest.raises(ConfigError, match="0.15 and 0.149 both give 8 rings") as raised:
+        run_sweep(Ellipse(1.3, 1.0), [0.02], 1.0, 0.48, h_list=[0.15, 0.149], solver="fem")
+    assert raised.value.field == "mesh.h"
 
 
 @needs_fork
@@ -742,6 +804,24 @@ def test_cli_two_mesh_tasks_reject_three_sizes(tmp_path, capsys, task):
     assert main([task, "--config", cfg, "--out", str(tmp_path)]) == 3
     assert "exactly two mesh sizes" in capsys.readouterr().err
     assert list(tmp_path.glob("*.csv")) == []
+
+
+@pytest.mark.parametrize("task, geometry, rings", [
+    ("sweep", {"kind": "ellipse", "a": 1.3, "b": 1.0}, 8),
+    ("coeffs", {"kind": "ellipse", "a": 1.3, "b": 1.0}, 8),
+    ("validate", {"kind": "circle", "radius": 1.0}, 7),
+])
+def test_cli_rejects_two_sizes_of_one_ring_count(tmp_path, capsys, task, geometry, rings):
+    # a config error before any cell is solved, so no file is written
+    cfg = _write_config(tmp_path, geometry=geometry, mesh={"h": [0.15, 0.149]},
+                        layer={"delta0": [0.02], "n": 0.48})
+    out = tmp_path / "out"
+    assert main([task, "--config", cfg, "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("config error [mesh.h]: ")
+    assert f"0.15 and 0.149 both give {rings} rings" in err
+    assert "Traceback" not in err
+    assert list(out.iterdir()) == []
 
 
 @pytest.mark.parametrize("task, csv, rows", [("coeffs", "coefficients.csv", 4),

@@ -464,10 +464,8 @@ def test_rayleigh_identity_residual(disk_te):
 def test_rayleigh_identity_scale_invariant(disk_te):
     res1 = rayleigh_identity_residual(disk_te.lam, disk_te.v, disk_te.w, 0.48,
                                       disk_te.mesh, disk_te.K, disk_te.M)
-    v2 = disk_te.v.copy()
-    w2 = disk_te.w.copy()
-    v2.values = 2.0 * v2.values
-    w2.values = 2.0 * w2.values
+    v2 = fem.FemField(disk_te.mesh, 2.0 * disk_te.v.values)
+    w2 = fem.FemField(disk_te.mesh, 2.0 * disk_te.w.values)
     res2 = rayleigh_identity_residual(disk_te.lam, v2, w2, 0.48, disk_te.mesh,
                                       disk_te.K, disk_te.M)
     assert abs(res1 - res2) <= 1e-12
