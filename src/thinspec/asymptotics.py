@@ -127,9 +127,17 @@ def compute_v1(mesh, K, M, factor, boundary_lu, lambda0, v0, flux0, lambda1, lay
     quadrature value: it is the solvability condition of this system, and
     the multiplier records the residual defect.  `factor` is the
     `fem.dirichlet_factor` of the eigensolve, `boundary_lu` the boundary
-    mass factor of flux0.
+    mass factor of flux0.  A factor reduced by the mesh's mirrors serves
+    only a mirror-even solution, so unless g's values at the outer vertices
+    are mirror-equal bit for bit the solve takes the full factor
+    (`fem.DirichletFactor.full`).
     """
-    data = -np.asarray(layer.g_at(mesh.outer_s)) * flux0
+    g = np.asarray(layer.g_at(mesh.outer_s))
+    on_vertices = np.zeros(mesh.n_vertices)
+    on_vertices[mesh.outer] = g
+    if not all(np.array_equal(on_vertices[s], on_vertices) for s in mesh.mirrors):
+        factor = factor.full(K, M)
+    data = -g * flux0
     rhs = FemField(mesh, -lambda1 * v0.values)
     v1, mu = solve_constrained_source(K, M, lambda0, rhs, data, v0, mesh.outer, factor)
     flux1 = boundary_flux(mesh, v1, lambda0, K, M, boundary_lu, rhs=rhs)

@@ -35,10 +35,29 @@ second pair: a computed eigenvalue that stays clear below the floor is the
 lowest discrete eigenvalue, and simple (`floor_clears`).  `lowest_pair`
 holds this route for both Max-Min corridor ends, lambda0 and
 lambda_eroded.
+
+Meshes of curves that reflect onto themselves carry their reflections as
+vertex maps (`TriMesh.mirrors`).  When every map takes the triangles being
+factored and the free vertices onto themselves, K and M commute with the
+maps, and the simple ground mode is even under them: one-signed, it cannot
+be odd.  `dirichlet_factor` then factors P^T (K_ff - sigma M_ff) P, P the
+0/1 basis of the mirror-even subspace, one function per vertex orbit
+(`MirrorOrbits`): about a quarter of the unknowns and a fifth of the fill
+under two mirrors, half and two fifths under one (Circle, Ellipse and
+FourierCurve meshes at h = 0.04 to 0.01).  It does so only when the floor
+clears sigma, so that one pair is asked for: on the bare mesh of the
+expansion and on the core of the eroded solve, not on a coated mesh as a
+whole, whose coating rows' diagonals flip under a reflection.  The
+certificates do not rest on the reduction: the lifted pair must meet the
+residual test on the whole free block, and `floor_clears` reads the floor
+of every vertex, so a lifted pair below it is the lowest pair of the full
+problem; a pair that does not clear it is solved again, as two pairs, on
+the full factor.  The corrector's CG solves its Galerkin system on the
+even subspace to the same relative tolerance 1e-14.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy import sparse
@@ -187,13 +206,109 @@ def faber_krahn(area):
     return math.pi * _J01**2 / area
 
 
+def _triangle_keys(triangles, n):
+    """One integer per triangle of vertex indices below n (n^3 within
+    int64), the same for any order of its corners."""
+    a, b, c = triangles.T
+    lo, hi = np.minimum(np.minimum(a, b), c), np.maximum(np.maximum(a, b), c)
+    return (lo * n + (a + b + c - lo - hi)) * n + hi
+
+
+def _mirror_orbits(mirrors, is_free, triangles):
+    """Per vertex, the least vertex of its orbit under the commuting vertex
+    maps `mirrors`, when each map takes the free vertices (mask is_free) and
+    the triangles onto themselves; else None."""
+    n = len(is_free)
+    keys = np.sort(_triangle_keys(triangles, n))
+    for s in mirrors:
+        if not (np.array_equal(is_free[s], is_free)
+                and np.array_equal(np.sort(_triangle_keys(s[triangles], n)), keys)):
+            return None
+    rep = np.arange(n)
+    for s in mirrors:  # the maps commute, so one pass reaches every orbit's least
+        rep = np.minimum(rep, rep[s])
+    return rep
+
+
+@dataclass(frozen=True)
+class MirrorOrbits:
+    """The mirror-even subspace of a free block: one basis function per
+    orbit of free vertices under a mesh's reflections, the sum of their hat
+    functions.  With P the 0/1 matrix of this basis (free vertices x
+    orbits), `block` is P^T A P, `lift` is P and `restrict` is P^T.
+
+    index[i] is the orbit of free vertex i, orbits numbered by their least
+    vertex, and first[k] the free vertex that is orbit k's least, so that
+    x[first] is the x_r with P x_r = x of a mirror-even x; (indptr,
+    indices) is the CSR pattern of P^T A P.  upos holds the positions in
+    K.data of the free-block entries whose row orbit is at most
+    their column orbit, uslot the upper entry of P^T A P each is summed
+    into, and twin, per entry of the pattern, the upper entry holding it or
+    its transpose: the reduced block is symmetric bit for bit.  All int32.
+    """
+
+    index: np.ndarray
+    first: np.ndarray
+    indptr: np.ndarray
+    indices: np.ndarray
+    upos: np.ndarray
+    uslot: np.ndarray
+    twin: np.ndarray
+
+    @classmethod
+    def build(cls, rep, free, pos, indptr, indices):
+        """From each vertex's least orbit vertex rep, the free vertices and
+        the free block's pattern (`DirichletFactor`)."""
+        first = np.flatnonzero(rep[free] == free)
+        n = len(first)
+        rank = np.zeros(len(rep), dtype=np.int32)
+        rank[free[first]] = np.arange(n)
+        index = rank[rep[free]]
+        rows = np.repeat(index, np.diff(indptr))
+        cols = index[indices]
+        upper = rows <= cols
+        ukeys, uslot = np.unique(rows[upper].astype(np.int64) * n + cols[upper],
+                                 return_inverse=True)
+        r, c = np.divmod(ukeys, n)
+        strict = np.flatnonzero(r != c)
+        keys = np.concatenate([ukeys, c[strict] * n + r[strict]])
+        order = np.argsort(keys)
+        r, c = np.divmod(keys[order], n)
+        twin = np.concatenate([np.arange(len(ukeys)), strict])[order]
+        return cls(index, first.astype(np.int32),
+                   np.searchsorted(r, np.arange(n + 1)).astype(np.int32), c.astype(np.int32),
+                   pos[upper], uslot.astype(np.int32), twin.astype(np.int32))
+
+    @property
+    def size(self):
+        return len(self.indptr) - 1
+
+    def sums(self, data):
+        """The entries of P^T A P, A the matrix with K's pattern and values
+        data, in the order of the pattern."""
+        return np.bincount(self.uslot, data[self.upos])[self.twin]
+
+    def block(self, data):
+        """P^T A P as CSR."""
+        return sparse.csr_matrix((self.sums(data), self.indices, self.indptr),
+                                 shape=(self.size, self.size))
+
+    def lift(self, x):
+        return x[self.index]
+
+    def restrict(self, r):
+        return np.bincount(self.index, r, minlength=self.size)
+
+
 @dataclass(frozen=True)
 class DirichletFactor:
-    """SuperLU factor `lu` of the free block of K - sigma M, sigma the
+    """SuperLU factor `lu` of the shifted free block K - sigma M, sigma the
     Faber-Krahn bound of the triangles the free vertices span, less the
     rounding margin (`dirichlet_factor`), with the free vertices `free`,
     the CSR pattern (`indptr`, `indices`, int32) of the free block of K and
-    M, and `pos` (int32), the positions of its entries in K.data."""
+    M, and `pos` (int32), the positions of its entries in K.data.  When
+    `orbits` is a `MirrorOrbits`, lu factors the reduced block
+    P^T (K_ff - sigma M_ff) P instead, on the mirror-even subspace."""
 
     lu: object
     sigma: float
@@ -201,17 +316,43 @@ class DirichletFactor:
     indptr: np.ndarray
     indices: np.ndarray
     pos: np.ndarray
+    orbits: MirrorOrbits = None
 
     def block(self, data):
         """Free block, as CSR, of the matrix with K's pattern and values data."""
         n = len(self.free)
         return sparse.csr_matrix((data[self.pos], self.indices, self.indptr), shape=(n, n))
 
+    def full(self, K, M):
+        """This factor when it is not reduced, else the factor of the whole
+        free block of K - sigma M at the same shift."""
+        if self.orbits is None:
+            return self
+        shifted = K.data[self.pos] - self.sigma * M.data[self.pos]
+        return replace(self, lu=_factor_spd(shifted, self.indices, self.indptr), orbits=None)
 
-def dirichlet_factor(K, M, boundary, vertices, triangles):
+
+def _factor_spd(data, indices, indptr):
+    """SuperLU factor of the shifted block with these CSR arrays: it is
+    symmetric bit for bit, so they are read as CSC."""
+    n = len(indptr) - 1
+    try:
+        return splu(sparse.csc_matrix((data, indices, indptr), shape=(n, n)),
+                    permc_spec="MMD_AT_PLUS_A", relax=_RELAX, panel_size=_PANEL)
+    except RuntimeError as exc:
+        raise SolveSingular(f"shifted factorization failed: {exc}") from exc
+
+
+def dirichlet_factor(K, M, boundary, vertices, triangles, mirrors=()):
     """`DirichletFactor` of the free block of K - sigma M off `boundary`,
     where no P1 Dirichlet eigenvalue on `triangles` (rows of indices into
     `vertices`) lies below sigma = faber_krahn(their area) (1 - margin).
+
+    It factors P^T (K_ff - sigma M_ff) P on the mirror-even subspace of
+    `mirrors` (`TriMesh.mirrors`, `MirrorOrbits`) when each map takes the
+    triangles and the free vertices onto themselves and the
+    `second_eigenvalue_floor` of `vertices` clears sigma at the gap _GAP,
+    so that `lowest_pair` will solve one pair on it.
 
     K and M must be CSR with one sparsity pattern, as `assemble` makes
     them, so the free block's pattern is found once, on K, and the block
@@ -224,9 +365,10 @@ def dirichlet_factor(K, M, boundary, vertices, triangles):
     SuperLU's supernode relaxation _RELAX and panel size _PANEL, below its
     defaults 10 and 20, change only the blocking of one elimination, not
     perm_c or nnz(L + U) (2,698,330 on Circle(1), 3,763,996 on
-    Ellipse(1.3, 1) at h = 0.01).  Factor ms, median of 11 shuffled runs,
-    one BLAS thread, 2-core x86_64; "six" sums Circle(1) and Ellipse(1.3, 1)
-    at h = 0.04, 0.02, 0.01, the meshes of `expansion_fine`:
+    Ellipse(1.3, 1) at h = 0.01, unreduced).  Factor ms of the unreduced
+    block, median of 11 shuffled runs, one BLAS thread, 2-core x86_64;
+    "six" sums Circle(1) and Ellipse(1.3, 1) at h = 0.04, 0.02, 0.01, the
+    meshes of `expansion_fine`:
 
         relax:panel     10:20   1:3   2:3   3:3   2:4   3:4   3:5
         Circle 0.01     198.6 141.3 140.7 140.8 141.9 140.6 144.5
@@ -245,13 +387,16 @@ def dirichlet_factor(K, M, boundary, vertices, triangles):
     # kept entries before each free row's end
     indptr = np.searchsorted(pos, K.indptr[np.r_[0, free + 1]]).astype(np.int32)
     indices = (np.cumsum(is_free) - 1)[K.indices[pos]].astype(np.int32)
-    pos, n = pos.astype(np.int32), len(free)
-    block = sparse.csc_matrix((K.data[pos] - sigma * M.data[pos], indices, indptr), shape=(n, n))
-    try:
-        lu = splu(block, permc_spec="MMD_AT_PLUS_A", relax=_RELAX, panel_size=_PANEL)
-    except RuntimeError as exc:
-        raise SolveSingular(f"shifted factorization failed: {exc}") from exc
-    return DirichletFactor(lu, sigma, free, indptr, indices, pos)
+    pos = pos.astype(np.int32)
+    rep = None
+    if len(mirrors) and floor_clears(sigma, second_eigenvalue_floor(vertices), _GAP):
+        rep = _mirror_orbits(mirrors, is_free, triangles)
+    if rep is None:
+        lu = _factor_spd(K.data[pos] - sigma * M.data[pos], indices, indptr)
+        return DirichletFactor(lu, sigma, free, indptr, indices, pos)
+    orbits = MirrorOrbits.build(rep, free, pos, indptr, indices)
+    lu = _factor_spd(orbits.sums(K.data - sigma * M.data), orbits.indices, orbits.indptr)
+    return DirichletFactor(lu, sigma, free, indptr, indices, pos, orbits)
 
 
 def dirichlet_eigs(K, M, count, factor):
@@ -261,32 +406,44 @@ def dirichlet_eigs(K, M, count, factor):
     ARPACK shift-invert Lanczos at factor.sigma on the free block, applying
     (K_ff - sigma M_ff)^-1 through `factor`, the `dirichlet_factor` of K
     and M, which gathers K_ff and M_ff too, with at most _RESTARTS = 500
-    restarts.  For count 1 it starts from the constant vector, since the
+    restarts.  A reduced factor solves on its mirror-even subspace, on
+    P^T K_ff P and P^T M_ff P (`MirrorOrbits`), and only for count 1: the
+    ground mode lies there, but the next pairs need not.  For count 1 it
+    starts from the constant vector, since the
     ground mode is one-signed, in a Krylov space of at most _NCV_ONE = 3
     vectors (5 to 7 factor solves on the meshes of this package); for more
     pairs from a fixed random vector in ARPACK's default space of 20
     vectors.  A single pair is not known to be the lowest one:
-    `floor_clears` can prove it.  Every returned pair must satisfy
+    `floor_clears` can prove it.  Every returned pair, lifted to the free
+    vertices, must satisfy the residual test of the whole free block,
     ||K u - lambda M u|| <= _RESIDUAL_TOL ||K u|| (1e-10), else
     ConvergenceFailure is raised.  Eigenvalues are ascending; eigenvectors
     are returned on the full vertex set (zeros on the boundary),
     M-orthonormal; the first one is sign-normalized to be positive at its
     free vertex of largest magnitude, so a one-signed ground mode is >= 0.
     """
-    n, free = K.shape[0], factor.free
+    n, free, orbits = K.shape[0], factor.free, factor.orbits
     Kf, Mf = factor.block(K.data), factor.block(M.data)
+    if orbits is None:
+        Ks, Ms = Kf, Mf
+    elif count == 1:
+        Ks, Ms = orbits.block(K.data), orbits.block(M.data)
+    else:
+        raise ValueError("dirichlet_eigs: a mirror-reduced factor solves one pair")
     if count == 1:
-        start, ncv = np.ones(len(free)), min(_NCV_ONE, len(free))
+        start, ncv = np.ones(Ks.shape[0]), min(_NCV_ONE, Ks.shape[0])
     else:
         start, ncv = np.random.default_rng(0).standard_normal(len(free)), None
     try:
-        lams, X = eigsh(Kf, k=count, M=Mf, sigma=factor.sigma,
-                        OPinv=LinearOperator(Kf.shape, matvec=factor.lu.solve, dtype=float),
+        lams, X = eigsh(Ks, k=count, M=Ms, sigma=factor.sigma,
+                        OPinv=LinearOperator(Ks.shape, matvec=factor.lu.solve, dtype=float),
                         v0=start, ncv=ncv, tol=1e-13, maxiter=_RESTARTS)
     except ArpackNoConvergence as exc:
         raise ConvergenceFailure(f"eigensolver: no convergence in {_RESTARTS} restarts") from exc
     order = np.argsort(lams)
     lams, X = lams[order], X[:, order]
+    if orbits is not None:
+        X = orbits.lift(X)
     for i in range(count):
         Ku = Kf @ X[:, i]
         if np.linalg.norm(Ku - lams[i] * (Mf @ X[:, i])) > _RESIDUAL_TOL * np.linalg.norm(Ku):
@@ -312,10 +469,12 @@ def second_eigenvalue_floor(vertices):
     centre through the farthest vertex, (j11/rho)^2.
     """
     p = np.asarray(vertices, dtype=float)
-    lo, hi = p.min(axis=0), p.max(axis=0)
-    a, b = hi - lo
+    # per column: reducing an n x 2 array along axis 0 takes about 10x longer
+    x, y = p[:, 0], p[:, 1]
+    x0, x1, y0, y1 = float(x.min()), float(x.max()), float(y.min()), float(y.max())
+    a, b = x1 - x0, y1 - y0
     box = math.pi**2 * min(4.0 / a**2 + 1.0 / b**2, 1.0 / a**2 + 4.0 / b**2)
-    rho = float(np.sqrt(((p - 0.5 * (lo + hi)) ** 2).sum(axis=1)).max())
+    rho = math.sqrt(float(((x - 0.5 * (x0 + x1)) ** 2 + (y - 0.5 * (y0 + y1)) ** 2).max()))
     return max(box, (_J11 / rho) ** 2)
 
 
@@ -338,19 +497,22 @@ def lowest_pair(K, M, vertices, gap, factor):
     None.  Otherwise two pairs are solved, fallback "two-pair", and
     NearDegenerate is raised when their gap is at most gap * lambda.  Every
     eigenvalue lies above factor.sigma, so when the floor does not clear
-    sigma itself the one pair is not tried.  Both solves use `factor`, the
-    `dirichlet_factor` of K and M.  Returns (lambda, u, fallback), u on
-    the full vertex set with `dirichlet_eigs`'s norm and sign.
+    sigma itself the one pair is not tried.  The solves use `factor`, the
+    `dirichlet_factor` of K and M; the two pairs use its full version
+    (`DirichletFactor.full`), since the second need not be mirror-even.
+    Returns (lambda, u, fallback, factor), u on the full vertex set with
+    `dirichlet_eigs`'s norm and sign, factor the one the last solve used.
     """
     floor = second_eigenvalue_floor(vertices)
     if floor_clears(factor.sigma, floor, gap):
         lams, vecs = dirichlet_eigs(K, M, 1, factor)
         if floor_clears(lams[0], floor, gap):
-            return float(lams[0]), vecs[:, 0], None
+            return float(lams[0]), vecs[:, 0], None, factor
+    factor = factor.full(K, M)
     lams, vecs = dirichlet_eigs(K, M, 2, factor)
     if lams[1] - lams[0] <= gap * lams[0]:
         raise NearDegenerate(f"leading eigenvalue not simple: gap {lams[1] - lams[0]:.3e}")
-    return float(lams[0]), vecs[:, 0], "two-pair"
+    return float(lams[0]), vecs[:, 0], "two-pair", factor
 
 
 def ground_state(mesh):
@@ -359,14 +521,15 @@ def ground_state(mesh):
     Returns (lambda0, v0, K, M, factor, fallback): the eigenvalue, its
     eigenfunction as a FemField with unit mass norm and `dirichlet_eigs`'s
     sign, the full-domain stiffness and mass, the `dirichlet_factor` the
-    eigensolves used, and `lowest_pair`'s route at the relative gap _GAP
-    (1e-6): the expansion assumes a simple leading eigenvalue, so a smaller
-    gap raises NearDegenerate.
+    eigensolves used, reduced by the mesh's mirrors when they apply, and
+    `lowest_pair`'s route at the relative gap _GAP (1e-6): the expansion
+    assumes a simple leading eigenvalue, so a smaller gap raises
+    NearDegenerate.
     """
     K = assemble(mesh, "stiffness")
     M = assemble(mesh, "mass")
-    factor = dirichlet_factor(K, M, mesh.outer, mesh.vertices, mesh.triangles)
-    lam0, u, fallback = lowest_pair(K, M, mesh.vertices, _GAP, factor)
+    factor = dirichlet_factor(K, M, mesh.outer, mesh.vertices, mesh.triangles, mesh.mirrors)
+    lam0, u, fallback, factor = lowest_pair(K, M, mesh.vertices, _GAP, factor)
     return lam0, FemField(mesh, u / mass_norm(M, u)), K, M, factor, fallback
 
 
@@ -391,7 +554,12 @@ def solve_constrained_source(K, M, lam0, rhs, dirichlet_values, v0, outer, facto
     of the data (zero in exact arithmetic when the compatibility condition
     holds).  No K - lam0 M is built: the factor gathers A_ff from K.data -
     lam0 M.data, and the lifted data is (K lift - lam0 M lift)[free].
-    Returns (FemField, mu).
+    With a reduced factor (`MirrorOrbits`) v0 must be mirror-even, as
+    `ground_state` returns it, and the CG solves the same system on the
+    mirror-even subspace, P^T A P u_r + mu P^T q = P^T b, to the same
+    tolerance, and returns P u_r: the solution for the mirror-even part of
+    the load, so callers whose data is not mirror-even pass the full
+    factor (`DirichletFactor.full`).  Returns (FemField, mu).
     """
     n, free = K.shape[0], factor.free
     if not np.array_equal(np.flatnonzero(_free(n, outer)), free):
@@ -407,6 +575,15 @@ def solve_constrained_source(K, M, lam0, rhs, dirichlet_values, v0, outer, facto
     s = float(vf @ qf)
     if not s > 0.0:
         raise SolveSingular("constraint vector has no mass on the free vertices")
+    mu = float(vf @ b) / s
+    along = vf * float(q[outer] @ data) / s  # makes q^T u = 0 over all vertices
+    orbits = factor.orbits
+    if orbits is None:
+        A = factor.block(K.data - lam0 * M.data)
+    else:  # the same system on the mirror-even subspace, where P v0_r = v0
+        A = orbits.block(K.data - lam0 * M.data)
+        b, qf, vf = orbits.restrict(b), orbits.restrict(qf), vf[orbits.first]
+        s = float(vf @ qf)
 
     def project(x):  # onto {q^T x = 0} along v0
         return x - vf * (qf @ x) / s
@@ -414,14 +591,13 @@ def solve_constrained_source(K, M, lam0, rhs, dirichlet_values, v0, outer, facto
     def project_t(r):  # its transpose: removes the q component
         return r - qf * (vf @ r) / s
 
-    mu = float(vf @ b) / s
-    Aff = factor.block(K.data - lam0 * M.data)
-    precond = LinearOperator(Aff.shape, matvec=lambda r: project(factor.lu.solve(project_t(r))),
+    precond = LinearOperator(A.shape, matvec=lambda r: project(factor.lu.solve(project_t(r))),
                              dtype=float)
-    x, info = cg(Aff, project_t(b - mu * qf), M=precond, rtol=1e-14, atol=0.0, maxiter=100)
+    x, info = cg(A, project_t(b - mu * qf), M=precond, rtol=1e-14, atol=0.0, maxiter=100)
     if info != 0:
         raise SolveSingular(f"projected CG did not converge (info {info})")
-    u[free] = project(x) - vf * float(q[outer] @ data) / s
+    x = project(x)
+    u[free] = (x if orbits is None else orbits.lift(x)) - along
     if not np.all(np.isfinite(u)):
         raise SolveSingular("constrained solve produced non-finite values")
     return FemField(rhs.mesh, u), mu

@@ -14,7 +14,10 @@ offset x(s) + delta0*g(s)*nu(s), which must stay inside the curvature reach
 eta0 = inf_s 1/|kappa(s)|; `LayerConfig.validate_against` rejects it otherwise.
 A curve answers what meshing and the expansion read: its length s0,
 `position`, `position_normal` (the point and nu), `curvature`, `reach` and
-`describe`.
+`describe`, and its class declares `mirrors`, the coordinate axes it
+reflects onto itself across: "x" for (x, y) -> (x, -y), which takes
+arclength s to s0 - s, and "y" for (x, y) -> (-x, y), which takes s to
+s0/2 - s (modulo s0).
 """
 
 import math
@@ -56,6 +59,7 @@ class BoundaryCurve:
     """
 
     kind = "generic"
+    mirrors = ()
 
     def __init__(self, t_period):
         self._T = float(t_period)
@@ -142,6 +146,7 @@ class Circle(BoundaryCurve):
     """Circle of radius R about the origin; all queries exact closed forms."""
 
     kind = "circle"
+    mirrors = ("x", "y")
 
     def __init__(self, radius):
         if radius <= 0:
@@ -172,6 +177,7 @@ class Ellipse(BoundaryCurve):
     """Axis-aligned ellipse with semi-axes a (x) and b (y)."""
 
     kind = "ellipse"
+    mirrors = ("x", "y")
 
     def __init__(self, a, b):
         if a <= 0 or b <= 0:
@@ -199,9 +205,11 @@ class Ellipse(BoundaryCurve):
 
 
 class FourierCurve(BoundaryCurve):
-    """Perturbed circle r(theta) = 1 + sum_m modes[m-1]*cos(m*theta)."""
+    """Perturbed circle r(theta) = 1 + sum_m modes[m-1]*cos(m*theta); the
+    cosines make it even in theta, so it mirrors across the x-axis."""
 
     kind = "fourier"
+    mirrors = ("x",)
 
     def __init__(self, modes):
         self.modes = [float(c) for c in modes]

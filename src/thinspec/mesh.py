@@ -6,6 +6,11 @@ tube-coordinate quadrilaterals split into triangles, sharing the interface
 ring vertex-for-vertex so the interface is a union of edges.  Boundary
 vertices sit on the exact curves, at equally spaced parent arclengths, so
 boundary quadrature can use exact arclength weights downstream.
+
+Both parts are built on equal arclength fractions, so a mesh of a curve
+that reflects onto itself (`BoundaryCurve.mirrors`) reflects onto itself
+too, vertex for vertex; `generate_mesh` records each such reflection as a
+map of vertex indices, found by index arithmetic alone.
 """
 
 import math
@@ -30,7 +35,11 @@ class TriMesh:
     over a curve, which has no boundary quadrature).  h is the measured
     maximum edge length; n_rings is the number of rings of the hexagonal
     core, whose spacing s0/(6 n_rings) is what a mesh refinement changes
-    (None for a mesh not built by `generate_mesh`).
+    (None for a mesh not built by `generate_mesh`).  mirrors holds one
+    vertex map per reflection the mesh is built to share with its curve:
+    mirrors[a][v] is the vertex at v's mirror image; each map is its own
+    inverse and the maps commute (empty for a mesh not built by
+    `generate_mesh`).
     """
 
     vertices: np.ndarray
@@ -41,6 +50,7 @@ class TriMesh:
     outer_s: np.ndarray = None
     curve: object = field(default=None, repr=False)
     n_rings: int = None
+    mirrors: tuple = ()
 
     @property
     def n_vertices(self):
@@ -127,13 +137,37 @@ def ring_count(curve, h):
     return max(2, int(round(curve.s0 / (6.0 * h))))
 
 
+def mirror_maps(axes, n_rings, rows):
+    """Vertex maps of the reflections across `axes` ("x" or "y",
+    `BoundaryCurve.mirrors`) of a mesh with n_rings core rings and `rows`
+    coating rows, in `generate_mesh`'s numbering: the centre, the core rings
+    outwards, then the coating rows inwards to the outer boundary.
+
+    Ring i of the core holds m = 6i vertices and a coating row m = 6 n_rings;
+    vertex j of a ring sits at the boundary fraction j/m, which the
+    reflection across the x-axis takes to (m - j)/m and the one across the
+    y-axis to (m/2 - j)/m, modulo 1.  So vertex j maps to vertex
+    (m - j) mod m or (m/2 - j) mod m of its own ring; the centre maps to
+    itself.
+    """
+    sizes = np.concatenate([6 * np.arange(1, n_rings + 1), np.full(rows, 6 * n_rings)])
+    m = np.repeat(sizes, sizes)
+    start = np.repeat(1 + np.cumsum(sizes) - sizes, sizes)
+    j = np.arange(1, len(m) + 1) - start
+    turns = {"x": 2, "y": 1}  # halves of a turn from the reflection's fixed vertex j = 0
+    return tuple(np.concatenate([[0], start + (turns[axis] * (m // 2) - j) % m])
+                 for axis in axes)
+
+
 def generate_mesh(curve, layer, h):
     """Mesh the domain bounded by `curve`, optionally with a coating.
 
     With a coating, the interface ring lies exactly on the offset curve and
     the coating is filled with max(2, ceil(depth/h)) structured element rows.
     The boundary is evaluated once for the whole hexagonal core, and once more
-    at the coating-row arclengths.  Raises MeshFailure for degenerate
+    at the coating-row arclengths.  The mesh records `mirror_maps` for the
+    curve's mirrors; a coating with a callable thickness profile, which
+    need not be mirror-even, gets none.  Raises MeshFailure for degenerate
     triangles.
     """
     eta0 = curve.reach()
@@ -149,6 +183,7 @@ def generate_mesh(curve, layer, h):
     nb = 6 * n_rings
     s_ring = np.arange(nb) * curve.s0 / nb
 
+    rows = 0
     if layer is None:
         verts, tris, outer = _hex_core(n_rings, lambda frac: curve.position(frac * curve.s0))
         region = np.full(len(tris), CORE, dtype=np.int64)
@@ -183,8 +218,10 @@ def generate_mesh(curve, layer, h):
         del core_verts, core_tris  # superseded by the copies above
         outer = ring[-1]
 
+    axes = curve.mirrors if layer is None or not callable(layer.g) else ()
     mesh = TriMesh(vertices=verts, triangles=_orient_ccw(verts, tris), region=region,
-                   outer=outer, inner=inner, outer_s=s_ring, curve=curve, n_rings=n_rings)
+                   outer=outer, inner=inner, outer_s=s_ring, curve=curve, n_rings=n_rings,
+                   mirrors=mirror_maps(axes, n_rings, rows))
     areas = mesh.signed_areas()
     if np.any(areas <= 1e-15 * float(np.median(np.abs(areas)))):
         raise MeshFailure("degenerate or inverted triangle produced")

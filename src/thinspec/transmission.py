@@ -18,7 +18,8 @@ corridor ends are Dirichlet eigenvalues on the one coated mesh: lambda0 from
 the coating, each from a `fem.dirichlet_factor` shifted to the Faber-Krahn
 bound of its triangles (all of them, or the core's) and certified by
 `fem.lowest_pair`: one Lanczos pair when `fem.floor_clears` proves it the
-lowest.
+lowest.  Only the eroded factor is reduced by the mesh's mirrors: the
+coating rows do not map onto themselves.
 """
 
 import math
@@ -168,16 +169,17 @@ def eroded_dirichlet(mesh, K, M):
     Solved on the block of the coated mesh's full-domain K and M on the
     vertices no coating triangle touches: the Dirichlet problem of the core
     triangles alone, with zero data on the interface, factored at the
-    Faber-Krahn shift of the core triangles' area.  The corridor needs the
-    lowest eigenvalue, not a gap, so `fem.lowest_pair` certifies it at gap 0
-    on the core triangles' vertices.  Returns (lambda_eroded,
-    fallback), fallback None or "two-pair" for the route.
+    Faber-Krahn shift of the core triangles' area and reduced by the mesh's
+    mirrors, which map the core onto itself (`fem.dirichlet_factor`).  The
+    corridor needs the lowest eigenvalue, not a gap, so `fem.lowest_pair`
+    certifies it at gap 0 on the core triangles' vertices.  Returns
+    (lambda_eroded, fallback), fallback None or "two-pair" for the route.
     """
     coated = np.unique(mesh.triangles[mesh.region == LAYER])
     core_triangles = mesh.triangles[mesh.region != LAYER]
-    factor = dirichlet_factor(K, M, coated, mesh.vertices, core_triangles)
+    factor = dirichlet_factor(K, M, coated, mesh.vertices, core_triangles, mesh.mirrors)
     core = np.unique(core_triangles)
-    lam, _, fallback = lowest_pair(K, M, mesh.vertices[core], 0.0, factor)
+    lam, _, fallback, _ = lowest_pair(K, M, mesh.vertices[core], 0.0, factor)
     return lam, fallback
 
 

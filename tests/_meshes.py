@@ -1,8 +1,9 @@
 """Inputs and references the tests share: a set of boundary curves, a
 structured unit square, the core of a coated mesh cut out as its own mesh,
 finite element assembly through triangles x 3 x 3 broadcasts, the
-Dirichlet factor of a whole mesh, a factor that counts its solves, and a
-record of the factorizations each module asks SuperLU for."""
+Dirichlet factor of a whole mesh, a factor that counts its solves, the
+count of mirror-even unknowns, and a record of the factorizations each
+module asks SuperLU for."""
 
 import dataclasses
 
@@ -53,7 +54,8 @@ def core_submesh(mesh):
     on the former interface.  Returns (submesh, old_to_new vertex map).
 
     The submesh carries no curve or boundary arclengths: its boundary is the
-    interface, not `mesh.curve`."""
+    interface, not `mesh.curve`.  It keeps the mesh's mirror maps, renumbered:
+    the core triangles map onto themselves under them."""
     keep = mesh.region == CORE
     tris = mesh.triangles[keep]
     used = np.unique(tris)
@@ -65,6 +67,7 @@ def core_submesh(mesh):
         region=np.full(keep.sum(), CORE, dtype=np.int64),
         outer=remap[mesh.inner] if len(mesh.inner) else remap[mesh.outer],
         inner=np.array([], dtype=np.int64),
+        mirrors=tuple(remap[s[used]] for s in mesh.mirrors),
     )
     return sub, remap
 
@@ -130,6 +133,22 @@ def counting_factor(factor, counts):
 def domain_factor(mesh, K, M):
     """`fem.dirichlet_factor` off the outer boundary, over every triangle."""
     return dirichlet_factor(K, M, mesh.outer, mesh.vertices, mesh.triangles)
+
+
+def even_unknowns(mesh):
+    """Number of orbits of mesh's free vertices under its mirror maps, the
+    unknowns of the mirror-even subspace, counted vertex by vertex."""
+    free = set(np.setdiff1d(np.arange(mesh.n_vertices), mesh.outer).tolist())
+    orbits = set()
+    for v in free:
+        orbit = {v}
+        while True:
+            grown = orbit | {int(s[w]) for s in mesh.mirrors for w in orbit}
+            if grown == orbit:
+                break
+            orbit = grown
+        orbits.add(min(orbit))
+    return len(orbits)
 
 
 def recording_splu(monkeypatch, *modules):

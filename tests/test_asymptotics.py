@@ -19,7 +19,7 @@ from thinspec.fem import ground_state, mass_norm
 from thinspec.geometry import Circle, Ellipse, LayerConfig
 from thinspec.mesh import TriMesh, generate_mesh
 
-from _meshes import recording_splu, square_mesh
+from _meshes import even_unknowns, recording_splu, square_mesh
 
 LAM0 = 5.783185962946785
 
@@ -229,8 +229,8 @@ def test_ellipse_pipeline_runs():
 
 def test_one_stiffness_factor_per_pipeline(monkeypatch):
     """The eigensolve and the corrector solve share one factor of the free
-    stiffness block (no other factor is that large), and the returned record
-    keeps no factor alive."""
+    stiffness block, reduced to its mirror-even unknowns (no other factor
+    is that large), and the returned record keeps no factor alive."""
     import gc
     import weakref
 
@@ -251,23 +251,23 @@ def test_one_stiffness_factor_per_pipeline(monkeypatch):
 
     monkeypatch.setattr(fem, "splu", counting_splu)
     mesh = generate_mesh(Circle(1.0), None, 0.1)
-    n_free = mesh.n_vertices - len(mesh.outer)
+    n_even = even_unknowns(mesh)
     coeffs = compute_coefficients(Circle(1.0), LayerConfig(0.01, 1.0, 0.48), 0.1)
     gc.collect()
-    assert [s for s in shapes if s[0] >= n_free] == [(n_free, n_free)]
+    assert [s for s in shapes if s[0] >= n_even] == [(n_even, n_even)]
     assert coeffs.v1 is not None and all(ref() is None for ref in refs)
 
 
 def test_coefficients_factor_routes(monkeypatch):
-    """compute_coefficients factors two matrices: the free block, with the
-    Dirichlet supernode sizes, and the boundary mass, with SuperLU's
-    defaults."""
+    """compute_coefficients factors two matrices: the free block on its
+    mirror-even unknowns, with the Dirichlet supernode sizes, and the
+    boundary mass, with SuperLU's defaults."""
     calls = recording_splu(monkeypatch, fem)
     mesh = generate_mesh(Circle(1.0), None, 0.1)
     compute_coefficients(Circle(1.0), LayerConfig(0.01, 1.0, 0.48), 0.1)
-    n_free, nb = mesh.n_vertices - len(mesh.outer), len(mesh.outer)
+    n_even, nb = even_unknowns(mesh), len(mesh.outer)
     assert [(name, a.shape, kwargs) for name, a, kwargs in calls] == [
-        ("fem", (n_free, n_free),
+        ("fem", (n_even, n_even),
          {"permc_spec": "MMD_AT_PLUS_A", "relax": fem._RELAX, "panel_size": fem._PANEL}),
         ("fem", (nb, nb), {})]
 

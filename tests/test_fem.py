@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -7,9 +8,9 @@ import scipy.linalg
 from scipy import sparse
 from scipy.sparse.linalg import splu
 
-from thinspec import bessel, fem
+from thinspec import asymptotics, bessel, fem, transmission
 from thinspec.asymptotics import compute_coefficients
-from thinspec.errors import SolveSingular
+from thinspec.errors import ConvergenceFailure, SolveSingular
 from thinspec.fem import (
     FemField,
     assemble,
@@ -25,12 +26,12 @@ from thinspec.fem import (
     solve_constrained_source,
 )
 from thinspec.mesh import TriMesh
-from thinspec.geometry import Circle, Ellipse, LayerConfig
+from thinspec.geometry import Circle, Ellipse, FourierCurve, LayerConfig
 from thinspec.mesh import generate_mesh
-from thinspec.transmission import eroded_dirichlet
+from thinspec.transmission import eroded_dirichlet, first_te
 
 from _meshes import (CURVES, broadcast_assemble, core_submesh, counting_factor, domain_factor,
-                     recording_splu, square_mesh)
+                     even_unknowns, recording_splu, square_mesh)
 
 LAM0 = 5.783185962946785  # first Dirichlet eigenvalue of the unit disk
 FLUX0 = 1.3567775299013787  # j01/sqrt(pi)
@@ -545,9 +546,176 @@ def test_constrained_source_needs_the_factor_off_outer():
 def test_lowest_pair_matches_dense_reference(mesh, route):
     K, M, Kf, Mf, free = _dense_free(mesh)
     ref_lams, ref_vecs = scipy.linalg.eigh(Kf, Mf)
-    lam, u, fallback = fem.lowest_pair(K, M, mesh.vertices, fem._GAP,
-                                       domain_factor(mesh, K, M))
+    lam, u, fallback, _ = fem.lowest_pair(K, M, mesh.vertices, fem._GAP,
+                                          domain_factor(mesh, K, M))
     assert fallback == route
     assert abs(lam - ref_lams[0]) <= 1e-12 * ref_lams[0]
     ground = ref_vecs[:, 0] * np.sign(ref_vecs[:, 0] @ u[free])
     assert np.max(np.abs(u[free] - ground)) <= 1e-10 * np.max(np.abs(ground))
+
+
+# ---------------------------------------------------------------------------
+# the mirror-even subspace
+# ---------------------------------------------------------------------------
+
+_MIRRORED = [Circle(1.0), Ellipse(1.3, 1.0), FourierCurve([0.08, 0.0, 0.03])]
+
+
+def _without_mirrors(module, monkeypatch):
+    """Make `module` build its meshes without mirror maps: the full route."""
+    real = module.generate_mesh
+    monkeypatch.setattr(module, "generate_mesh",
+                        lambda *args: dataclasses.replace(real(*args), mirrors=()))
+
+
+def _close(a, b, rtol):
+    return np.max(np.abs(a - b)) <= rtol * np.max(np.abs(b))
+
+
+def test_reduced_block_is_the_orbit_sum():
+    """P^T A P from the factor's orbits is the dense orbit sum within
+    rounding and symmetric bit for bit."""
+    mesh = generate_mesh(Ellipse(1.3, 1.0), None, 0.1)
+    K, M = assemble(mesh, "stiffness"), assemble(mesh, "mass")
+    factor = dirichlet_factor(K, M, mesh.outer, mesh.vertices, mesh.triangles, mesh.mirrors)
+    orbits = factor.orbits
+    assert orbits.size == even_unknowns(mesh) < len(factor.free) / 3
+    P = np.zeros((len(factor.free), orbits.size))
+    P[np.arange(len(factor.free)), orbits.index] = 1.0
+    assert np.array_equal(P[orbits.first], np.eye(orbits.size))
+    for full in (K, M):
+        reduced = orbits.block(full.data)
+        assert (reduced != reduced.T).nnz == 0
+        dense = P.T @ factor.block(full.data).toarray() @ P
+        assert np.max(np.abs(reduced.toarray() - dense)) <= 1e-14 * np.max(np.abs(dense))
+
+
+@pytest.mark.parametrize("h", [0.04, 0.02])
+@pytest.mark.parametrize("curve", _MIRRORED, ids=lambda c: c.kind)
+def test_reduced_coefficients_match_the_full_route(curve, h, monkeypatch):
+    """The expansion's eigensolve and corrector on the mirror-even subspace
+    give the full route's coefficients, multiplier and fields within 1e-12."""
+    layer = LayerConfig(0.02, 1.0, 0.48)
+    factors = []
+    real_solve = asymptotics.solve_constrained_source
+
+    def recording_solve(*args):
+        factors.append(args[-1])
+        return real_solve(*args)
+
+    monkeypatch.setattr(asymptotics, "solve_constrained_source", recording_solve)
+    reduced = compute_coefficients(curve, layer, h)
+    _without_mirrors(asymptotics, monkeypatch)
+    full = compute_coefficients(curve, layer, h)
+    assert [f.orbits is not None for f in factors] == [True, False]
+    assert (reduced.fallback, full.fallback) == (None, None)
+    for a, b in zip(reduced.lambdas, full.lambdas):
+        assert abs(a - b) <= 1e-12 * abs(b)
+    assert abs(reduced.multiplier - full.multiplier) <= 1e-12 * full.lambda1
+    assert _close(reduced.v0.values, full.v0.values, 1e-12)
+    assert _close(reduced.v1.values, full.v1.values, 1e-12)
+    # the lifted fields are mirror-even bit for bit off the boundary data
+    mesh = reduced.mesh
+    free = np.setdiff1d(np.arange(mesh.n_vertices), mesh.outer)
+    for s in mesh.mirrors:
+        assert np.array_equal(reduced.v0.values[s], reduced.v0.values)
+        assert np.array_equal(reduced.v1.values[s[free]], reduced.v1.values[free])
+
+
+@pytest.mark.parametrize("curve", _MIRRORED, ids=lambda c: c.kind)
+def test_reduced_eroded_solve_matches_the_full_route(curve, monkeypatch):
+    """first_te reduces its eroded solve alone: lambda0 keeps its bits, and
+    lambda_eroded and the eigenvalue move by at most 1e-12."""
+    layer = LayerConfig(0.04, 1.0, 0.48)
+    reduced = first_te(curve, layer, 0.04)
+    _without_mirrors(transmission, monkeypatch)
+    full = first_te(curve, layer, 0.04)
+    assert (reduced.fallback, full.fallback) == (None, None)
+    assert reduced.lambda0 == full.lambda0
+    assert abs(reduced.lambda_eroded - full.lambda_eroded) <= 1e-12 * full.lambda_eroded
+    assert abs(reduced.lam - full.lam) <= 1e-12 * full.lam
+
+
+def test_coated_ground_state_is_not_reduced():
+    mesh = generate_mesh(Ellipse(1.3, 1.0), LayerConfig(0.04, 1.0, 0.48), 0.1)
+    assert len(mesh.mirrors) == 2
+    assert ground_state(mesh)[4].orbits is None
+
+
+def test_uneven_thickness_takes_the_full_corrector(monkeypatch):
+    """With g not mirror-even the ground state is reduced but the corrector
+    solves on the full factor, and the coefficients are the full route's."""
+    layer = LayerConfig(0.02, lambda s: 1.0 + 0.3 * np.sin(s), 0.48)
+    grounds, correctors = [], []
+    real_ground, real_solve = asymptotics.ground_state, asymptotics.solve_constrained_source
+
+    def recording_ground(mesh):
+        out = real_ground(mesh)
+        grounds.append(out[4])
+        return out
+
+    def recording_solve(*args):
+        correctors.append(args[-1])
+        return real_solve(*args)
+
+    monkeypatch.setattr(asymptotics, "ground_state", recording_ground)
+    monkeypatch.setattr(asymptotics, "solve_constrained_source", recording_solve)
+    mixed = compute_coefficients(Circle(1.0), layer, 0.04)
+    assert grounds[0].orbits is not None and correctors[0].orbits is None
+    assert np.array_equal(correctors[0].free, grounds[0].free)
+    _without_mirrors(asymptotics, monkeypatch)
+    full = compute_coefficients(Circle(1.0), layer, 0.04)
+    for a, b in zip(mixed.lambdas, full.lambdas):
+        assert abs(a - b) <= 1e-12 * abs(b)
+    assert _close(mixed.v1.values, full.v1.values, 1e-12)
+
+
+def test_failed_floor_keeps_the_full_two_pair_route():
+    """The strip is symmetric under the half turn about its centre, but its
+    floor clears no shift, so it is solved as without the map."""
+    plain = _rotated_strip(20, 0.2)
+    turned = dataclasses.replace(plain, mirrors=(np.arange(plain.n_vertices)[::-1],))
+    lam0, v0, _, _, factor, fallback = ground_state(turned)
+    assert (factor.orbits, fallback) == (None, "two-pair")
+    ref = ground_state(plain)
+    assert lam0 == ref[0]
+    assert np.array_equal(v0.values, ref[1].values)
+
+
+def test_reduced_pair_above_the_floor_falls_back_to_the_full_factor(monkeypatch):
+    """A floor between the shift and lambda0 lets the factor reduce but not
+    the one pair clear it: the two pairs come from the full factor, as from
+    a factor built without mirrors."""
+    mesh = generate_mesh(Circle(1.0), None, 0.1)
+    lam0 = ground_state(mesh)[0]
+    monkeypatch.setattr(fem, "second_eigenvalue_floor", lambda vertices: lam0)
+    lam, v0, K, M, factor, fallback = ground_state(mesh)
+    assert (factor.orbits, fallback) == (None, "two-pair")
+    lams, vecs = dirichlet_eigs(K, M, 2, domain_factor(mesh, K, M))
+    assert lam == float(lams[0])
+    assert np.array_equal(v0.values, vecs[:, 0] / mass_norm(M, vecs[:, 0]))
+
+
+def test_mesh_without_a_curve_is_not_reduced():
+    mesh = square_mesh(12)
+    assert mesh.mirrors == ()
+    assert ground_state(mesh)[4].orbits is None
+
+
+def test_reduced_factor_solves_one_pair():
+    mesh = generate_mesh(Circle(1.0), None, 0.1)
+    K, M = assemble(mesh, "stiffness"), assemble(mesh, "mass")
+    factor = dirichlet_factor(K, M, mesh.outer, mesh.vertices, mesh.triangles, mesh.mirrors)
+    with pytest.raises(ValueError, match="one pair"):
+        dirichlet_eigs(K, M, 2, factor)
+
+
+def test_lifted_pair_is_checked_on_the_full_matrices():
+    """Moving one interior vertex off its mirror image leaves the maps a
+    symmetry of the triangles but not of K and M: the reduced pair is no
+    eigenpair of the whole free block, and its residual there says so."""
+    mesh = generate_mesh(Circle(1.0), None, 0.1)
+    moved = mesh.vertices.copy()
+    moved[10] += 0.3 * mesh.h * np.array([0.6, 0.8])
+    with pytest.raises(ConvergenceFailure, match="residual"):
+        ground_state(dataclasses.replace(mesh, vertices=moved))

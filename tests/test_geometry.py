@@ -57,6 +57,21 @@ def test_frenet_relation(curve):
     assert np.max(np.abs(dtau - pred)) / scale <= 1e-6
 
 
+def test_declared_mirrors_reflect_the_curve():
+    """Each declared mirror takes the point at arclength s to the point at
+    s0 - s (x-axis) or s0/2 - s (y-axis), reflected."""
+    assert BoundaryCurve.mirrors == ()
+    for curve, axes in ((Circle(1.3), ("x", "y")), (Ellipse(1.3, 1.0), ("x", "y")),
+                        (FourierCurve([0.1, 0.05]), ("x",))):
+        assert curve.mirrors == axes
+        s = np.linspace(0.0, curve.s0, 29, endpoint=False)
+        p = curve.position(s)
+        for axis in axes:
+            partner = curve.s0 - s if axis == "x" else 0.5 * curve.s0 - s
+            sign = np.array([1.0, -1.0]) if axis == "x" else np.array([-1.0, 1.0])
+            assert np.max(np.abs(curve.position(partner) - sign * p)) <= 1e-13
+
+
 def test_circle_curvature_exact():
     assert Circle(1.0).curvature(0.37) == 1.0
     assert Circle(2.0).curvature(5.0) == 0.5

@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from thinspec.errors import MeshFailure
-from thinspec.geometry import Circle, Ellipse, FourierCurve, LayerConfig
-from thinspec.mesh import CORE, LAYER, _orient_ccw, generate_mesh
+from thinspec.geometry import BoundaryCurve, Circle, Ellipse, FourierCurve, LayerConfig
+from thinspec.mesh import CORE, LAYER, _orient_ccw, generate_mesh, mirror_maps
 
 from _meshes import core_submesh, square_mesh
 
@@ -88,6 +88,82 @@ def test_core_submesh():
     radii = np.linalg.norm(sub.vertices[sub.outer], axis=1)
     assert np.max(np.abs(radii - 0.95)) <= 1e-10
     assert sub.n_vertices == int(np.sum(remap >= 0))
+
+
+# ---------------------------------------------------------------------------
+# mirror maps
+# ---------------------------------------------------------------------------
+
+_MIRRORED = [Circle(1.0), Ellipse(1.3, 1.0), FourierCurve([0.08, 0.0, 0.03])]
+
+
+def _triangle_set(triangles):
+    """The triangles as rows of sorted corners, in lexicographic order."""
+    t = np.sort(triangles, axis=1)
+    return t[np.lexsort(t.T[::-1])]
+
+
+@pytest.mark.parametrize("h", [0.1, 0.05])
+@pytest.mark.parametrize("coated", [False, True], ids=["bare", "coated"])
+@pytest.mark.parametrize("curve", _MIRRORED, ids=lambda c: c.kind)
+def test_mirror_maps_reflect_the_mesh(curve, coated, h):
+    """Each map is an involution of the vertices onto their mirror images
+    (within 1e-13 of the extent), and takes the core triangles onto
+    themselves; the coating rows' diagonals flip, so the triangles of a
+    coated mesh as a whole do not map onto themselves."""
+    mesh = generate_mesh(curve, LayerConfig(0.04, 1.0, 0.48) if coated else None, h)
+    p, n = mesh.vertices, mesh.n_vertices
+    extent = float(np.ptp(p, axis=0).max())  # at most the diameter
+    core = mesh.triangles[mesh.region == CORE]
+    assert len(mesh.mirrors) == len(curve.mirrors) >= 1
+    for axis, s in zip(curve.mirrors, mesh.mirrors):
+        assert np.array_equal(np.sort(s), np.arange(n))
+        assert np.array_equal(s[s], np.arange(n))
+        image = p * (np.array([1.0, -1.0]) if axis == "x" else np.array([-1.0, 1.0]))
+        assert np.max(np.abs(p[s] - image)) <= 1e-13 * extent
+        assert np.array_equal(_triangle_set(s[core]), _triangle_set(core))
+        same = np.array_equal(_triangle_set(s[mesh.triangles]), _triangle_set(mesh.triangles))
+        assert same == (not coated)
+
+
+class _UndeclaredCircle(BoundaryCurve):
+    """The unit circle from a raw parameter, in a class that declares no
+    mirrors."""
+
+    def __init__(self):
+        super().__init__(2.0 * math.pi)
+
+    def _xy(self, t):
+        return np.stack([np.cos(t), np.sin(t)], axis=-1)
+
+    def _d1(self, t):
+        return np.stack([-np.sin(t), np.cos(t)], axis=-1)
+
+    def _d2(self, t):
+        return np.stack([-np.cos(t), -np.sin(t)], axis=-1)
+
+
+@pytest.mark.parametrize("layer", [None, LayerConfig(0.04, 1.0, 0.48)], ids=["bare", "coated"])
+def test_curve_without_mirrors_gets_no_maps(layer):
+    assert generate_mesh(_UndeclaredCircle(), layer, 0.1).mirrors == ()
+
+
+def test_callable_thickness_gets_no_maps():
+    """A callable profile need not be mirror-even, so its coated mesh gets no
+    maps; a constant one keeps the curve's."""
+    uneven = LayerConfig(0.04, lambda s: 1.0 + 0.3 * np.sin(s), 0.48)
+    assert generate_mesh(Circle(1.0), uneven, 0.1).mirrors == ()
+    assert len(generate_mesh(Circle(1.0), LayerConfig(0.04, 1.0, 0.48), 0.1).mirrors) == 2
+
+
+def test_mirror_maps_small_case():
+    """Two core rings and one coating row: ring 1 (vertices 1-6), ring 2
+    (7-18) and the row (19-30), each reflected within itself."""
+    x, y = mirror_maps(("x", "y"), 2, 1)
+    assert x.tolist() == [0, 1, 6, 5, 4, 3, 2, 7, 18, 17, 16, 15, 14, 13, 12, 11, 10, 9, 8,
+                          19, 30, 29, 28, 27, 26, 25, 24, 23, 22, 21, 20]
+    assert y.tolist() == [0, 4, 3, 2, 1, 6, 5, 13, 12, 11, 10, 9, 8, 7, 18, 17, 16, 15, 14,
+                          25, 24, 23, 22, 21, 20, 19, 30, 29, 28, 27, 26]
 
 
 # ---------------------------------------------------------------------------

@@ -238,12 +238,13 @@ needs_fork = pytest.mark.skipif(multiprocessing.get_all_start_methods()[0] != "f
 
 def _force_cells(monkeypatch, pooled):
     """Make cell_processes choose two workers (two usable cores, BLAS pinned)
-    or one process (BLAS unpinned)."""
+    or one process (two usable cores, BLAS unpinned), on any number of
+    cores the suite runs on."""
     for var in report._BLAS_THREAD_VARS:
         monkeypatch.delenv(var, raising=False)
+    monkeypatch.setattr(report, "_usable_cores", lambda: 2)
     if pooled:
         monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
-        monkeypatch.setattr(report, "_usable_cores", lambda: 2)
 
 
 @needs_fork

@@ -7,7 +7,7 @@ import scipy.sparse as sp
 
 from thinspec import bessel, fem, transmission
 from thinspec.errors import InsufficientData, MissingLayer, NoRootFound
-from thinspec.fem import assemble, dirichlet_eigs, ground_state, h1_norm
+from thinspec.fem import assemble, dirichlet_eigs, dirichlet_factor, ground_state, h1_norm
 from thinspec.geometry import Circle, Ellipse, FourierCurve, LayerConfig
 from thinspec.mesh import LAYER, generate_mesh
 from thinspec.report import fit_order, richardson
@@ -403,12 +403,16 @@ def test_eroded_dirichlet_disk():
 
 @pytest.mark.parametrize("curve", [Circle(1.0), Ellipse(1.3, 1.0)])
 def test_eroded_dirichlet_is_the_core_submesh_eigenvalue(curve):
+    """The eroded solve is the Dirichlet problem of the core submesh, on its
+    mirror-even subspace, bit for bit."""
     layer = LayerConfig(0.04, 1.0, 0.48)
     mesh = generate_mesh(curve, layer, 0.1)
     sub, _ = core_submesh(mesh)
     K = assemble(sub, "stiffness")
     M = assemble(sub, "mass")
-    lams, _ = dirichlet_eigs(K, M, 1, domain_factor(sub, K, M))
+    factor = dirichlet_factor(K, M, sub.outer, sub.vertices, sub.triangles, sub.mirrors)
+    assert factor.orbits is not None
+    lams, _ = dirichlet_eigs(K, M, 1, factor)
     assert eroded_dirichlet(mesh, *_full_km(mesh)) == (float(lams[0]), None)
 
 
