@@ -10,7 +10,10 @@ boundary quadrature can use exact arclength weights downstream.
 Both parts are built on equal arclength fractions, so a mesh of a curve
 that reflects onto itself (`BoundaryCurve.mirrors`) reflects onto itself
 too, vertex for vertex; `generate_mesh` records each such reflection as a
-map of vertex indices, found by index arithmetic alone.
+map of vertex indices, found by index arithmetic alone.  Such a mesh
+evaluates its boundary only on the fundamental arc of the reflections and
+places every other vertex as the exact mirror image of one there, so it
+is mirror-symmetric bit for bit.
 """
 
 import math
@@ -37,8 +40,8 @@ class TriMesh:
     core, whose spacing s0/(6 n_rings) is what a mesh refinement changes
     (None for a mesh not built by `generate_mesh`).  mirrors holds one
     vertex map per reflection the mesh is built to share with its curve:
-    mirrors[a][v] is the vertex at v's mirror image; each map is its own
-    inverse and the maps commute (empty for a mesh not built by
+    mirrors[a][v] is the vertex at v's exact mirror image; each map is its
+    own inverse and the maps commute (empty for a mesh not built by
     `generate_mesh`).
     """
 
@@ -89,26 +92,57 @@ def _cross(p, t):
 
 
 def _orient_ccw(vertices, triangles):
-    flip = _cross(vertices, triangles) < 0
+    """Turn every triangle counterclockwise, in place, and return twice
+    the areas of the turned triangles, the absolute cross products."""
+    cross = _cross(vertices, triangles)
+    flip = cross < 0
     triangles[flip] = triangles[flip][:, [0, 2, 1]]
-    return triangles
+    return np.abs(cross)
 
 
-def _hex_core(n_rings, boundary_points_of):
+def _fold(axes, m, j):
+    """Fold vertex j of a ring of m vertices onto the fundamental arc of the
+    reflections across `axes`, by `mirror_maps`' arithmetic.
+
+    Returns the vertex f on that arc that j is a mirror image of, and per
+    vertex the factors (x, y) that take f's point to j's: -1 on the
+    coordinate a reflection negates, and 0 on the one that vanishes on a
+    reflection's axis (j = 0 and m/2 lie on the x-axis, m/4 and 3m/4 on the
+    y-axis), so that a vertex there is its own exact image.
+    """
+    fx, fy = np.ones(len(j)), np.ones(len(j))
+    if "x" in axes:  # j -> m - j takes the lower half onto the upper one
+        flip = 2 * j > m
+        j = np.where(flip, m - j, j)
+        fy[flip] = -1.0
+        fy[(j == 0) | (2 * j == m)] = 0.0
+    if "y" in axes:  # j -> m/2 - j takes the left half onto the right one
+        flip = (4 * j > m) & (4 * j < 3 * m)
+        j = np.where(flip, (m // 2 - j) % m, j)
+        fx[flip] = -1.0
+        fx[(4 * j == m) | (4 * j == 3 * m)] = 0.0
+    return j, np.stack([fx, fy], -1)
+
+
+def _hex_core(n_rings, boundary_points_of, axes):
     """Hexagonal-ring triangulation of a star-shaped region.
 
     boundary_points_of(frac) returns boundary points at parameter fractions;
     interior ring i carries 6i vertices at radial fraction i/N.  It is called
     once per mesh, on the distinct fractions j/(6i) of all rings at once
-    (equal fractions of different rings divide to the same double).
+    (equal fractions of different rings divide to the same double), each
+    vertex folded onto the fundamental arc of the reflections across `axes`
+    (`_fold`) and placed at the exact mirror image of its folded point.
     """
     ring = np.repeat(np.arange(1, n_rings + 1), 6 * np.arange(1, n_rings + 1))
     start = 1 + 3 * ring * (ring - 1)  # index of the first vertex of each ring
     j = np.arange(1, len(ring) + 1) - start
-    frac, where = np.unique(j / (6.0 * ring), return_inverse=True)
+    folded, factor = _fold(axes, 6 * ring, j)
+    frac, where = np.unique(folded / (6.0 * ring), return_inverse=True)
     verts = np.zeros((len(ring) + 1, 2))  # the centre, then the rings
-    np.multiply((ring / n_rings)[:, None], boundary_points_of(frac)[where], out=verts[1:])
-    del frac, where
+    np.multiply((ring / n_rings)[:, None], boundary_points_of(frac)[where] * factor,
+                out=verts[1:])
+    del folded, factor, frac, where
     # rings i and i+1 are joined by one (a, b, c) per vertex m = sector*(i+1) + k
     # of ring i+1, each followed by (b, d, c) unless k == i; a, b lie on ring
     # i+1 and c, d on ring i.  Ring 1 is the first 6 entries; the columns are
@@ -167,8 +201,13 @@ def generate_mesh(curve, layer, h):
     The boundary is evaluated once for the whole hexagonal core, and once more
     at the coating-row arclengths.  The mesh records `mirror_maps` for the
     curve's mirrors; a coating with a callable thickness profile, which
-    need not be mirror-even, gets none.  Raises MeshFailure for degenerate
-    triangles.
+    need not be mirror-even, gets none.  A mesh that records maps evaluates
+    both only on the fundamental arc of its mirrors (`_fold`): on the
+    Ellipse(1.3, 1) core at h = 0.01, 6,745 boundary points instead of
+    26,976; every other vertex, and every coating-row normal, is the exact
+    mirror image of one there, so the maps are symmetries bit for bit.
+    Raises MeshFailure for degenerate triangles, found from the cross
+    products `_orient_ccw` returns.
     """
     eta0 = curve.reach()
     if h >= min(0.2 * eta0, curve.s0 / 16.0):
@@ -182,10 +221,12 @@ def generate_mesh(curve, layer, h):
     n_rings = ring_count(curve, h)
     nb = 6 * n_rings
     s_ring = np.arange(nb) * curve.s0 / nb
+    axes = curve.mirrors if layer is None or not callable(layer.g) else ()
 
     rows = 0
     if layer is None:
-        verts, tris, outer = _hex_core(n_rings, lambda frac: curve.position(frac * curve.s0))
+        verts, tris, outer = _hex_core(n_rings, lambda frac: curve.position(frac * curve.s0),
+                                       axes)
         region = np.full(len(tris), CORE, dtype=np.int64)
         inner = np.array([], dtype=np.int64)
     else:
@@ -194,15 +235,18 @@ def generate_mesh(curve, layer, h):
             base, nu = curve.position_normal(s)
             return base + np.asarray(layer.thickness(s))[..., None] * nu
 
-        core_verts, core_tris, inner = _hex_core(n_rings, bpoints)
+        core_verts, core_tris, inner = _hex_core(n_rings, bpoints, axes)
 
         depth = np.asarray(layer.thickness(s_ring))
         if float(depth.min()) <= 0.0:
             raise MeshFailure("coating must have positive depth everywhere to be meshed")
         rows = max(2, int(math.ceil(float(depth.max()) / h)))
 
-        # row k sits at the remaining depth fraction 1 - k/rows (0 on the outer boundary)
-        base, nu = curve.position_normal(s_ring)
+        # row k sits at the remaining depth fraction 1 - k/rows (0 on the outer
+        # boundary), over the points and normals of the folded ring
+        folded, factor = _fold(axes, nb, np.arange(nb))
+        keep, where = np.unique(folded, return_inverse=True)
+        base, nu = (a[where] * factor for a in curve.position_normal(s_ring[keep]))
         frac_in = 1.0 - np.arange(1, rows + 1) / rows
         row_verts = base + (frac_in[:, None] * depth)[..., None] * nu
         ring = len(core_verts) + np.arange(rows * nb).reshape(rows, nb)
@@ -218,11 +262,9 @@ def generate_mesh(curve, layer, h):
         del core_verts, core_tris  # superseded by the copies above
         outer = ring[-1]
 
-    axes = curve.mirrors if layer is None or not callable(layer.g) else ()
-    mesh = TriMesh(vertices=verts, triangles=_orient_ccw(verts, tris), region=region,
-                   outer=outer, inner=inner, outer_s=s_ring, curve=curve, n_rings=n_rings,
-                   mirrors=mirror_maps(axes, n_rings, rows))
-    areas = mesh.signed_areas()
-    if np.any(areas <= 1e-15 * float(np.median(np.abs(areas)))):
+    twice_areas = _orient_ccw(verts, tris)
+    if np.any(twice_areas <= 1e-15 * float(np.median(twice_areas))):
         raise MeshFailure("degenerate or inverted triangle produced")
-    return mesh
+    return TriMesh(vertices=verts, triangles=tris, region=region, outer=outer, inner=inner,
+                   outer_s=s_ring, curve=curve, n_rings=n_rings,
+                   mirrors=mirror_maps(axes, n_rings, rows))

@@ -40,9 +40,10 @@ def square_mesh(n):
         (verts[:, 0] == 0.0) | (verts[:, 0] == 1.0)
         | (verts[:, 1] == 0.0) | (verts[:, 1] == 1.0)
     )
+    _orient_ccw(verts, tris)
     return TriMesh(
         vertices=verts,
-        triangles=_orient_ccw(verts, tris),
+        triangles=tris,
         region=np.full(len(tris), CORE, dtype=np.int64),
         outer=np.flatnonzero(on_bnd),
         inner=np.array([], dtype=np.int64),

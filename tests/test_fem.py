@@ -590,6 +590,52 @@ def test_reduced_block_is_the_orbit_sum():
         assert np.max(np.abs(reduced.toarray() - dense)) <= 1e-14 * np.max(np.abs(dense))
 
 
+def _sorted_orbit_pattern(orbits, indptr, indices):
+    """(indptr, indices, uslot, twin) of the reduced pattern grouped by
+    np.unique over int64 keys of the upper entries and an argsort of the
+    keys of both triangles."""
+    n = orbits.size
+    rows = np.repeat(orbits.index, np.diff(indptr))
+    cols = orbits.index[indices]
+    upper = rows <= cols
+    ukeys, uslot = np.unique(rows[upper].astype(np.int64) * n + cols[upper],
+                             return_inverse=True)
+    r, c = np.divmod(ukeys, n)
+    strict = np.flatnonzero(r != c)
+    keys = np.concatenate([ukeys, c[strict] * n + r[strict]])
+    order = np.argsort(keys)
+    r, c = np.divmod(keys[order], n)
+    twin = np.concatenate([np.arange(len(ukeys)), strict])[order]
+    return np.searchsorted(r, np.arange(n + 1)), c, uslot, twin
+
+
+def _orbit_meshes():
+    layer = LayerConfig(0.04, 1.0, 0.48)
+    meshes = [pytest.param(generate_mesh(c, None, h), id=f"{c.kind}-{h}")
+              for c in _MIRRORED for h in (0.1, 0.05)]
+    core = core_submesh(generate_mesh(Ellipse(1.3, 1.0), layer, 0.05))[0]
+    return meshes + [pytest.param(core, id="ellipse-0.05-core")]
+
+
+@pytest.mark.parametrize("mesh", _orbit_meshes())
+def test_orbit_pattern_matches_the_sorted_grouping(mesh):
+    """MirrorOrbits groups the free block into the same pattern, slots and
+    twins as sorting its keys does, so P^T K P and P^T M P keep their bits."""
+    K, M = assemble(mesh, "stiffness"), assemble(mesh, "mass")
+    factor = dirichlet_factor(K, M, mesh.outer, mesh.vertices, mesh.triangles, mesh.mirrors)
+    orbits = factor.orbits
+    ref_indptr, ref_indices, uslot, twin = _sorted_orbit_pattern(
+        orbits, factor.indptr, factor.indices)
+    got = (orbits.indptr, orbits.indices, orbits.uslot, orbits.twin)
+    for a, b in zip(got, (ref_indptr, ref_indices, uslot, twin)):
+        assert a.dtype == np.int32 and np.array_equal(a, b)
+    for full in (K, M):
+        ref = np.bincount(uslot, full.data[orbits.upos])[twin]
+        block = orbits.block(full.data)
+        assert np.array_equal(block.indptr, ref_indptr)
+        assert np.array_equal(block.data, ref)
+
+
 @pytest.mark.parametrize("h", [0.04, 0.02])
 @pytest.mark.parametrize("curve", _MIRRORED, ids=lambda c: c.kind)
 def test_reduced_coefficients_match_the_full_route(curve, h, monkeypatch):
@@ -668,6 +714,30 @@ def test_uneven_thickness_takes_the_full_corrector(monkeypatch):
     for a, b in zip(mixed.lambdas, full.lambdas):
         assert abs(a - b) <= 1e-12 * abs(b)
     assert _close(mixed.v1.values, full.v1.values, 1e-12)
+
+
+def test_nearly_even_thickness_keeps_the_reduced_corrector(monkeypatch):
+    """g = 1 + 0.3 cos 2s is mirror-even on the circle, and its values at
+    partner boundary vertices differ only by rounding: the corrector solves
+    on the reduced factor of the ground state, one Dirichlet factor in all,
+    and the coefficients are the full route's within 1e-12."""
+    layer = LayerConfig(0.02, lambda s: 1.0 + 0.3 * np.cos(2.0 * s), 0.48)
+    mesh = generate_mesh(Circle(1.0), None, 0.04)
+    g = np.zeros(mesh.n_vertices)
+    g[mesh.outer] = layer.g_at(mesh.outer_s)
+    assert not all(np.array_equal(g[s], g) for s in mesh.mirrors)
+    calls = recording_splu(monkeypatch, fem)
+    reduced = compute_coefficients(Circle(1.0), layer, 0.04)
+    n_even = even_unknowns(mesh)
+    assert [a.shape for _, a, kwargs in calls if kwargs] == [(n_even, n_even)]
+    _without_mirrors(asymptotics, monkeypatch)
+    full = compute_coefficients(Circle(1.0), layer, 0.04)
+    assert (reduced.fallback, full.fallback) == (None, None)
+    for a, b in zip(reduced.lambdas, full.lambdas):
+        assert abs(a - b) <= 1e-12 * abs(b)
+    assert abs(reduced.multiplier - full.multiplier) <= 1e-12 * full.lambda1
+    assert _close(reduced.v0.values, full.v0.values, 1e-12)
+    assert _close(reduced.v1.values, full.v1.values, 1e-12)
 
 
 def test_failed_floor_keeps_the_full_two_pair_route():

@@ -107,23 +107,45 @@ def _triangle_set(triangles):
 @pytest.mark.parametrize("coated", [False, True], ids=["bare", "coated"])
 @pytest.mark.parametrize("curve", _MIRRORED, ids=lambda c: c.kind)
 def test_mirror_maps_reflect_the_mesh(curve, coated, h):
-    """Each map is an involution of the vertices onto their mirror images
-    (within 1e-13 of the extent), and takes the core triangles onto
-    themselves; the coating rows' diagonals flip, so the triangles of a
-    coated mesh as a whole do not map onto themselves."""
+    """Each map is an involution of the vertices onto their exact mirror
+    images, bit for bit, and takes the core triangles onto themselves; the
+    coating rows' diagonals flip, so the triangles of a coated mesh as a
+    whole do not map onto themselves."""
     mesh = generate_mesh(curve, LayerConfig(0.04, 1.0, 0.48) if coated else None, h)
     p, n = mesh.vertices, mesh.n_vertices
-    extent = float(np.ptp(p, axis=0).max())  # at most the diameter
     core = mesh.triangles[mesh.region == CORE]
     assert len(mesh.mirrors) == len(curve.mirrors) >= 1
     for axis, s in zip(curve.mirrors, mesh.mirrors):
         assert np.array_equal(np.sort(s), np.arange(n))
         assert np.array_equal(s[s], np.arange(n))
         image = p * (np.array([1.0, -1.0]) if axis == "x" else np.array([-1.0, 1.0]))
-        assert np.max(np.abs(p[s] - image)) <= 1e-13 * extent
+        assert np.array_equal(p[s], image)
         assert np.array_equal(_triangle_set(s[core]), _triangle_set(core))
         same = np.array_equal(_triangle_set(s[mesh.triangles]), _triangle_set(mesh.triangles))
         assert same == (not coated)
+
+
+@pytest.mark.parametrize("coated", [False, True], ids=["bare", "coated"])
+def test_mirrored_mesh_evaluates_the_fundamental_arc(coated):
+    """Under its two mirrors an ellipse mesh inverts the arclength only on
+    the first quarter of the curve: the core at its distinct fractions
+    j/(6i) up to 1/4, the coating ring at its first nb/4 + 1 vertices."""
+    curve = Ellipse(1.3, 1.0)
+    calls = []
+    inverse = curve._t_of_s
+
+    def recording(s):
+        calls.append(np.asarray(s))
+        return inverse(s)
+
+    curve._t_of_s = recording
+    mesh = generate_mesh(curve, LayerConfig(0.04, 1.0, 0.48) if coated else None, 0.075)
+    n = mesh.n_rings
+    ring = np.repeat(np.arange(1, n + 1), 6 * np.arange(1, n + 1))
+    frac = np.unique((np.arange(len(ring)) - 3 * ring * (ring - 1)) / (6.0 * ring))
+    assert len(calls[0]) == np.count_nonzero(frac <= 0.25) < len(frac) / 3
+    assert float(calls[0].max()) <= curve.s0 / 4
+    assert [len(s) for s in calls[1:]] == ([len(mesh.outer) // 4 + 1] if coated else [])
 
 
 class _UndeclaredCircle(BoundaryCurve):
@@ -170,13 +192,38 @@ def test_mirror_maps_small_case():
 # vectorized construction against the per-ring loop it replaced
 # ---------------------------------------------------------------------------
 
-def _loop_hex_core(n_rings, boundary_points_of):
-    """The core as one boundary evaluation and one triangle loop per ring."""
+def _loop_fold(axes, m, j):
+    """Vertex j of a ring of m vertices as (f, x factor, y factor): its
+    vertex on the fundamental arc of the reflections across `axes`, and
+    the factors that reflect f's point onto j's (0 on a reflection's axis)."""
+    fx = fy = 1.0
+    if "x" in axes:
+        if 2 * j > m:
+            j, fy = m - j, -1.0
+        if j == 0 or 2 * j == m:
+            fy = 0.0
+    if "y" in axes:
+        if m < 4 * j < 3 * m:
+            j, fx = (m // 2 - j) % m, -1.0
+        if 4 * j in (m, 3 * m):
+            fx = 0.0
+    return j, fx, fy
+
+
+def _loop_folded_ring(axes, m):
+    """Per vertex of a ring of m vertices, its folded vertex and factors."""
+    folds = [_loop_fold(axes, m, j) for j in range(m)]
+    return np.array([f for f, _, _ in folds]), np.array([(fx, fy) for _, fx, fy in folds])
+
+
+def _loop_hex_core(n_rings, boundary_points_of, axes):
+    """The core as one boundary evaluation and one triangle loop per ring;
+    each vertex is the mirror image of its folded vertex's point."""
     verts = [np.zeros(2)]
     ring_start = [0, 1]
     for i in range(1, n_rings + 1):
-        frac = np.arange(6 * i) / (6.0 * i)
-        pts = (i / n_rings) * boundary_points_of(frac)
+        folded, factor = _loop_folded_ring(axes, 6 * i)
+        pts = (i / n_rings) * (boundary_points_of(folded / (6.0 * i)) * factor)
         verts.extend(pts)
         ring_start.append(ring_start[-1] + 6 * i)
     verts = np.array(verts)
@@ -205,9 +252,9 @@ def _loop_mesh(curve, layer, h):
     nb = 6 * n_rings
     if layer is None:
         verts, tris, boundary = _loop_hex_core(
-            n_rings, lambda frac: curve.position(frac * curve.s0))
-        return (verts, _orient_ccw(verts, tris), np.full(len(tris), CORE),
-                boundary, np.array([], dtype=np.int64))
+            n_rings, lambda frac: curve.position(frac * curve.s0), curve.mirrors)
+        _orient_ccw(verts, tris)
+        return verts, tris, np.full(len(tris), CORE), boundary, np.array([], dtype=np.int64)
 
     def bpoints(frac):
         s = frac * curve.s0
@@ -215,14 +262,15 @@ def _loop_mesh(curve, layer, h):
         base, nu = curve.position_normal(s)
         return base + np.asarray(depth)[..., None] * nu
 
-    verts, tris, interface = _loop_hex_core(n_rings, bpoints)
+    verts, tris, interface = _loop_hex_core(n_rings, bpoints, curve.mirrors)
     verts = list(verts)
     tris = [tuple(t) for t in tris]
     region = [CORE] * len(tris)
     s_ring = np.arange(nb) * curve.s0 / nb
     depth = np.asarray(layer.thickness(s_ring))
     rows = max(2, int(math.ceil(float(depth.max()) / h)))
-    base, nu = curve.position_normal(s_ring)
+    folded, factor = _loop_folded_ring(curve.mirrors, nb)
+    base, nu = (a * factor for a in curve.position_normal(s_ring[folded]))
     ring_prev = list(interface)
     for k in range(1, rows + 1):
         frac_in = 1.0 - k / rows
@@ -236,7 +284,8 @@ def _loop_mesh(curve, layer, h):
             region += [LAYER, LAYER]
         ring_prev = ring_new
     verts = np.array(verts)
-    tris = _orient_ccw(verts, np.array(tris, dtype=np.int64))
+    tris = np.array(tris, dtype=np.int64)
+    _orient_ccw(verts, tris)
     return verts, tris, np.array(region), np.array(ring_prev), interface
 
 
