@@ -17,7 +17,8 @@ method from the scanned end values; an angular mode m is scanned only if its
 Max-Min floor (j_{m,1}/R)^2 lies inside a corridor, so thin coatings scan mode
 0 alone), and the expansion coefficients lambda0 = (j01/R)^2,
 lambda1 = 2 lambda0/R, lambda2 = 3 lambda0/R^2 with their radial fields, all
-in closed form and independent of the refractive index.
+in closed form and independent of the refractive index, and lambda3, the
+first that depends on it.
 """
 
 import math
@@ -595,7 +596,8 @@ class DiskCoefficients:
     L2-normalized ground mode and v1(r) = (A/R)(J_0(kr) - kr J_1(kr)) the
     corrector: (Delta + lambda0) v1 = -lambda1 v0, v1(R) = -flux0, and v1 is
     orthogonal to v0.  Both are callables of the radius r (scalar or array).
-    No value depends on the refractive index.
+    lambda3, the first coefficient that depends on the refractive index, is
+    None when no index was given (`disk_asymptotic_coeffs`).
     """
 
     radius: float
@@ -606,6 +608,7 @@ class DiskCoefficients:
     flux1: float
     v0: Callable
     v1: Callable
+    lambda3: float = None
 
 
 def disk_asymptotic_coeffs(R, n=None):
@@ -617,11 +620,17 @@ def disk_asymptotic_coeffs(R, n=None):
 
     lambda2 is 2 pi R (kappa flux0^2/2 + flux0 flux1) with curvature
     kappa = 1/R, so lambda0 + delta lambda1 + delta^2 lambda2 is the
-    second-order Taylor expansion of the eroded disk's (j01/(R - delta))^2.
-    The refractive index n is accepted for interface symmetry; it enters none
-    of the coefficients.
+    second-order Taylor expansion of the eroded disk's (j01/(R - delta))^2:
+    at n = 1 the coating field solves the interior equation with the same
+    Cauchy data, so the eigenvalue is the eroded one, and none of the first
+    three coefficients depends on n.  With an index n,
+
+        lambda3 = 4 lambda0/R^3 - (2/3)(1 - n) lambda0^2/R,
+
+    the eroded disk's delta^3 term plus the index part: across the layer
+    the n-part of w'/w is -n k^2 delta/3, matched against -k J1(kR)/J0(kR).
+    Without n, lambda3 is None.
     """
-    del n  # the first three coefficients are index-independent
     if R <= 0:
         raise DomainError("disk_asymptotic_coeffs: radius must be positive")
     j01 = bessel_j_zero(0, 1)
@@ -631,5 +640,6 @@ def disk_asymptotic_coeffs(R, n=None):
     amp = 1.0 / (math.sqrt(math.pi) * bessel_j_series(1, j01) * R)
     v0 = partial(_ground_mode, k, amp)
     v1 = partial(_corrector, k, amp, R)
+    lam3 = None if n is None else 4.0 * lam0 / R**3 - (2.0 / 3.0) * (1.0 - n) * lam0**2 / R
     return DiskCoefficients(R, lam0, 2.0 * lam0 / R, 3.0 * lam0 / R**2,
-                            flux0, flux0 / R, v0, v1)
+                            flux0, flux0 / R, v0, v1, lam3)

@@ -4,20 +4,25 @@ recovery.
 
 Assembled operators are CSR matrices built from the full element triplets.
 They are exactly symmetric: an off-diagonal entry sums the contributions of
-at most two triangles, and each local matrix is symmetric bit for bit.  The
-triplets are built one element-matrix entry at a time with int32 indices,
-so assembly needs no triangles x 3 x 3 scratch: it peaks at about 300 bytes
-per triangle beyond its input (24.8 MiB for the 87,846 triangles of an
-Ellipse(1.3, 1) at h = 0.01), the triplets and their unmerged CSR copy.  Both
-solvers on the free vertices take one SuperLU factor of the shifted free
-block K - sigma M (`dirichlet_factor`) as an argument, built once for both:
-the Dirichlet eigensolver is ARPACK shift-invert Lanczos at sigma, and the
-constrained source solve is conjugate gradients on the M-orthogonal
-complement of the ground mode, preconditioned by that factor.  The factor
-alone holds the free set and the free block's pattern, so no solver
-indexes a sparse matrix.  `ground_state` makes that factor together with
-lambda0 and v0 of the whole domain, the quantities both the expansion and
-the direct solve start from.
+at most two triangles, and each local matrix is symmetric bit for bit.  One
+`assemble` call builds every operator it is asked for from one geometry
+pass: the corners, the areas and the int32 triplet indices are computed
+once, and each operator's triplets are built one element-matrix entry at a
+time.  So assembly needs no triangles x 3 x 3 scratch: one operator peaks
+at about 300 bytes per triangle beyond its input (24.8 MiB for the 87,846
+triangles of an Ellipse(1.3, 1) at h = 0.01), the indices, the triplet
+data and their unmerged CSR copy, and K and M from one call at 28.5 MiB.
+Both solvers on the free vertices take one SuperLU factor of the shifted
+free block K - sigma M (`dirichlet_factor`) as an argument, built once for
+both: the Dirichlet eigensolver is ARPACK shift-invert Lanczos at sigma,
+and the constrained source solve is conjugate gradients on the
+M-orthogonal complement of the ground mode, preconditioned by that factor.
+The factor alone holds the free set and K's pattern, from which it
+gathers the free block's pattern when a solve first needs it, so no
+solver indexes a sparse matrix.  `ground_state` assembles K and M in one
+call, passes their total area to `dirichlet_factor`, and makes that factor
+together with lambda0 and v0 of the whole domain, the quantities both the
+expansion and the direct solve start from.
 
 With exact stiffness and an exact mass rule, P1 eigenvalues are
 Rayleigh-Ritz values of the Dirichlet Laplacian on the polygon the
@@ -58,7 +63,8 @@ serves data that is mirror-even to within that tolerance too.
 """
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 from scipy import sparse
@@ -111,13 +117,25 @@ def assemble(mesh, kind, region=None, coefficient=None):
     arrays.  The mass matrix uses the 3-point edge-midpoint rule, exact for
     quadratic integrands.
 
-    Each of the nine element-matrix entries is one array over the
-    triangles, written into the triplet data in the row-major order of the
-    element matrix, so CSR sums duplicates in the same order as for a
-    stacked local matrix.  The triplet indices are int32.  The scratch is
-    the triplets (9 doubles and 18 int32 per triangle, 144 bytes) and their
-    unmerged CSR copy (108 bytes), about 300 bytes per triangle at its peak
-    with the merged copy; no triangles x 3 x 3 intermediate is built.
+    kind may also be a tuple of kinds, with coefficient None or a tuple of
+    one coefficient per kind: then the operators come from one pass over
+    the triangles, and the return value is the tuple of them in that
+    order, followed by the triangles' total area (`triangle_area`, the same
+    bits).  A single kind runs the same kernel.
+
+    The pass gathers the corners, computes the areas and builds the int32
+    triplet indices once.  Each kind's nine element-matrix entries are
+    then one array over the triangles each, written into its triplet data
+    in the row-major order of the element matrix, so CSR sums duplicates
+    in the same order as for a stacked local matrix, and the data is
+    converted COO -> CSR with the shared indices before the next kind is
+    filled.  The corners (48 bytes per triangle) die once no later kind
+    reads them (a mass with a constant coefficient reads the areas alone),
+    and the areas (8 bytes) after the last fill.  So each conversion holds
+    the indices (72 bytes), its triplet data (72 bytes) and their unmerged
+    CSR copy (108 bytes), about 300 bytes per triangle at its peak with the
+    merged copy, next to the operators already finished; no triangles x 3
+    x 3 intermediate is built.
     """
     if region is None:
         tris = mesh.triangles
@@ -125,20 +143,34 @@ def assemble(mesh, kind, region=None, coefficient=None):
         tris = mesh.triangles[mesh.region == LAYER]
     else:
         raise ValueError(f"unknown region {region!r}")
-    if kind == "stiffness":
-        entries = _stiffness_entries
-    elif kind == "mass":
-        entries = _mass_entries
-    else:
-        raise ValueError(f"unknown operator kind {kind!r}")
-    data = np.empty((len(tris), 9))
-    entries(mesh.vertices, tris, coefficient, data)
+    single = isinstance(kind, str)
+    kinds = (kind,) if single else tuple(kind)
+    coefficients = (coefficient,) if single else (coefficient or (None,) * len(kinds))
+    unknown = [k for k in kinds if k not in _ENTRIES]
+    if unknown or len(coefficients) != len(kinds):
+        raise ValueError(f"unknown operator kind {unknown[0]!r}" if unknown else
+                         "assemble: one coefficient per operator kind")
+    x, y = _corners(mesh.vertices, tris)
+    area = _area(x, y)
+    total = float(area.sum())
     t32 = tris.astype(np.int32)
     rows = np.repeat(t32, 3, axis=1).ravel()
     cols = np.tile(t32, (1, 3)).ravel()
     del t32
+    # a mass with a constant coefficient reads the areas alone
+    reads_corners = [k == "stiffness" or callable(c) for k, c in zip(kinds, coefficients)]
     nv = mesh.n_vertices
-    return sparse.csr_matrix((data.ravel(), (rows, cols)), shape=(nv, nv))
+    operators = []
+    for i, (k, c) in enumerate(zip(kinds, coefficients)):
+        data = np.empty((len(tris), 9))
+        _ENTRIES[k](x, y, area, c, data)
+        if not any(reads_corners[i + 1:]):  # what no later kind reads dies before the conversion
+            x = y = None
+        if i + 1 == len(kinds):
+            area = None
+        operators.append(sparse.csr_matrix((data.ravel(), (rows, cols)), shape=(nv, nv)))
+        del data
+    return operators[0] if single else (*operators, total)
 
 
 def _corners(p, tris):
@@ -150,11 +182,16 @@ def _area(x, y):
     return 0.5 * ((x[1] - x[0]) * (y[2] - y[0]) - (x[2] - x[0]) * (y[1] - y[0]))
 
 
-def _stiffness_entries(p, tris, coefficient, data):
+def triangle_area(vertices, triangles):
+    """Total signed area of the triangles (rows of indices into vertices),
+    the bits `assemble` returns with a tuple of kinds."""
+    return float(_area(*_corners(vertices, triangles)).sum())
+
+
+def _stiffness_entries(x, y, area, coefficient, data):
     """Fill data[:, 3i + j] with (b_i b_j + c_i c_j)/(4 area), times the
     coefficient at the centroid; entry (j, i) repeats entry (i, j)."""
-    x, y = _corners(p, tris)
-    four_area = 4.0 * _area(x, y)
+    four_area = 4.0 * area
     b = [y[1] - y[2], y[2] - y[0], y[0] - y[1]]
     c = [x[2] - x[1], x[0] - x[2], x[1] - x[0]]
     scale = None
@@ -170,13 +207,11 @@ def _stiffness_entries(p, tris, coefficient, data):
         data[:, 3 * i + j] = entry if scale is None else entry * scale
 
 
-def _mass_entries(p, tris, coefficient, data):
+def _mass_entries(x, y, area, coefficient, data):
     """Fill data[:, 3i + j] with the edge-midpoint rule: midpoint q weighs
     area * coefficient / 3, and the hat functions there are 1/2 on the two
     ends of edge q and 0 elsewhere, so entry (i, j) sums weight/4 over the
     edges holding both i and j, in quadrature order."""
-    x, y = _corners(p, tris)
-    area = _area(x, y)
     if callable(coefficient):
         cvals = [np.asarray(coefficient(0.5 * (x[i] + x[j]), 0.5 * (y[i] + y[j])), dtype=float)
                  for i, j in _EDGES]
@@ -186,6 +221,9 @@ def _mass_entries(p, tris, coefficient, data):
     for i, j in _PAIRS:
         terms = [quarter[q] for q, edge in enumerate(_EDGES) if i in edge and j in edge]
         data[:, 3 * i + j] = terms[0] if len(terms) == 1 else terms[0] + terms[1]
+
+
+_ENTRIES = {"stiffness": _stiffness_entries, "mass": _mass_entries}
 
 
 def mass_norm(M, u):
@@ -260,9 +298,12 @@ class MirrorOrbits:
     twin: np.ndarray
 
     @classmethod
-    def build(cls, rep, free, pos, indptr, indices):
+    def build(cls, rep, free, indptr, indices):
         """From each vertex's least orbit vertex rep, the free vertices and
-        the free block's pattern (`DirichletFactor`).
+        K's CSR pattern (indptr, indices): every vertex off the free set
+        takes the orbit -1, so K's entries whose row orbit is at least 0 and
+        at most their column orbit are the free block's upper entries, in
+        the order of the free block's own pattern, which is not gathered.
 
         SciPy's compiled COO -> CSR conversion (a counting sort by row, each
         row's columns then sorted and merged) groups the upper entries into
@@ -274,12 +315,12 @@ class MirrorOrbits:
         """
         first = np.flatnonzero(rep[free] == free)
         n = len(first)
-        rank = np.zeros(len(rep), dtype=np.int32)
-        rank[free[first]] = np.arange(n)
-        index = rank[rep[free]]
-        rows = np.repeat(index, np.diff(indptr))
-        cols = index[indices]
-        upper = rows <= cols
+        orbit = np.full(len(rep), -1, dtype=np.int32)
+        orbit[free[first]] = np.arange(n)
+        orbit[free] = orbit[rep[free]]
+        rows = np.repeat(orbit, np.diff(indptr))
+        cols = orbit[indices]
+        upper = (rows >= 0) & (rows <= cols)
         r, c = rows[upper], cols[upper]
         slots = sparse.csr_array((np.ones(len(r)), (r, c)), shape=(n, n))
         slots.data = np.arange(1.0, slots.nnz + 1)
@@ -289,8 +330,8 @@ class MirrorOrbits:
         both = sparse.csr_array((np.concatenate([slots.data, slots.data[strict]]),
                                  (np.concatenate([ur, uc[strict]]),
                                   np.concatenate([uc, ur[strict]]))), shape=(n, n))
-        return cls(index, first.astype(np.int32), both.indptr.astype(np.int32),
-                   both.indices.astype(np.int32), pos[upper],
+        return cls(orbit[free], first.astype(np.int32), both.indptr.astype(np.int32),
+                   both.indices.astype(np.int32), np.flatnonzero(upper).astype(np.int32),
                    slots[r, c].astype(np.int32) - 1, both.data.astype(np.int32) - 1)
 
     @property
@@ -318,32 +359,52 @@ class MirrorOrbits:
 class DirichletFactor:
     """SuperLU factor `lu` of the shifted free block K - sigma M, sigma the
     Faber-Krahn bound of the triangles the free vertices span, less the
-    rounding margin (`dirichlet_factor`), with the free vertices `free`,
-    the CSR pattern (`indptr`, `indices`, int32) of the free block of K and
-    M, and `pos` (int32), the positions of its entries in K.data.  When
+    rounding margin (`dirichlet_factor`), with the free vertices `free` and
+    K's CSR arrays `K_indptr` and `K_indices`, the pattern K and M share,
+    from which `pattern` gathers the free block's own on first use.  When
     `orbits` is a `MirrorOrbits`, lu factors the reduced block
-    P^T (K_ff - sigma M_ff) P instead, on the mirror-even subspace."""
+    P^T (K_ff - sigma M_ff) P instead, on the mirror-even subspace, and
+    the free block's pattern is gathered only if `block` or `full` asks."""
 
     lu: object
     sigma: float
     free: np.ndarray
-    indptr: np.ndarray
-    indices: np.ndarray
-    pos: np.ndarray
+    K_indptr: np.ndarray = field(repr=False)
+    K_indices: np.ndarray = field(repr=False)
     orbits: MirrorOrbits = None
+
+    @cached_property
+    def pattern(self):
+        """(indptr, indices, pos), all int32: the CSR pattern of the free
+        block of K and M and the positions of its entries in K.data,
+        gathered on first use and kept."""
+        is_free = np.zeros(len(self.K_indptr) - 1, dtype=bool)
+        is_free[self.free] = True
+        pos = np.flatnonzero(np.repeat(is_free, np.diff(self.K_indptr))
+                             & is_free[self.K_indices])
+        # kept entries before each free row's end
+        indptr = np.searchsorted(pos, self.K_indptr[np.r_[0, self.free + 1]]).astype(np.int32)
+        indices = (np.cumsum(is_free) - 1)[self.K_indices[pos]].astype(np.int32)
+        return indptr, indices, pos.astype(np.int32)
 
     def block(self, data):
         """Free block, as CSR, of the matrix with K's pattern and values data."""
+        indptr, indices, pos = self.pattern
         n = len(self.free)
-        return sparse.csr_matrix((data[self.pos], self.indices, self.indptr), shape=(n, n))
+        return sparse.csr_matrix((data[pos], indices, indptr), shape=(n, n))
 
     def full(self, K, M):
-        """This factor when it is not reduced, else the factor of the whole
-        free block of K - sigma M at the same shift."""
-        if self.orbits is None:
+        """This factor when it factors the whole free block, else (reduced,
+        or lu None as `dirichlet_factor` starts one) the factor of the
+        whole free block of K - sigma M at the same shift, which keeps the
+        pattern gathered for it."""
+        if self.orbits is None and self.lu is not None:
             return self
-        shifted = K.data[self.pos] - self.sigma * M.data[self.pos]
-        return replace(self, lu=_factor_spd(shifted, self.indices, self.indptr), orbits=None)
+        indptr, indices, pos = self.pattern
+        lu = _factor_spd(K.data[pos] - self.sigma * M.data[pos], indices, indptr)
+        full = replace(self, lu=lu, orbits=None)
+        vars(full)["pattern"] = self.pattern  # where cached_property keeps its value
+        return full
 
 
 def _factor_spd(data, indices, indptr):
@@ -357,16 +418,20 @@ def _factor_spd(data, indices, indptr):
         raise SolveSingular(f"shifted factorization failed: {exc}") from exc
 
 
-def dirichlet_factor(K, M, boundary, vertices, triangles, mirrors=()):
+def dirichlet_factor(K, M, boundary, vertices, triangles, area, mirrors=()):
     """`DirichletFactor` of the free block of K - sigma M off `boundary`,
     where no P1 Dirichlet eigenvalue on `triangles` (rows of indices into
-    `vertices`) lies below sigma = faber_krahn(their area) (1 - margin).
+    `vertices`) lies below sigma = faber_krahn(area) (1 - margin), `area`
+    their total area (`triangle_area`, or what `assemble` returns with the
+    operators).
 
     It factors P^T (K_ff - sigma M_ff) P on the mirror-even subspace of
     `mirrors` (`TriMesh.mirrors`, `MirrorOrbits`) when each map takes the
     triangles and the free vertices onto themselves and the
     `second_eigenvalue_floor` of `vertices` clears sigma at the gap _GAP,
-    so that `lowest_pair` will solve one pair on it.
+    so that `lowest_pair` will solve one pair on it.  The orbits are built
+    from K's pattern, and the free block's own pattern is then gathered
+    only when `DirichletFactor.block` or `DirichletFactor.full` asks for it.
 
     K and M must be CSR with one sparsity pattern, as `assemble` makes
     them, so the free block's pattern is found once, on K, and the block
@@ -390,27 +455,20 @@ def dirichlet_factor(K, M, boundary, vertices, triangles, mirrors=()):
         six             542.7 406.6 402.1 403.3 408.4 403.8 416.9
         Ellipse 0.075    2.19  1.55  1.55  1.54  1.56  1.59  1.64
     """
-    # the corner arrays die before the pattern is gathered
-    area = float(_area(*_corners(vertices, triangles)).sum())
     sigma = faber_krahn(area) * (1.0 - _FLOOR_MARGIN)
     if not (np.array_equal(K.indptr, M.indptr) and np.array_equal(K.indices, M.indices)):
         raise ValueError("dirichlet_factor: K and M must share one sparsity pattern")
     is_free = _free(K.shape[0], boundary)
     free = np.flatnonzero(is_free)
-    pos = np.flatnonzero(np.repeat(is_free, np.diff(K.indptr)) & is_free[K.indices])
-    # kept entries before each free row's end
-    indptr = np.searchsorted(pos, K.indptr[np.r_[0, free + 1]]).astype(np.int32)
-    indices = (np.cumsum(is_free) - 1)[K.indices[pos]].astype(np.int32)
-    pos = pos.astype(np.int32)
+    factor = DirichletFactor(None, sigma, free, K.indptr, K.indices)
     rep = None
     if len(mirrors) and floor_clears(sigma, second_eigenvalue_floor(vertices), _GAP):
         rep = _mirror_orbits(mirrors, is_free, triangles)
     if rep is None:
-        lu = _factor_spd(K.data[pos] - sigma * M.data[pos], indices, indptr)
-        return DirichletFactor(lu, sigma, free, indptr, indices, pos)
-    orbits = MirrorOrbits.build(rep, free, pos, indptr, indices)
+        return factor.full(K, M)
+    orbits = MirrorOrbits.build(rep, free, K.indptr, K.indices)
     lu = _factor_spd(orbits.sums(K.data - sigma * M.data), orbits.indices, orbits.indptr)
-    return DirichletFactor(lu, sigma, free, indptr, indices, pos, orbits)
+    return replace(factor, lu=lu, orbits=orbits)
 
 
 def dirichlet_eigs(K, M, count, factor):
@@ -540,9 +598,9 @@ def ground_state(mesh):
     assumes a simple leading eigenvalue, so a smaller gap raises
     NearDegenerate.
     """
-    K = assemble(mesh, "stiffness")
-    M = assemble(mesh, "mass")
-    factor = dirichlet_factor(K, M, mesh.outer, mesh.vertices, mesh.triangles, mesh.mirrors)
+    K, M, area = assemble(mesh, ("stiffness", "mass"))
+    factor = dirichlet_factor(K, M, mesh.outer, mesh.vertices, mesh.triangles, area,
+                              mesh.mirrors)
     lam0, u, fallback, factor = lowest_pair(K, M, mesh.vertices, _GAP, factor)
     return lam0, FemField(mesh, u / mass_norm(M, u)), K, M, factor, fallback
 

@@ -22,6 +22,7 @@ s0/2 - s (modulo s0).
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -132,7 +133,13 @@ class BoundaryCurve:
         return num / speed2**1.5
 
     def reach(self):
-        """eta0 = inf_s 1/|kappa(s)| over 4096 equally spaced arclengths."""
+        """eta0 = inf_s 1/|kappa(s)| over 4096 equally spaced arclengths,
+        sampled on the first call and kept on the curve: the sampling
+        inverts 4096 arclengths, most of a coarse mesh's time."""
+        return self._sampled_reach
+
+    @cached_property
+    def _sampled_reach(self):
         s = np.linspace(0.0, self.s0, 4096, endpoint=False)
         kmax = np.max(np.abs(self.curvature(s)))
         return math.inf if kmax == 0.0 else 1.0 / kmax

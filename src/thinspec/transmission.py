@@ -33,7 +33,7 @@ from scipy.sparse.linalg import norm as spnorm
 from .bessel import corridor
 from .errors import ConvergenceFailure, MissingLayer, NoRootFound
 from .fem import (FemField, assemble, dirichlet_factor, ground_state, h1_norm, lowest_pair,
-                  mass_norm)
+                  mass_norm, triangle_area)
 from .mesh import LAYER, generate_mesh
 
 
@@ -68,8 +68,8 @@ def assemble_pencil(mesh, n, K, M):
     if not mesh.has_layer():
         raise MissingLayer("assemble_pencil: mesh has no coating region")
     nv = mesh.n_vertices
-    K_layer = assemble(mesh, "stiffness", region="layer")
-    M_layer_n = assemble(mesh, "mass", region="layer", coefficient=n)
+    K_layer, M_layer_n, _ = assemble(mesh, ("stiffness", "mass"), region="layer",
+                                     coefficient=(None, n))
 
     layer_vertices = np.unique(mesh.triangles[mesh.region == LAYER])
     layer_vertices = layer_vertices[~np.isin(layer_vertices, mesh.inner)]  # w = 0 there
@@ -177,7 +177,8 @@ def eroded_dirichlet(mesh, K, M):
     """
     coated = np.unique(mesh.triangles[mesh.region == LAYER])
     core_triangles = mesh.triangles[mesh.region != LAYER]
-    factor = dirichlet_factor(K, M, coated, mesh.vertices, core_triangles, mesh.mirrors)
+    factor = dirichlet_factor(K, M, coated, mesh.vertices, core_triangles,
+                              triangle_area(mesh.vertices, core_triangles), mesh.mirrors)
     core = np.unique(core_triangles)
     lam, _, fallback, _ = lowest_pair(K, M, mesh.vertices[core], 0.0, factor)
     return lam, fallback

@@ -10,7 +10,7 @@ import dataclasses
 import numpy as np
 from scipy import sparse
 
-from thinspec.fem import dirichlet_factor
+from thinspec.fem import dirichlet_factor, triangle_area
 from thinspec.geometry import Circle, Ellipse, FourierCurve
 from thinspec.mesh import CORE, LAYER, TriMesh, _orient_ccw
 
@@ -133,7 +133,8 @@ def counting_factor(factor, counts):
 
 def domain_factor(mesh, K, M):
     """`fem.dirichlet_factor` off the outer boundary, over every triangle."""
-    return dirichlet_factor(K, M, mesh.outer, mesh.vertices, mesh.triangles)
+    return dirichlet_factor(K, M, mesh.outer, mesh.vertices, mesh.triangles,
+                            triangle_area(mesh.vertices, mesh.triangles))
 
 
 def even_unknowns(mesh):

@@ -13,6 +13,7 @@ from scipy.special import jn_zeros, jv, jvp, yv, yvp
 
 import thinspec
 from thinspec import bessel
+from thinspec.asymptotics import evaluate_expansion
 from thinspec.errors import DomainError, MagnitudeWarning, NoRootInBracket
 
 
@@ -551,6 +552,33 @@ def test_disk_coefficients_index_independent(disk_oracle):
     assert again.lambda0 == disk_oracle.lambda0
     assert again.lambda1 == disk_oracle.lambda1
     assert again.lambda2 == disk_oracle.lambda2
+
+
+def test_lambda3_needs_the_index(disk_oracle):
+    """lambda3 is None without an index, so the disk sweep's coefficients
+    are unchanged, and its closed form with one."""
+    assert disk_oracle.lambda3 is None
+    for R, n in ((1.0, 0.48), (2.0, 0.2), (0.5, 1.0)):
+        co = bessel.disk_asymptotic_coeffs(R, n=n)
+        lam0 = co.lambda0
+        assert co.lambda3 == 4.0 * lam0 / R**3 - (2.0 / 3.0) * (1.0 - n) * lam0**2 / R
+    # at n = 1 it is the delta^3 coefficient of (j01/(R - delta))^2
+    assert bessel.disk_asymptotic_coeffs(2.0, n=1.0).lambda3 == pytest.approx(
+        4.0 * bessel.disk_asymptotic_coeffs(2.0).lambda0 / 8.0, rel=1e-15)
+
+
+@pytest.mark.parametrize("n", [0.2, 0.48, 0.8])
+def test_third_order_expansion_error_is_fourth_order(n):
+    """The paper's expansion to order three leaves an O(delta^4) error
+    against the disk's transmission eigenvalue: slopes 4.05, 4.06 and 3.93
+    for n = 0.2, 0.48 and 0.8 over delta = 0.04 ... 0.005."""
+    deltas = [0.04, 0.02, 0.01, 0.005]
+    co = bessel.disk_asymptotic_coeffs(1.0, n=n)
+    lams = bessel.disk_first_tes(1.0, deltas, n)
+    lambdas = (co.lambda0, co.lambda1, co.lambda2, co.lambda3)
+    errs = [abs(lam - evaluate_expansion(lambdas, d, 3)) for lam, d in zip(lams, deltas)]
+    slope = float(np.polyfit(np.log(deltas), np.log(errs), 1)[0])
+    assert slope >= 3.7, (n, errs)
 
 
 def test_coefficient_scaling(disk_oracle):

@@ -24,8 +24,9 @@ from thinspec.fem import (
     mass_norm,
     second_eigenvalue_floor,
     solve_constrained_source,
+    triangle_area,
 )
-from thinspec.mesh import TriMesh
+from thinspec.mesh import LAYER, TriMesh
 from thinspec.geometry import Circle, Ellipse, FourierCurve, LayerConfig
 from thinspec.mesh import generate_mesh
 from thinspec.transmission import eroded_dirichlet, first_te
@@ -90,18 +91,30 @@ def test_symmetry_with_coefficients_and_regions():
 def test_assembly_keeps_its_bits(curve):
     # per-entry assembly against the triangles x 3 x 3 broadcasts, entry
     # for entry: the same floating-point operations in the same order, and
-    # the triplets in the same order, so CSR sums duplicates alike
+    # the triplets in the same order, so CSR sums duplicates alike; both
+    # operators from one geometry pass, in either order, keep the bits of
+    # each one's own assembly, and their total area that of `triangle_area`
     def hexes(A):
         return [float.hex(v) for v in A.data], A.indices.tolist(), A.indptr.tolist()
 
+    weight = lambda x, y: 1.0 + 0.3 * x - 0.2 * y * y  # noqa: E731
+    pairs = [None, (0.37, 0.37), (weight, weight), (None, 0.37), (weight, None)]
     for layer in (None, LayerConfig(0.05, 1.0, 0.48)):
         mesh = generate_mesh(curve, layer, 0.06)
-        for kind in ("stiffness", "mass"):
-            for region in (None, "layer"):
-                for coefficient in (None, 0.37, lambda x, y: 1.0 + 0.3 * x - 0.2 * y * y):
+        for region in (None, "layer"):
+            for kind in ("stiffness", "mass"):
+                for coefficient in (None, 0.37, weight):
                     got = assemble(mesh, kind, region=region, coefficient=coefficient)
                     ref = broadcast_assemble(mesh, kind, region=region, coefficient=coefficient)
                     assert hexes(got) == hexes(ref), (layer, kind, region, coefficient)
+            tris = mesh.triangles if region is None else mesh.triangles[mesh.region == LAYER]
+            for kinds in (("stiffness", "mass"), ("mass", "stiffness")):
+                for pair in pairs:
+                    *got, area = assemble(mesh, kinds, region=region, coefficient=pair)
+                    assert area == triangle_area(mesh.vertices, tris)
+                    for kind, c, A in zip(kinds, pair or (None, None), got):
+                        ref = broadcast_assemble(mesh, kind, region=region, coefficient=c)
+                        assert hexes(A) == hexes(ref), (layer, region, kinds, c)
 
 
 def _traced_peak_mib(fn):
@@ -121,17 +134,21 @@ def _traced_peak_mib(fn):
 def test_scratch_memory_on_a_fine_mesh():
     # bare Ellipse(1.3, 1) at h = 0.01: 44,287 vertices, 87,846 triangles.
     # Measured 24.8, 24.8, 6.8 and 2.7 MiB; with triangles x 3 x 3 (and
-    # x 3 x 2) intermediates they were 46.3, 46.9, 12.8 and 10.1 MiB
+    # x 3 x 2) intermediates they were 46.3, 46.9, 12.8 and 10.1 MiB.  Both
+    # operators from one pass measured 28.5 MiB, the peak of the mass
+    # conversion with the finished stiffness alive; with both triplet data
+    # arrays alive through the conversions it was 30.8 MiB
     curve = Ellipse(1.3, 1.0)
     mesh = generate_mesh(curve, None, 0.01)
     assert len(mesh.triangles) == 87846
     peaks = {
         "stiffness": _traced_peak_mib(lambda: assemble(mesh, "stiffness")),
         "mass": _traced_peak_mib(lambda: assemble(mesh, "mass")),
+        "pair": _traced_peak_mib(lambda: assemble(mesh, ("stiffness", "mass"))),
         "generate_mesh": _traced_peak_mib(lambda: generate_mesh(curve, None, 0.01)),
         "h": _traced_peak_mib(lambda: mesh.h),
     }
-    bounds = {"stiffness": 28.0, "mass": 28.0, "generate_mesh": 8.0, "h": 3.5}
+    bounds = {"stiffness": 28.0, "mass": 28.0, "pair": 29.0, "generate_mesh": 8.0, "h": 3.5}
     assert all(peaks[k] <= bounds[k] for k in bounds), peaks
 
 
@@ -140,6 +157,10 @@ def test_assemble_rejects_unknown_region():
     for region in ("all", "core", 0, 1):
         with pytest.raises(ValueError):
             assemble(mesh, "mass", region=region)
+    with pytest.raises(ValueError, match="kind"):
+        assemble(mesh, ("stiffness", "volume"))
+    with pytest.raises(ValueError, match="one coefficient per"):
+        assemble(mesh, ("stiffness", "mass"), coefficient=(None,))
 
 
 def test_mass_positive_definite():
@@ -577,7 +598,8 @@ def test_reduced_block_is_the_orbit_sum():
     rounding and symmetric bit for bit."""
     mesh = generate_mesh(Ellipse(1.3, 1.0), None, 0.1)
     K, M = assemble(mesh, "stiffness"), assemble(mesh, "mass")
-    factor = dirichlet_factor(K, M, mesh.outer, mesh.vertices, mesh.triangles, mesh.mirrors)
+    factor = dirichlet_factor(K, M, mesh.outer, mesh.vertices, mesh.triangles,
+                              triangle_area(mesh.vertices, mesh.triangles), mesh.mirrors)
     orbits = factor.orbits
     assert orbits.size == even_unknowns(mesh) < len(factor.free) / 3
     P = np.zeros((len(factor.free), orbits.size))
@@ -619,13 +641,16 @@ def _orbit_meshes():
 
 @pytest.mark.parametrize("mesh", _orbit_meshes())
 def test_orbit_pattern_matches_the_sorted_grouping(mesh):
-    """MirrorOrbits groups the free block into the same pattern, slots and
-    twins as sorting its keys does, so P^T K P and P^T M P keep their bits."""
+    """MirrorOrbits, built from K's pattern with the vertices off the free
+    set in orbit -1, groups the free block into the same pattern, slots and
+    twins as sorting the keys of the gathered free block does, so P^T K P
+    and P^T M P keep their bits."""
     K, M = assemble(mesh, "stiffness"), assemble(mesh, "mass")
-    factor = dirichlet_factor(K, M, mesh.outer, mesh.vertices, mesh.triangles, mesh.mirrors)
+    factor = dirichlet_factor(K, M, mesh.outer, mesh.vertices, mesh.triangles,
+                              triangle_area(mesh.vertices, mesh.triangles), mesh.mirrors)
     orbits = factor.orbits
-    ref_indptr, ref_indices, uslot, twin = _sorted_orbit_pattern(
-        orbits, factor.indptr, factor.indices)
+    assert "pattern" not in vars(factor)  # built from K's pattern alone
+    ref_indptr, ref_indices, uslot, twin = _sorted_orbit_pattern(orbits, *factor.pattern[:2])
     got = (orbits.indptr, orbits.indices, orbits.uslot, orbits.twin)
     for a, b in zip(got, (ref_indptr, ref_indices, uslot, twin)):
         assert a.dtype == np.int32 and np.array_equal(a, b)
@@ -634,6 +659,50 @@ def test_orbit_pattern_matches_the_sorted_grouping(mesh):
         block = orbits.block(full.data)
         assert np.array_equal(block.indptr, ref_indptr)
         assert np.array_equal(block.data, ref)
+
+
+def _eager_pattern(K, boundary):
+    """(indptr, indices, pos) of the free block off boundary as
+    `dirichlet_factor` gathered it before every factor was built: the
+    positions in K.data of the entries with a free row and column."""
+    is_free = np.ones(K.shape[0], dtype=bool)
+    is_free[boundary] = False
+    free = np.flatnonzero(is_free)
+    pos = np.flatnonzero(np.repeat(is_free, np.diff(K.indptr)) & is_free[K.indices])
+    indptr = np.searchsorted(pos, K.indptr[np.r_[0, free + 1]]).astype(np.int32)
+    indices = (np.cumsum(is_free) - 1)[K.indices[pos]].astype(np.int32)
+    return indptr, indices, pos.astype(np.int32)
+
+
+@pytest.mark.parametrize("mesh", _orbit_meshes())
+def test_reduced_factor_gathers_the_free_block_on_demand(mesh):
+    """A reduced factor gathers no free block until `block` or `full` asks;
+    then the pattern, the block and the full factor's solves are those of
+    the eager gather, bit for bit, and the full factor keeps the pattern."""
+    K, M = assemble(mesh, "stiffness"), assemble(mesh, "mass")
+    area = triangle_area(mesh.vertices, mesh.triangles)
+    factor = dirichlet_factor(K, M, mesh.outer, mesh.vertices, mesh.triangles, area,
+                              mesh.mirrors)
+    assert factor.orbits is not None and "pattern" not in vars(factor)
+    indptr, indices, pos = _eager_pattern(K, mesh.outer)
+    n = len(factor.free)
+    for data in (K.data, M.data, K.data - factor.sigma * M.data):
+        got = factor.block(data)
+        assert np.array_equal(got.indptr, indptr) and np.array_equal(got.indices, indices)
+        assert np.array_equal(got.data, data[pos])
+    for got, ref in zip(factor.pattern, (indptr, indices, pos)):
+        assert got.dtype == np.int32 and np.array_equal(got, ref)
+    full = factor.full(K, M)
+    assert full.orbits is None and full.pattern is factor.pattern
+    plain = dirichlet_factor(K, M, mesh.outer, mesh.vertices, mesh.triangles, area)
+    assert plain.orbits is None and plain.sigma == full.sigma
+    for got, ref in zip(plain.pattern, (indptr, indices, pos)):
+        assert np.array_equal(got, ref)
+    rhs = np.random.default_rng(3).standard_normal(n)
+    assert np.array_equal(full.lu.solve(rhs), plain.lu.solve(rhs))
+    shifted = sparse.csr_matrix((K.data[pos] - full.sigma * M.data[pos], indices, indptr),
+                                shape=(n, n))
+    assert np.max(np.abs(shifted @ full.lu.solve(rhs) - rhs)) <= 1e-10 * np.max(np.abs(rhs))
 
 
 @pytest.mark.parametrize("h", [0.04, 0.02])
@@ -709,6 +778,10 @@ def test_uneven_thickness_takes_the_full_corrector(monkeypatch):
     mixed = compute_coefficients(Circle(1.0), layer, 0.04)
     assert grounds[0].orbits is not None and correctors[0].orbits is None
     assert np.array_equal(correctors[0].free, grounds[0].free)
+    # the full factor gathered the free block once, for both
+    assert correctors[0].pattern is grounds[0].pattern
+    for got, ref in zip(correctors[0].pattern, _eager_pattern(mixed.K, mixed.mesh.outer)):
+        assert np.array_equal(got, ref)
     _without_mirrors(asymptotics, monkeypatch)
     full = compute_coefficients(Circle(1.0), layer, 0.04)
     for a, b in zip(mixed.lambdas, full.lambdas):
@@ -761,6 +834,8 @@ def test_reduced_pair_above_the_floor_falls_back_to_the_full_factor(monkeypatch)
     monkeypatch.setattr(fem, "second_eigenvalue_floor", lambda vertices: lam0)
     lam, v0, K, M, factor, fallback = ground_state(mesh)
     assert (factor.orbits, fallback) == (None, "two-pair")
+    for got, ref in zip(factor.pattern, _eager_pattern(K, mesh.outer)):
+        assert np.array_equal(got, ref)
     lams, vecs = dirichlet_eigs(K, M, 2, domain_factor(mesh, K, M))
     assert lam == float(lams[0])
     assert np.array_equal(v0.values, vecs[:, 0] / mass_norm(M, vecs[:, 0]))
@@ -775,7 +850,8 @@ def test_mesh_without_a_curve_is_not_reduced():
 def test_reduced_factor_solves_one_pair():
     mesh = generate_mesh(Circle(1.0), None, 0.1)
     K, M = assemble(mesh, "stiffness"), assemble(mesh, "mass")
-    factor = dirichlet_factor(K, M, mesh.outer, mesh.vertices, mesh.triangles, mesh.mirrors)
+    factor = dirichlet_factor(K, M, mesh.outer, mesh.vertices, mesh.triangles,
+                              triangle_area(mesh.vertices, mesh.triangles), mesh.mirrors)
     with pytest.raises(ValueError, match="one pair"):
         dirichlet_eigs(K, M, 2, factor)
 

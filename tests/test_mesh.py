@@ -347,3 +347,26 @@ def test_one_reach_per_coated_mesh():
     curve.reach = counted
     generate_mesh(curve, LayerConfig(0.02, 1.0, 0.5), 0.05)
     assert len(calls) == 1
+
+
+def test_sampled_reach_is_kept_on_the_curve():
+    # the 4096 sampled curvatures behind a general curve's reach are
+    # evaluated once per curve object, and the kept value is the bits of a
+    # fresh sampling
+    curve = FourierCurve([0.08, 0.0, 0.03])
+    generate_mesh(curve, None, 0.04)
+    sampled = []
+    curvature = curve.curvature
+
+    def counted(s):
+        sampled.append(np.size(s))
+        return curvature(s)
+
+    curve.curvature = counted
+    generate_mesh(curve, None, 0.04)
+    generate_mesh(curve, LayerConfig(0.02, 1.0, 0.5), 0.04)
+    assert sampled == []
+    fresh = FourierCurve([0.08, 0.0, 0.03])
+    assert float.hex(curve.reach()) == float.hex(fresh.reach())
+    s = np.linspace(0.0, fresh.s0, 4096, endpoint=False)
+    assert curve.reach() == 1.0 / np.max(np.abs(fresh.curvature(s)))

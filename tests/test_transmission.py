@@ -7,7 +7,8 @@ import scipy.sparse as sp
 
 from thinspec import bessel, fem, transmission
 from thinspec.errors import InsufficientData, MissingLayer, NoRootFound
-from thinspec.fem import assemble, dirichlet_eigs, dirichlet_factor, ground_state, h1_norm
+from thinspec.fem import (assemble, dirichlet_eigs, dirichlet_factor, ground_state, h1_norm,
+                          triangle_area)
 from thinspec.geometry import Circle, Ellipse, FourierCurve, LayerConfig
 from thinspec.mesh import LAYER, generate_mesh
 from thinspec.report import fit_order, richardson
@@ -410,7 +411,8 @@ def test_eroded_dirichlet_is_the_core_submesh_eigenvalue(curve):
     sub, _ = core_submesh(mesh)
     K = assemble(sub, "stiffness")
     M = assemble(sub, "mass")
-    factor = dirichlet_factor(K, M, sub.outer, sub.vertices, sub.triangles, sub.mirrors)
+    factor = dirichlet_factor(K, M, sub.outer, sub.vertices, sub.triangles,
+                              triangle_area(sub.vertices, sub.triangles), sub.mirrors)
     assert factor.orbits is not None
     lams, _ = dirichlet_eigs(K, M, 1, factor)
     assert eroded_dirichlet(mesh, *_full_km(mesh)) == (float(lams[0]), None)
